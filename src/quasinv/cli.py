@@ -49,19 +49,42 @@ REPLAY_SUITES = (
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values such as "-3" and the window "-3:3" are arguments, not options
+        self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return check
+
+
 def default_q_order() -> int:
     raw = os.environ.get("QUASINV_DEFAULT_QORDER")
     if raw:
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ParseError(f"QUASINV_DEFAULT_QORDER must be an integer, got {raw!r}")
+        if value < 1:
+            raise ParseError(f"QUASINV_DEFAULT_QORDER must be at least 1, got {value}")
+        return value
     return ell.DEFAULT_Q_ORDER
 
 
@@ -545,7 +568,7 @@ def cmd_fake(args) -> int:
 
 
 def cmd_elliptic(args) -> int:
-    N = args.qorder or default_q_order()
+    N = args.qorder if args.qorder is not None else default_q_order()
     if args.action == "theta":
         lo, hi = _parse_window(args.window) if args.window else ell.DEFAULT_WINDOW
         el = ell.theta(args.form, (lo, hi), N)
@@ -728,6 +751,7 @@ def build_parser() -> _Parser:
                                  "of reflection groups")
     parser.add_argument("--version", action="version", version=f"quasinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    non_negative = _int_at_least(0)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -743,7 +767,7 @@ def build_parser() -> _Parser:
         p = add(name, fn, help=f"{name} of the quasi-invariant algebra")
         p.add_argument("--group", required=True)
         p.add_argument("--mult", required=True)
-        p.add_argument("--max-deg", type=int, default=None,
+        p.add_argument("--max-deg", type=non_negative, default=None,
                        help="degree bound (default 4 * sum of invariant degrees)")
         if name == "basis":
             p.add_argument("--check-closure", action="store_true")
@@ -752,21 +776,21 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True)
     p.add_argument("--mult", required=True, help="smaller multiplicity")
     p.add_argument("--mult-high", required=True, help="larger multiplicity")
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=non_negative, default=None)
 
     p = add("tower", cmd_tower, help="iterate the fiber-product tower from Q_0")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--max-deg", type=int, default=16)
+    p.add_argument("--steps", type=non_negative, required=True)
+    p.add_argument("--max-deg", type=non_negative, default=16)
 
     p = add("x1", cmd_x1, help="constants plus the invariant ideal, with certificate")
     p.add_argument("--group", required=True)
-    p.add_argument("--max-deg", type=int, default=None)
+    p.add_argument("--max-deg", type=non_negative, default=None)
 
     p = add("fake-cohomology", cmd_fake_cohomology,
             help="the subring Q + N x^2 Q'_(m-1) compared with Q_m")
     p.add_argument("--nb", type=int, required=True)
     p.add_argument("--mult", type=int, required=True)
-    p.add_argument("--max-deg", type=int, default=20)
+    p.add_argument("--max-deg", type=non_negative, default=20)
 
     p = add("demazure", cmd_demazure, help="apply a divided difference operator")
     p.add_argument("--group", required=True)
@@ -798,7 +822,7 @@ def build_parser() -> _Parser:
     p = add("elliptic", cmd_elliptic, help="theta functions and section spaces")
     p.add_argument("action", choices=("theta", "sections", "elldim", "sheafdims"))
     p.add_argument("--form", choices=("sum", "product"), default="product")
-    p.add_argument("--qorder", type=int, default=None)
+    p.add_argument("--qorder", type=_int_at_least(1), default=None)
     p.add_argument("--window", default=None)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--mult", type=int, default=0)

@@ -33,19 +33,11 @@ __all__ = [
 ]
 
 
-def _reflection_of(group: ReflectionGroup, h) -> int:
-    ident = group.identity_index()
-    for i in group.stabilizer(h):
-        if i != ident:
-            return i
-    raise ValueError("hyperplane without a reflection")
-
-
 def delta_classical(group: ReflectionGroup, h, p: Polynomial) -> Polynomial:
     """(p - s_H p) / alpha_H; the division is exact for every polynomial."""
     if h.stabilizer_order != 2:
         raise DomainError("divided differences need a genuine reflection")
-    s = _reflection_of(group, h)
+    s = group.reflection(h)
     diff = p - group.act(s, p)
     return exact_quotient_by_power(diff, h.alpha, 1)
 
@@ -61,7 +53,7 @@ def delta_m(group: ReflectionGroup, h, mult: Multiplicity, p: Polynomial) -> Pol
             "divided difference of this order is undefined on it"
         )
     m_h = mult.of(h)
-    s = _reflection_of(group, h)
+    s = group.reflection(h)
     diff = p - group.act(s, p)
     return exact_quotient_by_power(diff, h.alpha, 2 * m_h + 1)
 
@@ -211,9 +203,6 @@ class TruncatedExpSeries:
             if self.coeffs[n]:
                 return n
         return None
-
-    def even_coeffs(self):
-        return self.coeffs[0 :: 2]
 
     def __repr__(self):
         parts = [f"{c}*x^{n}" for n, c in enumerate(self.coeffs) if c]

@@ -27,7 +27,6 @@ __all__ = [
     "jacobi_theta",
     "check_functional_equation",
     "section_basis",
-    "section_coordinates",
     "invariant_anti_split",
     "zq_exact_divide",
     "theta_divisibility",
@@ -266,10 +265,6 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
         basis.append(ThetaElement(series, declared_degree=n, certificate=cert))
         basepoints.append(base)
     return SectionSpace(n, q_order, basis, basepoints)
-
-
-def section_coordinates(space: SectionSpace, f: ZQSeries):
-    return space.coordinates(f)
 
 
 def invariant_anti_split(space: SectionSpace):

@@ -216,13 +216,6 @@ class FakeKRing:
                 return False
         return self.membership(self._powers[self.m]) == MEMBER
 
-    def basis_description(self):
-        return {
-            "free_part_degrees": [2 * j for j in range(self.m)],
-            "ideal_order": 2 * self.m,
-            "N_B": self.n_b,
-        }
-
     def membership(self, f: IntSeries) -> str:
         """Three-valued membership of f through the truncation order."""
         if self.m == 0:

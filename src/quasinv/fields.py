@@ -303,25 +303,3 @@ def _poly_sub(a: list, b: list) -> list:
     a = a + [_ZERO] * (m - len(a))
     b = b + [_ZERO] * (m - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def field_zero(sample):
-    """Zero of the field a sample element lives in."""
-    if isinstance(sample, Cyclotomic):
-        return Cyclotomic.from_rational(sample.n, 0)
-    return _ZERO
-
-
-def field_one(sample):
-    if isinstance(sample, Cyclotomic):
-        return Cyclotomic.from_rational(sample.n, 1)
-    return _ONE
-
-
-def same_field(a, b) -> bool:
-    """Whether two coefficients live in one fixed coefficient field."""
-    a_cyc = isinstance(a, Cyclotomic)
-    b_cyc = isinstance(b, Cyclotomic)
-    if a_cyc and b_cyc:
-        return a.n == b.n
-    return True  # rationals embed in any Q(zeta_n)

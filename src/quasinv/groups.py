@@ -185,6 +185,15 @@ class ReflectionGroup:
                 out.append(i)
         return out
 
+    def reflection(self, h: Hyperplane) -> int:
+        """Index of the first non-identity element fixing h pointwise: the
+        reflection in h when its stabilizer has order 2."""
+        ident = self.identity_index()
+        for i in self.stabilizer(h):
+            if i != ident:
+                return i
+        raise ValueError("hyperplane without a reflection")
+
     # -- sanity ---------------------------------------------------------------------
 
     def _verify_group_axioms(self):
@@ -451,13 +460,6 @@ def _hyperplane_basis(alpha: Polynomial, variables):
 
 
 # -- constructors ------------------------------------------------------------------
-
-
-def _a1_factor():
-    return {
-        "order_gen": 2,
-        "kind": "A1",
-    }
 
 
 def _build_rank_one(kind: str, ell: int):

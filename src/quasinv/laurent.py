@@ -40,10 +40,6 @@ class LaurentElement:
         return LaurentElement({2 * k: c})
 
     @staticmethod
-    def w_power(e: int, c=1) -> "LaurentElement":
-        return LaurentElement({e: c})
-
-    @staticmethod
     def from_z_terms(zterms: dict) -> "LaurentElement":
         return LaurentElement({2 * k: c for k, c in zterms.items()})
 

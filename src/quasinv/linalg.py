@@ -93,15 +93,6 @@ def nullspace(matrix):
     return basis
 
 
-def nullspace_dim(matrix, ncols: int | None = None) -> int:
-    rows = [r for r in matrix]
-    if not rows:
-        if ncols is None:
-            raise ValueError("need column count for empty constraint set")
-        return ncols
-    return len(rows[0]) - rank(rows)
-
-
 def solve_exact(matrix, rhs):
     """Solve M x = rhs exactly; returns the solution with free variables set
     to zero, or None if inconsistent."""
@@ -116,13 +107,6 @@ def solve_exact(matrix, rhs):
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
     return x
-
-
-def span_dimension(vectors, ncols: int | None = None) -> int:
-    vecs = [v for v in vectors]
-    if not vecs:
-        return 0
-    return rank(vecs)
 
 
 def in_span(vectors, target) -> bool:

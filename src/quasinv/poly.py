@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from quasinv.fields import Cyclotomic, field_one, same_field
+from quasinv.fields import Cyclotomic
 
 INFINITE_ORDER = math.inf
 
@@ -165,12 +166,6 @@ class Polynomial:
         """Terms sorted in graded-lexicographic exponent order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
-    def scalar_sample(self):
-        """A sample nonzero coefficient (defines the ambient field), or 1."""
-        for c in self.terms.values():
-            return c
-        return Fraction(1)
-
     def substitute(self, images: dict, cache: dict | None = None) -> "Polynomial":
         """Replace each variable by the given polynomial image.
 
@@ -323,12 +318,6 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
     return quotient, rem
 
 
-def _unit_exp(n: int, i: int):
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
-
-
 def _dec_exp(e, pivot):
     e = list(e)
     e[pivot] -= 1
@@ -363,16 +352,18 @@ def monomials_of_degree(variables, d: int):
     return out
 
 
-def check_one_field(coeffs) -> None:
-    """Reject mixtures of cyclotomic fields of different orders."""
-    sample = None
-    for c in coeffs:
-        if isinstance(c, Cyclotomic):
-            if sample is None:
-                sample = c
-            elif not same_field(sample, c):
-                raise ValueError("mixed coefficient fields")
+@lru_cache(maxsize=256)
+def monomial_index(variables: tuple, d: int) -> dict:
+    """Position of each degree-d exponent vector in `monomials_of_degree`
+    order.  Shared between callers: read it, never mutate it."""
+    return {m: i for i, m in enumerate(monomials_of_degree(variables, d))}
 
 
-def one_like(p: Polynomial):
-    return field_one(p.scalar_sample())
+def coordinate_vector(p: Polynomial, d: int) -> list:
+    """Coordinates of a homogeneous degree-d polynomial (or zero) in the
+    monomial basis of degree d, in `monomials_of_degree` order."""
+    index = monomial_index(p.vars, d)
+    vec = [Fraction(0)] * len(index)
+    for exp, c in p.terms.items():
+        vec[index[exp]] = c
+    return vec

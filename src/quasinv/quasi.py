@@ -17,6 +17,7 @@ closed under multiplication; closure is reported when checked, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from quasinv.errors import DomainError
 from quasinv.groups import GroupAlgebraElement, Multiplicity, ReflectionGroup, idempotent
@@ -25,8 +26,10 @@ from quasinv.linalg import IncrementalSpan, in_span, nullspace, rank
 from quasinv.poly import (
     Polynomial,
     adapted_substitution,
+    coordinate_vector,
     divisibility_order,
     linear_coefficients,
+    monomial_index,
     monomials_of_degree,
 )
 
@@ -60,15 +63,7 @@ class GradedBasis:
 
     def layer_vectors(self, d: int):
         """Coordinate vectors of the degree-d layer in the monomial basis."""
-        monos = monomials_of_degree(self.group.variables, d)
-        index = {m: i for i, m in enumerate(monos)}
-        out = []
-        for p in self.layers[d]:
-            vec = [Fraction(0)] * len(monos)
-            for exp, c in p.terms.items():
-                vec[index[exp]] = c
-            out.append(vec)
-        return out
+        return [coordinate_vector(p, d) for p in self.layers[d]]
 
     def contains(self, p: Polynomial) -> bool:
         """Exact span membership, degree by degree."""
@@ -80,32 +75,31 @@ class GradedBasis:
                 continue
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
-            monos = monomials_of_degree(self.group.variables, d)
-            index = {m: i for i, m in enumerate(monos)}
-            vec = [Fraction(0)] * len(monos)
-            for exp, c in comp.terms.items():
-                vec[index[exp]] = c
-            if not in_span(self.layer_vectors(d), vec):
+            if not in_span(self.layer_vectors(d), coordinate_vector(comp, d)):
                 return False
         return True
 
     def closure_report(self, max_pairs: int = 40):
-        """Spot-check that products of basis elements stay in the span."""
+        """Spot-check that products of basis elements stay in the span.
+
+        Only the first two elements of each layer enter, and at most
+        `max_pairs` products, so passing proves nothing: "closed" is False
+        with the witness degrees when a product leaves the span, and None
+        with "sampled" set otherwise."""
+        top = self.max_degree
+        pairs = (
+            (a, b, pa * pb)
+            for a in range(1, top + 1)
+            for b in range(a, top + 1 - a)
+            for pa in self.layers[a][:2]
+            for pb in self.layers[b][:2]
+        )
         checked = 0
-        for a in range(1, self.max_degree + 1):
-            for b in range(a, self.max_degree + 1 - a):
-                for pa in self.layers[a][:2]:
-                    for pb in self.layers[b][:2]:
-                        if checked >= max_pairs:
-                            return {"closed": True, "pairs_checked": checked}
-                        if not self.contains(pa * pb):
-                            return {
-                                "closed": False,
-                                "pairs_checked": checked + 1,
-                                "witness_degrees": (a, b),
-                            }
-                        checked += 1
-        return {"closed": True, "pairs_checked": checked}
+        for a, b, product in islice(pairs, max_pairs):
+            checked += 1
+            if not self.contains(product):
+                return {"closed": False, "pairs_checked": checked, "witness_degrees": (a, b)}
+        return {"closed": None, "sampled": True, "pairs_checked": checked}
 
 
 class FreenessCertificate:
@@ -150,8 +144,7 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
         if h.stabilizer_order == 2:
             if m_h == 0:
                 continue
-            s_idx = _reflection_index(group, h)
-            diff = group.act(s_idx, p) - p
+            diff = group.act(group.reflection(h), p) - p
             if divisibility_order(diff, h.alpha, _cache=cache) < 2 * m_h:
                 return False
         else:
@@ -164,14 +157,6 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
                 if divisibility_order(img, h.alpha, _cache=cache) < need:
                     return False
     return True
-
-
-def _reflection_index(group: ReflectionGroup, h) -> int:
-    ident = group.identity_index()
-    for i in group.stabilizer(h):
-        if i != ident:
-            return i
-    raise ValueError("hyperplane without reflection")
 
 
 # -- degreewise solution spaces ----------------------------------------------------
@@ -189,7 +174,7 @@ def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
         ops = []
         if h.stabilizer_order == 2:
             if m_h:
-                s_idx = _reflection_index(group, h)
+                s_idx = group.reflection(h)
                 one = GroupAlgebraElement(group, {s_idx: Fraction(1), group.identity_index(): Fraction(-1)})
                 ops.append((one, 2 * m_h))
         else:
@@ -223,55 +208,20 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     cache: dict = {}
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
-        layer = []
-        for block in group.monomial_blocks(monos):
-            rows: dict = {}
-            for ci, (h, pivot, images, ops) in enumerate(conditions):
-                for oi, (op, need) in enumerate(ops):
-                    for local, col in enumerate(block):
-                        mono = Polynomial.monomial(group.variables, monos[col])
-                        cond = op.apply(mono)
-                        if not cond:
-                            continue
-                        adapted = cond.substitute(images, cache=cache)
-                        for aexp, c in adapted.terms.items():
-                            if aexp[pivot] < need:
-                                key = (ci, oi, aexp)
-                                row = rows.setdefault(key, [Fraction(0)] * len(block))
-                                row[local] = row[local] + c
-            matrix = [rows[k] for k in sorted(rows)]
-            if not matrix:
-                kernel = [
-                    [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]
-                    for i in range(len(block))
-                ]
-            else:
-                kernel = nullspace(matrix)
-            for vec in kernel:
-                terms = {monos[block[i]]: c for i, c in enumerate(vec) if c}
-                layer.append(Polynomial(group.variables, terms))
-        layer.sort(key=lambda p: min(p.terms))
-        layers.append(layer)
+        layers.append(_solve_layer(group, conditions, monos, group.monomial_blocks(monos), cache))
     return GradedBasis(group, mult, max_degree, layers)
 
 
-def quasi_basis_unblocked(group: ReflectionGroup, mult: Multiplicity,
-                          max_degree: int) -> GradedBasis:
-    """Single-matrix variant of `quasi_basis`, kept for cross-checking the
-    block decomposition."""
-    if not mult.is_integer():
-        raise DomainError("quasi_basis needs integer multiplicities")
-    conditions = _hyperplane_conditions(group, mult)
-    layers = []
-    cache: dict = {}
-    for d in range(max_degree + 1):
-        monos = monomials_of_degree(group.variables, d)
-        cols = len(monos)
+def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, cache: dict):
+    """Kernel of the degree-d constraint matrix, solved on each block of
+    columns separately, as polynomials sorted by leading exponent."""
+    layer = []
+    for block in blocks:
         rows: dict = {}
         for ci, (h, pivot, images, ops) in enumerate(conditions):
             for oi, (op, need) in enumerate(ops):
-                for col, exp in enumerate(monos):
-                    mono = Polynomial.monomial(group.variables, exp)
+                for local, col in enumerate(block):
+                    mono = Polynomial.monomial(group.variables, monos[col])
                     cond = op.apply(mono)
                     if not cond:
                         continue
@@ -279,18 +229,21 @@ def quasi_basis_unblocked(group: ReflectionGroup, mult: Multiplicity,
                     for aexp, c in adapted.terms.items():
                         if aexp[pivot] < need:
                             key = (ci, oi, aexp)
-                            row = rows.setdefault(key, [Fraction(0)] * cols)
-                            row[col] = row[col] + c
+                            row = rows.setdefault(key, [Fraction(0)] * len(block))
+                            row[local] = row[local] + c
         matrix = [rows[k] for k in sorted(rows)]
         if not matrix:
-            layer = [Polynomial.monomial(group.variables, e) for e in monos]
+            kernel = [
+                [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]
+                for i in range(len(block))
+            ]
         else:
-            layer = []
-            for vec in nullspace(matrix):
-                terms = {monos[i]: c for i, c in enumerate(vec) if c}
-                layer.append(Polynomial(group.variables, terms))
-        layers.append(layer)
-    return GradedBasis(group, mult, max_degree, layers)
+            kernel = nullspace(matrix)
+        for vec in kernel:
+            terms = {monos[block[i]]: c for i, c in enumerate(vec) if c}
+            layer.append(Polynomial(group.variables, terms))
+    layer.sort(key=lambda p: min(p.terms))
+    return layer
 
 
 def hilbert(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> HilbertSeries:
@@ -318,10 +271,11 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     so far ever outgrows the actual dimensions, a relation exists and the
     module is not free.
 
-    When every vector in sight is supported on a single diagonal-character
-    class the span bookkeeping runs per class on disjoint column sets (an
-    exact reformulation, since spans of disjointly supported vectors
-    decompose); otherwise one global elimination is used.
+    Span bookkeeping runs per diagonal-character block on disjoint column
+    sets, an exact reformulation because spans of disjointly supported
+    vectors decompose.  Every vector must therefore lie in one block, as
+    the invariants times a block-pure basis do; a vector that spans two
+    blocks raises ValueError.
     """
     D = basis.max_degree
     dims = basis.dims()
@@ -332,52 +286,27 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     status = None
     failure_degree = None
     for d in range(D + 1):
-        monos = monomials_of_degree(group.variables, d)
-        index = {m: i for i, m in enumerate(monos)}
-        sources = []
+        index = monomial_index(group.variables, d)
+        blocks = group.monomial_blocks(list(index))
+        col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
+        spans = [IncrementalSpan(len(block)) for block in blocks]
+
+        def add(p):
+            """Insert p into its block's span; True when the span grew."""
+            found = {col_block[index[exp]] for exp in p.terms}
+            if len(found) != 1:
+                raise ValueError("module vector does not lie in one diagonal-character block")
+            (bi,) = found
+            vec = coordinate_vector(p, d)
+            return spans[bi].add([vec[col] for col in blocks[bi]])
+
         for f, fd in zip(fund, fund_degs):
             if d - fd >= 0:
-                sources.extend(f * b for b in basis.layers[d - fd])
-        blocks = group.monomial_blocks(monos)
-        col_block = {}
-        col_local = {}
-        for bi, block in enumerate(blocks):
-            for pos, col in enumerate(block):
-                col_block[col] = bi
-                col_local[col] = pos
-
-        def locate(p):
-            bi = None
-            for exp in p.terms:
-                b = col_block[index[exp]]
-                if bi is None:
-                    bi = b
-                elif b != bi:
-                    return None
-            return bi
-
-        routed = [locate(p) for p in sources + basis.layers[d]]
-        if all(bi is not None for bi in routed):
-            spans = [IncrementalSpan(len(block)) for block in blocks]
-
-            def add(p, bi):
-                vec = [Fraction(0)] * len(blocks[bi])
-                for exp, c in p.terms.items():
-                    vec[col_local[index[exp]]] = c
-                return spans[bi].add(vec)
-
-            for p, bi in zip(sources, routed):
-                add(p, bi)
-            for p, bi in zip(basis.layers[d], routed[len(sources):]):
-                if add(p, bi):
-                    generators.append((d, p))
-        else:
-            span = IncrementalSpan(len(monos))
-            for p in sources:
-                span.add(_coordinate_vector(p, index))
-            for p in basis.layers[d]:
-                if span.add(_coordinate_vector(p, index)):
-                    generators.append((d, p))
+                for b in basis.layers[d - fd]:
+                    add(f * b)
+        for p in basis.layers[d]:
+            if add(p):
+                generators.append((d, p))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
         if free_dim != dims[d]:
             status = "not-free"
@@ -390,13 +319,6 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     return FreenessCertificate(
         group, generators, status, series, shift, predicted_shift, failure_degree
     )
-
-
-def _coordinate_vector(p: Polynomial, index: dict):
-    vec = [Fraction(0)] * len(index)
-    for exp, c in p.terms.items():
-        vec[index[exp]] = c
-    return vec
 
 
 def freeness_certificate(group: ReflectionGroup, mult: Multiplicity,
@@ -432,7 +354,7 @@ class CWValuedElement:
         return CWValuedElement(x * self.p, x * self.q)
 
     def s_action(self) -> "CWValuedElement":
-        return CWValuedElement(_flip(self.p), -_flip(self.q))
+        return CWValuedElement(reflect_x(self.p), -reflect_x(self.q))
 
     def e0_projection(self) -> "CWValuedElement":
         """Left multiplication by e0: keeps the even part on e0 and the odd
@@ -451,7 +373,8 @@ class CWValuedElement:
         return f"({self.p})*e0 + ({self.q})*e1"
 
 
-def _flip(p: Polynomial) -> Polynomial:
+def reflect_x(p: Polynomial) -> Polynomial:
+    """The rank-one reflection x -> -x on a one-variable polynomial."""
     return Polynomial(p.vars, {e: (c if e[0] % 2 == 0 else -c) for e, c in p.terms.items()})
 
 
@@ -500,15 +423,15 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
     included = True
     for d in range(max_degree + 1):
         low_vecs = low.layer_vectors(d)
-        for vec in high.layer_vectors(d):
-            if not in_span(low_vecs, vec):
-                included = False
-        codims.append(len(low.layers[d]) - len(high.layers[d]))
+        high_vecs = high.layer_vectors(d)
+        # the low layer is a basis, so the high one lies in its span exactly
+        # when stacking both keeps the rank
+        if rank(low_vecs + high_vecs) != len(low_vecs):
+            included = False
+        codims.append(len(low_vecs) - len(high_vecs))
         if witness is None and codims[-1] > 0:
-            for vec, p in zip(low_vecs, low.layers[d]):
-                if not in_span(high.layer_vectors(d), vec):
-                    witness = p
-                    break
+            witness = next(p for vec, p in zip(low_vecs, low.layers[d])
+                           if not in_span(high_vecs, vec))
     inv_dims = invariant_ring_dims(group, max_degree)
     inter_dims = _intersection_dims(group, max_degree)
     return {
@@ -597,5 +520,6 @@ def _intersect_spans(A, B):
     for v in vecs:
         if not in_span(basis, v):
             basis.append(v)
-    assert len(basis) == len(A) + len(B) - dimsum
+    if len(basis) != len(A) + len(B) - dimsum:
+        raise ArithmeticError("intersection dimension contradicts dim A + dim B - dim(A + B)")
     return basis

@@ -15,8 +15,8 @@ from fractions import Fraction
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.linalg import in_span, nullspace, rank, solve_exact
-from quasinv.poly import Polynomial, monomials_of_degree
-from quasinv.quasi import GradedBasis, module_certificate, quasi_basis
+from quasinv.poly import Polynomial, coordinate_vector, monomials_of_degree
+from quasinv.quasi import GradedBasis, module_certificate, quasi_basis, reflect_x
 
 __all__ = [
     "GradedMap",
@@ -50,7 +50,7 @@ class GradedMap:
                 image = apply_fn(p)
                 if _deg(image) > d:
                     raise ValueError("map is not degree-preserving")
-                coords = _coords(target_layers[d], image, variables, d)
+                coords = _coords(target_layers[d], image, d)
                 if coords is None:
                     raise ValueError("image falls outside the target layer")
                 cols.append(coords)
@@ -103,9 +103,8 @@ class FiberProductAlgebra:
         if not self.layers or not self.layers[0]:
             return False
         one = Polynomial.constant(self.variables, 1)
-        target = _pair_vector(one, one, self.variables, 0)
-        vecs = [_pair_vector(a, b, self.variables, 0) for a, b in self.layers[0]]
-        return in_span(vecs, target)
+        vecs = [coordinate_vector(a, 0) + coordinate_vector(b, 0) for a, b in self.layers[0]]
+        return in_span(vecs, coordinate_vector(one, 0) + coordinate_vector(one, 0))
 
     def product_in_span(self, pair1, pair2) -> bool:
         a = pair1[0] * pair2[0]
@@ -115,8 +114,8 @@ class FiberProductAlgebra:
             return True
         if d >= len(self.layers):
             raise DomainError("product degree exceeds computed bound")
-        vecs = [_pair_vector(x, y, self.variables, d) for x, y in self.layers[d]]
-        return in_span(vecs, _pair_vector(a, b, self.variables, d))
+        vecs = [coordinate_vector(x, d) + coordinate_vector(y, d) for x, y in self.layers[d]]
+        return in_span(vecs, coordinate_vector(a, d) + coordinate_vector(b, d))
 
 
 def _deg(p: Polynomial) -> int:
@@ -124,34 +123,12 @@ def _deg(p: Polynomial) -> int:
     return int(d) if p else -1
 
 
-def _coords(basis_polys, p: Polynomial, variables, d: int):
+def _coords(basis_polys, p: Polynomial, d: int):
     """Exact coordinates of p in the given degree-d basis, or None."""
-    monos = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(monos)}
     if not basis_polys:
         return None if p else []
-    cols = []
-    for q in basis_polys:
-        vec = [Fraction(0)] * len(monos)
-        for exp, c in q.terms.items():
-            vec[index[exp]] = c
-        cols.append(vec)
-    target = [Fraction(0)] * len(monos)
-    for exp, c in p.terms.items():
-        target[index[exp]] = c
-    matrix = [[col[i] for col in cols] for i in range(len(monos))]
-    return solve_exact(matrix, target)
-
-
-def _pair_vector(a: Polynomial, b: Polynomial, variables, d: int):
-    monos = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * (2 * len(monos))
-    for exp, c in a.terms.items():
-        vec[index[exp]] = c
-    for exp, c in b.terms.items():
-        vec[len(monos) + index[exp]] = c
-    return vec
+    cols = [coordinate_vector(q, d) for q in basis_polys]
+    return solve_exact(list(zip(*cols)), coordinate_vector(p, d))
 
 
 def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
@@ -169,8 +146,8 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         A = layers_a[d]
         B = layers_b[d]
         C = layers_c[d]
-        rows_f = [_coords(C, f(a), variables, d) for a in A]
-        rows_g = [_coords(C, g(b), variables, d) for b in B]
+        rows_f = [_coords(C, f(a), d) for a in A]
+        rows_g = [_coords(C, g(b), d) for b in B]
         if any(r is None for r in rows_f + rows_g):
             raise ValueError("structure map image outside the quotient basis")
         ncols = len(A) + len(B)
@@ -236,21 +213,19 @@ def _require_a1(group: ReflectionGroup):
         )
 
 
-def ganea_step(group: ReflectionGroup, m: int, max_degree: int) -> dict:
+def ganea_step(q_m: GradedBasis) -> dict:
     """One tower step: Q_m x_(Q_m/(x^2)) k, projected into the first factor.
 
-    Returns the projected graded basis, certifies that it equals the
-    congruence-solver basis of multiplicity m+1, and reports the fiber
-    algebra Q_m/(x^2) with its total dimension.
+    `q_m` is the congruence-solver basis of Q_m for the rank-one group, as
+    `quasi_basis` returns it (tagged with its multiplicity); the step works
+    through the same degree `q_m.max_degree`.  Returns the projected graded
+    basis, certifies that it equals the congruence-solver basis of
+    multiplicity m+1 (returned as "expected_basis", the input of the next
+    step), and reports the fiber algebra Q_m/(x^2) with its total dimension.
     """
-    _require_a1(group)
-    q_m = quasi_basis(group, Multiplicity.constant(group, m), max_degree)
-    return ganea_step_from(q_m, max_degree)
-
-
-def ganea_step_from(q_m: GradedBasis, max_degree: int) -> dict:
     group = q_m.group
     _require_a1(group)
+    max_degree = q_m.max_degree
     variables = group.variables
     x = Polynomial.variable(variables, variables[0])
     x2 = x * x
@@ -258,22 +233,11 @@ def ganea_step_from(q_m: GradedBasis, max_degree: int) -> dict:
     quot_reps = []
     ideal_spans = []
     for d in range(max_degree + 1):
-        ideal = []
-        if d >= 2:
-            monos = monomials_of_degree(variables, d)
-            index = {mm: i for i, mm in enumerate(monos)}
-            for p in q_m.layers[d - 2]:
-                v = [Fraction(0)] * len(monos)
-                for exp, c in (x2 * p).terms.items():
-                    v[index[exp]] = c
-                ideal.append(v)
+        ideal = [coordinate_vector(x2 * p, d) for p in q_m.layers[d - 2]] if d >= 2 else []
         ideal_spans.append(ideal)
-        reps = []
-        for p in q_m.layers[d]:
-            vec = _mono_vector(p, variables, d)
-            if not in_span(ideal, vec):
-                reps.append(p)
-        quot_reps.append(reps)
+        quot_reps.append(
+            [p for p in q_m.layers[d] if not in_span(ideal, coordinate_vector(p, d))]
+        )
     fiber_total = sum(len(r) for r in quot_reps)
 
     def project(p: Polynomial) -> Polynomial:
@@ -286,9 +250,8 @@ def ganea_step_from(q_m: GradedBasis, max_degree: int) -> dict:
             reps = quot_reps[d]
             if not reps:
                 continue
-            span = ideal_spans[d]
-            basis = [_mono_vector(r, variables, d) for r in reps] + span
-            coords = _solve_in(basis, _mono_vector(comp, variables, d))
+            basis = [coordinate_vector(r, d) for r in reps] + ideal_spans[d]
+            coords = _solve_in(basis, coordinate_vector(comp, d))
             for coef, r in zip(coords[: len(reps)], reps):
                 if coef:
                     out = out + r * coef
@@ -309,7 +272,7 @@ def ganea_step_from(q_m: GradedBasis, max_degree: int) -> dict:
         polys = []
         vecs = []
         for a, _ in layer:
-            v = _mono_vector(a, variables, d)
+            v = coordinate_vector(a, d)
             if any(v) and not in_span(vecs, v):
                 vecs.append(v)
                 polys.append(a)
@@ -337,15 +300,6 @@ def q_m_mult(basis: GradedBasis) -> int:
     return int(vals[0])
 
 
-def _mono_vector(p: Polynomial, variables, d: int):
-    monos = monomials_of_degree(variables, d)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * len(monos)
-    for exp, c in p.terms.items():
-        vec[index[exp]] = c
-    return vec
-
-
 def _solve_in(basis, target):
     matrix = [[b[i] for b in basis] for i in range(len(target))]
     sol = solve_exact(matrix, target)
@@ -355,14 +309,15 @@ def _solve_in(basis, target):
 
 
 def _same_spans(a: GradedBasis, b: GradedBasis) -> bool:
+    """Whether two graded bases span the same subspace in every degree: with
+    equal dimensions, b lies in the span of the basis a exactly when
+    stacking them keeps the rank."""
     if a.dims() != b.dims():
         return False
-    for d in range(a.max_degree + 1):
-        va = a.layer_vectors(d)
-        for v in b.layer_vectors(d):
-            if not in_span(va, v):
-                return False
-    return True
+    return all(
+        rank(a.layer_vectors(d) + b.layer_vectors(d)) == len(a.layers[d])
+        for d in range(a.max_degree + 1)
+    )
 
 
 def ganea_tower(steps: int, max_degree: int) -> dict:
@@ -372,11 +327,12 @@ def ganea_tower(steps: int, max_degree: int) -> dict:
     stages = [current]
     certified = []
     fiber_dims = []
-    for m in range(steps):
-        step = ganea_step(group, m, max_degree)
+    for _ in range(steps):
+        step = ganea_step(current)
         certified.append(step["certified"])
         fiber_dims.append(step["fiber_total_dimension"])
         stages.append(step["next_basis"])
+        current = step["expected_basis"]
     strict = []
     for i in range(len(stages) - 1):
         witness_degree = 2 * i + 1  # x^(2i+1) leaves the filtration at stage i+1
@@ -417,10 +373,9 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
             inv_dims.append(0)
             continue
         # action on the pair coordinates: (p, q) -> (s(q), s(p))
-        vectors = [_pair_vector(a, b, variables, d) for a, b in layer]
-        acted = [
-            _pair_vector(_s_flip(b), _s_flip(a), variables, d) for a, b in layer
-        ]
+        vectors = [coordinate_vector(a, d) + coordinate_vector(b, d) for a, b in layer]
+        acted = [coordinate_vector(reflect_x(b), d) + coordinate_vector(reflect_x(a), d)
+                 for a, b in layer]
         coords = []
         for v in acted:
             coords.append(_solve_in(vectors, v))
@@ -449,10 +404,6 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
     }
 
 
-def _s_flip(p: Polynomial) -> Polynomial:
-    return Polynomial(p.vars, {e: (c if e[0] % 2 == 0 else -c) for e, c in p.terms.items()})
-
-
 # -- the first-step algebra in any rank -----------------------------------------------
 
 
@@ -469,7 +420,7 @@ def x1_layers(group: ReflectionGroup, max_degree: int) -> GradedBasis:
                 continue
             for exp in monomials_of_degree(variables, d - fd):
                 prod = f * Polynomial.monomial(variables, exp)
-                rows.append(_mono_vector(prod, variables, d))
+                rows.append(coordinate_vector(prod, d))
         basis_polys = []
         if rows:
             from quasinv.linalg import rref

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
 from quasinv.cli import run
@@ -119,3 +120,31 @@ def test_missing_action_flags_are_parse_errors():
         code, _, err = call(*argv)
         assert code == 1, argv
         assert "error" in err
+
+
+def test_readme_window_forms_run_as_written():
+    with open(os.path.join(HERE, "..", "README.md")) as fh:
+        commands = [line for line in fh if line.startswith("quasinv ") and "--window " in line]
+    assert len(commands) == 2
+    for line in commands:
+        code, out, err = call(*shlex.split(line)[1:])
+        assert code == 0 and out, (line, err)
+
+
+def test_bounded_integers_are_refused():
+    for argv in (
+        ("basis", "--group", "A1", "--mult", "1", "--max-deg", "-1"),
+        ("tower", "--steps", "-1"),
+        ("elliptic", "theta", "--qorder", "0"),
+        ("elliptic", "theta", "--qorder", "-1"),
+    ):
+        code, out, err = call(*argv)
+        assert code == 1, argv
+        assert out == "" and "must be at least" in err
+
+
+def test_qorder_env_override_is_bounded(monkeypatch):
+    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", "0")
+    code, out, err = call("elliptic", "theta", "--form", "product")
+    assert code == 1
+    assert out == "" and "must be at least 1" in err

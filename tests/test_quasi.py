@@ -5,16 +5,20 @@ import pytest
 from oracles import brute_quasi_dims
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.poly import Polynomial
+from quasinv.linalg import in_span
+from quasinv.poly import Polynomial, coordinate_vector, monomials_of_degree
 from quasinv.quasi import (
+    GradedBasis,
+    _hyperplane_conditions,
+    _solve_layer,
     cw_valued_basis,
     filtration_check,
     freeness_certificate,
     hilbert,
     invariant_ring_dims,
     is_quasi_invariant,
+    module_certificate,
     quasi_basis,
-    quasi_basis_unblocked,
 )
 
 
@@ -70,6 +74,18 @@ def test_dihedral_dims_against_brute_force():
     assert quasi_basis(W, m, 8).dims() == brute_quasi_dims(W, m, 8)
 
 
+def quasi_basis_unblocked(group, mult, max_degree):
+    """`quasi_basis` with one matrix per degree over all monomials, the
+    reference for its block decomposition."""
+    conditions = _hyperplane_conditions(group, mult)
+    cache = {}
+    layers = []
+    for d in range(max_degree + 1):
+        monos = monomials_of_degree(group.variables, d)
+        layers.append(_solve_layer(group, conditions, monos, [range(len(monos))], cache))
+    return GradedBasis(group, mult, max_degree, layers)
+
+
 def test_blocked_solver_agrees_with_unblocked():
     for spec, m, D in (("I2(3)", 2, 9), ("I2(4)", 1, 9), ("A1 x A1", 1, 8), ("Z/4", 2, 9)):
         W = parse_group(spec)
@@ -83,15 +99,7 @@ def test_blocked_solver_agrees_with_unblocked():
 
 
 def _poly_in_layers(basis, p, d):
-    from quasinv.linalg import in_span
-    from quasinv.poly import monomials_of_degree
-
-    monos = monomials_of_degree(basis.group.variables, d)
-    index = {m: i for i, m in enumerate(monos)}
-    vec = [Fraction(0)] * len(monos)
-    for exp, c in p.terms.items():
-        vec[index[exp]] = c
-    return in_span(basis.layer_vectors(d), vec)
+    return in_span(basis.layer_vectors(d), coordinate_vector(p, d))
 
 
 def test_hilbert_rank_one():
@@ -138,7 +146,23 @@ def test_subalgebra_closure_spot_check():
         W = parse_group(spec)
         basis = quasi_basis(W, Multiplicity.constant(W, m), 8)
         report = basis.closure_report(max_pairs=12)
-        assert report["closed"]
+        assert report["closed"] is not False
+        assert report["sampled"] and 0 < report["pairs_checked"] <= 12
+
+
+def test_closure_report_gives_a_witness():
+    # x^2 is missing from the degree-2 layer, so x * x leaves the span
+    layers = [[Polynomial.constant(A1.variables, 1)], [X], [], [X**3]]
+    report = GradedBasis(A1, None, 3, layers).closure_report()
+    assert report == {"closed": False, "pairs_checked": 1, "witness_degrees": (1, 1)}
+
+
+def test_module_certificate_rejects_a_vector_across_blocks():
+    W = parse_group("A1 x A1")
+    z1, z2 = (Polynomial.variable(W.variables, v) for v in W.variables)
+    basis = GradedBasis(W, None, 1, [[Polynomial.constant(W.variables, 1)], [z1 + z2]])
+    with pytest.raises(ValueError, match="diagonal-character block"):
+        module_certificate(W, basis)
 
 
 def test_span_is_group_stable():

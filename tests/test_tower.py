@@ -58,7 +58,7 @@ def test_fiber_product_closed_under_products():
 
 
 def test_ganea_step_from_zero():
-    step = ganea_step(A1, 0, 10)
+    step = ganea_step(quasi_basis(A1, Multiplicity.constant(A1, 0), 10))
     assert step["certified"]
     assert step["fiber_total_dimension"] == 2
     assert step["next_basis"].dims() == quasi_basis(
@@ -69,7 +69,7 @@ def test_ganea_step_from_zero():
 def test_ganea_step_needs_rank_one():
     W = parse_group("I2(3)")
     with pytest.raises(DomainError):
-        ganea_step(W, 0, 6)
+        ganea_step(quasi_basis(W, Multiplicity.constant(W, 0), 6))
 
 
 def test_ganea_tower_iteration():
@@ -153,7 +153,7 @@ def test_fake_cohomology_rejects_bad_degree():
 
 
 def test_ganea_inclusion_is_multiplicative_graded_map():
-    step = ganea_step(A1, 1, 10)
+    step = ganea_step(quasi_basis(A1, Multiplicity.constant(A1, 1), 10))
     inc = step["inclusion"]
     assert inc.multiplicative_spot_check()
     # matrices express Q_2 layers inside Q_1 layers
