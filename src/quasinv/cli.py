@@ -109,7 +109,10 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
         except ValueError:
             raise ParseError(f"bad orbit id {orbit_str!r}")
         if "+" in val:
-            values[orbit] = tuple(int(v) for v in val.split("+"))
+            try:
+                values[orbit] = tuple(int(v) for v in val.split("+"))
+            except ValueError:
+                raise ParseError(f"bad multiplicity vector {val!r}")
         else:
             values[orbit] = _parse_value(val)
     try:

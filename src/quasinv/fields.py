@@ -90,7 +90,10 @@ _RED_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in the power basis modulo Phi_n."""
+    """An element of Q(zeta_n) in the power basis modulo Phi_n.
+
+    Instances are immutable, so an operation may return an operand itself
+    (x + 0, x * 1)."""
 
     __slots__ = ("n", "coords", "_ints")
 
@@ -148,10 +151,15 @@ class Cyclotomic:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic.from_rational(self.n, other)
+            return Cyclotomic._raw(self.n, (Fraction(other),) + (_ZERO,) * (len(self.coords) - 1))
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational only moves the constant coordinate
+            if not other:
+                return self
+            return Cyclotomic._raw(self.n, (self.coords[0] + other,) + self.coords[1:])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -175,6 +183,11 @@ class Cyclotomic:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scales every coordinate
+            if other == 1:
+                return self
+            return Cyclotomic._raw(self.n, tuple(a * other for a in self.coords))
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -58,6 +58,7 @@ class ReflectionGroup:
             raise ValueError("duplicate group elements")
         self._mul_table = None
         self._inv_table = None
+        self._blocks: dict = {}
         self._act_images: dict = {}
         self._subs_cache: dict = {}
 
@@ -254,11 +255,19 @@ class ReflectionGroup:
 
     def monomial_blocks(self, exponents):
         """Partition of the exponent list into diagonal-character classes,
-        as index lists ordered by first occurrence."""
-        blocks: dict = {}
-        for idx, exp in enumerate(exponents):
-            blocks.setdefault(self.monomial_class_key(exp), []).append(idx)
-        return [blocks[k] for k in sorted(blocks, key=lambda key: blocks[key][0])]
+        as index lists ordered by first occurrence.
+
+        Memoized per exponent list on the group and shared between callers:
+        read the blocks, never mutate them."""
+        key = tuple(exponents)
+        got = self._blocks.get(key)
+        if got is None:
+            blocks: dict = {}
+            for idx, exp in enumerate(key):
+                blocks.setdefault(self.monomial_class_key(exp), []).append(idx)
+            got = [blocks[k] for k in sorted(blocks, key=lambda k: blocks[k][0])]
+            self._blocks[key] = got
+        return got
 
     def sum_invariant_degrees(self) -> int:
         return sum(self.invariant_degrees)
@@ -651,7 +660,10 @@ class Multiplicity:
                 raise ValueError(f"missing multiplicity for orbit {orbit_id}")
             val = values[orbit_id]
             if n_h == 2:
-                val = Fraction(val)
+                try:
+                    val = Fraction(val)
+                except TypeError:
+                    raise ValueError(f"orbit {orbit_id} takes a single value") from None
                 if val < 0:
                     raise ValueError("multiplicities must be non-negative")
                 if val.denominator == 1:
@@ -664,7 +676,12 @@ class Multiplicity:
                         "rank-one Coxeter group"
                     )
             else:
-                vec = tuple(int(v) for v in val)
+                try:
+                    vec = tuple(int(v) for v in val)
+                except TypeError:
+                    raise ValueError(
+                        f"orbit {orbit_id} needs {n_h - 1} non-negative integers"
+                    ) from None
                 if len(vec) != n_h - 1 or any(v < 0 for v in vec):
                     raise ValueError(
                         f"orbit {orbit_id} needs {n_h - 1} non-negative integers"

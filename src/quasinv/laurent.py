@@ -8,6 +8,7 @@ involutive ring automorphism.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -192,12 +193,13 @@ def _poly_divmod(a, b):
     return q, a
 
 
-def order_at_one(f: LaurentElement) -> int:
+def order_at_one(f: LaurentElement):
     """Order of vanishing at z = 1 of a Laurent polynomial with integer
     z-exponents: the largest k with (1 - z)^k dividing f after clearing
-    z-denominators.  Returns a large sentinel for f = 0."""
+    z-denominators.  Returns math.inf for f = 0, the sentinel of
+    `poly.divisibility_order`."""
     if not f:
-        return 10**9
+        return math.inf
     if not f.has_integer_z_exponents():
         raise ValueError("order at z = 1 needs integer z-exponents")
     base = f.min_w_exp()

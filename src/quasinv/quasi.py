@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from operator import add
 
 from quasinv.errors import DomainError
 from quasinv.groups import GroupAlgebraElement, Multiplicity, ReflectionGroup, idempotent
@@ -163,14 +164,14 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
 
 
 def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
-    """Per hyperplane: (pivot index, adapted substitution, list of
-    (group algebra element, required order))."""
+    """Per hyperplane: (pivot index, image of the pivot variable under the
+    adapted substitution, list of (group algebra element, required order))."""
     out = []
     for h in group.hyperplanes:
         m_h = mult.of(h)
-        images = adapted_substitution(h.alpha)
         coeffs = linear_coefficients(h.alpha)
         pivot = next(i for i, c in enumerate(coeffs) if c)
+        image = adapted_substitution(h.alpha)[group.variables[pivot]]
         ops = []
         if h.stabilizer_order == 2:
             if m_h:
@@ -183,7 +184,7 @@ def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
                 if need:
                     ops.append((idempotent(group, h, (-i) % h.stabilizer_order), need))
         if ops:
-            out.append((h, pivot, images, ops))
+            out.append((pivot, image, ops))
     return out
 
 
@@ -193,7 +194,12 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     In each degree the constraint matrix collects, for every hyperplane and
     every required vanishing order, the low-order coefficients of the
     condition polynomial in coordinates adapted to the hyperplane; the kernel
-    of that matrix is the quasi-invariant layer.
+    of that matrix is the quasi-invariant layer.  Only coefficients of order
+    below the required one enter, so the rows come from truncated adapted
+    expansions (`_adapted_terms_below`) and the higher-order terms are never
+    computed.  `nullspace` returns the canonical reduced basis of the
+    kernel, so any matrix with the same kernel (extra zero rows included)
+    gives the same layer.
 
     The solution span is W-stable, hence stable under the diagonal subgroup,
     so the kernel splits along the diagonal characters of the monomials and
@@ -212,25 +218,63 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     return GradedBasis(group, mult, max_degree, layers)
 
 
+def _truncated_powers(image: Polynomial, pivot: int, below: int, top: int, cache: dict):
+    """image^k for k = 0 .. top (at least), each without its terms of pivot
+    exponent >= below.
+
+    Multiplying by a linear form never lowers the pivot exponent, so each
+    truncated power follows from the previous one.  The list lives in
+    `cache` and grows on demand; callers read it, never mutate it."""
+    key = (image, pivot, below)
+    powers = cache.get(key)
+    if powers is None:
+        powers = cache[key] = [Polynomial.constant(image.vars, 1)]
+    while len(powers) <= top:
+        full = powers[-1] * image
+        powers.append(Polynomial(image.vars, {t: v for t, v in full.terms.items() if t[pivot] < below}))
+    return powers
+
+
+def _adapted_terms_below(p: Polynomial, pivot: int, powers, need: int) -> dict:
+    """The terms of p.substitute({x_pivot: image}) of pivot exponent below
+    `need`, from `powers` = `_truncated_powers(image, pivot, below, ...)`
+    with below >= need and enough powers for p's pivot degree.
+
+    The substitution maps only the pivot variable, so a term c x^e becomes
+    c image^(e_pivot) times the other factors of x^e, which only shift the
+    exponents off the pivot."""
+    out: dict = {}
+    for e, c in p.terms.items():
+        rest = e[:pivot] + (0,) + e[pivot + 1:]
+        for t, v in powers[e[pivot]].terms.items():
+            if t[pivot] < need:
+                u = tuple(map(add, t, rest))
+                out[u] = out.get(u, 0) + c * v
+    return {u: c for u, c in out.items() if c}
+
+
 def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, cache: dict):
     """Kernel of the degree-d constraint matrix, solved on each block of
-    columns separately, as polynomials sorted by leading exponent."""
+    columns separately, as polynomials sorted by leading exponent.
+
+    A row is keyed by (condition, op, adapted exponent); its entries are the
+    coefficients of that exponent in the truncated adapted expansions of
+    the condition polynomials op(x^e) of the block's monomials."""
     layer = []
+    d = sum(monos[0])
+    tables = [
+        _truncated_powers(image, pivot, max(need for _, need in ops), d, cache)
+        for pivot, image, ops in conditions
+    ]
     for block in blocks:
         rows: dict = {}
-        for ci, (h, pivot, images, ops) in enumerate(conditions):
+        for ci, (pivot, _, ops) in enumerate(conditions):
             for oi, (op, need) in enumerate(ops):
                 for local, col in enumerate(block):
-                    mono = Polynomial.monomial(group.variables, monos[col])
-                    cond = op.apply(mono)
-                    if not cond:
-                        continue
-                    adapted = cond.substitute(images, cache=cache)
-                    for aexp, c in adapted.terms.items():
-                        if aexp[pivot] < need:
-                            key = (ci, oi, aexp)
-                            row = rows.setdefault(key, [Fraction(0)] * len(block))
-                            row[local] = row[local] + c
+                    cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
+                    for aexp, c in _adapted_terms_below(cond, pivot, tables[ci], need).items():
+                        row = rows.setdefault((ci, oi, aexp), [Fraction(0)] * len(block))
+                        row[local] = row[local] + c
         matrix = [rows[k] for k in sorted(rows)]
         if not matrix:
             kernel = [

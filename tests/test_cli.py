@@ -148,3 +148,14 @@ def test_qorder_env_override_is_bounded(monkeypatch):
     code, out, err = call("elliptic", "theta", "--form", "product")
     assert code == 1
     assert out == "" and "must be at least 1" in err
+
+
+def test_malformed_multiplicities_are_parse_errors():
+    for argv in (
+        ("basis", "--group", "I2(3)", "--mult", "0:a+b"),
+        ("basis", "--group", "Z/3", "--mult", "0:1"),
+        ("basis", "--group", "A1 x Z/3", "--mult", "0:1,1:2+1"),
+    ):
+        code, out, err = call(*argv)
+        assert code == 1, argv
+        assert out == "" and "Traceback" not in err and err.strip(), argv

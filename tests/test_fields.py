@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
 
@@ -75,3 +77,29 @@ def test_rational_embedding():
     assert a + Fraction(1, 2) == 2
     assert a.rational_part() == Fraction(3, 2)
     assert Cyclotomic.zeta(6).rational_part() is None
+
+
+_RATIONALS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def _element_and_rational(draw):
+    n = draw(st.sampled_from([3, 4, 5, 6, 8, 10, 12]))
+    d = len(cyclotomic_polynomial(n)) - 1
+    coords = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
+    return Cyclotomic(n, coords), draw(_RATIONALS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_element_and_rational())
+def test_rational_operands_act_as_embedded_rationals(pair):
+    a, q = pair
+    e = Cyclotomic.from_rational(a.n, q)
+    for got, want in ((a + q, a + e), (q + a, e + a), (a * q, a * e), (q * a, e * a),
+                      (a - q, a - e), (q - a, e - a)):
+        assert isinstance(got, Cyclotomic) and got.n == a.n
+        assert got.coords == want.coords
+        assert all(type(c) is Fraction for c in got.coords)

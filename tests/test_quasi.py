@@ -1,16 +1,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_quasi_dims
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.linalg import in_span
-from quasinv.poly import Polynomial, coordinate_vector, monomials_of_degree
+from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.linalg import in_span, nullspace
+from quasinv.poly import Polynomial, adapted_substitution, coordinate_vector, monomials_of_degree
 from quasinv.quasi import (
     GradedBasis,
+    _adapted_terms_below,
     _hyperplane_conditions,
     _solve_layer,
+    _truncated_powers,
     cw_valued_basis,
     filtration_check,
     freeness_certificate,
@@ -100,6 +105,102 @@ def test_blocked_solver_agrees_with_unblocked():
 
 def _poly_in_layers(basis, p, d):
     return in_span(basis.layer_vectors(d), coordinate_vector(p, d))
+
+
+def quasi_basis_by_substitution(group, mult, max_degree):
+    """`quasi_basis` with its rows built the direct way, the reference for
+    the truncated row builder: each condition polynomial is substituted in
+    full into the adapted coordinates, and only then are the terms below
+    the required order kept."""
+    conditions = _hyperplane_conditions(group, mult)
+    # one images dict per condition, alive for the whole call: `substitute`
+    # keys its power cache on the dict's identity
+    images = [{group.variables[pivot]: image} for pivot, image, _ in conditions]
+    cache = {}
+    layers = []
+    for d in range(max_degree + 1):
+        monos = monomials_of_degree(group.variables, d)
+        layer = []
+        for block in group.monomial_blocks(monos):
+            rows = {}
+            for ci, (pivot, _, ops) in enumerate(conditions):
+                for oi, (op, need) in enumerate(ops):
+                    for local, col in enumerate(block):
+                        cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
+                        adapted = cond.substitute(images[ci], cache=cache)
+                        for aexp, c in adapted.terms.items():
+                            if aexp[pivot] < need:
+                                row = rows.setdefault((ci, oi, aexp), [Fraction(0)] * len(block))
+                                row[local] = row[local] + c
+            if rows:
+                kernel = nullspace([rows[k] for k in sorted(rows)])
+            else:
+                kernel = [[Fraction(int(i == j)) for j in range(len(block))] for i in range(len(block))]
+            for vec in kernel:
+                terms = {monos[block[i]]: c for i, c in enumerate(vec) if c}
+                layer.append(Polynomial(group.variables, terms))
+        layer.sort(key=lambda p: min(p.terms))
+        layers.append(layer)
+    return GradedBasis(group, mult, max_degree, layers)
+
+
+def _mixed_multiplicity(group):
+    """Per-orbit values that differ between orbits and inside vectors."""
+    values = {}
+    for h in group.hyperplanes:
+        k = h.orbit_id + 1
+        if h.stabilizer_order == 2:
+            values[h.orbit_id] = k
+        else:
+            values[h.orbit_id] = tuple((k + i) % 3 for i in range(h.stabilizer_order - 1))
+    return Multiplicity(group, values)
+
+
+@pytest.mark.parametrize("spec, D", [
+    ("I2(3)", 12), ("I2(4)", 12), ("I2(5)", 12), ("I2(6)", 12), ("Z/4", 14), ("A1 x Z/3", 8),
+])
+def test_truncated_rows_give_the_layers_of_full_substitution(spec, D):
+    W = parse_group(spec)
+    for mu in (_mixed_multiplicity(W), Multiplicity.constant(W, 1)):
+        assert quasi_basis(W, mu, D).layers == quasi_basis_by_substitution(W, mu, D).layers
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _expansion_case(draw):
+    rank = draw(st.integers(1, 3))
+    variables = tuple(f"x{i}" for i in range(rank))
+    n = draw(st.sampled_from([1, 3, 4, 5, 6]))
+
+    def coeff():
+        if n == 1:
+            return draw(_SMALL)
+        d = len(cyclotomic_polynomial(n)) - 1
+        return Cyclotomic(n, draw(st.lists(_SMALL, min_size=d, max_size=d)))
+
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    alpha = Polynomial(variables, {u: coeff() for u in units})
+    if not alpha:
+        alpha = Polynomial(variables, {units[-1]: 1})
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * rank), min_size=1, max_size=4))
+    p = Polynomial(variables, {e: coeff() for e in exps})
+    below = draw(st.integers(0, 8))
+    return alpha, p, below, draw(st.integers(0, below))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_expansion_case())
+def test_truncated_expansion_matches_filtered_substitution(case):
+    alpha, p, below, need = case
+    images = adapted_substitution(alpha)
+    ((name, image),) = images.items()
+    pivot = alpha.vars.index(name)
+    top = max((e[pivot] for e in p.terms), default=0)
+    powers = _truncated_powers(image, pivot, below, top, {})
+    expected = {t: c for t, c in p.substitute(images).terms.items() if t[pivot] < need}
+    assert _adapted_terms_below(p, pivot, powers, need) == expected
 
 
 def test_hilbert_rank_one():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quasinv.laurent import LaurentElement, exact_div, order_at_one
+from quasinv.poly import INFINITE_ORDER, Polynomial, divisibility_order
 from quasinv.series import ZQSeries, invert_q_unit
 
 
@@ -28,6 +29,10 @@ def test_order_at_one():
     assert order_at_one(LaurentElement.delta()) == 2
     assert order_at_one(LaurentElement.delta() ** 3) == 6
     assert order_at_one(LaurentElement.z_power(-2)) == 0
+    # zero has the sentinel of divisibility_order
+    x = Polynomial.variable(("x",), "x")
+    assert order_at_one(LaurentElement()) == INFINITE_ORDER
+    assert divisibility_order(Polynomial.zero(("x",)), x) == INFINITE_ORDER
 
 
 def test_zq_multiplication_matches_polynomial_case():
