@@ -13,6 +13,14 @@ the kernels of alpha_j = z1 - zeta^j z2.  Linear forms are normalized so the
 first nonzero coordinate coefficient is 1 (scaling-dependent outputs are
 flagged as normalization-dependent at the reporting layer).
 
+In these coordinates every element is a monomial matrix whose nonzero
+entries are roots of unity, so the action on polynomials has a closed form.
+The group keeps the table `roots` = (zeta^0, zeta^1, ..., zeta^(N-1)) of its
+field's roots of unity, zeta = -1 over Q, zeta_n in Q(zeta_n) for even n and
+-zeta_n for odd n, and describes element i by integer tuples `perm`, `expo`
+with x_k o w_i^(-1) = roots[expo[k]] x_perm[k].  Construction refuses any
+element that is not of this form.
+
 Groups are immutable after construction and safe for shared reads.
 """
 
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import mul
 
 from quasinv.errors import ParseError
 from quasinv.fields import Cyclotomic
@@ -59,8 +68,11 @@ class ReflectionGroup:
         self._mul_table = None
         self._inv_table = None
         self._blocks: dict = {}
-        self._act_images: dict = {}
-        self._subs_cache: dict = {}
+
+        self.roots = _root_table(field)
+        self._forms = [self._monomial_form(elements[self.inverse(i)]) for i in range(self.order)]
+        identity_perm = tuple(range(rank))
+        self._diagonal = [i for i, (perm, _) in enumerate(self._forms) if perm == identity_perm]
 
         self.hyperplanes = self._build_hyperplanes()
         self._verify_group_axioms()
@@ -99,34 +111,55 @@ class ReflectionGroup:
         return Cyclotomic.from_rational(self.field[1], 1)
 
     def determinant(self, i: int):
-        return _det(self.elements[i])
+        """det w_i = 1 / det w_i^(-1), with det w_i^(-1) = sign(perm) roots[sum(expo)]."""
+        perm, expo = self._forms[i]
+        n = len(self.roots)  # even: -1 = roots[n // 2]
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
+        return self.roots[-(sum(expo) + inversions * n // 2) % n]
 
     # -- polynomial action ------------------------------------------------------
 
     def act(self, i: int, p: Polynomial) -> Polynomial:
         """The degree-preserving automorphism p -> p o w^(-1) of the
-        coordinate ring, for the i-th group element."""
+        coordinate ring, for the i-th group element.
+
+        Term by term: x^e maps to roots[sum_k expo[k] e_k mod N] x^f with
+        f[perm[k]] = e_k.  The exponent map is a permutation, so no two
+        terms collide.  The constant term keeps its coefficient object; every
+        other coefficient is multiplied by its root, which puts it in the
+        group's field."""
         if p.vars != self.variables:
             raise ValueError("polynomial not in this group's coordinate ring")
-        images = self._act_images.get(i)
-        if images is None:
-            inv = self.elements[self.inverse(i)]
-            images = {}
-            for k, name in enumerate(self.variables):
-                form = Polynomial.zero(self.variables)
-                for j, other in enumerate(self.variables):
-                    if inv[k][j]:
-                        form = form + Polynomial.variable(self.variables, other) * inv[k][j]
-                images[name] = form
-            self._act_images[i] = images
-        return p.substitute(images, cache=self._subs_cache)
+        roots = self.roots
+        out = Polynomial(self.variables)
+        out.terms = {f: roots[j] * c if any(f) else c
+                     for (f, j), c in zip(self._moved(i, p), p.terms.values())}
+        return out
 
-    def reynolds(self, p: Polynomial) -> Polynomial:
-        """Group averaging projector onto invariants."""
-        acc = Polynomial.zero(self.variables)
-        for i in range(self.order):
-            acc = acc + self.act(i, p)
-        return acc * Fraction(1, self.order)
+    def _moved(self, i: int, p: Polynomial):
+        """(f, j) for each term x^e of p: x^e o w_i^(-1) = roots[j] x^f."""
+        perm, expo = self._forms[i]
+        n = len(self.roots)
+        out = []
+        for e in p.terms:
+            f = [0] * self.rank
+            for k, ek in enumerate(e):
+                f[perm[k]] = ek
+            out.append((tuple(f), sum(map(mul, expo, e)) % n))
+        return out
+
+    def _monomial_form(self, m):
+        """(perm, expo) with row k of m equal to roots[expo[k]] in column
+        perm[k] and zero elsewhere; ValueError for any other matrix."""
+        index = {r: j for j, r in enumerate(self.roots)}
+        perm, expo = [], []
+        for row in m:
+            entries = [(col, c) for col, c in enumerate(row) if c]
+            if len(entries) != 1 or entries[0][1] not in index:
+                raise ValueError("group element is not a monomial matrix of roots of unity")
+            perm.append(entries[0][0])
+            expo.append(index[entries[0][1]])
+        return tuple(perm), tuple(expo)
 
     # -- arrangement --------------------------------------------------------------
 
@@ -219,39 +252,14 @@ class ReflectionGroup:
 
     # -- diagonal characters ------------------------------------------------
 
-    def _diagonal_indices(self):
-        if not hasattr(self, "_diag_idx"):
-            zero = self._one() - self._one()
-            out = []
-            for i, m in enumerate(self.elements):
-                if all(m[r][c] == zero for r in range(self.rank)
-                       for c in range(self.rank) if r != c):
-                    out.append(i)
-            self._diag_idx = out
-            self._diag_powers = {}
-        return self._diag_idx
-
     def monomial_class_key(self, exp):
-        """Character of a monomial under the diagonal subgroup.
+        """Character of a monomial under the diagonal subgroup, as the root
+        index sum_k expo[k] e_k mod N of each diagonal element.
 
         W-stable graded subspaces split along these characters, which lets
         degreewise systems be solved block by block."""
-        diag = self._diagonal_indices()
-        key = []
-        for i in diag:
-            inv = self.elements[self.inverse(i)]
-            scalar = self._one()
-            for k, e in enumerate(exp):
-                if e:
-                    scalar = scalar * self._diag_power(i, k, e, inv)
-            key.append(scalar)
-        return tuple(key)
-
-    def _diag_power(self, i, k, e, inv):
-        table = self._diag_powers.setdefault((i, k), [self._one()])
-        while len(table) <= e:
-            table.append(table[-1] * inv[k][k])
-        return table[e]
+        n = len(self.roots)
+        return tuple(sum(map(mul, self._forms[i][1], exp)) % n for i in self._diagonal)
 
     def monomial_blocks(self, exponents):
         """Partition of the exponent list into diagonal-character classes,
@@ -320,9 +328,21 @@ class GroupAlgebraElement:
         return self.coeffs == other.coeffs
 
     def apply(self, p: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(self.group.variables)
+        """sum_i c_i act(i, p), accumulated term by term in one dict."""
+        group = self.group
+        if p.vars != group.variables:
+            raise ValueError("polynomial not in this group's coordinate ring")
+        roots = group.roots
+        out: dict = {}
         for i, c in self.coeffs.items():
-            acc = acc + self.group.act(i, p) * c
+            for (f, j), v in zip(group._moved(i, p), p.terms.values()):
+                s = out.get(f, 0) + (roots[j] * v if any(f) else v) * c
+                if s:
+                    out[f] = s
+                else:
+                    out.pop(f, None)
+        acc = Polynomial(group.variables)
+        acc.terms = out
         return acc
 
     def __repr__(self):
@@ -341,27 +361,27 @@ def idempotent(group: ReflectionGroup, h: Hyperplane, i: int) -> GroupAlgebraEle
         raise ValueError("stabilizer enumeration inconsistent with n_H")
     coeffs = {}
     inv_order = Fraction(1, n_h)
+    roots = group.roots
     for w in stab:
-        det = _det(group.elements[w])
-        coeffs[w] = _root_power(det, -i, n_h) * inv_order
+        j = roots.index(group.determinant(w))
+        coeffs[w] = roots[-i * j % len(roots)] * inv_order
     e = GroupAlgebraElement(group, coeffs)
     if e * e != e:
         raise ArithmeticError("constructed group algebra element is not idempotent")
     return e
 
 
-def _root_power(det, k: int, n: int):
-    """det^k for det an n-th root of unity."""
-    k %= n
-    if isinstance(det, Fraction):
-        return det**k
-    out = Cyclotomic.from_rational(det.n, 1)
-    for _ in range(k):
-        out = out * det
-    return out
-
-
 # -- matrices -------------------------------------------------------------------
+
+
+def _root_table(field):
+    """(zeta^0, ..., zeta^(N-1)) for the generator zeta of the roots of unity
+    of the field: -1 over Q, zeta_n for even n, -zeta_n for odd n."""
+    if field == "Q":
+        return (Fraction(1), Fraction(-1))
+    n = field[1]
+    sign = -1 if n % 2 else 1
+    return tuple(sign**j * Cyclotomic.zeta(n, j) for j in range(2 * n if n % 2 else n))
 
 
 def _identity(rank, one):
@@ -382,36 +402,6 @@ def _mat_mul(a, b):
 def _mat_vec(m, v):
     n = len(m)
     return tuple(sum((m[i][j] * v[j] for j in range(n)), start=Fraction(0)) for i in range(n))
-
-
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    # exact elimination for the (rare) larger product groups
-    rows = [list(r) for r in m]
-    det = Fraction(1)
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            return Fraction(0)
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            det = -det
-        piv = rows[col][col]
-        det = det * piv
-        inv = Fraction(1) / piv if isinstance(piv, Fraction) else piv.inverse()
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
 
 
 def _fixed_hyperplane(m, rank, one):
@@ -487,12 +477,17 @@ def _build_rank_one(kind: str, ell: int):
     return scalars, [ell], ell
 
 
+MAX_GROUP_ORDER = 64
+
+
 def parse_group(spec: str) -> ReflectionGroup:
-    """Build a supported reflection group from its spec string."""
+    """Build a supported reflection group from its spec string.  Specs of
+    order above MAX_GROUP_ORDER are refused before anything is built."""
     text = spec.strip()
     if not text:
         raise ParseError("empty group spec")
     factors = []
+    order = 1
     for token in re.split(r"\s*x\s*", text):
         token = token.strip()
         if not token:
@@ -502,26 +497,26 @@ def parse_group(spec: str) -> ReflectionGroup:
             n = int(m.group(1))
             if n < 1:
                 raise ParseError(f"bad power in {token!r}")
-            factors.extend([("A1", 2)] * n)
-            continue
-        if token == "A1":
-            factors.append(("A1", 2))
-            continue
-        m = re.fullmatch(r"I2\((\d+)\)", token)
-        if m:
+            factor, count = ("A1", 2), n
+        elif token == "A1":
+            factor, count = ("A1", 2), 1
+        elif m := re.fullmatch(r"I2\((\d+)\)", token):
             k = int(m.group(1))
             if k < 3:
                 raise ParseError(f"I2(k) needs k >= 3, got {token!r}")
-            factors.append(("I2", k))
-            continue
-        m = re.fullmatch(r"Z/(\d+)", token)
-        if m:
+            factor, count = ("I2", k), 1
+        elif m := re.fullmatch(r"Z/(\d+)", token):
             ell = int(m.group(1))
             if ell < 2:
                 raise ParseError(f"Z/l needs l >= 2, got {token!r}")
-            factors.append(("Z", ell))
-            continue
-        raise ParseError(f"unknown group token {token!r}")
+            factor, count = ("Z", ell), 1
+        else:
+            raise ParseError(f"unknown group token {token!r}")
+        for _ in range(count):  # every factor has order >= 2: at most 7 rounds
+            order *= 2 * factor[1] if factor[0] == "I2" else factor[1]
+            if order > MAX_GROUP_ORDER:
+                raise ParseError(f"group {text!r} has order above {MAX_GROUP_ORDER}")
+            factors.append(factor)
     if len(factors) == 1 and factors[0][0] == "I2":
         return _build_dihedral(spec.strip(), factors[0][1])
     if any(kind == "I2" for kind, _ in factors):
@@ -677,16 +672,14 @@ class Multiplicity:
                     )
             else:
                 try:
-                    vec = tuple(int(v) for v in val)
-                except TypeError:
-                    raise ValueError(
-                        f"orbit {orbit_id} needs {n_h - 1} non-negative integers"
-                    ) from None
-                if len(vec) != n_h - 1 or any(v < 0 for v in vec):
+                    vec = tuple(Fraction(v) for v in val)
+                except (TypeError, ValueError, OverflowError):
+                    vec = ()
+                if len(vec) != n_h - 1 or any(v < 0 or v.denominator != 1 for v in vec):
                     raise ValueError(
                         f"orbit {orbit_id} needs {n_h - 1} non-negative integers"
                     )
-                norm[orbit_id] = vec
+                norm[orbit_id] = tuple(int(v) for v in vec)
         self.values = norm
 
     @staticmethod

@@ -4,13 +4,37 @@ The divisibility conditions are imposed here through directional derivatives
 restricted to the hyperplane (a polynomial q is divisible by alpha^K exactly
 when its first K derivatives along a transversal direction vanish on the
 hyperplane), and ranks are computed by a self-contained forward elimination.
-This deliberately avoids the adapted-coordinate route of the library.
+This deliberately avoids the adapted-coordinate route of the library.  The
+group acts here by substituting the linear forms of the inverse matrices
+(`act`), not through the library's closed-form monomial action.
 """
 
 from fractions import Fraction
 
 from quasinv.groups import idempotent
 from quasinv.poly import Polynomial, linear_coefficients, monomials_of_degree
+
+
+def act(group, i, p: Polynomial) -> Polynomial:
+    """p o w_i^(-1), by substituting the linear forms x_k o w_i^(-1) given by
+    the rows of the inverse matrix."""
+    inv = group.elements[group.inverse(i)]
+    images = {}
+    for k, name in enumerate(group.variables):
+        form = Polynomial.zero(group.variables)
+        for j, other in enumerate(group.variables):
+            if inv[k][j]:
+                form = form + Polynomial.variable(group.variables, other) * inv[k][j]
+        images[name] = form
+    return p.substitute(images)
+
+
+def apply(element, p: Polynomial) -> Polynomial:
+    """A group algebra element acting as sum_i c_i act(i, p)."""
+    acc = Polynomial.zero(p.vars)
+    for i, c in element.coeffs.items():
+        acc = acc + act(element.group, i, p) * c
+    return acc
 
 
 def derivative(p: Polynomial, var_index: int) -> Polynomial:
@@ -123,13 +147,13 @@ def brute_quasi_dims(group, mult, max_degree):
         if h.stabilizer_order == 2:
             if m_h:
                 s = _reflection(group, h)
-                ops.append((lambda p, s=s: group.act(s, p) - p, 2 * m_h, v, spanning))
+                ops.append((lambda p, s=s: act(group, s, p) - p, 2 * m_h, v, spanning))
         else:
             for i in range(1, h.stabilizer_order):
                 need = h.stabilizer_order * m_h[i - 1]
                 if need:
                     e = idempotent(group, h, (-i) % h.stabilizer_order)
-                    ops.append((e.apply, need, v, spanning))
+                    ops.append((lambda p, e=e: apply(e, p), need, v, spanning))
     dims = []
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
@@ -169,7 +193,10 @@ def brute_invariant_dims(group, max_degree):
         index = {m: i for i, m in enumerate(monos)}
         rows = []
         for exp in monos:
-            avg = group.reynolds(Polynomial.monomial(group.variables, exp))
+            mono = Polynomial.monomial(group.variables, exp)
+            avg = Polynomial.zero(group.variables)
+            for i in range(group.order):
+                avg = avg + act(group, i, mono)
             row = [Fraction(0)] * len(monos)
             for e, c in avg.terms.items():
                 row[index[e]] = c
@@ -194,7 +221,7 @@ def brute_orbit_count(group) -> int:
                 continue
             seen.add(f)
             for i in range(group.order):
-                img = group.act(i, f)
+                img = act(group, i, f)
                 norm = _normalize(img)
                 if norm not in seen:
                     frontier.append(norm)

@@ -48,6 +48,9 @@ def test_parse_error_exit_code():
     code, _, err = call("group", "--spec", "I2(2)")
     assert code == 1
     assert "I2" in err
+    code, out, err = call("basis", "--group", "I2(33)", "--mult", "1")  # past the order cap
+    assert code == 1
+    assert out == "" and "order above 64" in err
 
 
 def test_inconclusive_exit_code():

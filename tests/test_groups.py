@@ -2,12 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import brute_invariant_dims, brute_orbit_count
 from quasinv.errors import ParseError
-from quasinv.groups import GroupAlgebraElement, Multiplicity, idempotent, parse_group
+from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.groups import (
+    GroupAlgebraElement,
+    Multiplicity,
+    ReflectionGroup,
+    idempotent,
+    parse_group,
+)
 from quasinv.hilbert import HilbertSeries
 from quasinv.poly import Polynomial, divisibility_order
+from quasinv.serialize import encode_polynomial
 
 
 def test_parse_a1():
@@ -47,7 +58,9 @@ def test_products_and_powers():
     assert W2.order == 6 and W2.invariant_degrees == (2, 3)
 
 
-@pytest.mark.parametrize("bad", ["I2(2)", "Z/1", "E8", "", "A1 x I2(3)", "A1^0"])
+@pytest.mark.parametrize("bad", ["I2(2)", "Z/1", "E8", "", "A1 x I2(3)", "A1^0",
+                                 # just past the group-order cap of 64
+                                 "I2(33)", "Z/65", "A1^7", "A1^3 x Z/9"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_group(bad)
@@ -143,6 +156,14 @@ def test_multiplicity_validation():
         Multiplicity(Z3, {0: (1,)})  # needs n_H - 1 = 2 entries
     ok = Multiplicity(Z3, {0: (1, 2)})
     assert ok.of(Z3.hyperplanes[0]) == (1, 2)
+    integral = Multiplicity(Z3, {0: (Fraction(2), 1.0)})  # integral values become ints
+    assert integral.values == {0: (2, 1)} and all(type(v) is int for v in integral.values[0])
+
+
+@pytest.mark.parametrize("vector", [(Fraction(3, 2), 1.9), (Fraction(3, 2), 1), (1, 1.9), (1, "x")])
+def test_multiplicity_vectors_refuse_non_integers(vector):
+    with pytest.raises(ValueError):
+        Multiplicity(parse_group("Z/3"), {0: vector})
 
 
 def test_group_algebra_convolution():
@@ -169,3 +190,117 @@ def test_action_pairs_hyperplanes_exactly():
             assert divisibility_order(W.act(i, p), target.alpha) == divisibility_order(
                 p, h.alpha
             )
+
+
+# -- the closed-form monomial action ---------------------------------------------
+
+CLOSED_FORM_SPECS = ("A1", "A1^3", "Z/3", "Z/4", "A1 x Z/3", "I2(3)", "I2(4)", "I2(5)", "I2(6)")
+GROUPS = {spec: parse_group(spec) for spec in CLOSED_FORM_SPECS}
+
+
+@st.composite
+def _coefficient(draw, group):
+    """A rational, or (over Q(zeta_n)) a random element of the field."""
+    q = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+    if group.field == "Q" or draw(st.booleans()):
+        return q
+    n = group.field[1]
+    d = len(cyclotomic_polynomial(n)) - 1
+    return Cyclotomic(n, draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
+
+
+@st.composite
+def _polynomial(draw, group):
+    exps = st.tuples(*[st.integers(0, 4)] * group.rank)
+    return Polynomial(group.variables, draw(st.dictionaries(exps, _coefficient(group), max_size=5)))
+
+
+@st.composite
+def _action_case(draw):
+    group = GROUPS[draw(st.sampled_from(CLOSED_FORM_SPECS))]
+    return group, draw(st.integers(0, group.order - 1)), draw(_polynomial(group))
+
+
+@st.composite
+def _group_algebra_case(draw):
+    group = GROUPS[draw(st.sampled_from(CLOSED_FORM_SPECS))]
+    if draw(st.booleans()):
+        h = draw(st.sampled_from(group.hyperplanes))
+        element = idempotent(group, h, draw(st.integers(0, h.stabilizer_order - 1)))
+    else:
+        support = draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=4, unique=True))
+        element = GroupAlgebraElement(group, {i: draw(_coefficient(group)) for i in support})
+    return group, element, draw(_polynomial(group))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_action_case())
+def test_closed_form_action_matches_substitution(case):
+    # same coefficients in the same encoding as substituting the linear forms
+    group, i, p = case
+    assert encode_polynomial(group.act(i, p)) == encode_polynomial(oracles.act(group, i, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_group_algebra_case())
+def test_group_algebra_action_is_the_sum_of_element_actions(case):
+    group, element, p = case
+    expected = Polynomial.zero(group.variables)
+    for i, c in element.coeffs.items():
+        expected = expected + group.act(i, p) * c
+    assert encode_polynomial(element.apply(p)) == encode_polynomial(expected)
+    assert element.apply(p) == oracles.apply(element, p)
+
+
+def _character_blocks(group, exponents):
+    """Reference partition keyed on the scalar characters prod_k m[k][k]^e_k
+    of the diagonal inverses m, in first-occurrence order."""
+    diagonal = [
+        i for i, m in enumerate(group.elements)
+        if not any(m[r][c] for r in range(group.rank) for c in range(group.rank) if r != c)
+    ]
+    blocks: dict = {}
+    for idx, exp in enumerate(exponents):
+        key = []
+        for i in diagonal:
+            m = group.elements[group.inverse(i)]
+            scalar = group._one()
+            for k, e in enumerate(exp):
+                for _ in range(e):
+                    scalar = scalar * m[k][k]
+            key.append(scalar)
+        blocks.setdefault(tuple(key), []).append(idx)
+    return list(blocks.values())
+
+
+@st.composite
+def _exponent_list(draw):
+    group = GROUPS[draw(st.sampled_from(CLOSED_FORM_SPECS))]
+    exps = st.tuples(*[st.integers(0, 9)] * group.rank)
+    return group, draw(st.lists(exps, min_size=1, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_exponent_list())
+def test_monomial_blocks_match_scalar_characters(case):
+    group, exponents = case
+    assert group.monomial_blocks(exponents) == _character_blocks(group, exponents)
+
+
+def test_constructor_refuses_a_non_monomial_element():
+    one, zero = Fraction(1), Fraction(0)
+    shear = ((one, zero), (one, -one))
+    with pytest.raises(ValueError, match="monomial"):
+        ReflectionGroup(
+            spec="shear", rank=2, field="Q", variables=("z1", "z2"),
+            elements=[((one, zero), (zero, one)), shear],
+            invariant_degrees=(1, 2), fundamental_invariants=[],
+        )
+
+
+def test_root_tables():
+    assert GROUPS["A1"].roots == (Fraction(1), Fraction(-1))
+    assert len(GROUPS["I2(3)"].roots) == 6  # zeta_6 generates in Q(zeta_6)
+    assert len(GROUPS["Z/4"].roots) == 4
+    roots = GROUPS["A1 x Z/3"].roots  # -zeta_3 generates in Q(zeta_3)
+    assert len(roots) == 6 and roots[3] == -1
