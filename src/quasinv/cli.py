@@ -98,7 +98,10 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
     if not text:
         raise ParseError("empty multiplicity")
     if ":" not in text:
-        return Multiplicity.constant(group, _parse_value(text))
+        try:
+            return Multiplicity.constant(group, _parse_value(text))
+        except ValueError as exc:
+            raise ParseError(str(exc))
     values = {}
     for chunk in text.split(","):
         if ":" not in chunk:
@@ -449,6 +452,9 @@ def cmd_demazure(args) -> int:
     W = parse_group(args.group)
     mult = parse_multiplicity(W, args.mult)
     p = parse_polynomial(W, args.apply)
+    if not 0 <= args.hyperplane < len(W.hyperplanes):
+        raise ParseError(f"--hyperplane must lie in 0..{len(W.hyperplanes) - 1}, "
+                         f"got {args.hyperplane}")
     h = W.hyperplanes[args.hyperplane]
     img = dem.delta_m(W, h, mult, p)
     payload = {
@@ -792,7 +798,7 @@ def build_parser() -> _Parser:
     p = add("fake-cohomology", cmd_fake_cohomology,
             help="the subring Q + N x^2 Q'_(m-1) compared with Q_m")
     p.add_argument("--nb", type=int, required=True)
-    p.add_argument("--mult", type=int, required=True)
+    p.add_argument("--mult", type=non_negative, required=True)
     p.add_argument("--max-deg", type=non_negative, default=20)
 
     p = add("demazure", cmd_demazure, help="apply a divided difference operator")
@@ -803,7 +809,7 @@ def build_parser() -> _Parser:
 
     p = add("exp", cmd_exp, help="exponential quasi-invariants")
     p.add_argument("action", choices=("basis", "member"))
-    p.add_argument("--mult", type=int, required=True)
+    p.add_argument("--mult", type=non_negative, required=True)
     p.add_argument("--window", default="-3:3")
     p.add_argument("--elem", default=None, help="character expression (for member)")
 
@@ -828,7 +834,7 @@ def build_parser() -> _Parser:
     p.add_argument("--qorder", type=_int_at_least(1), default=None)
     p.add_argument("--window", default=None)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--mult", type=int, default=0)
+    p.add_argument("--mult", type=non_negative, default=0)
 
     p = add("replay", cmd_replay, help="re-run a named verification suite")
     p.add_argument("--suite", choices=REPLAY_SUITES + ("all",), default="all")

@@ -194,8 +194,7 @@ class TruncatedExpSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedExpSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def odd_valuation(self):
         """Least odd exponent with nonzero coefficient, or None."""

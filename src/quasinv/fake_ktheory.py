@@ -126,8 +126,7 @@ class IntSeries:
     def __eq__(self, other):
         if not isinstance(other, IntSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[:n] == other.coeffs[:n]
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __bool__(self):
         return any(self.coeffs)
@@ -195,6 +194,8 @@ class FakeKRing:
     def __init__(self, generator: IntSeries, m: int):
         if m < 0:
             raise DomainError("multiplicity must be non-negative")
+        if generator.order < 3:
+            raise DomainError("the truncation order must be at least 3 to hold N t^2")
         if generator.coeffs[0] != 0 or generator.coeffs[1] != 0 or generator.coeffs[2] == 0:
             raise DomainError("generator series must be N t^2 + higher order, N != 0")
         self.generator = generator

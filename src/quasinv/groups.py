@@ -13,19 +13,26 @@ the kernels of alpha_j = z1 - zeta^j z2.  Linear forms are normalized so the
 first nonzero coordinate coefficient is 1 (scaling-dependent outputs are
 flagged as normalization-dependent at the reporting layer).
 
-In these coordinates every element is a monomial matrix whose nonzero
-entries are roots of unity, so the action on polynomials has a closed form.
-The group keeps the table `roots` = (zeta^0, zeta^1, ..., zeta^(N-1)) of its
-field's roots of unity, zeta = -1 over Q, zeta_n in Q(zeta_n) for even n and
--zeta_n for odd n, and describes element i by integer tuples `perm`, `expo`
-with x_k o w_i^(-1) = roots[expo[k]] x_perm[k].  Construction refuses any
-element that is not of this form.
+The element matrices are the constructor's input and the spec that
+`quasinv group` prints.  In these coordinates every element is a monomial
+matrix whose nonzero entries are roots of unity; construction validates each
+matrix into that form once and refuses any other.  The group keeps the table
+`roots` = (zeta^0, zeta^1, ..., zeta^(N-1)) of its field's roots of unity,
+zeta = -1 over Q, zeta_n in Q(zeta_n) for even n and -zeta_n for odd n, and
+a monomial matrix is the pair of integer tuples (perm, expo) with row k equal
+to roots[expo[k]] in column perm[k].  All group structure is derived from
+these forms: the multiplication table, inverses and identity, the fixed
+hyperplanes of the pseudoreflections, their pointwise stabilizers, the
+hyperplane orbits, and the action x_k o w^(-1) = roots[expo[k]] x_perm[k]
+read off the form of w^(-1).
 
 Groups are immutable after construction and safe for shared reads.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from fractions import Fraction
 from operator import mul
@@ -61,54 +68,43 @@ class ReflectionGroup:
         self.order = len(elements)
         self.invariant_degrees = tuple(sorted(invariant_degrees))
         self.fundamental_invariants = list(fundamental_invariants)
-
-        self._index = {m: i for i, m in enumerate(elements)}
-        if len(self._index) != len(elements):
-            raise ValueError("duplicate group elements")
-        self._mul_table = None
-        self._inv_table = None
         self._blocks: dict = {}
 
         self.roots = _root_table(field)
-        self._forms = [self._monomial_form(elements[self.inverse(i)]) for i in range(self.order)]
+        root_index = {r: j for j, r in enumerate(self.roots)}
+        forms = [_monomial_form(m, root_index) for m in elements]
+        self._index = {f: i for i, f in enumerate(forms)}
+        if len(self._index) != len(forms):
+            raise ValueError("duplicate group elements")
+        n = len(self.roots)
         identity_perm = tuple(range(rank))
+        self._ident = self._lookup((identity_perm, (0,) * rank), "the identity")
+        self._mul_table = [[self._lookup(_compose(a, b, n), "a product") for b in forms]
+                           for a in forms]
+        self._inv_table = [self._lookup(_invert(f, n), "an inverse") for f in forms]
+        # the action reads the forms of the inverses: x_k o w_i^(-1)
+        self._forms = [forms[j] for j in self._inv_table]
         self._diagonal = [i for i, (perm, _) in enumerate(self._forms) if perm == identity_perm]
 
-        self.hyperplanes = self._build_hyperplanes()
+        self.hyperplanes, self._stabilizers = self._build_hyperplanes(forms)
         self._verify_group_axioms()
 
     # -- group structure -----------------------------------------------------
 
-    def mul(self, i: int, j: int) -> int:
-        if self._mul_table is None:
-            self._mul_table = {}
-        key = (i, j)
-        got = self._mul_table.get(key)
+    def _lookup(self, form, what: str) -> int:
+        got = self._index.get(form)
         if got is None:
-            m = _mat_mul(self.elements[i], self.elements[j])
-            got = self._index[m]
-            self._mul_table[key] = got
+            raise ValueError(f"group elements not closed: {what} is missing")
         return got
 
+    def mul(self, i: int, j: int) -> int:
+        return self._mul_table[i][j]
+
     def inverse(self, i: int) -> int:
-        if self._inv_table is None:
-            ident = self._index[_identity(self.rank, self._one())]
-            table = {}
-            for a in range(self.order):
-                for b in range(self.order):
-                    if self.mul(a, b) == ident:
-                        table[a] = b
-                        break
-            self._inv_table = table
         return self._inv_table[i]
 
     def identity_index(self) -> int:
-        return self._index[_identity(self.rank, self._one())]
-
-    def _one(self):
-        if self.field == "Q":
-            return Fraction(1)
-        return Cyclotomic.from_rational(self.field[1], 1)
+        return self._ident
 
     def determinant(self, i: int):
         """det w_i = 1 / det w_i^(-1), with det w_i^(-1) = sign(perm) roots[sum(expo)]."""
@@ -148,61 +144,47 @@ class ReflectionGroup:
             out.append((tuple(f), sum(map(mul, expo, e)) % n))
         return out
 
-    def _monomial_form(self, m):
-        """(perm, expo) with row k of m equal to roots[expo[k]] in column
-        perm[k] and zero elsewhere; ValueError for any other matrix."""
-        index = {r: j for j, r in enumerate(self.roots)}
-        perm, expo = [], []
-        for row in m:
-            entries = [(col, c) for col, c in enumerate(row) if c]
-            if len(entries) != 1 or entries[0][1] not in index:
-                raise ValueError("group element is not a monomial matrix of roots of unity")
-            perm.append(entries[0][0])
-            expo.append(index[entries[0][1]])
-        return tuple(perm), tuple(expo)
-
     # -- arrangement --------------------------------------------------------------
 
-    def _build_hyperplanes(self):
-        # collect fixed hyperplanes of pseudoreflections, then W-orbits
-        raw = {}  # normalized alpha -> set of element indices fixing it pointwise
-        for i, m in enumerate(self.elements):
-            fixed = _fixed_hyperplane(m, self.rank, self._one())
-            if fixed is None:
+    def _build_hyperplanes(self, forms):
+        """The fixed hyperplanes of the pseudoreflections, sorted, with their
+        pointwise stabilizers and W-orbits.
+
+        For a monomial matrix m, m - I has rank one exactly when m scales one
+        coordinate x_k (alpha = x_k) or swaps two coordinates k < l with root
+        product 1 (alpha = x_k - roots[expo[k]] x_l); the coefficient 1 is
+        roots[0], so forms keep the group's coefficient type."""
+        n = len(self.roots)
+        one = self.roots[0]
+        xs = [Polynomial.variable(self.variables, v) for v in self.variables]
+        stabs = {}  # alpha -> the identity and the pseudoreflections fixing it
+        for i, (perm, expo) in enumerate(forms):
+            moved = [k for k in range(self.rank) if perm[k] != k or expo[k]]
+            if len(moved) == 1:
+                alpha = xs[moved[0]] * one
+            elif len(moved) == 2 and perm[moved[0]] == moved[1] and not sum(expo) % n:
+                k, l = moved
+                alpha = xs[k] * one - xs[l] * self.roots[expo[k]]
+            else:
                 continue
-            alpha = self._normalized_form(fixed)
-            raw.setdefault(alpha, set()).add(i)
-        alphas = sorted(raw, key=lambda a: a.sorted_terms().__repr__())
-        # orbit decomposition by brute-force action on the forms
-        orbit_of: dict = {}
+            stabs.setdefault(alpha, [self._ident]).append(i)
+        alphas = sorted(stabs, key=lambda a: a.sorted_terms().__repr__())
+        stabilizers = [sorted(stabs[a]) for a in alphas]
+        # w maps H onto the hyperplane whose stabilizer is w Stab(H) w^(-1)
+        by_stabilizer = {frozenset(s): idx for idx, s in enumerate(stabilizers)}
+        orbit_of = [None] * len(alphas)
         next_orbit = 0
-        for a in alphas:
-            if a in orbit_of:
+        for idx, stab in enumerate(stabilizers):
+            if orbit_of[idx] is not None:
                 continue
-            orbit_of[a] = next_orbit
-            frontier = [a]
-            while frontier:
-                b = frontier.pop()
-                for i in range(self.order):
-                    img = self._normalized_form(self.act(i, b))
-                    if img not in orbit_of:
-                        orbit_of[img] = next_orbit
-                        frontier.append(img)
+            for w, row in enumerate(self._mul_table):
+                w_inv = self._inv_table[w]
+                image = frozenset(self._mul_table[row[s]][w_inv] for s in stab)
+                orbit_of[by_stabilizer[image]] = next_orbit
             next_orbit += 1
-        out = []
-        for idx, a in enumerate(alphas):
-            n_h = len(raw[a]) + 1  # stabilizer includes the identity
-            out.append(Hyperplane(a, n_h, orbit_of[a], idx))
-        return out
-
-    def _normalized_form(self, alpha: Polynomial) -> Polynomial:
-        # first nonzero coordinate coefficient scaled to 1
-        from quasinv.poly import linear_coefficients
-
-        coeffs = linear_coefficients(alpha)
-        lead = next(c for c in coeffs if c)
-        inv = Fraction(1) / lead if isinstance(lead, Fraction) else lead.inverse()
-        return alpha * inv
+        hyperplanes = [Hyperplane(a, len(stabilizers[idx]), orbit_of[idx], idx)
+                       for idx, a in enumerate(alphas)]
+        return hyperplanes, stabilizers
 
     def orbits(self):
         out: dict = {}
@@ -212,12 +194,7 @@ class ReflectionGroup:
 
     def stabilizer(self, h: Hyperplane):
         """Indices of elements fixing the hyperplane pointwise (a cyclic group)."""
-        out = []
-        basis = _hyperplane_basis(h.alpha, self.variables)
-        for i, m in enumerate(self.elements):
-            if all(_mat_vec(m, v) == v for v in basis):
-                out.append(i)
-        return out
+        return list(self._stabilizers[h.index])
 
     def reflection(self, h: Hyperplane) -> int:
         """Index of the first non-identity element fixing h pointwise: the
@@ -236,12 +213,6 @@ class ReflectionGroup:
             prod *= d
         if prod != self.order:
             raise ValueError("invariant degrees inconsistent with group order")
-        for i in range(self.order):
-            for j in range(self.order):
-                self.mul(i, j)  # raises KeyError via index lookup if not closed
-        for h in self.hyperplanes:
-            if h.stabilizer_order < 2:
-                raise ValueError("hyperplane with trivial stabilizer")
         for f in self.fundamental_invariants:
             for i in range(self.order):
                 if self.act(i, f) != f:
@@ -371,7 +342,7 @@ def idempotent(group: ReflectionGroup, h: Hyperplane, i: int) -> GroupAlgebraEle
     return e
 
 
-# -- matrices -------------------------------------------------------------------
+# -- monomial forms ---------------------------------------------------------------
 
 
 def _root_table(field):
@@ -384,50 +355,33 @@ def _root_table(field):
     return tuple(sign**j * Cyclotomic.zeta(n, j) for j in range(2 * n if n % 2 else n))
 
 
-def _identity(rank, one):
-    zero = one - one
-    return tuple(
-        tuple(one if i == j else zero for j in range(rank)) for i in range(rank)
-    )
+def _monomial_form(m, root_index):
+    """(perm, expo) with row k of m equal to roots[expo[k]] in column
+    perm[k] and zero elsewhere; ValueError for any other matrix."""
+    perm, expo = [], []
+    for row in m:
+        entries = [(col, c) for col, c in enumerate(row) if c]
+        if len(entries) != 1 or entries[0][1] not in root_index:
+            raise ValueError("group element is not a monomial matrix of roots of unity")
+        perm.append(entries[0][0])
+        expo.append(root_index[entries[0][1]])
+    return tuple(perm), tuple(expo)
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), start=Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
+def _compose(a, b, n):
+    """The form of the matrix product AB: row k of A picks row perm_A[k] of B."""
+    (pa, ea), (pb, eb) = a, b
+    return (tuple(pb[j] for j in pa),
+            tuple((e + eb[j]) % n for e, j in zip(ea, pa)))
 
 
-def _mat_vec(m, v):
-    n = len(m)
-    return tuple(sum((m[i][j] * v[j] for j in range(n)), start=Fraction(0)) for i in range(n))
-
-
-def _fixed_hyperplane(m, rank, one):
-    """For a pseudoreflection, the linear form cutting out its fixed
-    hyperplane; None for the identity or elements without a fixed hyperplane
-    of codimension one."""
-    zero = one - one
-    ident = _identity(rank, one)
-    if m == ident:
-        return None
-    # rows of (m - I) span the orthogonal of the fixed space in coordinates
-    diff = [[m[i][j] - ident[i][j] for j in range(rank)] for i in range(rank)]
-    from quasinv.linalg import rref
-
-    red, pivots = rref(diff)
-    if len(pivots) != 1:
-        return None  # fixed space not a hyperplane
-    # fixed space = kernel of (m - I); codim 1 means one independent condition
-    names = None
-    row = red[0]
-    variables = _default_variables(rank)
-    poly = Polynomial.zero(variables)
-    for j, c in enumerate(row):
-        if c:
-            poly = poly + Polynomial.variable(variables, variables[j]) * c
-    return poly if poly else names
+def _invert(a, n):
+    """The form of A^(-1): the transposed pattern with negated exponents."""
+    perm, expo = a
+    p_inv, e_inv = [0] * len(perm), [0] * len(perm)
+    for k, (j, e) in enumerate(zip(perm, expo)):
+        p_inv[j], e_inv[j] = k, -e % n
+    return tuple(p_inv), tuple(e_inv)
 
 
 def _default_variables(rank: int):
@@ -436,26 +390,6 @@ def _default_variables(rank: int):
     if rank == 2:
         return ("z1", "z2")
     return tuple(f"x{i + 1}" for i in range(rank))
-
-
-def _hyperplane_basis(alpha: Polynomial, variables):
-    """Vectors spanning ker(alpha)."""
-    from quasinv.poly import linear_coefficients
-
-    coeffs = linear_coefficients(alpha)
-    pivot = next(i for i, c in enumerate(coeffs) if c)
-    n = len(coeffs)
-    basis = []
-    c_p = coeffs[pivot]
-    inv = Fraction(1) / c_p if isinstance(c_p, Fraction) else c_p.inverse()
-    for j in range(n):
-        if j == pivot:
-            continue
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        v[pivot] = -coeffs[j] * inv
-        basis.append(tuple(v))
-    return basis
 
 
 # -- constructors ------------------------------------------------------------------
@@ -494,19 +428,19 @@ def parse_group(spec: str) -> ReflectionGroup:
             raise ParseError(f"empty factor in spec {spec!r}")
         m = re.fullmatch(r"A1\^(\d+)", token)
         if m:
-            n = int(m.group(1))
+            n = _spec_number(m.group(1), text)
             if n < 1:
                 raise ParseError(f"bad power in {token!r}")
             factor, count = ("A1", 2), n
         elif token == "A1":
             factor, count = ("A1", 2), 1
         elif m := re.fullmatch(r"I2\((\d+)\)", token):
-            k = int(m.group(1))
+            k = _spec_number(m.group(1), text)
             if k < 3:
                 raise ParseError(f"I2(k) needs k >= 3, got {token!r}")
             factor, count = ("I2", k), 1
         elif m := re.fullmatch(r"Z/(\d+)", token):
-            ell = int(m.group(1))
+            ell = _spec_number(m.group(1), text)
             if ell < 2:
                 raise ParseError(f"Z/l needs l >= 2, got {token!r}")
             factor, count = ("Z", ell), 1
@@ -522,6 +456,15 @@ def parse_group(spec: str) -> ReflectionGroup:
     if any(kind == "I2" for kind, _ in factors):
         raise ParseError("products support rank-one factors only")
     return _build_product(spec.strip(), factors)
+
+
+def _spec_number(digits: str, text: str) -> int:
+    """A number of a group spec, refused before int() reads it when it has
+    more digits than the order cap: each factor's order is at least its number."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_GROUP_ORDER)):
+        raise ParseError(f"group {text!r} has order above {MAX_GROUP_ORDER}")
+    return int(digits)
 
 
 def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
@@ -564,11 +507,7 @@ def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
 
 def _build_product(spec: str, factors) -> ReflectionGroup:
     rank = len(factors)
-    orders = [ell for _, ell in factors]
-    lcm = 1
-    for kind, ell in factors:
-        if kind == "Z" and ell > 2:
-            lcm = _lcm(lcm, ell)
+    lcm = math.lcm(*(ell for kind, ell in factors if kind == "Z" and ell > 2))
     if lcm > 2:
         field = ("zeta", lcm)
         def embed(c):
@@ -594,7 +533,7 @@ def _build_product(spec: str, factors) -> ReflectionGroup:
     one = Fraction(1) if field == "Q" else Cyclotomic.from_rational(field[1], 1)
     zero = one - one
     elements = []
-    for combo in _cartesian(scalar_lists):
+    for combo in itertools.product(*scalar_lists):
         elements.append(
             tuple(
                 tuple(combo[i] if i == j else zero for j in range(rank))
@@ -616,21 +555,6 @@ def _build_product(spec: str, factors) -> ReflectionGroup:
         invariant_degrees=degrees,
         fundamental_invariants=invariants,
     )
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _cartesian(lists[1:]):
-            yield (head,) + tail
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # -- multiplicity functions ---------------------------------------------------------

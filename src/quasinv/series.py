@@ -198,10 +198,8 @@ class ZQSeries:
     def __eq__(self, other):
         if not isinstance(other, ZQSeries):
             return NotImplemented
-        N = min(self.q_order, other.q_order)
-        a = {k: c for k, c in self.coeffs.items() if k[1] < N}
-        b = {k: c for k, c in other.coeffs.items() if k[1] < N}
-        return a == b
+        # equal certified orders only: agree_through compares across orders
+        return self.q_order == other.q_order and self.coeffs == other.coeffs
 
     def agree_through(self, other: "ZQSeries", q_through: int) -> bool:
         """Coefficientwise equality for q-exponents < q_through."""

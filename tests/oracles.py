@@ -233,3 +233,56 @@ def _normalize(alpha: Polynomial) -> Polynomial:
     lead = next(c for c in coeffs if c)
     inv = Fraction(1) / lead if isinstance(lead, Fraction) else lead.inverse()
     return alpha * inv
+
+
+# -- group structure by matrix arithmetic --------------------------------------
+
+
+def matrix_product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), start=Fraction(0)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def matrix_vector(m, v):
+    return tuple(sum((c * x for c, x in zip(row, v)), start=Fraction(0)) for row in m)
+
+
+def matrix_structure(group):
+    """(products, inverses, identity) of the element matrices: each product
+    looked up in the element list, each inverse found by searching for the
+    factor whose product with it is the identity matrix."""
+    index = {m: i for i, m in enumerate(group.elements)}
+    products = [[index[matrix_product(a, b)] for b in group.elements] for a in group.elements]
+    identity = next(
+        i for i, m in enumerate(group.elements)
+        if all(c == (r == k) for r, row in enumerate(m) for k, c in enumerate(row))
+    )
+    inverses = [row.index(identity) for row in products]
+    return products, inverses, identity
+
+
+def fixed_hyperplane(group, i):
+    """The normalized form cutting out the fixed hyperplane of element i, or
+    None when m - I does not have rank one."""
+    m = group.elements[i]
+    diff = [[c - (r == k) for k, c in enumerate(row)] for r, row in enumerate(m)]
+    if oracle_rank(diff) != 1:
+        return None
+    row = next(r for r in diff if any(r))
+    alpha = Polynomial.zero(group.variables)
+    for name, c in zip(group.variables, row):
+        if c:
+            alpha = alpha + Polynomial.variable(group.variables, name) * c
+    return _normalize(alpha)
+
+
+def pointwise_stabilizer(group, alpha):
+    """Indices of the elements fixing every vector of ker(alpha)."""
+    basis = hyperplane_spanning_vectors(alpha)
+    return [
+        i for i, m in enumerate(group.elements)
+        if all(matrix_vector(m, v) == tuple(v) for v in basis)
+    ]

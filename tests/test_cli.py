@@ -4,6 +4,9 @@ import os
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from quasinv.cli import run
 
 HERE = os.path.dirname(__file__)
@@ -162,3 +165,87 @@ def test_malformed_multiplicities_are_parse_errors():
         code, out, err = call(*argv)
         assert code == 1, argv
         assert out == "" and "Traceback" not in err and err.strip(), argv
+
+
+def test_out_of_range_inputs_exit_with_a_message():
+    for argv, expected in (
+        # spec numbers longer than int() reads are refused as past the order cap
+        (("group", "--spec", "Z/" + "9" * 5000), 1),
+        (("group", "--spec", "A1^" + "9" * 5000), 1),
+        (("group", "--spec", "Z/100"), 1),
+        # the generator needs its t^2 coefficient: orders below 3 are refused
+        (("fake", "ktheory", "--series", "0,0,3,1", "--order", "2"), 2),
+        (("fake", "ktheory", "--series", "0,0,3,1", "--order", "0"), 2),
+        (("fake", "ktheory", "--series", "0,0,3,1", "--order", "-2"), 2),
+        (("exp", "basis", "--mult", "-1"), 1),
+        (("elliptic", "elldim", "--mult", "-1", "--n", "2"), 1),
+        (("fake-cohomology", "--nb", "3", "--mult", "-1"), 1),
+        # A1 has the single hyperplane 0
+        (("demazure", "--group", "A1", "--mult", "1", "--apply", "x^5", "--hyperplane", "1"), 1),
+        (("demazure", "--group", "A1", "--mult", "1", "--apply", "x^5", "--hyperplane", "-1"), 1),
+        # a half-integer constant on a group with a non-Coxeter orbit
+        (("filtration", "--group", "A1 x Z/3", "--mult", "1/2", "--mult-high", "1"), 1),
+    ):
+        code, out, err = call(*argv)
+        assert code == expected, argv
+        assert out == "" and "Traceback" not in err and err.strip(), argv
+
+
+# -- fuzzing the subcommand grammar ------------------------------------------------
+
+SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
+         "", "E8", "I2(2)", "Z/1", "A1^0", "A1 x I2(3)", "I2(33)", "Z/" + "9" * 5000,
+         "A1^" + "9" * 5000)
+MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "")
+POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "")
+CHARACTERS = ("z^2 - 2 + z^-2", "z - z^-1", "3*z^-1", "z^(-3)", "2", "zz", "")
+SERIES = ("0,0,3,1", "0,0,1", "1,2", "0,0,0,1", "a,b", "")
+
+small = st.integers(-3, 8).map(str)
+specs = st.sampled_from(SPECS)
+mults = st.sampled_from(MULTS)
+windows = st.sampled_from(("3", "a:b", "")) | st.builds(
+    lambda lo, hi: f"{lo}:{hi}", st.integers(-3, 8), st.integers(-3, 8))
+
+
+def _command(*head, max_deg=False, **options):
+    """argvs of one subcommand: each option present or left out, and a
+    small --max-deg always present when the command takes one (its default
+    degree bounds are larger)."""
+    present = [st.one_of(st.just(()), value.map(lambda v, k=k: (f"--{k}", v)))
+               for k, value in options.items()]
+    if max_deg:
+        present.append(small.map(lambda v: ("--max-deg", v)))
+    return st.tuples(*present).map(lambda parts: head + sum(parts, ()))
+
+
+def _actions(name, actions, **options):
+    return st.sampled_from(actions).flatmap(lambda a: _command(*name.split(), a, **options))
+
+
+ARGVS = st.one_of(
+    _command("group", spec=specs),
+    _actions("", ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
+    _command("filtration", max_deg=True, group=specs, mult=mults, **{"mult-high": mults}),
+    _command("tower", max_deg=True, steps=st.integers(-3, 3).map(str)),
+    _command("fake-cohomology", max_deg=True, nb=small, mult=small),
+    _command("demazure", group=specs, mult=mults, apply=st.sampled_from(POLYNOMIALS),
+             hyperplane=small),
+    _actions("exp", ("basis", "member"), mult=small, window=windows,
+             elem=st.sampled_from(CHARACTERS)),
+    _command("chern", mult=small, order=small, elem=st.sampled_from(CHARACTERS)),
+    _actions("fake", ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
+             elem=st.sampled_from(SERIES), mult=small, order=small, nb=small, prime=small,
+             assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x"))),
+    _actions("elliptic", ("theta", "sections", "elldim", "sheafdims"),
+             form=st.sampled_from(("sum", "product")), qorder=small, window=windows,
+             n=small, mult=small),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGVS, st.booleans())
+def test_every_argv_exits_with_a_code(argv, as_json):
+    # argparse errors exit 1 through the parser; nothing else may escape
+    code, _, err = call(*argv, *(("--json",) if as_json else ()))
+    assert code in (0, 1, 2, 3), (argv, code, err)

@@ -5,6 +5,7 @@ import pytest
 
 from quasinv.demazure import (
     ExpQuasiRing,
+    TruncatedExpSeries,
     character_exponential,
     chern_character,
     delta_classical,
@@ -196,3 +197,8 @@ def _random_member(rng, ring: ExpQuasiRing):
     for el in ring.elements:
         acc = acc + el * Fraction(rng.randint(-2, 2))
     return acc
+
+
+def test_truncated_exp_series_equality_needs_equal_orders():
+    assert TruncatedExpSeries([1, 1, Fraction(1, 2)], 3) != TruncatedExpSeries([1, 1, Fraction(1, 2)], 5)
+    assert TruncatedExpSeries([1, 1, Fraction(1, 2)], 3) == TruncatedExpSeries([1, 1, Fraction(1, 2), 9], 3)

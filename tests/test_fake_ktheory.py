@@ -154,3 +154,8 @@ def test_character_images_respect_filtration():
     ring1 = qmb(bg, 1, 13)
     z_img = laurent_to_t_series(LaurentElement.z_power(1), 13)
     assert ring1.membership(z_img) == NON_MEMBER
+
+
+def test_int_series_equality_needs_equal_orders():
+    assert IntSeries([0, 0, 3, 1], 4) != IntSeries([0, 0, 3, 1], 6)
+    assert IntSeries([0, 0, 3, 1], 4) == IntSeries([0, 0, 3, 1, 7], 4)

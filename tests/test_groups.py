@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,10 +183,10 @@ def test_action_pairs_hyperplanes_exactly():
     p = W.hyperplanes[0].alpha ** 2 * (z1 + 3 * z2)
     norm = {}
     for h in W.hyperplanes:
-        norm[W._normalized_form(h.alpha)] = h
+        norm[oracles._normalize(h.alpha)] = h
     for i in range(W.order):
         for h in W.hyperplanes:
-            image_form = W._normalized_form(W.act(i, h.alpha))
+            image_form = oracles._normalize(W.act(i, h.alpha))
             target = norm[image_form]
             assert divisibility_order(W.act(i, p), target.alpha) == divisibility_order(
                 p, h.alpha
@@ -264,7 +265,7 @@ def _character_blocks(group, exponents):
         key = []
         for i in diagonal:
             m = group.elements[group.inverse(i)]
-            scalar = group._one()
+            scalar = group.roots[0]
             for k, e in enumerate(exp):
                 for _ in range(e):
                     scalar = scalar * m[k][k]
@@ -304,3 +305,75 @@ def test_root_tables():
     assert len(GROUPS["Z/4"].roots) == 4
     roots = GROUPS["A1 x Z/3"].roots  # -zeta_3 generates in Q(zeta_3)
     assert len(roots) == 6 and roots[3] == -1
+
+
+# -- derived structure against matrix arithmetic -----------------------------------
+
+STRUCTURE_SPECS = ("A1", "A1^3", "Z/3", "Z/4", "A1 x Z/3", "Z/3 x Z/4",
+                   "I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(16)")
+
+
+def _assert_structure_matches_matrices(W):
+    products, inverses, identity = oracles.matrix_structure(W)
+    assert W.identity_index() == identity
+    assert [W.inverse(i) for i in range(W.order)] == inverses
+    assert [[W.mul(i, j) for j in range(W.order)] for i in range(W.order)] == products
+    fixed = [oracles.fixed_hyperplane(W, i) for i in range(W.order)]
+    forms = sorted({repr(encode_polynomial(a)) for a in fixed if a is not None})
+    assert sorted(repr(encode_polynomial(h.alpha)) for h in W.hyperplanes) == forms
+    for h in W.hyperplanes:
+        stabilizer = oracles.pointwise_stabilizer(W, h.alpha)
+        assert W.stabilizer(h) == stabilizer
+        assert h.stabilizer_order == len(stabilizer) == 1 + fixed.count(h.alpha)
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+def test_derived_structure_matches_matrix_arithmetic(spec):
+    _assert_structure_matches_matrices(parse_group(spec))
+
+
+def test_signed_permutations_have_reflections_only_where_the_swap_product_is_one():
+    # B2 over Q: the swaps with root product -1 are rotations by a quarter turn
+    one, zero = Fraction(1), Fraction(0)
+    elements = [((a, zero), (zero, b)) for a in (one, -one) for b in (one, -one)]
+    elements += [((zero, a), (b, zero)) for a in (one, -one) for b in (one, -one)]
+    x1, x2 = (Polynomial.variable(("x1", "x2"), v) for v in ("x1", "x2"))
+    W = ReflectionGroup(
+        spec="B2", rank=2, field="Q", variables=("x1", "x2"), elements=elements,
+        invariant_degrees=(2, 4), fundamental_invariants=[x1**2 + x2**2, x1**2 * x2**2],
+    )
+    _assert_structure_matches_matrices(W)
+    assert len(W.hyperplanes) == 4 and len(W.orbits()) == 2
+
+
+@pytest.mark.parametrize("spec", STRUCTURE_SPECS)
+def test_orbit_ids_partition_the_arrangement(spec):
+    W = parse_group(spec)
+    by_form = {h.alpha: h for h in W.hyperplanes}
+    for h in W.hyperplanes:
+        for i in range(W.order):
+            image = by_form[oracles._normalize(oracles.act(W, i, h.alpha))]
+            assert image.orbit_id == h.orbit_id
+    # ids number the orbits by first occurrence
+    ids = [h.orbit_id for h in W.hyperplanes]
+    assert list(dict.fromkeys(ids)) == list(range(oracles.brute_orbit_count(W)))
+
+
+def test_constructor_refuses_elements_not_closed_under_products():
+    one, zero = Fraction(1), Fraction(0)
+    with pytest.raises(ValueError, match="not closed"):
+        ReflectionGroup(
+            spec="open", rank=2, field="Q", variables=("z1", "z2"),
+            elements=[((one, zero), (zero, one)), ((one, zero), (zero, -one)),
+                      ((-one, zero), (zero, one))],
+            invariant_degrees=(1, 3), fundamental_invariants=[],
+        )
+
+
+@pytest.mark.parametrize("spec", ["A1^6", "A1^5 x Z/2", "Z/4 x Z/4 x Z/4", "I2(32)"])
+def test_order_64_groups_construct_within_a_second(spec):
+    start = time.perf_counter()
+    W = parse_group(spec)
+    elapsed = time.perf_counter() - start
+    assert W.order == 64
+    assert elapsed < 1.0, f"{spec}: {elapsed:.2f}s < 1s"

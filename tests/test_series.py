@@ -84,3 +84,11 @@ def test_invert_q_unit():
     assert series * inv == ZQSeries.one(8)
     with pytest.raises(ValueError):
         invert_q_unit(ZQSeries.from_q_coeffs([2], 4))
+
+
+def test_zq_equality_needs_equal_q_orders():
+    low = ZQSeries({(0, 0): 1, (2, 1): 3}, 2)
+    high = ZQSeries({(0, 0): 1, (2, 1): 3}, 5)  # the same truncation, certified further
+    assert low != high
+    assert low == ZQSeries({(0, 0): 1, (2, 1): 3}, 2)
+    assert low.agree_through(high, 2)
