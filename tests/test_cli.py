@@ -219,25 +219,25 @@ def _command(*head, max_deg=False, **options):
     return st.tuples(*present).map(lambda parts: head + sum(parts, ()))
 
 
-def _actions(name, actions, **options):
-    return st.sampled_from(actions).flatmap(lambda a: _command(*name.split(), a, **options))
+def _actions(head, actions, **options):
+    return st.sampled_from(actions).flatmap(lambda a: _command(*head, a, **options))
 
 
 ARGVS = st.one_of(
     _command("group", spec=specs),
-    _actions("", ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
+    _actions((), ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
     _command("filtration", max_deg=True, group=specs, mult=mults, **{"mult-high": mults}),
     _command("tower", max_deg=True, steps=st.integers(-3, 3).map(str)),
     _command("fake-cohomology", max_deg=True, nb=small, mult=small),
     _command("demazure", group=specs, mult=mults, apply=st.sampled_from(POLYNOMIALS),
              hyperplane=small),
-    _actions("exp", ("basis", "member"), mult=small, window=windows,
+    _actions(("exp",), ("basis", "member"), mult=small, window=windows,
              elem=st.sampled_from(CHARACTERS)),
     _command("chern", mult=small, order=small, elem=st.sampled_from(CHARACTERS)),
-    _actions("fake", ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
+    _actions(("fake",), ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
              elem=st.sampled_from(SERIES), mult=small, order=small, nb=small, prime=small,
              assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x"))),
-    _actions("elliptic", ("theta", "sections", "elldim", "sheafdims"),
+    _actions(("elliptic",), ("theta", "sections", "elldim", "sheafdims"),
              form=st.sampled_from(("sum", "product")), qorder=small, window=windows,
              n=small, mult=small),
 )
