@@ -573,7 +573,7 @@ def cmd_fake(args) -> int:
     emit(args, payload,
          {"series": args.series, "multiplicity": args.mult, "order": args.order},
          {"recursion": "defining recursion re-verified on the generator powers"})
-    return 0
+    return 0 if ring.recursion_verified else 3
 
 
 def cmd_elliptic(args) -> int:
@@ -815,7 +815,7 @@ def build_parser() -> _Parser:
 
     p = add("chern", cmd_chern, help="exponentiate a character into power series")
     p.add_argument("--mult", type=int, required=True)
-    p.add_argument("--order", type=int, default=10)
+    p.add_argument("--order", type=_int_at_least(1), default=10)
     p.add_argument("--elem", required=True)
 
     p = add("fake", cmd_fake, help="fake K-theory subrings")

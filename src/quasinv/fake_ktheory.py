@@ -273,6 +273,8 @@ def distinguishing_invariant(generator: IntSeries, m: int, p: int) -> dict:
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
     n = generator.coeffs[2]
+    if n == 0:
+        raise DomainError("generator series must be N t^2 + higher order, N != 0")
     if m == 0:
         return {"rank": 3, "generator": "full truncated polynomial ring", "prime": p}
     n_mod = n % p

@@ -45,12 +45,14 @@ def rref(matrix):
         if sel is None:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = _inv(rows[r][col])
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow = rows[r]
+        support = [j for j in range(col, ncols) if prow[j]]
+        _scale(prow, support)
+        for i, row in enumerate(rows):
+            f = row[col]
+            if i != r and f:
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -62,6 +64,14 @@ def _inv(c):
     if isinstance(c, Fraction):
         return Fraction(1) / c
     return c.inverse()
+
+
+def _scale(row, support) -> None:
+    """Divide `row` in place by its pivot, on its support, unless that is 1."""
+    inv = _inv(row[support[0]])
+    if inv != 1:
+        for j in support:
+            row[j] = row[j] * inv
 
 
 def rank(matrix) -> int:
@@ -122,37 +132,34 @@ def in_span(vectors, target) -> bool:
 class IncrementalSpan:
     """Row span maintained by incremental elimination; rows are reduced
     against the stored pivot rows in insertion order, so the result is
-    deterministic."""
+    deterministic.  Each stored row keeps the list of its nonzero columns,
+    and reduction touches only those."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
         self.rows = []  # normalized rows, pivot entry 1
         self.pivots = []  # pivot column per row
+        self.supports = []  # nonzero columns per row, pivot first
 
     def reduce(self, vector):
         v = [_norm_entry(c) for c in vector]
-        for row, p in zip(self.rows, self.pivots):
+        for row, p, support in zip(self.rows, self.pivots, self.supports):
             f = v[p]
             if f:
-                for j in range(p, self.ncols):
-                    if row[j]:
-                        v[j] = v[j] - f * row[j]
+                for j in support:
+                    v[j] = v[j] - f * row[j]
         return v
 
     def add(self, vector) -> bool:
         """Insert; True when the vector enlarged the span."""
         v = self.reduce(vector)
-        piv = None
-        for j, c in enumerate(v):
-            if c:
-                piv = j
-                break
-        if piv is None:
+        support = [j for j, c in enumerate(v) if c]
+        if not support:
             return False
-        inv = _inv(v[piv])
-        v = [c * inv for c in v]
+        _scale(v, support)
         self.rows.append(v)
-        self.pivots.append(piv)
+        self.pivots.append(support[0])
+        self.supports.append(support)
         return True
 
     def dim(self) -> int:

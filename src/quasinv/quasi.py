@@ -58,6 +58,7 @@ class GradedBasis:
         self.multiplicity = multiplicity
         self.max_degree = max_degree
         self.layers = layers  # layers[d] = list of Polynomial
+        self._spans: dict = {}  # degree -> IncrementalSpan of that layer
 
     def dims(self):
         return [len(layer) for layer in self.layers]
@@ -67,7 +68,8 @@ class GradedBasis:
         return [coordinate_vector(p, d) for p in self.layers[d]]
 
     def contains(self, p: Polynomial) -> bool:
-        """Exact span membership, degree by degree."""
+        """Exact span membership, degree by degree, against one eliminated
+        span per layer that is built on first use and kept."""
         if not p:
             return True
         for d in range(p.degree() + 1):
@@ -76,7 +78,12 @@ class GradedBasis:
                 continue
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
-            if not in_span(self.layer_vectors(d), coordinate_vector(comp, d)):
+            span = self._spans.get(d)
+            if span is None:
+                span = self._spans[d] = IncrementalSpan(len(monomial_index(p.vars, d)))
+                for vec in self.layer_vectors(d):
+                    span.add(vec)
+            if not span.contains(coordinate_vector(comp, d)):
                 return False
         return True
 
@@ -309,23 +316,27 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     """Greedy minimal generators of a graded module over the invariant ring,
     with the free-module dimension count as the freeness test.
 
-    Generators are chosen degree by degree as a basis of the layer modulo
-    (positive-degree invariants) * (lower layers), extending deterministically
-    in the layer's echelon order.  If the free module on the generators found
-    so far ever outgrows the actual dimensions, a relation exists and the
-    module is not free.
+    The basis must be closed under multiplication by invariants (Q_m and
+    `x1_layers` are).  Degree by degree, the generators extend a basis of
+    S_d = sum_i f_i L_(d - deg f_i) to one of the layer L_d, in the layer's
+    echelon order.  By induction S_d is spanned by the products f^J g of
+    positive-degree invariant monomials f^J with lower-degree generators g
+    (the f^J span the invariants: Chevalley-Shephard-Todd), so only those
+    products enter, and the picks depend only on S_d.  If the free module
+    on the generators found so far ever outgrows the actual dimensions, a
+    relation exists and the module is not free.
 
     Span bookkeeping runs per diagonal-character block on disjoint column
     sets, an exact reformulation because spans of disjointly supported
-    vectors decompose.  Every vector must therefore lie in one block, as
-    the invariants times a block-pure basis do; a vector that spans two
-    blocks raises ValueError.
+    vectors decompose; a layer vector that spans two blocks raises
+    ValueError.  Invariants are diagonal-invariant, so f^J g lies in g's
+    block; once that block's span has the layer's dimension in the block,
+    f^J g is not formed, and neither it nor a layer vector is inserted.
     """
     D = basis.max_degree
     dims = basis.dims()
     inv_dims = invariant_ring_dims(group, D)
-    fund = group.fundamental_invariants
-    fund_degs = [int(f.degree()) for f in fund]
+    inv_monomials = _invariant_monomials(group.fundamental_invariants, D)
     generators = []
     status = None
     failure_degree = None
@@ -334,22 +345,26 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         blocks = group.monomial_blocks(list(index))
         col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
         spans = [IncrementalSpan(len(block)) for block in blocks]
-
-        def add(p):
-            """Insert p into its block's span; True when the span grew."""
+        layer_blocks = []
+        for p in basis.layers[d]:
             found = {col_block[index[exp]] for exp in p.terms}
             if len(found) != 1:
                 raise ValueError("module vector does not lie in one diagonal-character block")
-            (bi,) = found
+            layer_blocks.append(found.pop())
+        full = [layer_blocks.count(bi) for bi in range(len(blocks))]
+
+        def insert(bi, p):  # True when span bi grew
             vec = coordinate_vector(p, d)
             return spans[bi].add([vec[col] for col in blocks[bi]])
 
-        for f, fd in zip(fund, fund_degs):
-            if d - fd >= 0:
-                for b in basis.layers[d - fd]:
-                    add(f * b)
-        for p in basis.layers[d]:
-            if add(p):
+        for gd, g in generators:
+            lead = next(iter(g.terms))
+            for fj in inv_monomials[d - gd]:
+                bi = col_block[index[tuple(map(add, lead, next(iter(fj.terms))))]]
+                if spans[bi].dim() < full[bi]:
+                    insert(bi, fj * g)
+        for p, bi in zip(basis.layers[d], layer_blocks):
+            if spans[bi].dim() < full[bi] and insert(bi, p):
                 generators.append((d, p))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
         if free_dim != dims[d]:
@@ -363,6 +378,22 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     return FreenessCertificate(
         group, generators, status, series, shift, predicted_shift, failure_degree
     )
+
+
+def _invariant_monomials(fund, top: int):
+    """Products f^J of the fundamental invariants of positive degree <= top,
+    by degree; each is one product f^J' * f_i with i no smaller than the
+    factor indices of J'."""
+    out = [[] for _ in range(top + 1)]
+    stack = [(Polynomial.constant(fund[0].vars, 1), 0, 0)]
+    while stack:
+        prod, deg, first = stack.pop()
+        for i in range(first, len(fund)):
+            nd = deg + int(fund[i].degree())
+            if nd <= top:
+                out[nd].append(prod * fund[i])
+                stack.append((out[nd][-1], nd, i))
+    return out
 
 
 def freeness_certificate(group: ReflectionGroup, mult: Multiplicity,

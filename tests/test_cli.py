@@ -63,6 +63,10 @@ def test_inconclusive_exit_code():
         "--elem", "0,0,3",
     )
     assert code == 3
+    # order too small to verify the ring's defining recursion
+    code, out, _ = call("fake", "ktheory", "--series", "0,0,3,1", "--order", "3", "--mult", "8")
+    assert code == 3
+    assert "recursion_verified: False" in out
 
 
 def test_exp_member_and_non_member():
@@ -143,6 +147,7 @@ def test_bounded_integers_are_refused():
         ("tower", "--steps", "-1"),
         ("elliptic", "theta", "--qorder", "0"),
         ("elliptic", "theta", "--qorder", "-1"),
+        ("chern", "--mult", "1", "--order", "0", "--elem", "z - 2 + z^-1"),
     ):
         code, out, err = call(*argv)
         assert code == 1, argv
@@ -177,6 +182,8 @@ def test_out_of_range_inputs_exit_with_a_message():
         (("fake", "ktheory", "--series", "0,0,3,1", "--order", "2"), 2),
         (("fake", "ktheory", "--series", "0,0,3,1", "--order", "0"), 2),
         (("fake", "ktheory", "--series", "0,0,3,1", "--order", "-2"), 2),
+        # the distinguishing quotient needs N_B != 0, as the ring itself does
+        (("fake", "distinguish", "--nb", "0", "--mult", "2", "--prime", "5"), 2),
         (("exp", "basis", "--mult", "-1"), 1),
         (("elliptic", "elldim", "--mult", "-1", "--n", "2"), 1),
         (("fake-cohomology", "--nb", "3", "--mult", "-1"), 1),

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quasinv.fields import Cyclotomic
-from quasinv.linalg import IncrementalSpan, in_span, nullspace, rank, solve_exact
+from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.linalg import IncrementalSpan, in_span, nullspace, rank, rref, solve_exact
+from quasinv.serialize import encode_coeff
 
 
 def test_identity_has_trivial_kernel():
@@ -80,3 +83,139 @@ def test_incremental_span_matches_rank():
         assert span.dim() == added
         for v in vectors:
             assert span.contains(v)
+
+
+# -- the zero-skipping elimination against a dense reference ------------------------
+
+
+def _dense_inv(c):
+    return Fraction(1) / c if isinstance(c, Fraction) else c.inverse()
+
+
+def dense_rref(matrix):
+    """Reduced row echelon form the dense way, the reference for `rref`:
+    every pivot row is scaled in full and every elimination runs over all
+    columns, zeros included."""
+    rows = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in matrix]
+    pivots = []
+    r = 0
+    for col in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = _dense_inv(rows[r][col])
+        rows[r] = [c * inv for c in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def dense_nullspace(matrix):
+    ncols = len(matrix[0])
+    red, pivots = dense_rref(matrix)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            if red[r][fc]:
+                vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_solve(matrix, rhs):
+    ncols = len(matrix[0])
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+class DenseSpan:
+    """`IncrementalSpan` with dense reduction and scaling."""
+
+    def __init__(self):
+        self.rows, self.pivots = [], []
+
+    def reduce(self, vector):
+        v = [Fraction(c) if isinstance(c, int) else c for c in vector]
+        for row, p in zip(self.rows, self.pivots):
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+        return v
+
+    def add(self, vector):
+        v = self.reduce(vector)
+        piv = next((j for j, c in enumerate(v) if c), None)
+        if piv is None:
+            return False
+        inv = _dense_inv(v[piv])
+        self.rows.append([c * inv for c in v])
+        self.pivots.append(piv)
+        return True
+
+
+@st.composite
+def _sparse_case(draw):
+    """(matrix, rhs, probe, zeros_typed): a mostly-zero matrix over Q or Q(zeta_n),
+    n <= 6, with entries 1 and small values.  When `zeros_typed` holds,
+    every entry has the field's type, zeros included; otherwise the zeros
+    are Fraction(0) among cyclotomic entries, as `coordinate_vector` and
+    the row builders produce."""
+    n = draw(st.sampled_from([None, 2, 3, 4, 5, 6]))
+    zeros_typed = n is None or draw(st.booleans())
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+    if n is None:
+        value = small
+        zero = st.just(Fraction(0))
+    else:
+        d = len(cyclotomic_polynomial(n)) - 1
+        value = st.lists(small, min_size=d, max_size=d).map(lambda cs: Cyclotomic(n, cs))
+        zero = st.just(Cyclotomic(n, [0]) if zeros_typed else Fraction(0))
+    one = st.just(Fraction(1) if n is None else Cyclotomic(n, [1]))
+    entry = st.one_of(zero, zero, zero, one, value)
+    ncols = draw(st.integers(1, 6))
+    matrix = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                           min_size=1, max_size=6))
+    rhs = draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
+    probe = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    return matrix, rhs, probe, zeros_typed
+
+
+def _encoded(rows, zeros_typed=True):
+    """Entries by their JSON encoding; untyped zeros compare by value."""
+    return [[encode_coeff(c) if c or zeros_typed else 0 for c in row] for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_case())
+def test_zero_skipping_elimination_matches_the_dense_one(case):
+    matrix, rhs, probe, zeros_typed = case
+    red, pivots = rref(matrix)
+    dense_red, dense_pivots = dense_rref(matrix)
+    assert pivots == dense_pivots
+    assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
+    assert rank(matrix) == len(dense_pivots)
+    assert _encoded(nullspace(matrix)) == _encoded(dense_nullspace(matrix))
+    solution, dense_solution = solve_exact(matrix, rhs), dense_solve(matrix, rhs)
+    assert (solution is None) == (dense_solution is None)
+    if solution is not None:
+        assert _encoded([solution], zeros_typed) == _encoded([dense_solution], zeros_typed)
+    span, dense = IncrementalSpan(len(matrix[0])), DenseSpan()
+    for row in [probe] + matrix + [probe]:
+        assert span.contains(row) == (not any(dense.reduce(row)))
+        assert span.add(row) == dense.add(row)
+    assert span.pivots == dense.pivots
+    assert _encoded(span.rows, zeros_typed) == _encoded(dense.rows, zeros_typed)

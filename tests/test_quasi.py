@@ -8,8 +8,15 @@ from oracles import brute_quasi_dims
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
-from quasinv.linalg import in_span, nullspace
-from quasinv.poly import Polynomial, adapted_substitution, coordinate_vector, monomials_of_degree
+from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
+from quasinv.linalg import IncrementalSpan, in_span, nullspace
+from quasinv.poly import (
+    Polynomial,
+    adapted_substitution,
+    coordinate_vector,
+    monomial_index,
+    monomials_of_degree,
+)
 from quasinv.quasi import (
     GradedBasis,
     _adapted_terms_below,
@@ -25,6 +32,8 @@ from quasinv.quasi import (
     module_certificate,
     quasi_basis,
 )
+from quasinv.serialize import encode_polynomial
+from quasinv.tower import x1_algebra
 
 
 A1 = parse_group("A1")
@@ -264,6 +273,96 @@ def test_module_certificate_rejects_a_vector_across_blocks():
     basis = GradedBasis(W, None, 1, [[Polynomial.constant(W.variables, 1)], [z1 + z2]])
     with pytest.raises(ValueError, match="diagonal-character block"):
         module_certificate(W, basis)
+
+
+def module_certificate_by_every_product(group, basis):
+    """`module_certificate` with the submodule part spanned the direct way,
+    the reference for the generator-product scheme: in degree d every
+    fundamental invariant times every vector of the lower layer enters the
+    block spans, then every layer vector does."""
+    D = basis.max_degree
+    dims = basis.dims()
+    inv_dims = invariant_ring_dims(group, D)
+    generators, status, failure_degree = [], None, None
+    for d in range(D + 1):
+        index = monomial_index(group.variables, d)
+        blocks = group.monomial_blocks(list(index))
+        col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
+        spans = [IncrementalSpan(len(block)) for block in blocks]
+
+        def add(p):
+            found = {col_block[index[exp]] for exp in p.terms}
+            if len(found) != 1:
+                raise ValueError("module vector does not lie in one diagonal-character block")
+            (bi,) = found
+            vec = coordinate_vector(p, d)
+            return spans[bi].add([vec[col] for col in blocks[bi]])
+
+        for f in group.fundamental_invariants:
+            if d >= f.degree():
+                for b in basis.layers[d - int(f.degree())]:
+                    add(f * b)
+        for p in basis.layers[d]:
+            if add(p):
+                generators.append((d, p))
+        if sum(inv_dims[d - gd] for gd, _ in generators) != dims[d]:
+            status, failure_degree = "not-free", d
+            break
+    series = hilbert_from_basis(dims, group.invariant_degrees)
+    if status is None:
+        status = "free" if len(generators) == group.order else "inconclusive"
+    return generators, status, failure_degree, gorenstein_shift(series, group.rank)
+
+
+def _certificate_outcome(cert):
+    return ([(d, encode_polynomial(g)) for d, g in cert.generators], cert.status,
+            cert.failure_degree, cert.gorenstein_shift)
+
+
+def _reference_outcome(group, basis):
+    generators, status, failure_degree, shift = module_certificate_by_every_product(group, basis)
+    return [(d, encode_polynomial(g)) for d, g in generators], status, failure_degree, shift
+
+
+@st.composite
+def _certificate_case(draw):
+    """A group with random multiplicities of at most `top` per orbit entry,
+    and a degree bound past the top generator degree."""
+    spec, top = draw(st.sampled_from([
+        ("A1 x A1", 2), ("A1^3", 1), ("I2(3)", 2), ("I2(4)", 1), ("I2(5)", 1), ("I2(6)", 1),
+        ("Z/4", 1), ("A1 x Z/3", 1),
+    ]))
+    W = parse_group(spec)
+    values = {}
+    for h in sorted(W.hyperplanes, key=lambda h: h.orbit_id):
+        entries = st.integers(0, top)
+        if h.stabilizer_order == 2:
+            values.setdefault(h.orbit_id, draw(entries))
+        else:
+            values.setdefault(h.orbit_id, tuple(
+                draw(st.lists(entries, min_size=h.stabilizer_order - 1,
+                              max_size=h.stabilizer_order - 1))))
+    mult = Multiplicity(W, values)
+    weight = sum(h.stabilizer_order * max(values[h.orbit_id], default=0)
+                 if h.stabilizer_order > 2 else 2 * values[h.orbit_id]
+                 for h in W.hyperplanes)
+    degrees = W.invariant_degrees
+    return W, mult, max(2 * sum(degrees), weight + sum(degrees) + max(degrees))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_certificate_case())
+def test_generator_products_match_every_product(case):
+    W, mult, D = case
+    basis = quasi_basis(W, mult, D)
+    assert _certificate_outcome(module_certificate(W, basis)) == _reference_outcome(W, basis)
+
+
+def test_generator_products_match_every_product_on_a_non_free_module():
+    W = parse_group("A1 x A1")
+    basis, cert = x1_algebra(W, 14)
+    assert cert.status == "not-free"
+    assert _certificate_outcome(cert) == _reference_outcome(W, basis)
 
 
 def test_span_is_group_stable():
