@@ -9,7 +9,6 @@ distinguishes the members whenever p misses N.
 
 from quasinv.demazure import exp_basis
 from quasinv.fake_ktheory import (
-    IntSeries,
     bg_series,
     distinguishing_invariant,
     laurent_to_t_series,
@@ -18,6 +17,7 @@ from quasinv.fake_ktheory import (
     qmb,
 )
 from quasinv.laurent import LaurentElement
+from quasinv.series import PowerSeries
 
 print("quadratic residue signs:")
 for k, p in ((2, 7), (3, 5), (17, 2), (5, 2)):
@@ -49,6 +49,6 @@ print("all multiplicity-2 characters land inside:",
 print()
 
 # A nonstandard generator 3 t^2 + t^3: the mod-p quotient sees the leading 3.
-gen = IntSeries([0, 0, 3, 1], 10)
+gen = PowerSeries([0, 0, 3, 1], 10)
 print("p = 5 (coprime to 3):", distinguishing_invariant(gen, 2, 5))
 print("p = 3 (divides 3):   ", distinguishing_invariant(gen, 2, 3))

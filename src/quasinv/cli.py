@@ -26,6 +26,7 @@ from quasinv import tower
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.laurent import LaurentElement
 from quasinv.poly import Polynomial
+from quasinv.series import PowerSeries
 from quasinv.serialize import (
     encode_hilbert,
     encode_laurent,
@@ -60,32 +61,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_in(low, high: int):
+    """argparse type: an integer in [low, high], or at most high for low None."""
 
     def check(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return check
 
 
+# upper caps, each at least 4x the largest value in use (origins in CHANGES.md)
+MAX_DEGREE = 256  # 4 * sum of invariant degrees of Z/64, the largest default
+MAX_STEPS = 40
+MAX_Q_ORDER = 80
+MAX_SERIES_ORDER = 64
+MAX_MULT = 32
+MAX_N = 20
+MAX_PRIME = 10**9  # trial division stops below 31,623
+
+
 def default_q_order() -> int:
     raw = os.environ.get("QUASINV_DEFAULT_QORDER")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ParseError(f"QUASINV_DEFAULT_QORDER must be an integer, got {raw!r}")
-        if value < 1:
-            raise ParseError(f"QUASINV_DEFAULT_QORDER must be at least 1, got {value}")
-        return value
-    return ell.DEFAULT_Q_ORDER
+    if not raw:
+        return ell.DEFAULT_Q_ORDER
+    try:
+        return _int_in(1, MAX_Q_ORDER)(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"QUASINV_DEFAULT_QORDER {exc}")
 
 
 # -- small input parsers -------------------------------------------------------
@@ -531,15 +541,17 @@ def cmd_fake(args) -> int:
             for chunk in args.assign.split(","):
                 try:
                     p_str, n_str = chunk.split(":")
-                    assignments[int(p_str)] = int(n_str)
+                    assignments[_int_in(None, MAX_PRIME)(p_str)] = int(n_str)
                 except ValueError:
                     raise ParseError(f"bad assignment chunk {chunk!r}")
+                except argparse.ArgumentTypeError as exc:
+                    raise ParseError(f"prime in --assign {exc}")
         result = fk.n_b(assignments)
         emit(args, result, {"assign": args.assign or ""},
              {"signs": "quadratic-residue signs recomputed per prime"})
         return 0
     if args.action == "distinguish":
-        gen = fk.IntSeries([0, 0, args.nb, 1], max(args.order, 4))
+        gen = PowerSeries([0, 0, args.nb, 1], max(args.order, 4))
         result = fk.distinguishing_invariant(gen, args.mult, args.prime)
         emit(args, result,
              {"N_B": args.nb, "multiplicity": args.mult, "prime": args.prime},
@@ -552,12 +564,12 @@ def cmd_fake(args) -> int:
         coeffs = [int(c) for c in args.series.split(",")]
     except ValueError:
         raise ParseError(f"bad series coefficients {args.series!r}")
-    gen = fk.IntSeries(coeffs, args.order)
-    ring = fk.qmb(gen, args.mult, args.order)
+    order = max(args.order, 0)  # the ring refuses orders below 3 as a domain error
+    ring = fk.qmb(PowerSeries(coeffs, order), args.mult, order)
     payload = {"ring": repr(ring), "recursion_verified": ring.recursion_verified}
     if args.elem:
         try:
-            f = fk.IntSeries([int(c) for c in args.elem.split(",")], args.order)
+            f = PowerSeries([int(c) for c in args.elem.split(",")], order)
         except ValueError:
             raise ParseError(f"bad element coefficients {args.elem!r}")
         verdict = ring.membership(f)
@@ -674,13 +686,14 @@ def _suite_fake_ktheory():
         ring_m = fk.qmb(bg, m, 13)
         ring_next = fk.qmb(bg, m + 1, 13)
         for k in range(m + 2):
-            f = (ring_next.generator ** (m + 1)) * fk.IntSeries.monomial(k, 13)
+            f = (ring_next.generator ** (m + 1)) * PowerSeries([0] * k + [1], 13)
             if ring_m.membership(f) != fk.MEMBER:
                 mono = False
     yield ("filtration is monotone on ideal elements", mono)
+    gen = PowerSeries([0, 0, 3, 1], 8)
     yield ("distinguishing rank 2 iff the prime misses N_B",
-           fk.distinguishing_invariant(fk.IntSeries([0, 0, 3, 1], 8), 2, 5)["rank"] == 2
-           and fk.distinguishing_invariant(fk.IntSeries([0, 0, 3, 1], 8), 2, 3)["rank"] == 1)
+           fk.distinguishing_invariant(gen, 2, 5)["rank"] == 2
+           and fk.distinguishing_invariant(gen, 2, 3)["rank"] == 1)
     ring1 = fk.qmb(bg, 1, 13)
     images = [fk.laurent_to_t_series(el, 13) for el in dem.exp_basis(1, (-2, 2)).elements]
     yield ("character images land in the K-theory ring",
@@ -760,7 +773,10 @@ def build_parser() -> _Parser:
                                  "of reflection groups")
     parser.add_argument("--version", action="version", version=f"quasinv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    non_negative = _int_at_least(0)
+    degree = _int_in(0, MAX_DEGREE)
+    mult = _int_in(0, MAX_MULT)
+    # values below 0 reach the command, which refuses them as domain errors
+    signed_mult = _int_in(None, MAX_MULT)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -776,7 +792,7 @@ def build_parser() -> _Parser:
         p = add(name, fn, help=f"{name} of the quasi-invariant algebra")
         p.add_argument("--group", required=True)
         p.add_argument("--mult", required=True)
-        p.add_argument("--max-deg", type=non_negative, default=None,
+        p.add_argument("--max-deg", type=degree, default=None,
                        help="degree bound (default 4 * sum of invariant degrees)")
         if name == "basis":
             p.add_argument("--check-closure", action="store_true")
@@ -785,21 +801,21 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True)
     p.add_argument("--mult", required=True, help="smaller multiplicity")
     p.add_argument("--mult-high", required=True, help="larger multiplicity")
-    p.add_argument("--max-deg", type=non_negative, default=None)
+    p.add_argument("--max-deg", type=degree, default=None)
 
     p = add("tower", cmd_tower, help="iterate the fiber-product tower from Q_0")
-    p.add_argument("--steps", type=non_negative, required=True)
-    p.add_argument("--max-deg", type=non_negative, default=16)
+    p.add_argument("--steps", type=_int_in(0, MAX_STEPS), required=True)
+    p.add_argument("--max-deg", type=degree, default=16)
 
     p = add("x1", cmd_x1, help="constants plus the invariant ideal, with certificate")
     p.add_argument("--group", required=True)
-    p.add_argument("--max-deg", type=non_negative, default=None)
+    p.add_argument("--max-deg", type=degree, default=None)
 
     p = add("fake-cohomology", cmd_fake_cohomology,
             help="the subring Q + N x^2 Q'_(m-1) compared with Q_m")
     p.add_argument("--nb", type=int, required=True)
-    p.add_argument("--mult", type=non_negative, required=True)
-    p.add_argument("--max-deg", type=non_negative, default=20)
+    p.add_argument("--mult", type=mult, required=True)
+    p.add_argument("--max-deg", type=degree, default=20)
 
     p = add("demazure", cmd_demazure, help="apply a divided difference operator")
     p.add_argument("--group", required=True)
@@ -809,32 +825,32 @@ def build_parser() -> _Parser:
 
     p = add("exp", cmd_exp, help="exponential quasi-invariants")
     p.add_argument("action", choices=("basis", "member"))
-    p.add_argument("--mult", type=non_negative, required=True)
+    p.add_argument("--mult", type=mult, required=True)
     p.add_argument("--window", default="-3:3")
     p.add_argument("--elem", default=None, help="character expression (for member)")
 
     p = add("chern", cmd_chern, help="exponentiate a character into power series")
-    p.add_argument("--mult", type=int, required=True)
-    p.add_argument("--order", type=_int_at_least(1), default=10)
+    p.add_argument("--mult", type=signed_mult, required=True)
+    p.add_argument("--order", type=_int_in(1, MAX_SERIES_ORDER), default=10)
     p.add_argument("--elem", required=True)
 
     p = add("fake", cmd_fake, help="fake K-theory subrings")
     p.add_argument("action", choices=("ktheory", "distinguish", "nb"))
     p.add_argument("--series", default=None, help="comma-separated coefficients")
     p.add_argument("--elem", default=None, help="comma-separated coefficients")
-    p.add_argument("--mult", type=int, default=1)
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--mult", type=signed_mult, default=1)
+    p.add_argument("--order", type=_int_in(None, MAX_SERIES_ORDER), default=12)
     p.add_argument("--nb", type=int, default=1)
-    p.add_argument("--prime", type=int, default=2)
+    p.add_argument("--prime", type=_int_in(None, MAX_PRIME), default=2)
     p.add_argument("--assign", default=None, help='e.g. "3:2,5:3"')
 
     p = add("elliptic", cmd_elliptic, help="theta functions and section spaces")
     p.add_argument("action", choices=("theta", "sections", "elldim", "sheafdims"))
     p.add_argument("--form", choices=("sum", "product"), default="product")
-    p.add_argument("--qorder", type=_int_at_least(1), default=None)
+    p.add_argument("--qorder", type=_int_in(1, MAX_Q_ORDER), default=None)
     p.add_argument("--window", default=None)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--mult", type=non_negative, default=0)
+    p.add_argument("--n", type=_int_in(None, MAX_N), default=1)
+    p.add_argument("--mult", type=mult, default=0)
 
     p = add("replay", cmd_replay, help="re-run a named verification suite")
     p.add_argument("--suite", choices=REPLAY_SUITES + ("all",), default="all")

@@ -17,6 +17,7 @@ from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.laurent import LaurentElement, exact_div, order_at_one
 from quasinv.poly import Polynomial, exact_quotient_by_power
 from quasinv.quasi import is_quasi_invariant
+from quasinv.series import PowerSeries
 
 NORMALIZATION_CONSTANT = 2  # value of delta_m on x^(2m+1) in rank one
 
@@ -27,7 +28,6 @@ __all__ = [
     "is_exp_quasi_invariant",
     "ExpQuasiRing",
     "exp_basis",
-    "TruncatedExpSeries",
     "chern_character",
     "NORMALIZATION_CONSTANT",
 ]
@@ -164,52 +164,7 @@ def exp_basis(m: int, window) -> ExpQuasiRing:
 # -- exponentiation into completed series ------------------------------------------------
 
 
-class TruncatedExpSeries:
-    """Power series in x over Q, exact through order N (exclusive)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        coeffs = [Fraction(c) for c in coeffs[:order]]
-        coeffs += [Fraction(0)] * (order - len(coeffs))
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    def __mul__(self, other: "TruncatedExpSeries") -> "TruncatedExpSeries":
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return TruncatedExpSeries(out, n)
-
-    def __add__(self, other: "TruncatedExpSeries") -> "TruncatedExpSeries":
-        n = min(self.order, other.order)
-        return TruncatedExpSeries(
-            [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedExpSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def odd_valuation(self):
-        """Least odd exponent with nonzero coefficient, or None."""
-        for n in range(1, self.order, 2):
-            if self.coeffs[n]:
-                return n
-        return None
-
-    def __repr__(self):
-        parts = [f"{c}*x^{n}" for n, c in enumerate(self.coeffs) if c]
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(x^{self.order})"
-
-
-def character_exponential(f: LaurentElement, order: int) -> TruncatedExpSeries:
+def character_exponential(f: LaurentElement, order: int) -> PowerSeries:
     """Substitute z = exp(x) into a Laurent polynomial with integer
     z-exponents, truncated at the given x-order."""
     if not f.has_integer_z_exponents():
@@ -224,7 +179,7 @@ def character_exponential(f: LaurentElement, order: int) -> TruncatedExpSeries:
             k = e // 2
             total += c * (k**n)
         coeffs.append(total / fact)
-    return TruncatedExpSeries(coeffs, order)
+    return PowerSeries(coeffs, order, "x")
 
 
 def chern_character(f: LaurentElement, m: int, order: int):
@@ -234,10 +189,10 @@ def chern_character(f: LaurentElement, m: int, order: int):
     if not is_exp_quasi_invariant(m, f):
         raise DomainError("element is not an exponential quasi-invariant of this multiplicity")
     series = character_exponential(f, order)
-    val = series.odd_valuation()
-    passes = val is None or val >= 2 * m + 1
+    odd_valuation = next((n for n in range(1, order, 2) if series.coeffs[n]), None)
+    passes = odd_valuation is None or odd_valuation >= 2 * m + 1
     return series, {
-        "odd_valuation": val,
+        "odd_valuation": odd_valuation,
         "odd_vanishing_required": 2 * m + 1,
         "in_completed_ring": passes,
     }

@@ -15,7 +15,7 @@ from fractions import Fraction
 from quasinv.errors import DomainError, InconclusiveError
 from quasinv.laurent import LaurentElement, exact_div
 from quasinv.linalg import nullspace
-from quasinv.series import ZQSeries, invert_q_unit
+from quasinv.series import PowerSeries, ZQSeries
 
 DEFAULT_Q_ORDER = 12
 DEFAULT_WINDOW = (-12, 12)
@@ -89,17 +89,19 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
         while n * (n - 1) // 2 < q_order:
             acc[(2 * n, n * (n - 1) // 2)] = Fraction(-1) ** n
             n -= 1
-        series = ZQSeries(acc, q_order) * invert_q_unit(_euler_product(q_order))
+        inverse = _euler_product(q_order).inverse()
+        series = ZQSeries(acc, q_order) * ZQSeries.from_q_coeffs(inverse.coeffs, q_order)
     else:
         raise DomainError(f"unknown theta form {form!r}")
     _check_window(series, z_window)
     return ThetaElement(series)
 
 
-def _euler_product(q_order: int) -> ZQSeries:
-    acc = ZQSeries.one(q_order)
+def _euler_product(q_order: int) -> PowerSeries:
+    """prod_(0<n<q_order) (1 - q^n), exact below q^q_order."""
+    acc = PowerSeries([1], q_order, "q")
     for n in range(1, q_order):
-        acc = acc * ZQSeries({(0, 0): 1, (0, n): -1}, q_order)
+        acc = acc * PowerSeries([1] + [0] * (n - 1) + [-1], q_order, "q")
     return acc
 
 

@@ -14,13 +14,13 @@ from math import gcd
 
 from quasinv.errors import DomainError
 from quasinv.laurent import LaurentElement
+from quasinv.series import PowerSeries
 
 MEMBER = "member"
 NON_MEMBER = "non-member"
 INCONCLUSIVE = "inconclusive"
 
 __all__ = [
-    "IntSeries",
     "FakeKRing",
     "legendre",
     "n_b",
@@ -32,112 +32,6 @@ __all__ = [
     "NON_MEMBER",
     "INCONCLUSIVE",
 ]
-
-
-class IntSeries:
-    """Integer power series in t, exact for exponents below `order`."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int):
-        coeffs = list(coeffs[:order])
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise ValueError("IntSeries coefficients must be integers")
-        coeffs += [0] * (order - len(coeffs))
-        self.order = order
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def zero(order: int) -> "IntSeries":
-        return IntSeries([], order)
-
-    @staticmethod
-    def monomial(k: int, order: int, c: int = 1) -> "IntSeries":
-        return IntSeries([0] * k + [c], order)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntSeries([other], self.order)
-        n = min(self.order, other.order)
-        return IntSeries([a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntSeries([other], self.order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntSeries([c * other for c in self.coeffs], self.order)
-        n = min(self.order, other.order)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a:
-                for j, b in enumerate(other.coeffs[: n - i]):
-                    if b:
-                        out[i + j] += a * b
-        return IntSeries(out, n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = IntSeries([1], self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def shift(self, k: int) -> "IntSeries":
-        """Multiply by t^k."""
-        return IntSeries([0] * k + list(self.coeffs), self.order)
-
-    def inverse(self) -> "IntSeries":
-        """Inverse of a series with unit constant term."""
-        if not self.coeffs or self.coeffs[0] not in (1, -1):
-            raise ValueError("only unit series are invertible over Z")
-        n = self.order
-        inv = [0] * n
-        inv[0] = self.coeffs[0]
-        for k in range(1, n):
-            acc = 0
-            for j in range(1, k + 1):
-                acc += self.coeffs[j] * inv[k - j] if j < n else 0
-            inv[k] = -acc * self.coeffs[0]
-        return IntSeries(inv, n)
-
-    def valuation(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
-
-    def __eq__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __repr__(self):
-        parts = [
-            (f"{c}" if k == 0 else (f"{c}*t" if k == 1 else f"{c}*t^{k}"))
-            for k, c in enumerate(self.coeffs)
-            if c
-        ]
-        return (" + ".join(parts) if parts else "0") + f" + O(t^{self.order})"
 
 
 def legendre(k: int, p: int) -> int:
@@ -191,18 +85,14 @@ class FakeKRing:
     and N = P[2] != 0; membership decided by successive leading-coefficient
     division through the truncation order."""
 
-    def __init__(self, generator: IntSeries, m: int):
+    def __init__(self, generator: PowerSeries, m: int):
         if m < 0:
             raise DomainError("multiplicity must be non-negative")
-        if generator.order < 3:
-            raise DomainError("the truncation order must be at least 3 to hold N t^2")
-        if generator.coeffs[0] != 0 or generator.coeffs[1] != 0 or generator.coeffs[2] == 0:
-            raise DomainError("generator series must be N t^2 + higher order, N != 0")
+        self.n_b = _leading_n(generator)
         self.generator = generator
         self.m = m
         self.order = generator.order
-        self.n_b = generator.coeffs[2]
-        self._powers = [IntSeries([1], self.order)]
+        self._powers = [PowerSeries([1], self.order)]
         for _ in range(m):
             self._powers.append(self._powers[-1] * generator)
         self.recursion_verified = self._verify_recursion()
@@ -217,8 +107,9 @@ class FakeKRing:
                 return False
         return self.membership(self._powers[self.m]) == MEMBER
 
-    def membership(self, f: IntSeries) -> str:
+    def membership(self, f: PowerSeries) -> str:
         """Three-valued membership of f through the truncation order."""
+        _require_integers(f)
         if self.m == 0:
             return MEMBER
         D = min(self.order, f.order) - 1  # largest certified exponent
@@ -256,13 +147,29 @@ class FakeKRing:
         return f"<FakeKRing m={self.m}, N_B={self.n_b}, order {self.order}>"
 
 
-def qmb(generator: IntSeries, m: int, order: int) -> FakeKRing:
+def _require_integers(series: PowerSeries) -> None:
+    if not all(isinstance(c, int) for c in series.coeffs):
+        raise ValueError("K-theory series must have integer coefficients")
+
+
+def _leading_n(generator: PowerSeries) -> int:
+    """N of an integer generator series P = N t^2 + O(t^3), N != 0."""
+    _require_integers(generator)
+    if generator.order < 3:
+        raise DomainError("the truncation order must be at least 3 to hold N t^2")
+    c0, c1, n = generator.coeffs[:3]
+    if c0 != 0 or c1 != 0 or n == 0:
+        raise DomainError("generator series must be N t^2 + higher order, N != 0")
+    return n
+
+
+def qmb(generator: PowerSeries, m: int, order: int) -> FakeKRing:
     """The m-th subring attached to a generator series, truncated at `order`
     (exponents below it are exact)."""
-    return FakeKRing(IntSeries(list(generator.coeffs), min(order, generator.order)), m)
+    return FakeKRing(PowerSeries(generator.coeffs, min(order, generator.order)), m)
 
 
-def distinguishing_invariant(generator: IntSeries, m: int, p: int) -> dict:
+def distinguishing_invariant(generator: PowerSeries, m: int, p: int) -> dict:
     """Image of the m-th subring in (Z/p)[t]/(t^3), the quotient by p and by
     the filtration layer that kills t-degrees >= 3 (t carries filtration 2).
 
@@ -272,9 +179,9 @@ def distinguishing_invariant(generator: IntSeries, m: int, p: int) -> dict:
     """
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    n = generator.coeffs[2]
-    if n == 0:
-        raise DomainError("generator series must be N t^2 + higher order, N != 0")
+    if m < 0:
+        raise DomainError("multiplicity must be non-negative")
+    n = _leading_n(generator)
     if m == 0:
         return {"rank": 3, "generator": "full truncated polynomial ring", "prime": p}
     n_mod = n % p
@@ -290,30 +197,28 @@ def distinguishing_invariant(generator: IntSeries, m: int, p: int) -> dict:
     }
 
 
-def bg_series(order: int) -> IntSeries:
+def bg_series(order: int) -> PowerSeries:
     """The standard generator series t^2/(1+t) = t^2 - t^3 + t^4 - ...,
     which is the image of z - 2 + 1/z under z = 1 + t."""
     if order < 3:
         raise DomainError("need order >= 3 to see the quadratic leading term")
-    t2 = IntSeries.monomial(2, order)
-    unit = IntSeries([1, 1], order)
-    series = t2 * unit.inverse()
+    series = PowerSeries([0, 0, 1], order) * PowerSeries([1, 1], order).inverse()
     check = laurent_to_t_series(LaurentElement.delta(), order)
     if series != check:
         raise ArithmeticError("generator series disagrees with z - 2 + 1/z at z = 1 + t")
     return series
 
 
-def laurent_to_t_series(f: LaurentElement, order: int) -> IntSeries:
+def laurent_to_t_series(f: LaurentElement, order: int) -> PowerSeries:
     """Substitute z = 1 + t into an integral Laurent polynomial with integer
     z-exponents."""
     if not f.has_integer_z_exponents():
         raise DomainError("substitution needs integer z-exponents")
     if not f.is_integral():
         raise DomainError("substitution is defined on integer coefficients")
-    unit = IntSeries([1, 1], order)
+    unit = PowerSeries([1, 1], order)
     unit_inv = unit.inverse()
-    out = IntSeries.zero(order)
+    out = PowerSeries([], order)
     for e, c in sorted(f.terms.items()):
         k = e // 2
         base = unit if k >= 0 else unit_inv

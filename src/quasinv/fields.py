@@ -228,7 +228,7 @@ class Cyclotomic:
             if len(r1) == 1:
                 inv = [c / r1[0] for c in s1]
                 return Cyclotomic(self.n, inv)
-            q, r = _field_poly_divmod(r0, r1)
+            q, r = poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
 
@@ -286,7 +286,14 @@ class Cyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-def _field_poly_divmod(a: list, b: list):
+def field_inverse(c):
+    """1/c for a rational or cyclotomic element."""
+    return _ONE / c if isinstance(c, Fraction) else c.inverse()
+
+
+def poly_divmod(a: list, b: list):
+    """Dense division with remainder, coefficients low degree first; b's
+    leading coefficient is nonzero.  The remainder keeps a's length."""
     a = list(a)
     db = len(b) - 1
     lead = b[-1]
@@ -297,8 +304,6 @@ def _field_poly_divmod(a: list, b: list):
             q[i - db] = c
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
     return q, a
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from quasinv.fields import poly_divmod
+
 
 class LaurentElement:
     """Map from w-exponent (w = z^(1/2)) to nonzero rational coefficient."""
@@ -164,7 +166,7 @@ def exact_div(f: LaurentElement, g: LaurentElement) -> LaurentElement:
     fa, ga = f.min_w_exp(), g.min_w_exp()
     F = _dense(f, fa)
     G = _dense(g, ga)
-    Q, R = _poly_divmod(F, G)
+    Q, R = poly_divmod(F, G)
     if any(R):
         raise ArithmeticError("Laurent division is not exact")
     shift = fa - ga
@@ -177,20 +179,6 @@ def _dense(f: LaurentElement, base: int):
     for e, c in f.terms.items():
         out[e - base] = c
     return out
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            c = a[i] / lead
-            q[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] -= c * b[j]
-    return q, a
 
 
 def order_at_one(f: LaurentElement):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quasinv.fields import Cyclotomic
+from quasinv.fields import Cyclotomic, field_inverse
 
 
 def _norm_entry(c):
@@ -60,15 +60,9 @@ def rref(matrix):
     return rows[:r], pivots
 
 
-def _inv(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    return c.inverse()
-
-
 def _scale(row, support) -> None:
     """Divide `row` in place by its pivot, on its support, unless that is 1."""
-    inv = _inv(row[support[0]])
+    inv = field_inverse(row[support[0]])
     if inv != 1:
         for j in support:
             row[j] = row[j] * inv

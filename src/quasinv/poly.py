@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from quasinv.fields import Cyclotomic
+from quasinv.fields import Cyclotomic, field_inverse
 
 INFINITE_ORDER = math.inf
 
@@ -264,8 +264,7 @@ def adapted_substitution(alpha: Polynomial) -> dict:
     for j, c in enumerate(coeffs):
         if j != pivot and c:
             acc = acc - c * y[j]
-    inv = 1 / coeffs[pivot] if isinstance(coeffs[pivot], Fraction) else coeffs[pivot].inverse()
-    images = {variables[pivot]: acc * inv}
+    images = {variables[pivot]: acc * field_inverse(coeffs[pivot])}
     _ADAPTED_MEMO[alpha] = images
     return images
 
@@ -298,8 +297,7 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
     """
     coeffs = linear_coefficients(alpha)
     pivot = next(i for i, c in enumerate(coeffs) if c)
-    c_p = coeffs[pivot]
-    inv = Fraction(1) / c_p if isinstance(c_p, Fraction) else c_p.inverse()
+    inv = field_inverse(coeffs[pivot])
     # view p as a polynomial in x_pivot; peel the top x_pivot-degree each round
     quotient = Polynomial(alpha.vars)
     rem = p

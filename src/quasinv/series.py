@@ -1,4 +1,10 @@
-"""Truncated series in z (half-integer exponents allowed) and q.
+"""Truncated series: one-variable power series, and series in z and q.
+
+A PowerSeries is a power series in one variable, exact for exponents below
+its certified `order`.  Its coefficients stay of the type they are given
+in, so a series with integer coefficients stays integral; it carries the
+K-theory of the fake spaces (in t), the exponential map into completed
+power series (in x) and pure q-series such as the Euler product (in q).
 
 A ZQSeries is exact: its support in z is finite and fully stored (bounded by
 the recorded window), while in q only exponents below `q_order` are retained.
@@ -7,6 +13,7 @@ substitution z -> qz lowers it when negative z-exponents are present, because
 their images fall out of the retained q-range.
 
 z-exponents are stored as integers in w = z^(1/2), as for LaurentElement.
+Both types compare equal only at equal certified orders.
 """
 
 from __future__ import annotations
@@ -14,6 +21,93 @@ from __future__ import annotations
 from fractions import Fraction
 
 from quasinv.errors import InconclusiveError
+
+
+class PowerSeries:
+    """sum c_k var^k + O(var^order): `coeffs` holds c_0 .. c_(order-1);
+    `var` only names the variable in repr."""
+
+    __slots__ = ("coeffs", "order", "var")
+
+    def __init__(self, coeffs, order: int, var: str = "t"):
+        if order < 0:
+            raise ValueError(f"negative truncation order {order}")
+        coeffs = list(coeffs[:order])
+        self.coeffs = tuple(coeffs + [0] * (order - len(coeffs)))
+        self.order = order
+        self.var = var
+
+    def __add__(self, other):
+        if not isinstance(other, PowerSeries):
+            other = PowerSeries([other], self.order)
+        n = min(self.order, other.order)
+        return PowerSeries([a + b for a, b in zip(self.coeffs[:n], other.coeffs)], n, self.var)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PowerSeries([-c for c in self.coeffs], self.order, self.var)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, PowerSeries):
+            return PowerSeries([c * other for c in self.coeffs], self.order, self.var)
+        n = min(self.order, other.order)
+        out = [0] * n
+        for i, a in enumerate(self.coeffs[:n]):
+            if a:
+                for j, b in enumerate(other.coeffs[: n - i]):
+                    if b:
+                        out[i + j] += a * b
+        return PowerSeries(out, n, self.var)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power of a series")
+        out = PowerSeries([1], self.order, self.var)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def inverse(self) -> "PowerSeries":
+        """Inverse of a series with constant term 1 or -1, the units of
+        Z[[var]]: no division happens, so integer series stay integral."""
+        a = self.coeffs
+        if not a or a[0] not in (1, -1):
+            raise ValueError("only series with constant term 1 or -1 are inverted")
+        inv = [a[0]]  # a unit is its own inverse
+        for k in range(1, self.order):
+            inv.append(-a[0] * sum(a[j] * inv[k - j] for j in range(1, k + 1)))
+        return PowerSeries(inv, self.order, self.var)
+
+    def __eq__(self, other):
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        # equal certified orders only, as for ZQSeries
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def __repr__(self):
+        v = self.var
+        parts = [
+            (f"{c}" if k == 0 else (f"{c}*{v}" if k == 1 else f"{c}*{v}^{k}"))
+            for k, c in enumerate(self.coeffs)
+            if c
+        ]
+        return (" + ".join(parts) if parts else "0") + f" + O({v}^{self.order})"
 
 
 class ZQSeries:
@@ -221,22 +315,3 @@ def _as_w(z_exp) -> int:
         raise ValueError("z-exponents must be half-integers")
     return int(w)
 
-
-def invert_q_unit(series: ZQSeries) -> ZQSeries:
-    """Inverse of a pure q-series with unit constant term."""
-    N = series.q_order
-    a = [Fraction(0)] * N
-    for (w, s), c in series.coeffs.items():
-        if w != 0:
-            raise ValueError("can only invert pure q-series")
-        a[s] = c
-    if not a or a[0] not in (1, -1):
-        raise ValueError("constant term must be a unit")
-    inv = [Fraction(0)] * N
-    inv[0] = Fraction(1) / a[0]
-    for s in range(1, N):
-        acc = Fraction(0)
-        for j in range(1, s + 1):
-            acc += a[j] * inv[s - j]
-        inv[s] = -acc / a[0]
-    return ZQSeries.from_q_coeffs(inv, N)

@@ -26,7 +26,6 @@ from quasinv.elliptic import (
 from quasinv.fake_ktheory import (
     MEMBER,
     NON_MEMBER,
-    IntSeries,
     bg_series,
     distinguishing_invariant,
     laurent_to_t_series,
@@ -41,6 +40,7 @@ from quasinv.quasi import (
     hilbert,
     quasi_basis,
 )
+from quasinv.series import PowerSeries
 from quasinv.tower import (
     fake_cohomology_ring,
     ganea_tower,
@@ -252,7 +252,7 @@ def test_criterion_10_fake_k_theory():
     pairs = [(n, p) for n in (1, 2, 3, 5, 6) for p in (2, 3, 5, 7)]
     assert len(pairs) == 20
     for n, p in pairs:
-        gen = IntSeries([0, 0, n, 1], 8)
+        gen = PowerSeries([0, 0, n, 1], 8)
         res = distinguishing_invariant(gen, 2, p)
         expected_rank = 2 if n % p else 1
         if res["rank"] != expected_rank:

@@ -7,7 +7,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasinv.cli import run
+from quasinv.cli import (
+    MAX_DEGREE,
+    MAX_MULT,
+    MAX_N,
+    MAX_PRIME,
+    MAX_Q_ORDER,
+    MAX_SERIES_ORDER,
+    MAX_STEPS,
+    run,
+)
 
 HERE = os.path.dirname(__file__)
 
@@ -159,6 +168,44 @@ def test_qorder_env_override_is_bounded(monkeypatch):
     code, out, err = call("elliptic", "theta", "--form", "product")
     assert code == 1
     assert out == "" and "must be at least 1" in err
+
+
+def test_integer_options_are_capped():
+    # one past each cap: every refusal comes before any computation
+    deg, steps, qorder, order, mult, n, prime = (str(cap + 1) for cap in (
+        MAX_DEGREE, MAX_STEPS, MAX_Q_ORDER, MAX_SERIES_ORDER, MAX_MULT, MAX_N, MAX_PRIME))
+    elem = ("--elem", "z - 2 + z^-1")
+    for argv in (
+        ("basis", "--group", "A1", "--mult", "1", "--max-deg", deg),
+        ("hilbert", "--group", "A1", "--mult", "1", "--max-deg", deg),
+        ("freeness", "--group", "A1", "--mult", "1", "--max-deg", deg),
+        ("filtration", "--group", "A1", "--mult", "1", "--mult-high", "2", "--max-deg", deg),
+        ("x1", "--group", "A1", "--max-deg", deg),
+        ("tower", "--steps", "1", "--max-deg", deg),
+        ("tower", "--steps", steps),
+        ("fake-cohomology", "--nb", "3", "--mult", "1", "--max-deg", deg),
+        ("fake-cohomology", "--nb", "3", "--mult", mult),
+        ("exp", "basis", "--mult", mult),
+        ("chern", "--mult", mult, *elem),
+        ("chern", "--mult", "1", "--order", order, *elem),
+        ("fake", "ktheory", "--series", "0,0,3,1", "--order", order),
+        ("fake", "ktheory", "--series", "0,0,3,1", "--mult", mult),
+        ("fake", "distinguish", "--nb", "3", "--prime", prime),
+        ("fake", "nb", "--assign", f"3:2,{prime}:3"),
+        ("elliptic", "theta", "--qorder", qorder),
+        ("elliptic", "elldim", "--mult", mult, "--n", "1"),
+        ("elliptic", "sections", "--n", n),
+    ):
+        code, out, err = call(*argv)
+        assert code == 1, argv
+        assert out == "" and "must be at most" in err, argv
+
+
+def test_qorder_env_override_is_capped(monkeypatch):
+    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", str(MAX_Q_ORDER + 1))
+    code, out, err = call("elliptic", "theta", "--form", "product")
+    assert code == 1
+    assert out == "" and f"must be at most {MAX_Q_ORDER}" in err
 
 
 def test_malformed_multiplicities_are_parse_errors():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,7 @@ from quasinv.fake_ktheory import (
     INCONCLUSIVE,
     MEMBER,
     NON_MEMBER,
-    IntSeries,
+    FakeKRing,
     bg_series,
     distinguishing_invariant,
     laurent_to_t_series,
@@ -17,6 +18,7 @@ from quasinv.fake_ktheory import (
     qmb,
 )
 from quasinv.laurent import LaurentElement
+from quasinv.series import PowerSeries
 
 
 def test_legendre_small_cases():
@@ -57,40 +59,40 @@ def test_n_b_validation():
 
 
 def test_int_series_ring_and_inverse():
-    one_plus_t = IntSeries([1, 1], 8)
+    one_plus_t = PowerSeries([1, 1], 8)
     inv = one_plus_t.inverse()
     assert list(inv.coeffs) == [1, -1, 1, -1, 1, -1, 1, -1]
-    assert one_plus_t * inv == IntSeries([1], 8)
+    assert one_plus_t * inv == PowerSeries([1], 8)
 
 
 def test_membership_level_zero():
-    gen = IntSeries([0, 0, 3, 1], 10)
+    gen = PowerSeries([0, 0, 3, 1], 10)
     ring = qmb(gen, 0, 10)
-    assert ring.membership(IntSeries([5, 3, 1, 7], 10)) == MEMBER
+    assert ring.membership(PowerSeries([5, 3, 1, 7], 10)) == MEMBER
 
 
 def test_membership_leading_coefficient_example():
-    gen = IntSeries([0, 0, 3, 1], 12)
+    gen = PowerSeries([0, 0, 3, 1], 12)
     # through order 2 only the leading coefficient is visible
-    assert qmb(gen, 1, 3).membership(IntSeries([0, 0, 3], 3)) == MEMBER
+    assert qmb(gen, 1, 3).membership(PowerSeries([0, 0, 3], 3)) == MEMBER
     # with more terms retained, the tail fails integrality
-    assert qmb(gen, 1, 12).membership(IntSeries([0, 0, 3], 12)) == NON_MEMBER
-    assert qmb(gen, 1, 12).membership(IntSeries([0, 0, 1], 12)) == NON_MEMBER
+    assert qmb(gen, 1, 12).membership(PowerSeries([0, 0, 3], 12)) == NON_MEMBER
+    assert qmb(gen, 1, 12).membership(PowerSeries([0, 0, 1], 12)) == NON_MEMBER
 
 
 def test_membership_ideal_elements():
-    gen = IntSeries([0, 0, 3, 1], 14)
+    gen = PowerSeries([0, 0, 3, 1], 14)
     for m in range(1, 4):
         ring = qmb(gen, m, 14)
-        f = (gen**m) * IntSeries([0, 1], 14)
+        f = (gen**m) * PowerSeries([0, 1], 14)
         assert ring.membership(f) == MEMBER
         assert ring.recursion_verified
 
 
 def test_membership_inconclusive_when_order_too_small():
-    gen = IntSeries([0, 0, 3, 1], 12)
+    gen = PowerSeries([0, 0, 3, 1], 12)
     ring = qmb(gen, 3, 4)  # cannot reach order t^6
-    assert ring.membership(IntSeries([0, 0, 3], 4)) == INCONCLUSIVE
+    assert ring.membership(PowerSeries([0, 0, 3], 4)) == INCONCLUSIVE
 
 
 def test_membership_monotone():
@@ -101,26 +103,26 @@ def test_membership_monotone():
         upper = qmb(bg, m + 1, 13)
         for _ in range(10):
             coeffs = [rng.randint(-2, 2) for _ in range(11)]
-            f = (upper.generator ** (m + 1)) * IntSeries(coeffs, 13) + rng.randint(-3, 3)
+            f = (upper.generator ** (m + 1)) * PowerSeries(coeffs, 13) + rng.randint(-3, 3)
             assert upper.membership(f) == MEMBER
             assert lower.membership(f) == MEMBER
 
 
 def test_generator_validation():
     with pytest.raises(DomainError):
-        qmb(IntSeries([1, 0, 3], 8), 1, 8)
+        qmb(PowerSeries([1, 0, 3], 8), 1, 8)
     with pytest.raises(DomainError):
-        qmb(IntSeries([0, 1, 3], 8), 1, 8)
+        qmb(PowerSeries([0, 1, 3], 8), 1, 8)
     with pytest.raises(DomainError):
-        qmb(IntSeries([0, 0, 0, 1], 8), 1, 8)
+        qmb(PowerSeries([0, 0, 0, 1], 8), 1, 8)
 
 
 def test_distinguishing_invariant():
-    gen = IntSeries([0, 0, 3, 1], 8)
+    gen = PowerSeries([0, 0, 3, 1], 8)
     res = distinguishing_invariant(gen, 2, 5)
     assert res["rank"] == 2 and res["generator_coefficient"] == 3 and res["square_zero"]
     assert distinguishing_invariant(gen, 1, 3)["rank"] == 1
-    trivial = distinguishing_invariant(IntSeries([0, 0, 1, -1], 8), 1, 7)
+    trivial = distinguishing_invariant(PowerSeries([0, 0, 1, -1], 8), 1, 7)
     assert trivial["rank"] == 2 and trivial["generator_coefficient"] == 1
 
 
@@ -128,7 +130,7 @@ def test_distinguishing_depends_only_on_leading_coefficient():
     rng = random.Random(77)
     for _ in range(10):
         tail = [rng.randint(-4, 4) for _ in range(5)]
-        gen = IntSeries([0, 0, 3] + tail, 10)
+        gen = PowerSeries([0, 0, 3] + tail, 10)
         assert distinguishing_invariant(gen, 2, 5)["rank"] == 2
         assert distinguishing_invariant(gen, 2, 3)["rank"] == 1
 
@@ -157,5 +159,27 @@ def test_character_images_respect_filtration():
 
 
 def test_int_series_equality_needs_equal_orders():
-    assert IntSeries([0, 0, 3, 1], 4) != IntSeries([0, 0, 3, 1], 6)
-    assert IntSeries([0, 0, 3, 1], 4) == IntSeries([0, 0, 3, 1, 7], 4)
+    assert PowerSeries([0, 0, 3, 1], 4) != PowerSeries([0, 0, 3, 1], 6)
+    assert PowerSeries([0, 0, 3, 1], 4) == PowerSeries([0, 0, 3, 1, 7], 4)
+
+
+def test_one_generator_check_for_ring_and_invariant():
+    # too short to hold N t^2, and not of the form N t^2 + O(t^3)
+    for gen in (PowerSeries([0, 0, 3], 2), PowerSeries([1, 1, 3, 1], 8)):
+        with pytest.raises(DomainError):
+            FakeKRing(gen, 1)
+        with pytest.raises(DomainError):
+            distinguishing_invariant(gen, 1, 5)
+    with pytest.raises(DomainError):
+        distinguishing_invariant(PowerSeries([0, 0, 3, 1], 8), -1, 5)
+
+
+def test_k_theory_series_must_have_integer_coefficients():
+    half = PowerSeries([0, 0, Fraction(3, 2), 1], 8)
+    with pytest.raises(ValueError):
+        FakeKRing(half, 1)
+    with pytest.raises(ValueError):
+        distinguishing_invariant(half, 1, 5)
+    ring = qmb(PowerSeries([0, 0, 3, 1], 8), 1, 8)
+    with pytest.raises(ValueError):
+        ring.membership(PowerSeries([0, 0, Fraction(1, 2)], 8))
