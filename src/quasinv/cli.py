@@ -5,6 +5,9 @@ errors, 3 inconclusive verdicts.  All JSON output is deterministic
 (sorted keys) and self-describing: it echoes the command, the inputs and the
 verification notes for each numeric claim, so outputs can be committed as
 golden files.  QUASINV_DEFAULT_QORDER overrides the q-truncation default.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only the part of the library that its command uses.
 """
 
 from __future__ import annotations
@@ -18,15 +21,6 @@ from fractions import Fraction
 
 from quasinv import __version__
 from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
-from quasinv import demazure as dem
-from quasinv import elliptic as ell
-from quasinv import fake_ktheory as fk
-from quasinv import quasi
-from quasinv import tower
-from quasinv.groups import Multiplicity, parse_group
-from quasinv.laurent import LaurentElement
-from quasinv.poly import Polynomial
-from quasinv.series import PowerSeries
 from quasinv.serialize import (
     encode_hilbert,
     encode_laurent,
@@ -86,12 +80,15 @@ MAX_SERIES_ORDER = 64
 MAX_MULT = 32
 MAX_N = 20
 MAX_PRIME = 10**9  # trial division stops below 31,623
+MAX_NB = 10**9  # N_B**MAX_MULT stays far below the int-to-str digit limit
+MAX_WINDOW = 40  # 4 * 10, the widest --window in the tests, demos, README and replay
 
 
 def default_q_order() -> int:
+    from quasinv.elliptic import DEFAULT_Q_ORDER
     raw = os.environ.get("QUASINV_DEFAULT_QORDER")
     if not raw:
-        return ell.DEFAULT_Q_ORDER
+        return DEFAULT_Q_ORDER
     try:
         return _int_in(1, MAX_Q_ORDER)(raw)
     except argparse.ArgumentTypeError as exc:
@@ -104,6 +101,7 @@ def default_q_order() -> int:
 def parse_multiplicity(group, text: str) -> Multiplicity:
     """Either a constant ("2", "1/2") or per-orbit values "0:2,1:1"; vector
     values for orbits with stabilizer order > 2 use plus signs: "0:1+2"."""
+    from quasinv.groups import Multiplicity
     text = text.strip()
     if not text:
         raise ParseError("empty multiplicity")
@@ -149,6 +147,7 @@ _TOKEN = re.compile(
 
 def parse_polynomial(group, text: str) -> Polynomial:
     """Sums of monomials like "3*x^2 - 1/2*x + 4" or "z1^2*z2"."""
+    from quasinv.poly import Polynomial
     variables = group.variables
     tokens = _tokenize(text)
     pos = 0
@@ -174,6 +173,7 @@ def parse_polynomial(group, text: str) -> Polynomial:
 
 
 def _parse_factor(tokens, pos, variables):
+    from quasinv.poly import Polynomial
     kind, value = tokens[pos]
     if kind == "num":
         base = Polynomial.constant(variables, Fraction(value))
@@ -221,6 +221,7 @@ _LAURENT_TERM = re.compile(
 
 def parse_laurent(text: str) -> LaurentElement:
     """Expressions like "z^2 - 2 + z^-2" or "3*z^-1"."""
+    from quasinv.laurent import LaurentElement
     out = LaurentElement.zero()
     pos = 0
     text = text.strip()
@@ -265,6 +266,8 @@ def emit(args, payload: dict, inputs: dict, checks: dict) -> None:
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return encode_rational(obj)
+    from quasinv.laurent import LaurentElement
+    from quasinv.poly import Polynomial
     if isinstance(obj, Polynomial):
         return encode_polynomial(obj)
     if isinstance(obj, LaurentElement):
@@ -309,6 +312,7 @@ def _fmt(val):
 
 
 def cmd_group(args) -> int:
+    from quasinv.groups import parse_group
     W = parse_group(args.spec)
     payload = {
         "spec": W.spec,
@@ -340,10 +344,18 @@ def _mult_payload(mult: Multiplicity):
     return out
 
 
-def cmd_basis(args) -> int:
+def _group_query(args):
+    """Group, multiplicity, degree bound and echoed inputs of basis/hilbert/freeness."""
+    from quasinv.groups import parse_group
     W = parse_group(args.group)
     mult = parse_multiplicity(W, args.mult)
     D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
+    return W, mult, D, {"group": args.group, "multiplicity": _mult_payload(mult), "max_degree": D}
+
+
+def cmd_basis(args) -> int:
+    from quasinv import quasi
+    W, mult, D, inputs = _group_query(args)
     basis = quasi.quasi_basis(W, mult, D)
     payload = {
         "dims": basis.dims(),
@@ -353,16 +365,13 @@ def cmd_basis(args) -> int:
     if args.check_closure:
         payload["closure"] = basis.closure_report()
         checks["closure"] = "products of sampled basis elements re-tested for membership"
-    emit(args, payload,
-         {"group": args.group, "multiplicity": _mult_payload(mult), "max_degree": D},
-         checks)
+    emit(args, payload, inputs, checks)
     return 0
 
 
 def cmd_hilbert(args) -> int:
-    W = parse_group(args.group)
-    mult = parse_multiplicity(W, args.mult)
-    D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
+    from quasinv import quasi
+    W, mult, D, inputs = _group_query(args)
     series = quasi.hilbert(W, mult, D)
     payload = {
         "numerator": series.numerator_string(),
@@ -371,21 +380,18 @@ def cmd_hilbert(args) -> int:
         "verified_through": series.verified_through,
         "series": encode_hilbert(series),
     }
-    emit(args, payload,
-         {"group": args.group, "multiplicity": _mult_payload(mult), "max_degree": D},
+    emit(args, payload, inputs,
          {"series": "expansion matched against the solved graded dimensions "
                     f"through degree {D}"})
     return 0
 
 
 def cmd_freeness(args) -> int:
-    W = parse_group(args.group)
-    mult = parse_multiplicity(W, args.mult)
-    D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
+    from quasinv import quasi
+    W, mult, D, inputs = _group_query(args)
     cert = quasi.freeness_certificate(W, mult, D)
     payload = _freeness_payload(cert)
-    emit(args, payload,
-         {"group": args.group, "multiplicity": _mult_payload(mult), "max_degree": D},
+    emit(args, payload, inputs,
          {"generators": "greedy degreewise complement of invariants * module",
           "freeness": "free-module dimension count compared degree by degree"})
     return 0 if cert.status != "inconclusive" else 3
@@ -406,6 +412,8 @@ def _freeness_payload(cert):
 
 
 def cmd_filtration(args) -> int:
+    from quasinv import quasi
+    from quasinv.groups import parse_group
     W = parse_group(args.group)
     m_low = parse_multiplicity(W, args.mult)
     m_high = parse_multiplicity(W, args.mult_high)
@@ -424,6 +432,7 @@ def cmd_filtration(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    from quasinv import tower
     result = tower.ganea_tower(args.steps, args.max_deg)
     payload = {
         "steps": args.steps,
@@ -438,6 +447,8 @@ def cmd_tower(args) -> int:
 
 
 def cmd_x1(args) -> int:
+    from quasinv import tower
+    from quasinv.groups import parse_group
     W = parse_group(args.group)
     D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
     basis, cert = tower.x1_algebra(W, D)
@@ -452,6 +463,7 @@ def cmd_x1(args) -> int:
 
 
 def cmd_fake_cohomology(args) -> int:
+    from quasinv import tower
     result = tower.fake_cohomology_ring(args.nb, args.mult, args.max_deg)
     emit(args, result, {"N_B": args.nb, "multiplicity": args.mult, "max_degree": args.max_deg},
          {"equality": "graded dimensions compared against the congruence solver"})
@@ -459,6 +471,8 @@ def cmd_fake_cohomology(args) -> int:
 
 
 def cmd_demazure(args) -> int:
+    from quasinv import demazure as dem
+    from quasinv.groups import parse_group
     W = parse_group(args.group)
     mult = parse_multiplicity(W, args.mult)
     p = parse_polynomial(W, args.apply)
@@ -481,6 +495,7 @@ def cmd_demazure(args) -> int:
 
 
 def cmd_exp(args) -> int:
+    from quasinv import demazure as dem
     lo, hi = _parse_window(args.window)
     if args.action == "basis":
         ring = dem.exp_basis(args.mult, (lo, hi))
@@ -516,10 +531,14 @@ def _parse_window(text: str):
     m = re.fullmatch(r"\s*(-?\d+)\s*:\s*(-?\d+)\s*", text)
     if not m:
         raise ParseError(f"window must look like lo:hi, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if max(-lo, hi) > MAX_WINDOW:
+        raise ParseError(f"window must lie within -{MAX_WINDOW}:{MAX_WINDOW}, got {text!r}")
+    return lo, hi
 
 
 def cmd_chern(args) -> int:
+    from quasinv import demazure as dem
     f = parse_laurent(args.elem)
     series, report = dem.chern_character(f, args.mult, args.order)
     payload = {
@@ -535,6 +554,8 @@ def cmd_chern(args) -> int:
 
 
 def cmd_fake(args) -> int:
+    from quasinv import fake_ktheory as fk
+    from quasinv.series import PowerSeries
     if args.action == "nb":
         assignments = {}
         if args.assign:
@@ -589,6 +610,7 @@ def cmd_fake(args) -> int:
 
 
 def cmd_elliptic(args) -> int:
+    from quasinv import elliptic as ell
     N = args.qorder if args.qorder is not None else default_q_order()
     if args.action == "theta":
         lo, hi = _parse_window(args.window) if args.window else ell.DEFAULT_WINDOW
@@ -626,6 +648,8 @@ def cmd_elliptic(args) -> int:
 
 
 def _suite_gorenstein():
+    from quasinv import quasi
+    from quasinv.groups import Multiplicity, parse_group
     W = parse_group("A1")
     for m in range(5):
         cert = quasi.freeness_certificate(W, Multiplicity.constant(W, m), 12 + 4 * m)
@@ -634,6 +658,7 @@ def _suite_gorenstein():
 
 
 def _suite_tower():
+    from quasinv import tower
     result = tower.ganea_tower(5, 16)
     for i, ok in enumerate(result["certified"]):
         yield (f"stage {i}->{i + 1} reproduces the congruence solution", ok)
@@ -642,6 +667,9 @@ def _suite_tower():
 
 
 def _suite_divided_differences():
+    from quasinv import demazure as dem
+    from quasinv.groups import Multiplicity, parse_group
+    from quasinv.poly import Polynomial
     W = parse_group("A1")
     h = W.hyperplanes[0]
     x = Polynomial.variable(W.variables, "x")
@@ -658,6 +686,8 @@ def _suite_divided_differences():
 
 
 def _suite_exponential_ring():
+    from quasinv import demazure as dem
+    from quasinv.laurent import LaurentElement
     for m in range(3):
         ring = dem.exp_basis(m, (-3, 3))
         yield (f"m={m} all enumerated elements pass", True)  # exp_basis raises otherwise
@@ -672,6 +702,7 @@ def _suite_exponential_ring():
 
 
 def _suite_fake_cohomology():
+    from quasinv import tower
     for nb in (1, 2, 3, 6):
         for m in range(4):
             r = tower.fake_cohomology_ring(nb, m, 16)
@@ -680,6 +711,9 @@ def _suite_fake_cohomology():
 
 
 def _suite_fake_ktheory():
+    from quasinv import demazure as dem
+    from quasinv import fake_ktheory as fk
+    from quasinv.series import PowerSeries
     bg = fk.bg_series(13)
     mono = True
     for m in range(3):
@@ -701,6 +735,7 @@ def _suite_fake_ktheory():
 
 
 def _suite_triple_product():
+    from quasinv import elliptic as ell
     N = 12
     ts = ell.theta("sum", (-8, 8), N).series
     tp = ell.theta("product", (-8, 8), N).series
@@ -713,6 +748,7 @@ def _suite_triple_product():
 
 
 def _suite_elliptic_sections():
+    from quasinv import elliptic as ell
     N = default_q_order()
     for n in range(1, 6):
         yield (f"dim sections({n}) = {2 * n}", ell.section_basis(n, N).dim() == 2 * n)
@@ -724,6 +760,7 @@ def _suite_elliptic_sections():
 
 
 def _suite_sheaf_dims():
+    from quasinv import elliptic as ell
     for m in range(6):
         r = ell.ell_sheaf_dims(m)
         yield (
@@ -777,6 +814,7 @@ def build_parser() -> _Parser:
     mult = _int_in(0, MAX_MULT)
     # values below 0 reach the command, which refuses them as domain errors
     signed_mult = _int_in(None, MAX_MULT)
+    nb = _int_in(-MAX_NB, MAX_NB)
 
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
@@ -813,7 +851,7 @@ def build_parser() -> _Parser:
 
     p = add("fake-cohomology", cmd_fake_cohomology,
             help="the subring Q + N x^2 Q'_(m-1) compared with Q_m")
-    p.add_argument("--nb", type=int, required=True)
+    p.add_argument("--nb", type=nb, required=True)
     p.add_argument("--mult", type=mult, required=True)
     p.add_argument("--max-deg", type=degree, default=20)
 
@@ -840,7 +878,7 @@ def build_parser() -> _Parser:
     p.add_argument("--elem", default=None, help="comma-separated coefficients")
     p.add_argument("--mult", type=signed_mult, default=1)
     p.add_argument("--order", type=_int_in(None, MAX_SERIES_ORDER), default=12)
-    p.add_argument("--nb", type=int, default=1)
+    p.add_argument("--nb", type=nb, default=1)
     p.add_argument("--prime", type=_int_in(None, MAX_PRIME), default=2)
     p.add_argument("--assign", default=None, help='e.g. "3:2,5:3"')
 

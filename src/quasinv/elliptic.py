@@ -83,11 +83,11 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
         acc: dict = {}
         n = 0
         while n * (n - 1) // 2 < q_order:
-            acc[(2 * n, n * (n - 1) // 2)] = Fraction(-1) ** n
+            acc[(2 * n, n * (n - 1) // 2)] = (-1) ** n
             n += 1
         n = -1
         while n * (n - 1) // 2 < q_order:
-            acc[(2 * n, n * (n - 1) // 2)] = Fraction(-1) ** n
+            acc[(2 * n, n * (n - 1) // 2)] = (-1) ** n
             n -= 1
         inverse = _euler_product(q_order).inverse()
         series = ZQSeries(acc, q_order) * ZQSeries.from_q_coeffs(inverse.coeffs, q_order)
@@ -135,14 +135,14 @@ def check_functional_equation(f: ZQSeries, n: int) -> dict:
     substituted: dict = {}
     for (w, s), c in f.coeffs.items():
         key = (w + 4 * n, s + w // 2 + n)
-        v = substituted.get(key, Fraction(0)) + c
+        v = substituted.get(key, 0) + c
         if v:
             substituted[key] = v
         else:
             substituted.pop(key, None)
     diff = dict(substituted)
     for (w, s), c in f.coeffs.items():
-        v = diff.get((w, s), Fraction(0)) - c
+        v = diff.get((w, s), 0) - c
         if v:
             diff[(w, s)] = v
         else:
@@ -243,7 +243,7 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
     basepoints = []
     for r in range(2 * n):
         base = ((r + n) % (2 * n)) - n  # representative in [-n, n)
-        coeffs = {(2 * base, 0): Fraction(1)}
+        coeffs = {(2 * base, 0): 1}
         # upward: a_(k+2n) picks up q^(k+n)
         k, e = base, 0
         while True:
@@ -251,7 +251,7 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
             k += 2 * n
             if e >= q_order:
                 break
-            coeffs[(2 * k, e)] = Fraction(1)
+            coeffs[(2 * k, e)] = 1
         # downward: a_(k-2n) picks up q^(-(k-2n)-n) = q^(n-k+2n)... track directly
         k, e = base, 0
         while True:
@@ -259,7 +259,7 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
             k -= 2 * n
             if e >= q_order:
                 break
-            coeffs[(2 * k, e)] = Fraction(1)
+            coeffs[(2 * k, e)] = 1
         series = ZQSeries(coeffs, q_order)
         cert = check_functional_equation(series, n)
         if not cert["holds"]:

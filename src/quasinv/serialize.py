@@ -12,10 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from quasinv.fields import Cyclotomic
-from quasinv.hilbert import HilbertSeries
-from quasinv.laurent import LaurentElement
-from quasinv.poly import Polynomial
-from quasinv.series import ZQSeries
 
 
 def encode_rational(q) -> str:

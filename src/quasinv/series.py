@@ -8,9 +8,10 @@ power series (in x) and pure q-series such as the Euler product (in q).
 
 A ZQSeries is exact: its support in z is finite and fully stored (bounded by
 the recorded window), while in q only exponents below `q_order` are retained.
-Operations propagate the largest q-order on which the result is exact; the
-substitution z -> qz lowers it when negative z-exponents are present, because
-their images fall out of the retained q-range.
+Operations propagate the largest q-order on which the result is exact.  Its
+coefficients are ints where integral, as every theta and Jacobi coefficient
+is, so products run on integer arithmetic; a Fraction appears only where a
+division or a rational factor brings one in.
 
 z-exponents are stored as integers in w = z^(1/2), as for LaurentElement.
 Both types compare equal only at equal certified orders.
@@ -111,7 +112,11 @@ class PowerSeries:
 
 
 class ZQSeries:
-    """coeffs: map (w_exponent, q_exponent) -> Fraction, q_exponent < q_order."""
+    """coeffs: map (w_exponent, q_exponent) -> coefficient, q_exponent < q_order.
+
+    A coefficient is stored as an int when it is integral and as a Fraction
+    only where a division made it one; `q_slice` and `coefficient` return
+    Fractions either way."""
 
     __slots__ = ("coeffs", "q_order")
 
@@ -120,7 +125,10 @@ class ZQSeries:
         clean = {}
         if coeffs:
             for (w, s), c in coeffs.items():
-                c = Fraction(c)
+                if type(c) is not int:  # an integral Fraction is stored as its int
+                    c = c if isinstance(c, Fraction) else Fraction(c)
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c and s < q_order:
                     clean[(int(w), int(s))] = c
         self.coeffs = clean
@@ -134,11 +142,6 @@ class ZQSeries:
     @staticmethod
     def one(q_order: int) -> "ZQSeries":
         return ZQSeries({(0, 0): 1}, q_order)
-
-    @staticmethod
-    def term(z_exp, q_exp: int, c, q_order: int) -> "ZQSeries":
-        w = _as_w(z_exp)
-        return ZQSeries({(w, q_exp): c}, q_order)
 
     @staticmethod
     def from_q_coeffs(qcoeffs, q_order: int) -> "ZQSeries":
@@ -162,19 +165,10 @@ class ZQSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ZQSeries({(0, 0): other}, self.q_order)
-        N = min(self.q_order, other.q_order)
-        out = {}
-        for key, c in self.coeffs.items():
-            if key[1] < N:
-                out[key] = c
+        out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            if key[1] < N:
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return ZQSeries(out, N)
+            out[key] = out.get(key, 0) + c
+        return ZQSeries(out, min(self.q_order, other.q_order))
 
     __radd__ = __add__
 
@@ -191,26 +185,21 @@ class ZQSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            return ZQSeries(
-                {k: c * other for k, c in self.coeffs.items()}, self.q_order
-            )
+            return ZQSeries({k: c * other for k, c in self.coeffs.items()}, self.q_order)
         N = min(self.q_order, other.q_order)
-        out: dict = {}
-        for (w1, s1), c1 in self.coeffs.items():
-            if s1 >= N:
-                continue
-            for (w2, s2), c2 in other.coeffs.items():
+        right = _q_levels(other.coeffs, N)
+        acc: dict = {}  # q-exponent -> {w-exponent: coefficient}
+        for s1, row1 in _q_levels(self.coeffs, N):
+            for s2, row2 in right:
                 s = s1 + s2
                 if s >= N:
-                    continue
-                key = (w1 + w2, s)
-                v = out.get(key, Fraction(0)) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return ZQSeries(out, N)
+                    break  # the levels are sorted: the rest is truncated too
+                level = acc.setdefault(s, {})
+                for w1, c1 in row1:
+                    for w2, c2 in row2:
+                        w = w1 + w2
+                        level[w] = level.get(w, 0) + c1 * c2
+        return ZQSeries({(w, s): c for s, level in acc.items() for w, c in level.items()}, N)
 
     __rmul__ = __mul__
 
@@ -235,19 +224,6 @@ class ZQSeries:
         """z -> 1/z.  Valid because the full z-support is stored."""
         return ZQSeries({(-w, s): c for (w, s), c in self.coeffs.items()}, self.q_order)
 
-    def negate_z(self) -> "ZQSeries":
-        """z -> -z; requires integer z-exponents."""
-        out = {}
-        for (w, s), c in self.coeffs.items():
-            if w % 2:
-                raise ValueError("z -> -z needs integer z-exponents")
-            out[(w, s)] = c if (w // 2) % 2 == 0 else -c
-        return ZQSeries(out, self.q_order)
-
-    def square_z(self) -> "ZQSeries":
-        """z -> z^2."""
-        return ZQSeries({(2 * w, s): c for (w, s), c in self.coeffs.items()}, self.q_order)
-
     def mul_monomial(self, z_exp, q_exp: int) -> "ZQSeries":
         """Multiply by z^(z_exp) q^(q_exp); for q_exp >= 0 the certified
         q-order grows with the shift."""
@@ -259,32 +235,14 @@ class ZQSeries:
             self.q_order + q_exp,
         )
 
-    def shift_q(self) -> "ZQSeries":
-        """z -> qz.  The certified q-order drops by the most negative
-        z-exponent, since coefficients get pushed below the cut; raises when
-        the image has genuinely negative q-exponents and so leaves the
-        power-series ring."""
-        lo_w, _ = self.w_window()
-        out = {}
-        new_order = self.q_order + min(0, lo_w // 2)
-        for (w, s), c in self.coeffs.items():
-            if w % 2:
-                raise ValueError("z -> qz needs integer z-exponents")
-            s2 = s + w // 2
-            if s2 < 0:
-                raise ValueError("substitution z -> qz leaves the q-power-series ring")
-            if s2 < new_order:
-                out[(w, s2)] = c
-        return ZQSeries(out, new_order)
-
     # -- extraction -------------------------------------------------------------
 
     def q_slice(self, s: int) -> dict:
-        """Map w-exponent -> coefficient at q^s."""
-        return {w: c for (w, s2), c in self.coeffs.items() if s2 == s}
+        """Map w-exponent -> coefficient (a Fraction) at q^s."""
+        return {w: Fraction(c) for (w, s2), c in self.coeffs.items() if s2 == s}
 
     def coefficient(self, z_exp, q_exp: int) -> Fraction:
-        return self.coeffs.get((_as_w(z_exp), q_exp), Fraction(0))
+        return Fraction(self.coeffs.get((_as_w(z_exp), q_exp), 0))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -309,9 +267,19 @@ class ZQSeries:
         return f"<ZQSeries {n} terms, z-window [{lo}, {hi}], exact below q^{self.q_order}>"
 
 
+def _q_levels(coeffs: dict, N: int) -> list:
+    """The terms below q^N grouped by q-exponent: sorted (s, [(w, c), ...])."""
+    levels: dict = {}
+    for (w, s), c in coeffs.items():
+        if s < N:
+            levels.setdefault(s, []).append((w, c))
+    return sorted(levels.items())
+
+
 def _as_w(z_exp) -> int:
+    if type(z_exp) is int:
+        return 2 * z_exp
     w = Fraction(z_exp) * 2
     if w.denominator != 1:
         raise ValueError("z-exponents must be half-integers")
     return int(w)
-

@@ -2,19 +2,24 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quasinv
 from quasinv.cli import (
     MAX_DEGREE,
     MAX_MULT,
     MAX_N,
+    MAX_NB,
     MAX_PRIME,
     MAX_Q_ORDER,
     MAX_SERIES_ORDER,
     MAX_STEPS,
+    MAX_WINDOW,
     run,
 )
 
@@ -157,6 +162,8 @@ def test_bounded_integers_are_refused():
         ("elliptic", "theta", "--qorder", "0"),
         ("elliptic", "theta", "--qorder", "-1"),
         ("chern", "--mult", "1", "--order", "0", "--elem", "z - 2 + z^-1"),
+        ("fake-cohomology", "--nb", str(-MAX_NB - 1), "--mult", "1"),
+        ("fake", "distinguish", "--nb", str(-MAX_NB - 1)),
     ):
         code, out, err = call(*argv)
         assert code == 1, argv
@@ -172,8 +179,9 @@ def test_qorder_env_override_is_bounded(monkeypatch):
 
 def test_integer_options_are_capped():
     # one past each cap: every refusal comes before any computation
-    deg, steps, qorder, order, mult, n, prime = (str(cap + 1) for cap in (
-        MAX_DEGREE, MAX_STEPS, MAX_Q_ORDER, MAX_SERIES_ORDER, MAX_MULT, MAX_N, MAX_PRIME))
+    deg, steps, qorder, order, mult, n, prime, nb = (str(cap + 1) for cap in (
+        MAX_DEGREE, MAX_STEPS, MAX_Q_ORDER, MAX_SERIES_ORDER, MAX_MULT, MAX_N, MAX_PRIME,
+        MAX_NB))
     elem = ("--elem", "z - 2 + z^-1")
     for argv in (
         ("basis", "--group", "A1", "--mult", "1", "--max-deg", deg),
@@ -185,12 +193,16 @@ def test_integer_options_are_capped():
         ("tower", "--steps", steps),
         ("fake-cohomology", "--nb", "3", "--mult", "1", "--max-deg", deg),
         ("fake-cohomology", "--nb", "3", "--mult", mult),
+        ("fake-cohomology", "--nb", nb, "--mult", "1"),
+        # N_B ** m in the JSON once overflowed the int-to-str digit limit
+        ("fake-cohomology", "--nb", "9" * 150, "--mult", mult, "--max-deg", "64", "--json"),
         ("exp", "basis", "--mult", mult),
         ("chern", "--mult", mult, *elem),
         ("chern", "--mult", "1", "--order", order, *elem),
         ("fake", "ktheory", "--series", "0,0,3,1", "--order", order),
         ("fake", "ktheory", "--series", "0,0,3,1", "--mult", mult),
         ("fake", "distinguish", "--nb", "3", "--prime", prime),
+        ("fake", "distinguish", "--nb", nb),
         ("fake", "nb", "--assign", f"3:2,{prime}:3"),
         ("elliptic", "theta", "--qorder", qorder),
         ("elliptic", "elldim", "--mult", mult, "--n", "1"),
@@ -199,6 +211,18 @@ def test_integer_options_are_capped():
         code, out, err = call(*argv)
         assert code == 1, argv
         assert out == "" and "must be at most" in err, argv
+
+
+def test_windows_are_capped():
+    # one past the cap on either side; the README windows lie well inside it
+    past = MAX_WINDOW + 1
+    for window in (f"-{past}:0", f"0:{past}", f"-{past}:{past}"):
+        for argv in (("exp", "basis", "--mult", "1", "--window", window),
+                     ("exp", "member", "--mult", "1", "--elem", "z", "--window", window),
+                     ("elliptic", "theta", "--window", window)):
+            code, out, err = call(*argv)
+            assert code == 1, argv
+            assert out == "" and f"within -{MAX_WINDOW}:{MAX_WINDOW}" in err, argv
 
 
 def test_qorder_env_override_is_capped(monkeypatch):
@@ -258,8 +282,10 @@ SERIES = ("0,0,3,1", "0,0,1", "1,2", "0,0,0,1", "a,b", "")
 small = st.integers(-3, 8).map(str)
 specs = st.sampled_from(SPECS)
 mults = st.sampled_from(MULTS)
-windows = st.sampled_from(("3", "a:b", "")) | st.builds(
+windows = st.sampled_from(("3", "a:b", "", f"-{MAX_WINDOW + 1}:3",
+                           f"0:{MAX_WINDOW + 1}")) | st.builds(
     lambda lo, hi: f"{lo}:{hi}", st.integers(-3, 8), st.integers(-3, 8))
+nbs = small | st.sampled_from((str(MAX_NB + 1), str(-MAX_NB - 1), "9" * 150))
 
 
 def _command(*head, max_deg=False, **options):
@@ -282,14 +308,14 @@ ARGVS = st.one_of(
     _actions((), ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
     _command("filtration", max_deg=True, group=specs, mult=mults, **{"mult-high": mults}),
     _command("tower", max_deg=True, steps=st.integers(-3, 3).map(str)),
-    _command("fake-cohomology", max_deg=True, nb=small, mult=small),
+    _command("fake-cohomology", max_deg=True, nb=nbs, mult=small),
     _command("demazure", group=specs, mult=mults, apply=st.sampled_from(POLYNOMIALS),
              hyperplane=small),
     _actions(("exp",), ("basis", "member"), mult=small, window=windows,
              elem=st.sampled_from(CHARACTERS)),
     _command("chern", mult=small, order=small, elem=st.sampled_from(CHARACTERS)),
     _actions(("fake",), ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
-             elem=st.sampled_from(SERIES), mult=small, order=small, nb=small, prime=small,
+             elem=st.sampled_from(SERIES), mult=small, order=small, nb=nbs, prime=small,
              assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x"))),
     _actions(("elliptic",), ("theta", "sections", "elldim", "sheafdims"),
              form=st.sampled_from(("sum", "product")), qorder=small, window=windows,
@@ -303,3 +329,53 @@ def test_every_argv_exits_with_a_code(argv, as_json):
     # argparse errors exit 1 through the parser; nothing else may escape
     code, _, err = call(*argv, *(("--json",) if as_json else ()))
     assert code in (0, 1, 2, 3), (argv, code, err)
+
+
+# -- per-command imports ---------------------------------------------------------
+
+
+def _loaded_after(code):
+    """The quasinv modules loaded in a fresh interpreter after running `code`."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    src = os.path.join(HERE, "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    return {m for m in json.loads(proc.stdout.splitlines()[-1]) if m.startswith("quasinv")}
+
+
+def test_cli_import_loads_no_subcommand_module():
+    loaded = _loaded_after("import quasinv.cli")
+    assert "quasinv.cli" in loaded
+    assert not loaded & {"quasinv.groups", "quasinv.quasi", "quasinv.tower", "quasinv.elliptic"}
+
+
+def test_elliptic_command_loads_no_group_module():
+    loaded = _loaded_after("from quasinv import cli\n"
+                           "cli.run(['elliptic', 'theta', '--qorder', '12', '--json'])")
+    assert "quasinv.elliptic" in loaded
+    assert not loaded & {"quasinv.groups", "quasinv.quasi"}
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    # the imports the package made eagerly before its names became lazy
+    from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
+    from quasinv.fields import Cyclotomic, Rational, cyclotomic_polynomial
+    from quasinv.groups import Multiplicity, ReflectionGroup, idempotent, parse_group
+    from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
+    from quasinv.laurent import LaurentElement
+    from quasinv.linalg import nullspace
+    from quasinv.poly import Polynomial, divisibility_order
+    from quasinv.quasi import (cw_valued_basis, filtration_check, freeness_certificate,
+                               hilbert, is_quasi_invariant, quasi_basis)
+    from quasinv.series import ZQSeries
+
+    expected = {name: value for name, value in locals().items()}
+    expected["__version__"] = quasinv.__version__  # defined in the package itself
+    assert sorted(expected) == sorted(quasinv.__all__)
+    for name, value in expected.items():
+        assert getattr(quasinv, name) is value, name
+    star: dict = {}
+    exec("from quasinv import *", star)
+    assert all(star[name] is value for name, value in expected.items())
+    assert not hasattr(quasinv, "no_such_name")

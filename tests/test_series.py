@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from quasinv.laurent import LaurentElement, exact_div, order_at_one
 from quasinv.poly import INFINITE_ORDER, Polynomial, divisibility_order
 from quasinv.series import PowerSeries, ZQSeries
+from zq_substitutions import negate_z, shift_q, square_z
 
 
 def test_laurent_involution_is_ring_automorphism():
@@ -58,25 +59,25 @@ def test_zq_q_order_minimum():
 def test_zq_involution_and_substitutions():
     f = ZQSeries({(2, 0): 1, (-4, 1): 3}, 8)  # z + 3 q z^-2
     assert f.involution() == ZQSeries({(-2, 0): 1, (4, 1): 3}, 8)
-    assert f.negate_z() == ZQSeries({(2, 0): -1, (-4, 1): 3}, 8)
-    assert f.square_z() == ZQSeries({(4, 0): 1, (-8, 1): 3}, 8)
+    assert negate_z(f) == ZQSeries({(2, 0): -1, (-4, 1): 3}, 8)
+    assert square_z(f) == ZQSeries({(4, 0): 1, (-8, 1): 3}, 8)
 
 
 def test_zq_shift_q():
     f = ZQSeries({(2, 0): 1, (4, 1): 1}, 8)  # z + q z^2
-    shifted = f.shift_q()
+    shifted = shift_q(f)
     assert shifted == ZQSeries({(2, 1): 1, (4, 3): 1}, 8)
     with pytest.raises(ValueError):
-        ZQSeries({(-2, 0): 1}, 8).shift_q()  # would need q^-1
+        shift_q(ZQSeries({(-2, 0): 1}, 8))  # would need q^-1
 
 
 def test_zq_half_integer_guards():
     half = ZQSeries({(1, 0): 1}, 6)  # z^(1/2)
     with pytest.raises(ValueError):
-        half.negate_z()
+        negate_z(half)
     with pytest.raises(ValueError):
-        half.shift_q()
-    assert half.square_z() == ZQSeries({(2, 0): 1}, 6)
+        shift_q(half)
+    assert square_z(half) == ZQSeries({(2, 0): 1}, 6)
 
 
 def test_q_series_unit_inverse():
@@ -168,3 +169,87 @@ def test_power_series_refuse_negative_orders_and_powers():
         PowerSeries([1, 2, 3, 4, 5], -2)
     with pytest.raises(ValueError):
         PowerSeries([1, 1], 4) ** -1
+
+
+# -- ZQSeries against a naive reference ----------------------------------------
+
+ZQ_COEFFICIENTS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def zq_series(draw, coefficient=ZQ_COEFFICIENTS):
+    """Half-integer z-exponents (w from -5 to 5), q-exponents 0-7 and
+    q-orders 0-8, so operands often have unequal orders and terms past the cut."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(-5, 5), st.integers(0, 7)),
+                                 coefficient, max_size=10))
+    return ZQSeries(terms, draw(st.integers(0, 8)))
+
+
+def _reference_product(a, b):
+    """All term pairs in Fraction arithmetic, cut at the smaller q-order."""
+    n = min(a.q_order, b.q_order)
+    out = {}
+    for (w1, s1), c1 in a.coeffs.items():
+        for (w2, s2), c2 in b.coeffs.items():
+            if s1 + s2 < n:
+                key = (w1 + w2, s1 + s2)
+                out[key] = out.get(key, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return ZQSeries(out, n)
+
+
+def _reference_sum(a, b, sign=1):
+    n = min(a.q_order, b.q_order)
+    out = {k: Fraction(c) for k, c in a.coeffs.items() if k[1] < n}
+    for k, c in b.coeffs.items():
+        if k[1] < n:
+            out[k] = out.get(k, Fraction(0)) + sign * Fraction(c)
+    return ZQSeries(out, n)
+
+
+def _as_fractions(f):
+    return {k: Fraction(c) for k, c in f.coeffs.items()}
+
+
+def _same(f, g):
+    return f.q_order == g.q_order and _as_fractions(f) == _as_fractions(g)
+
+
+@given(zq_series(), zq_series())
+def test_zq_arithmetic_matches_a_naive_reference(a, b):
+    assert _same(a * b, _reference_product(a, b))
+    assert _same(a + b, _reference_sum(a, b))
+    assert _same(a - b, _reference_sum(a, b, -1))
+    cube = _reference_product(_reference_product(a, a), a)
+    assert _same(a**3, cube) and _same(a**0, ZQSeries.one(a.q_order))
+    # cancellations leave no stored zeros
+    assert not (a - a).coeffs and not (a * b - b * a).coeffs
+    assert all((a * b).coeffs.values()) and all((a + b).coeffs.values())
+
+
+def test_zq_product_cancels_to_exact_zeros():
+    one_minus_z = ZQSeries({(0, 0): 1, (2, 0): -1}, 6)
+    one_plus_z = ZQSeries({(0, 0): 1, (2, 0): 1}, 6)
+    assert (one_minus_z * one_plus_z).coeffs == {(0, 0): 1, (4, 0): -1}
+    half = ZQSeries({(1, 2): Fraction(1, 2), (-1, 0): 2}, 4)
+    assert (half * 2).coeffs == {(1, 2): 1, (-1, 0): 4}
+    assert (half * ZQSeries({(0, 2): 1}, 9)).coeffs == {(-1, 2): 2}  # q^4 is cut
+
+
+@given(zq_series(st.integers(-3, 3)), zq_series(st.integers(-3, 3)), st.integers(-3, 3))
+def test_integral_zq_series_store_ints(a, b, c):
+    for f in (a * b, a + b, a - b, a**2, a * c, c * a, a - c, -a, a.involution()):
+        assert all(type(x) is int for x in f.coeffs.values()), f
+    for w, s in list(a.coeffs) + [(0, 0), (1, 9)]:
+        assert type(a.coefficient(Fraction(w, 2), s)) is Fraction
+        assert all(type(x) is Fraction for x in a.q_slice(s).values())
+
+
+def test_integral_fractions_are_stored_as_ints():
+    f = ZQSeries({(0, 0): Fraction(4, 2), (2, 1): Fraction(1, 3)}, 4)
+    assert f.coeffs == {(0, 0): 2, (2, 1): Fraction(1, 3)}
+    assert type(f.coeffs[(0, 0)]) is int
+    assert type((f * 3).coeffs[(2, 1)]) is int
+    assert f.q_slice(0) == {0: Fraction(2)} and type(f.q_slice(0)[0]) is Fraction
+    assert f.coefficient(Fraction(1), 1) == Fraction(1, 3)
+    assert type(f.coefficient(5, 0)) is Fraction
