@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 argument/parse errors (with usage), 2 domain
-errors, 3 inconclusive verdicts.  All JSON output is deterministic
-(sorted keys) and self-describing: it echoes the command, the inputs and the
-verification notes for each numeric claim, so outputs can be committed as
-golden files.  QUASINV_DEFAULT_QORDER overrides the q-truncation default.
+Exit codes: 0 success, 1 argument/parse errors (with usage) or a closed
+stdout, 2 domain errors, 3 inconclusive verdicts.  All JSON output is
+deterministic (sorted keys) and self-describing: it echoes the command, the
+inputs and the verification notes for each numeric claim, so outputs can be
+committed as golden files.  QUASINV_DEFAULT_QORDER overrides the
+q-truncation default.
 
 Each subcommand imports the modules it needs when it runs, so a process
 loads only the part of the library that its command uses.
@@ -917,7 +918,18 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the
+        # interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -192,9 +192,7 @@ class SectionSpace:
         """q-series coordinates (tuples of coefficients) in the basis if f
         lies in the span over the truncated q-ring, else None."""
         N = min([f.q_order] + [el.series.q_order for el in self.basis])
-        coords = []
-        for b in self.basepoints:
-            coords.append(tuple(f.coefficient(b, s) for s in range(N)))
+        coords = [tuple(f.coeffs.get((2 * b, s), 0) for s in range(N)) for b in self.basepoints]
         residual = f.truncate_q(N)
         for col, el in zip(coords, self.basis):
             col_series = ZQSeries({(0, s): c for s, c in enumerate(col)}, N)

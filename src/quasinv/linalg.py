@@ -1,8 +1,12 @@
 """Exact linear algebra over Q or Q(zeta_n).
 
-Elimination uses exact field arithmetic with deterministic pivoting: columns
-are scanned left to right and the first row with a nonzero entry is chosen,
-so bases are reproducible across platforms and runs.
+`IncrementalSpan` holds the only elimination loop.  A row is reduced
+against the stored rows in insertion order, and its pivot is its first
+nonzero column after that reduction, so spans are reproducible across
+platforms and runs.  `rref` inserts its rows into one span and
+back-substitutes; the reduced row echelon form is unique, so it and
+everything built on it (`rank`, `nullspace`, `solve_exact`,
+`coordinates`) depend only on the row space and the column order.
 """
 
 from __future__ import annotations
@@ -27,37 +31,23 @@ def _check_field(rows) -> None:
                     raise ValueError("mixed coefficient fields in matrix")
 
 
+def span_of(vectors, ncols: int) -> "IncrementalSpan":
+    """The span of `vectors` in `ncols` coordinates; insertion stops once
+    the span is the whole space."""
+    _check_field(vectors)
+    span = IncrementalSpan(ncols)
+    for v in vectors:
+        if span.dim() == ncols:
+            break
+        span.add(v)
+    return span
+
+
 def rref(matrix):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    rows = [[_norm_entry(c) for c in row] for row in matrix]
-    _check_field(rows)
-    if not rows:
+    if not matrix:
         return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        support = [j for j in range(col, ncols) if prow[j]]
-        _scale(prow, support)
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+    return span_of(matrix, len(matrix[0])).rref()
 
 
 def _scale(row, support) -> None:
@@ -69,7 +59,9 @@ def _scale(row, support) -> None:
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    if not matrix:
+        return 0
+    return span_of(matrix, len(matrix[0])).dim()
 
 
 def nullspace(matrix):
@@ -113,14 +105,17 @@ def solve_exact(matrix, rhs):
     return x
 
 
-def in_span(vectors, target) -> bool:
-    """Exact membership of `target` in the row span of `vectors`."""
-    vecs = [v for v in vectors]
-    if not vecs:
-        return not any(target)
-    cols = list(zip(*vecs))
-    sol = solve_exact([list(c) for c in cols], list(target))
-    return sol is not None
+def coordinates(vectors, target):
+    """Exact coefficients c with sum c_i vectors[i] = target (free ones set
+    to zero); ValueError when `target` is outside the span."""
+    if not vectors:
+        if any(target):
+            raise ValueError("element outside span")
+        return []
+    sol = solve_exact([list(col) for col in zip(*vectors)], list(target))
+    if sol is None:
+        raise ValueError("element outside span")
+    return sol
 
 
 class IncrementalSpan:
@@ -161,3 +156,25 @@ class IncrementalSpan:
 
     def contains(self, vector) -> bool:
         return not any(self.reduce(vector))
+
+    def rref(self):
+        """Back-substitute in place, so that every stored row is zero at
+        every other row's pivot, and return (rows, pivot_columns) sorted by
+        pivot.  Row i is already zero at the pivots of rows inserted before
+        it, and rows are processed in reverse insertion order, so each row
+        is final by the time it is subtracted from the earlier ones."""
+        rows, pivots, supports = self.rows, self.pivots, self.supports
+        touched = set()
+        for i in reversed(range(len(rows))):
+            row = rows[i]
+            if i in touched:
+                supports[i] = [j for j, c in enumerate(row) if c]
+            for k in range(i):
+                f = rows[k][pivots[i]]
+                if f:
+                    target = rows[k]
+                    for j in supports[i]:
+                        target[j] = target[j] - f * row[j]
+                    touched.add(k)
+        order = sorted(range(len(rows)), key=pivots.__getitem__)
+        return [rows[i] for i in order], [pivots[i] for i in order]

@@ -23,7 +23,7 @@ from operator import add
 from quasinv.errors import DomainError
 from quasinv.groups import GroupAlgebraElement, Multiplicity, ReflectionGroup, idempotent
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, in_span, nullspace, rank
+from quasinv.linalg import IncrementalSpan, nullspace, rank, span_of
 from quasinv.poly import (
     Polynomial,
     adapted_substitution,
@@ -70,20 +70,14 @@ class GradedBasis:
     def contains(self, p: Polynomial) -> bool:
         """Exact span membership, degree by degree, against one eliminated
         span per layer that is built on first use and kept."""
-        if not p:
-            return True
-        for d in range(p.degree() + 1):
-            comp = p.homogeneous_component(d)
-            if not comp:
-                continue
+        for d in sorted({sum(e) for e in p.terms}):
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
             span = self._spans.get(d)
             if span is None:
-                span = self._spans[d] = IncrementalSpan(len(monomial_index(p.vars, d)))
-                for vec in self.layer_vectors(d):
-                    span.add(vec)
-            if not span.contains(coordinate_vector(comp, d)):
+                span = self._spans[d] = span_of(self.layer_vectors(d),
+                                                len(monomial_index(p.vars, d)))
+            if not span.contains(coordinate_vector(p.homogeneous_component(d), d)):
                 return False
         return True
 
@@ -497,16 +491,11 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
     witness = None
     included = True
     for d in range(max_degree + 1):
-        low_vecs = low.layer_vectors(d)
-        high_vecs = high.layer_vectors(d)
-        # the low layer is a basis, so the high one lies in its span exactly
-        # when stacking both keeps the rank
-        if rank(low_vecs + high_vecs) != len(low_vecs):
+        if not all(low.contains(p) for p in high.layers[d]):
             included = False
-        codims.append(len(low_vecs) - len(high_vecs))
+        codims.append(len(low.layers[d]) - len(high.layers[d]))
         if witness is None and codims[-1] > 0:
-            witness = next(p for vec, p in zip(low_vecs, low.layers[d])
-                           if not in_span(high_vecs, vec))
+            witness = next(p for p in low.layers[d] if not high.contains(p))
     inv_dims = invariant_ring_dims(group, max_degree)
     inter_dims = _intersection_dims(group, max_degree)
     return {
@@ -575,25 +564,19 @@ def _intersect_spans(A, B):
     if not A or not B:
         return []
     n = len(A[0])
-    dimsum = rank([list(a) for a in A] + [list(b) for b in B])
-    # solve [A^T | -B^T] kernel; intersection vectors are A^T * (a-part)
-    cols = []
-    for j in range(n):
-        cols.append([a[j] for a in A] + [-b[j] for b in B])
-    kern = nullspace(cols) if cols else []
-    vecs = []
-    for k in kern:
+    dimsum = rank(A + B)
+    # solve [A^T | -B^T] kernel; intersection vectors are A^T * (a-part),
+    # reduced to a basis through one span
+    cols = [[a[j] for a in A] + [-b[j] for b in B] for j in range(n)]
+    span = IncrementalSpan(n)
+    basis = []
+    for k in (nullspace(cols) if cols else []):
         v = [Fraction(0)] * n
         for i, coef in enumerate(k[: len(A)]):
             if coef:
                 for j in range(n):
                     v[j] += coef * A[i][j]
-        if any(v):
-            vecs.append(v)
-    # reduce to a basis
-    basis = []
-    for v in vecs:
-        if not in_span(basis, v):
+        if span.add(v):
             basis.append(v)
     if len(basis) != len(A) + len(B) - dimsum:
         raise ArithmeticError("intersection dimension contradicts dim A + dim B - dim(A + B)")

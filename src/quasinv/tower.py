@@ -14,12 +14,11 @@ from fractions import Fraction
 
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
-from quasinv.linalg import in_span, nullspace, rank, solve_exact
-from quasinv.poly import Polynomial, coordinate_vector, monomials_of_degree
+from quasinv.linalg import IncrementalSpan, coordinates, nullspace, rref, span_of
+from quasinv.poly import Polynomial, coordinate_vector, monomial_index, monomials_of_degree
 from quasinv.quasi import GradedBasis, module_certificate, quasi_basis, reflect_x
 
 __all__ = [
-    "GradedMap",
     "FiberProductAlgebra",
     "fiber_product_basis",
     "line_layers",
@@ -31,48 +30,6 @@ __all__ = [
     "presentation_check",
     "fake_cohomology_ring",
 ]
-
-
-class GradedMap:
-    """A degree-preserving linear map between graded bases, stored as one
-    matrix per degree (columns indexed by the source layer, rows by the
-    target layer's coordinates)."""
-
-    def __init__(self, source_layers, target_layers, variables, apply_fn):
-        self.variables = variables
-        self.source_layers = source_layers
-        self.target_layers = target_layers
-        self._apply = apply_fn
-        self.matrices = []
-        for d in range(min(len(source_layers), len(target_layers))):
-            cols = []
-            for p in source_layers[d]:
-                image = apply_fn(p)
-                if _deg(image) > d:
-                    raise ValueError("map is not degree-preserving")
-                coords = _coords(target_layers[d], image, d)
-                if coords is None:
-                    raise ValueError("image falls outside the target layer")
-                cols.append(coords)
-            self.matrices.append(cols)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        return self._apply(p)
-
-    def multiplicative_spot_check(self, pairs: int = 8) -> bool:
-        """Verify f(ab) = f(a) f(b) on leading basis elements of low degrees."""
-        checked = 0
-        top = len(self.source_layers) - 1
-        for a in range(1, top + 1):
-            for b in range(a, top + 1 - a):
-                for pa in self.source_layers[a][:1]:
-                    for pb in self.source_layers[b][:1]:
-                        if checked >= pairs:
-                            return True
-                        if self._apply(pa * pb) != self._apply(pa) * self._apply(pb):
-                            return False
-                        checked += 1
-        return True
 
 
 class FiberProductAlgebra:
@@ -103,8 +60,7 @@ class FiberProductAlgebra:
         if not self.layers or not self.layers[0]:
             return False
         one = Polynomial.constant(self.variables, 1)
-        vecs = [coordinate_vector(a, 0) + coordinate_vector(b, 0) for a, b in self.layers[0]]
-        return in_span(vecs, coordinate_vector(one, 0) + coordinate_vector(one, 0))
+        return self._contains(0, one, one)
 
     def product_in_span(self, pair1, pair2) -> bool:
         a = pair1[0] * pair2[0]
@@ -114,21 +70,18 @@ class FiberProductAlgebra:
             return True
         if d >= len(self.layers):
             raise DomainError("product degree exceeds computed bound")
+        return self._contains(d, a, b)
+
+    def _contains(self, d: int, a: Polynomial, b: Polynomial) -> bool:
+        """Whether the pair (a, b) lies in the span of the degree-d layer."""
+        target = coordinate_vector(a, d) + coordinate_vector(b, d)
         vecs = [coordinate_vector(x, d) + coordinate_vector(y, d) for x, y in self.layers[d]]
-        return in_span(vecs, coordinate_vector(a, d) + coordinate_vector(b, d))
+        return span_of(vecs, len(target)).contains(target)
 
 
 def _deg(p: Polynomial) -> int:
     d = p.degree()
     return int(d) if p else -1
-
-
-def _coords(basis_polys, p: Polynomial, d: int):
-    """Exact coordinates of p in the given degree-d basis, or None."""
-    if not basis_polys:
-        return None if p else []
-    cols = [coordinate_vector(q, d) for q in basis_polys]
-    return solve_exact(list(zip(*cols)), coordinate_vector(p, d))
 
 
 def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
@@ -138,7 +91,7 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
     `f` and `g` are callables on polynomials.  In each degree the equalizer
     is the kernel of [F | -G] written in coordinates of the quotient basis;
     when some image fails to land in the span of the quotient basis the input
-    maps were not well formed and a ValueError is raised.
+    maps were not well formed and `coordinates` raises a ValueError.
     """
     layers = []
     dims_a, dims_b, dims_c, surjective = [], [], [], []
@@ -146,10 +99,9 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         A = layers_a[d]
         B = layers_b[d]
         C = layers_c[d]
-        rows_f = [_coords(C, f(a), d) for a in A]
-        rows_g = [_coords(C, g(b), d) for b in B]
-        if any(r is None for r in rows_f + rows_g):
-            raise ValueError("structure map image outside the quotient basis")
+        basis_c = [coordinate_vector(c, d) for c in C]
+        rows_f = [coordinates(basis_c, coordinate_vector(f(a), d)) for a in A]
+        rows_g = [coordinates(basis_c, coordinate_vector(g(b), d)) for b in B]
         ncols = len(A) + len(B)
         matrix = []
         for ci in range(len(C)):
@@ -177,9 +129,8 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         dims_a.append(len(A))
         dims_b.append(len(B))
         dims_c.append(len(C))
-        f_onto = rank(rows_f) == len(C) if C and rows_f else not C
-        g_onto = rank(rows_g) == len(C) if C and rows_g else not C
-        surjective.append((f_onto, g_onto))
+        surjective.append(tuple(span_of(rows, len(C)).dim() == len(C)
+                                for rows in (rows_f, rows_g)))
     return FiberProductAlgebra(variables, layers, dims_a, dims_b, dims_c, surjective)
 
 
@@ -230,14 +181,10 @@ def ganea_step(q_m: GradedBasis) -> dict:
     x = Polynomial.variable(variables, variables[0])
     x2 = x * x
     # the ideal x^2 Q_m and the 2-dimensional quotient algebra
-    quot_reps = []
-    ideal_spans = []
-    for d in range(max_degree + 1):
-        ideal = [coordinate_vector(x2 * p, d) for p in q_m.layers[d - 2]] if d >= 2 else []
-        ideal_spans.append(ideal)
-        quot_reps.append(
-            [p for p in q_m.layers[d] if not in_span(ideal, coordinate_vector(p, d))]
-        )
+    ideal = GradedBasis(group, None, max_degree, [
+        [x2 * p for p in q_m.layers[d - 2]] if d >= 2 else [] for d in range(max_degree + 1)
+    ])
+    quot_reps = [[p for p in layer if not ideal.contains(p)] for layer in q_m.layers]
     fiber_total = sum(len(r) for r in quot_reps)
 
     def project(p: Polynomial) -> Polynomial:
@@ -250,8 +197,8 @@ def ganea_step(q_m: GradedBasis) -> dict:
             reps = quot_reps[d]
             if not reps:
                 continue
-            basis = [coordinate_vector(r, d) for r in reps] + ideal_spans[d]
-            coords = _solve_in(basis, coordinate_vector(comp, d))
+            basis = [coordinate_vector(r, d) for r in reps] + ideal.layer_vectors(d)
+            coords = coordinates(basis, coordinate_vector(comp, d))
             for coef, r in zip(coords[: len(reps)], reps):
                 if coef:
                     out = out + r * coef
@@ -269,26 +216,17 @@ def ganea_step(q_m: GradedBasis) -> dict:
     )
     next_layers = []
     for d, layer in enumerate(fp.layers):
-        polys = []
-        vecs = []
-        for a, _ in layer:
-            v = coordinate_vector(a, d)
-            if any(v) and not in_span(vecs, v):
-                vecs.append(v)
-                polys.append(a)
-        next_layers.append(polys)
+        span = IncrementalSpan(len(monomial_index(variables, d)))
+        next_layers.append([a for a, _ in layer if span.add(coordinate_vector(a, d))])
     projected = GradedBasis(group, None, max_degree, next_layers)
     expected = quasi_basis(group, Multiplicity.constant(group, q_m_mult(q_m) + 1), max_degree)
     certified = _same_spans(projected, expected)
-    # Q_(m+1) sits inside Q_m as graded subspaces of the polynomial ring
-    inclusion = GradedMap(next_layers, q_m.layers, variables, lambda p: p)
     return {
         "next_basis": projected,
         "expected_basis": expected,
         "certified": certified,
         "fiber_total_dimension": fiber_total,
         "fiber_quotient": quot_reps,
-        "inclusion": inclusion,
         "fiber_product": fp,
     }
 
@@ -300,24 +238,13 @@ def q_m_mult(basis: GradedBasis) -> int:
     return int(vals[0])
 
 
-def _solve_in(basis, target):
-    matrix = [[b[i] for b in basis] for i in range(len(target))]
-    sol = solve_exact(matrix, target)
-    if sol is None:
-        raise ValueError("element outside span")
-    return sol
-
-
 def _same_spans(a: GradedBasis, b: GradedBasis) -> bool:
     """Whether two graded bases span the same subspace in every degree: with
-    equal dimensions, b lies in the span of the basis a exactly when
-    stacking them keeps the rank."""
+    equal dimensions, that holds exactly when every element of b lies in
+    the span of a."""
     if a.dims() != b.dims():
         return False
-    return all(
-        rank(a.layer_vectors(d) + b.layer_vectors(d)) == len(a.layers[d])
-        for d in range(a.max_degree + 1)
-    )
+    return all(a.contains(p) for layer in b.layers for p in layer)
 
 
 def ganea_tower(steps: int, max_degree: int) -> dict:
@@ -376,9 +303,7 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
         vectors = [coordinate_vector(a, d) + coordinate_vector(b, d) for a, b in layer]
         acted = [coordinate_vector(reflect_x(b), d) + coordinate_vector(reflect_x(a), d)
                  for a, b in layer]
-        coords = []
-        for v in acted:
-            coords.append(_solve_in(vectors, v))
+        coords = [coordinates(vectors, v) for v in acted]
         n = len(layer)
         rows = []
         for i in range(n):
@@ -421,15 +346,8 @@ def x1_layers(group: ReflectionGroup, max_degree: int) -> GradedBasis:
             for exp in monomials_of_degree(variables, d - fd):
                 prod = f * Polynomial.monomial(variables, exp)
                 rows.append(coordinate_vector(prod, d))
-        basis_polys = []
-        if rows:
-            from quasinv.linalg import rref
-
-            red, pivots = rref(rows)
-            for row in red:
-                terms = {m: c for m, c in zip(monos, row) if c}
-                basis_polys.append(Polynomial(variables, terms))
-        layers.append(basis_polys)
+        layers.append([Polynomial(variables, {m: c for m, c in zip(monos, row) if c})
+                       for row in rref(rows)[0]])
     return GradedBasis(group, None, max_degree, layers)
 
 

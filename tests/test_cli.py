@@ -334,12 +334,17 @@ def test_every_argv_exits_with_a_code(argv, as_json):
 # -- per-command imports ---------------------------------------------------------
 
 
+def _src_env():
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = os.path.join(HERE, "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def _loaded_after(code):
     """The quasinv modules loaded in a fresh interpreter after running `code`."""
     probe = f"{code}\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
-    src = os.path.join(HERE, "..", "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, check=True)
     return {m for m in json.loads(proc.stdout.splitlines()[-1]) if m.startswith("quasinv")}
 
@@ -355,6 +360,24 @@ def test_elliptic_command_loads_no_group_module():
                            "cli.run(['elliptic', 'theta', '--qorder', '12', '--json'])")
     assert "quasinv.elliptic" in loaded
     assert not loaded & {"quasinv.groups", "quasinv.quasi"}
+
+
+def test_closed_stdout_exits_1_with_a_message():
+    """A reader that closed the pipe before the output came (as `| head`
+    can) gets exit 1 and one error line, not a BrokenPipeError traceback;
+    in development mode, so an unclosed file would add a warning line."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "quasinv.cli",
+             "elliptic", "theta", "--qorder", "12", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=_src_env(), text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_package_names_resolve_to_their_defining_modules():

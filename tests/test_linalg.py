@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
-from quasinv.linalg import IncrementalSpan, in_span, nullspace, rank, rref, solve_exact
+from quasinv.linalg import (
+    IncrementalSpan,
+    coordinates,
+    nullspace,
+    rank,
+    rref,
+    solve_exact,
+    span_of,
+)
 from quasinv.serialize import encode_coeff
 
 
@@ -65,10 +73,22 @@ def test_solve_exact():
     assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None
 
 
-def test_in_span():
+def test_incremental_span_contains():
+    span = span_of([[1, 0, 1], [0, 1, 1]], 3)
+    assert span.contains([1, 1, 2])
+    assert not span.contains([1, 1, 1])
+    assert span_of([], 3).contains([0, 0, 0])
+    assert not span_of([], 3).contains([0, 0, 1])
+
+
+def test_coordinates():
     vecs = [[1, 0, 1], [0, 1, 1]]
-    assert in_span(vecs, [1, 1, 2])
-    assert not in_span(vecs, [1, 1, 1])
+    assert coordinates(vecs, [2, 3, 5]) == [2, 3]
+    with pytest.raises(ValueError):
+        coordinates(vecs, [1, 1, 1])
+    assert coordinates([], [0, 0]) == []
+    with pytest.raises(ValueError):
+        coordinates([], [0, 1])
 
 
 def test_incremental_span_matches_rank():
@@ -169,7 +189,7 @@ class DenseSpan:
 
 @st.composite
 def _sparse_case(draw):
-    """(matrix, rhs, probe, zeros_typed): a mostly-zero matrix over Q or Q(zeta_n),
+    """(matrix, rhs, probe, more, zeros_typed): a mostly-zero matrix over Q or Q(zeta_n),
     n <= 6, with entries 1 and small values.  When `zeros_typed` holds,
     every entry has the field's type, zeros included; otherwise the zeros
     are Fraction(0) among cyclotomic entries, as `coordinate_vector` and
@@ -191,7 +211,8 @@ def _sparse_case(draw):
                            min_size=1, max_size=6))
     rhs = draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
     probe = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    return matrix, rhs, probe, zeros_typed
+    more = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    return matrix, rhs, probe, more, zeros_typed
 
 
 def _encoded(rows, zeros_typed=True):
@@ -202,7 +223,7 @@ def _encoded(rows, zeros_typed=True):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_case())
 def test_zero_skipping_elimination_matches_the_dense_one(case):
-    matrix, rhs, probe, zeros_typed = case
+    matrix, rhs, probe, more, zeros_typed = case
     red, pivots = rref(matrix)
     dense_red, dense_pivots = dense_rref(matrix)
     assert pivots == dense_pivots
@@ -219,3 +240,21 @@ def test_zero_skipping_elimination_matches_the_dense_one(case):
         assert span.add(row) == dense.add(row)
     assert span.pivots == dense.pivots
     assert _encoded(span.rows, zeros_typed) == _encoded(dense.rows, zeros_typed)
+    # back-substitution reduces the span in place; it stays a span that
+    # reduces and inserts exactly as before
+    _assert_rref_matches(span, dense, zeros_typed)
+    reduced = span.dim()
+    for row in more + [probe]:
+        assert span.contains(row) == (not any(dense.reduce(row)))
+        assert span.add(row) == dense.add(row)
+    assert span.pivots == dense.pivots
+    assert _encoded(span.rows[reduced:], zeros_typed) == _encoded(dense.rows[reduced:],
+                                                                  zeros_typed)
+    _assert_rref_matches(span, dense, zeros_typed)
+
+
+def _assert_rref_matches(span, dense, zeros_typed):
+    red, pivots = span.rref()
+    dense_red, dense_pivots = dense_rref(dense.rows)
+    assert pivots == dense_pivots
+    assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
