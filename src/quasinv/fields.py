@@ -1,26 +1,25 @@
 """Exact coefficient fields: rationals and cyclotomic extensions Q(zeta_n).
 
 Rationals are `fractions.Fraction` (always reduced, denominator positive).
-A `Cyclotomic` holds an element of Q(zeta_n) as a coordinate vector in the
-power basis 1, zeta, ..., zeta^(d-1) modulo the n-th cyclotomic polynomial,
-d = deg(Phi_n).  The coefficient field of a computation is fixed up front;
-mixing cyclotomic elements of different orders is rejected.
+A `Cyclotomic` holds an element of Q(zeta_n) in the power basis 1, zeta,
+..., zeta^(d-1) modulo the n-th cyclotomic polynomial, d = deg(Phi_n), as d
+integer numerators over one positive integer denominator in lowest terms.
+Its arithmetic runs on ints (products fold the convolution tail with the
+integer rows x^(d+k) mod Phi_n) and reduces each result once; a rational
+operand only scales or shifts the numerators.  The coefficient field of a
+computation is fixed up front; mixing cyclotomic elements of different
+orders is rejected.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclotomic_polynomial(n: int) -> list[int]:
@@ -90,187 +89,200 @@ _RED_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
 class Cyclotomic:
-    """An element of Q(zeta_n) in the power basis modulo Phi_n.
+    """An element of Q(zeta_n): integer numerators `nums` in the power basis
+    over one positive integer denominator `den`, in lowest terms
+    (gcd(den, *nums) == 1), so equal elements have equal fields.
 
-    Instances are immutable, so an operation may return an operand itself
-    (x + 0, x * 1)."""
+    Every operation works on ints and reduces its result once.  Instances
+    are immutable, so an operation may return an operand itself (x + 0,
+    x * 1).  `coords` gives the Fraction coordinates."""
 
-    __slots__ = ("n", "coords", "_ints")
+    __slots__ = ("n", "den", "nums")
 
     def __init__(self, n: int, coords):
         d = len(_phi_cache_get(n)) - 1
         coords = [Fraction(c) for c in coords]
-        if len(coords) > d:
-            extra = coords[d:]
-            coords = coords[:d]
-            rows = _reduction_rows(n, len(extra))
-            for k, c in enumerate(extra):
-                if c:
-                    row = rows[k]
-                    for j in range(d):
-                        if row[j]:
-                            coords[j] += c * row[j]
-        else:
-            coords = coords + [_ZERO] * (d - len(coords))
-        self.n = n
-        self.coords = tuple(coords)
-        self._ints = None
+        den = lcm(*(c.denominator for c in coords))
+        e = _element(n, den, _fold(n, d, [c.numerator * (den // c.denominator) for c in coords]))
+        self.n, self.den, self.nums = n, e.den, e.nums
 
-    @staticmethod
-    def _raw(n: int, coords: tuple) -> "Cyclotomic":
-        """Fast constructor for already-reduced Fraction tuples."""
-        out = object.__new__(Cyclotomic)
-        out.n = n
-        out.coords = coords
-        out._ints = None
-        return out
-
-    def _int_form(self):
-        """(common denominator, integer numerators); cached."""
-        if self._ints is None:
-            den = 1
-            for c in self.coords:
-                den = den * c.denominator // _gcd(den, c.denominator)
-            self._ints = (den, tuple(c.numerator * (den // c.denominator) for c in self.coords))
-        return self._ints
+    @property
+    def coords(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     @staticmethod
     def zeta(n: int, power: int = 1) -> "Cyclotomic":
-        power %= n
-        return Cyclotomic(n, [_ZERO] * power + [_ONE])
+        d = len(_phi_cache_get(n)) - 1
+        return _element(n, 1, _fold(n, d, [0] * (power % n) + [1]))
 
     @staticmethod
     def from_rational(n: int, q) -> "Cyclotomic":
-        return Cyclotomic(n, [Fraction(q)])
+        return Cyclotomic(n, [q])
 
-    def _coerce(self, other):
+    def _operand(self, other):
+        """(den, nums) of `other` if it is a rational or lies in the same
+        field; None for any other type."""
         if isinstance(other, Cyclotomic):
             if other.n != self.n:
                 raise ValueError(
                     f"mixed coefficient fields: Q(zeta_{self.n}) vs Q(zeta_{other.n})"
                 )
-            return other
+            return other.den, other.nums
         if isinstance(other, (int, Fraction)):
-            return Cyclotomic._raw(self.n, (Fraction(other),) + (_ZERO,) * (len(self.coords) - 1))
+            return other.denominator, (other.numerator,) + (0,) * (len(self.nums) - 1)
         return None
 
+    def _plus(self, db, nb, sign):
+        da = self.den
+        if da == db:
+            return _element(self.n, da, [a + sign * b for a, b in zip(self.nums, nb)])
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return _element(self.n, da * fa, [a * fa + b * fb for a, b in zip(self.nums, nb)])
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a rational only moves the constant coordinate
-            if not other:
-                return self
-            return Cyclotomic._raw(self.n, (self.coords[0] + other,) + self.coords[1:])
-        o = self._coerce(other)
+        if isinstance(other, (int, Fraction)) and not other:
+            return self
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(self.n, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return self._plus(o[0], o[1], 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic._raw(self.n, tuple(-a for a in self.coords))
+        return _element(self.n, self.den, [-a for a in self.nums])
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return Cyclotomic._raw(self.n, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return self._plus(o[0], o[1], -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return (-self)._plus(o[0], o[1], 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            # a rational scales every coordinate
+            # a rational scales the numerators and the denominator
             if other == 1:
                 return self
-            return Cyclotomic._raw(self.n, tuple(a * other for a in self.coords))
-        o = self._coerce(other)
+            return _element(
+                self.n, self.den * other.denominator, [a * other.numerator for a in self.nums]
+            )
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        da, na = self._int_form()
-        db, nb = o._int_form()
-        d = len(na)
+        den = self.den * o[0]
+        na, nb = self.nums, o[1]
+        # a factor in Q scales the other's numerators
+        if not any(nb[1:]):
+            b = nb[0]
+            return _element(self.n, den, [a * b for a in na])
+        if not any(na[1:]):
+            a = na[0]
+            return _element(self.n, den, [a * b for b in nb])
+        d = len(nb)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(na):
             if ai:
                 for j, bj in enumerate(nb):
                     if bj:
                         conv[i + j] += ai * bj
-        # fold the tail back with the integer reduction rows of Phi_n
-        rows = _reduction_rows(self.n)
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - d]
-                for j in range(d):
-                    if row[j]:
-                        out[j] += c * row[j]
-        den = da * db
-        return Cyclotomic._raw(self.n, tuple(Fraction(x, den) for x in out))
+        return _element(self.n, den, _fold(self.n, d, conv))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse via the extended Euclidean algorithm in Q[x] mod Phi_n."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in _phi_cache_get(self.n)]
-        r0, r1 = phi, list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = [c / r1[0] for c in s1]
-                return Cyclotomic(self.n, inv)
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+        """Field inverse: solve self * x = 1 on the integer multiplication
+        matrix by fraction-free (Bareiss) Gauss-Jordan elimination, whose
+        divisions are exact and whose last pivot is the determinant up to
+        sign, so x = den * (last column) / (last pivot)."""
+        nums = self.nums
+        if not any(nums[1:]):
+            if not nums[0]:
+                raise ZeroDivisionError("inverse of zero cyclotomic element")
+            sign = 1 if nums[0] > 0 else -1
+            return _element(self.n, sign * nums[0], [sign * self.den] + [0] * (len(nums) - 1))
+        d = len(nums)
+        top = _reduction_rows(self.n)[0]  # x^d
+        col = list(nums)
+        cols = [col]
+        for _ in range(d - 1):  # col j holds self * zeta^j
+            t = col[-1]
+            col = [0] + col[:-1]
+            if t:
+                col = [c + t * r for c, r in zip(col, top)]
+            cols.append(col)
+        a = [[c[i] for c in cols] + [1 if i == 0 else 0] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not a[k][k]:
+                r = next(r for r in range(k + 1, d) if a[r][k])
+                a[k], a[r] = a[r], a[k]
+            rk = a[k]
+            akk = rk[k]
+            for i, ri in enumerate(a):
+                if i != k:
+                    aik = ri[k]
+                    for j in range(k + 1, d + 1):
+                        ri[j] = (akk * ri[j] - aik * rk[j]) // prev
+                    ri[k] = 0
+                    if i < k:
+                        ri[i] = akk
+            prev = akk
+        sign = 1 if prev > 0 else -1
+        return _element(self.n, sign * prev, [sign * self.den * ri[d] for ri in a])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return self * (_ONE / other)
+        if self._operand(other) is None:  # raises first on a different field
             return NotImplemented
-        return self * o.inverse()
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def conjugate(self) -> "Cyclotomic":
         """The automorphism zeta -> zeta^(-1)."""
-        n, d = self.n, len(self.coords)
-        out = Cyclotomic.from_rational(n, self.coords[0])
-        for k in range(1, d):
-            if self.coords[k]:
-                out = out + self.coords[k] * Cyclotomic.zeta(n, n - k)
-        return out
+        n, d = self.n, len(self.nums)
+        vec = [0] * n
+        for k, a in enumerate(self.nums):
+            vec[-k % n] += a
+        return _element(n, self.den, _fold(n, d, vec))
 
     def rational_part(self):
         """Return self as a Fraction if it lies in Q, else None."""
-        if any(self.coords[1:]):
+        if any(self.nums[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.nums[0], self.den)
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.nums)
 
     def __eq__(self, other):
+        if isinstance(other, Cyclotomic):
+            if other.n != self.n:
+                return NotImplemented
+            return self.den == other.den and self.nums == other.nums
         if isinstance(other, (int, Fraction)):
-            other = Cyclotomic.from_rational(self.n, other)
-        if not isinstance(other, Cyclotomic) or other.n != self.n:
-            return NotImplemented
-        return self.coords == other.coords
+            nums = self.nums
+            return (
+                self.den == other.denominator
+                and nums[0] == other.numerator
+                and not any(nums[1:])
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.n, self.coords))
+        return hash((self.n, self.den, self.nums))
 
     def __repr__(self):
         terms = []
@@ -284,6 +296,40 @@ class Cyclotomic:
             else:
                 terms.append(f"{c}*z{self.n}^{k}")
         return " + ".join(terms) if terms else "0"
+
+
+def _element(n: int, den: int, nums: list) -> Cyclotomic:
+    """The element nums/den of Q(zeta_n), den > 0 and nums reduced mod
+    Phi_n, brought to lowest terms."""
+    g = gcd(den, *nums) if den != 1 else 1
+    out = object.__new__(Cyclotomic)
+    out.n = n
+    if g == 1:
+        out.den = den
+        out.nums = tuple(nums)
+    else:
+        out.den = den // g
+        out.nums = tuple(x // g for x in nums)
+    return out
+
+
+def _fold(n: int, d: int, vec: list) -> list:
+    """Reduce integer power-basis coordinates of any length modulo Phi_n of
+    degree d, in place, to exactly d entries."""
+    if len(vec) < d:
+        vec += [0] * (d - len(vec))
+    elif len(vec) > d:
+        rows = _RED_CACHE.get(n)
+        if rows is None or len(rows) < len(vec) - d:
+            rows = _reduction_rows(n, len(vec) - d)
+        for k in range(d, len(vec)):
+            c = vec[k]
+            if c:
+                for j, r in enumerate(rows[k - d]):
+                    if r:
+                        vec[j] += c * r
+        del vec[d:]
+    return vec
 
 
 def field_inverse(c):
@@ -305,19 +351,3 @@ def poly_divmod(a: list, b: list):
             for j in range(db + 1):
                 a[i - db + j] -= c * b[j]
     return q, a
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub(a: list, b: list) -> list:
-    m = max(len(a), len(b))
-    a = a + [_ZERO] * (m - len(a))
-    b = b + [_ZERO] * (m - len(b))
-    return [x - y for x, y in zip(a, b)]

@@ -186,19 +186,20 @@ def ganea_step(q_m: GradedBasis) -> dict:
     ])
     quot_reps = [[p for p in layer if not ideal.contains(p)] for layer in q_m.layers]
     fiber_total = sum(len(r) for r in quot_reps)
+    bases = {}  # degree -> coordinate vectors of its residues, then of the ideal
 
     def project(p: Polynomial) -> Polynomial:
         """Reduction mod x^2 Q_m: keep only the residue coordinates."""
         out = Polynomial.zero(variables)
-        for d in range(max_degree + 1):
-            comp = p.homogeneous_component(d)
-            if not comp:
-                continue
+        for d in sorted({sum(e) for e in p.terms}):
             reps = quot_reps[d]
             if not reps:
                 continue
-            basis = [coordinate_vector(r, d) for r in reps] + ideal.layer_vectors(d)
-            coords = coordinates(basis, coordinate_vector(comp, d))
+            basis = bases.get(d)
+            if basis is None:
+                basis = bases[d] = ([coordinate_vector(r, d) for r in reps]
+                                    + ideal.layer_vectors(d))
+            coords = coordinates(basis, coordinate_vector(p.homogeneous_component(d), d))
             for coef, r in zip(coords[: len(reps)], reps):
                 if coef:
                     out = out + r * coef
