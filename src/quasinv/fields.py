@@ -179,13 +179,11 @@ class Cyclotomic:
             return NotImplemented
         den = self.den * o[0]
         na, nb = self.nums, o[1]
-        # a factor in Q scales the other's numerators
-        if not any(nb[1:]):
+        if not any(na[1:]):
+            na, nb = nb, na
+        if not any(nb[1:]):  # a factor in Q (most products) scales the other
             b = nb[0]
             return _element(self.n, den, [a * b for a in na])
-        if not any(na[1:]):
-            a = na[0]
-            return _element(self.n, den, [a * b for b in nb])
         d = len(nb)
         conv = [0] * (2 * d - 1)
         for i, ai in enumerate(na):
@@ -198,45 +196,23 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse: solve self * x = 1 on the integer multiplication
-        matrix by fraction-free (Bareiss) Gauss-Jordan elimination, whose
-        divisions are exact and whose last pivot is the determinant up to
-        sign, so x = den * (last column) / (last pivot)."""
+        """Field inverse: the product P of the Galois conjugates of self
+        other than self makes self * P the rational norm N, so 1/self is
+        P / N, computed with the integer product."""
         nums = self.nums
-        if not any(nums[1:]):
+        if not any(nums[1:]):  # a value in Q (most inverses) inverts directly
             if not nums[0]:
                 raise ZeroDivisionError("inverse of zero cyclotomic element")
             sign = 1 if nums[0] > 0 else -1
             return _element(self.n, sign * nums[0], [sign * self.den] + [0] * (len(nums) - 1))
-        d = len(nums)
-        top = _reduction_rows(self.n)[0]  # x^d
-        col = list(nums)
-        cols = [col]
-        for _ in range(d - 1):  # col j holds self * zeta^j
-            t = col[-1]
-            col = [0] + col[:-1]
-            if t:
-                col = [c + t * r for c, r in zip(col, top)]
-            cols.append(col)
-        a = [[c[i] for c in cols] + [1 if i == 0 else 0] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            if not a[k][k]:
-                r = next(r for r in range(k + 1, d) if a[r][k])
-                a[k], a[r] = a[r], a[k]
-            rk = a[k]
-            akk = rk[k]
-            for i, ri in enumerate(a):
-                if i != k:
-                    aik = ri[k]
-                    for j in range(k + 1, d + 1):
-                        ri[j] = (akk * ri[j] - aik * rk[j]) // prev
-                    ri[k] = 0
-                    if i < k:
-                        ri[i] = akk
-            prev = akk
-        sign = 1 if prev > 0 else -1
-        return _element(self.n, sign * prev, [sign * self.den * ri[d] for ri in a])
+        n = self.n
+        prod = 1
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                prod = self._galois(k) * prod
+        norm = self * prod  # lies in Q: only norm.nums[0] is nonzero
+        sign = 1 if norm.nums[0] > 0 else -1
+        return _element(n, prod.den * sign * norm.nums[0], [sign * norm.den * x for x in prod.nums])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -252,10 +228,14 @@ class Cyclotomic:
 
     def conjugate(self) -> "Cyclotomic":
         """The automorphism zeta -> zeta^(-1)."""
+        return self._galois(-1)
+
+    def _galois(self, k: int) -> "Cyclotomic":
+        """The automorphism zeta -> zeta^k, k a unit mod n."""
         n, d = self.n, len(self.nums)
         vec = [0] * n
-        for k, a in enumerate(self.nums):
-            vec[-k % n] += a
+        for j, a in enumerate(self.nums):
+            vec[k * j % n] += a
         return _element(n, self.den, _fold(n, d, vec))
 
     def rational_part(self):
