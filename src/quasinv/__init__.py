@@ -18,7 +18,7 @@ _EXPORTS = {
     for module, names in (
         ("errors", "DomainError InconclusiveError ParseError ReconstructionError"),
         ("fields", "Cyclotomic Rational cyclotomic_polynomial"),
-        ("groups", "Multiplicity ReflectionGroup idempotent parse_group"),
+        ("groups", "Multiplicity ReflectionGroup parse_group"),
         ("hilbert", "HilbertSeries gorenstein_shift hilbert_from_basis"),
         ("laurent", "LaurentElement"),
         ("linalg", "nullspace"),

@@ -226,10 +226,6 @@ class Cyclotomic:
             return self.inverse() * other
         return NotImplemented
 
-    def conjugate(self) -> "Cyclotomic":
-        """The automorphism zeta -> zeta^(-1)."""
-        return self._galois(-1)
-
     def _galois(self, k: int) -> "Cyclotomic":
         """The automorphism zeta -> zeta^k, k a unit mod n."""
         n, d = self.n, len(self.nums)
@@ -237,12 +233,6 @@ class Cyclotomic:
         for j, a in enumerate(self.nums):
             vec[k * j % n] += a
         return _element(n, self.den, _fold(n, d, vec))
-
-    def rational_part(self):
-        """Return self as a Fraction if it lies in Q, else None."""
-        if any(self.nums[1:]):
-            return None
-        return Fraction(self.nums[0], self.den)
 
     def __bool__(self):
         return any(self.nums)

@@ -106,13 +106,6 @@ class ReflectionGroup:
     def identity_index(self) -> int:
         return self._ident
 
-    def determinant(self, i: int):
-        """det w_i = 1 / det w_i^(-1), with det w_i^(-1) = sign(perm) roots[sum(expo)]."""
-        perm, expo = self._forms[i]
-        n = len(self.roots)  # even: -1 = roots[n // 2]
-        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1:])
-        return self.roots[-(sum(expo) + inversions * n // 2) % n]
-
     # -- polynomial action ------------------------------------------------------
 
     def act(self, i: int, p: Polynomial) -> Polynomial:
@@ -253,93 +246,6 @@ class ReflectionGroup:
 
     def __repr__(self):
         return f"<ReflectionGroup {self.spec}: order {self.order}, rank {self.rank}>"
-
-
-class GroupAlgebraElement:
-    """Element of the group algebra: map from element index to coefficient."""
-
-    __slots__ = ("group", "coeffs")
-
-    def __init__(self, group: ReflectionGroup, coeffs: dict):
-        self.group = group
-        self.coeffs = {i: c for i, c in coeffs.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, 0) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return GroupAlgebraElement(self.group, out)
-
-    def __sub__(self, other):
-        return self + GroupAlgebraElement(other.group, {i: -c for i, c in other.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return GroupAlgebraElement(self.group, {i: c * other for i, c in self.coeffs.items()})
-        out: dict = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                k = self.group.mul(i, j)
-                s = out.get(k, 0) + ci * cj
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return GroupAlgebraElement(self.group, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupAlgebraElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        """sum_i c_i act(i, p), accumulated term by term in one dict."""
-        group = self.group
-        if p.vars != group.variables:
-            raise ValueError("polynomial not in this group's coordinate ring")
-        roots = group.roots
-        out: dict = {}
-        for i, c in self.coeffs.items():
-            for (f, j), v in zip(group._moved(i, p), p.terms.values()):
-                s = out.get(f, 0) + (roots[j] * v if any(f) else v) * c
-                if s:
-                    out[f] = s
-                else:
-                    out.pop(f, None)
-        acc = Polynomial(group.variables)
-        acc.terms = out
-        return acc
-
-    def __repr__(self):
-        return f"<GroupAlgebraElement {self.coeffs}>"
-
-
-def idempotent(group: ReflectionGroup, h: Hyperplane, i: int) -> GroupAlgebraElement:
-    """The i-th character idempotent of the cyclic pointwise stabilizer of a
-    hyperplane, built from powers of the determinant character.  Idempotency
-    and the partition of unity are verified on construction."""
-    n_h = h.stabilizer_order
-    if not 0 <= i < n_h:
-        raise ValueError(f"character index {i} out of range for n_H = {n_h}")
-    stab = group.stabilizer(h)
-    if len(stab) != n_h:
-        raise ValueError("stabilizer enumeration inconsistent with n_H")
-    coeffs = {}
-    inv_order = Fraction(1, n_h)
-    roots = group.roots
-    for w in stab:
-        j = roots.index(group.determinant(w))
-        coeffs[w] = roots[-i * j % len(roots)] * inv_order
-    e = GroupAlgebraElement(group, coeffs)
-    if e * e != e:
-        raise ArithmeticError("constructed group algebra element is not idempotent")
-    return e
 
 
 # -- monomial forms ---------------------------------------------------------------

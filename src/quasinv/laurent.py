@@ -43,10 +43,6 @@ class LaurentElement:
         return LaurentElement({2 * k: c})
 
     @staticmethod
-    def from_z_terms(zterms: dict) -> "LaurentElement":
-        return LaurentElement({2 * k: c for k, c in zterms.items()})
-
-    @staticmethod
     def delta() -> "LaurentElement":
         """(z^(1/2) - z^(-1/2))^2 = z - 2 + 1/z."""
         return LaurentElement({2: 1, 0: -2, -2: 1})

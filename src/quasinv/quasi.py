@@ -5,10 +5,19 @@ A polynomial p is quasi-invariant of multiplicity m when, for every
 reflection hyperplane H with stabilizer of order 2, the difference
 s_H(p) - p is divisible by alpha_H^(2 m_H); for hyperplanes with cyclic
 stabilizer of order n_H > 2 the conditions read
-e_(H,-i)(p) = 0 mod alpha_H^(n_H m_(H,i)) for i = 1 .. n_H - 1, where the
-e's are the character idempotents of the stabilizer.  Conditions are imposed
-for all hyperplanes, not orbit representatives: a single solution need not be
-W-symmetric, only the solution span is.
+e_(H,-i)(p) = 0 mod alpha_H^(n_H m_(H,i)) for i = 1 .. n_H - 1, where
+e_(H,j) = (1/n_H) sum_w det(w)^(-j) w, summed over the stabilizer, is the
+projection onto a character.  Conditions are imposed for all hyperplanes, not
+orbit representatives: a single solution need not be W-symmetric, only the
+solution span is.
+
+The conditions are linear in the coefficients of p and are written down
+monomial by monomial in eigen-coordinates of each hyperplane, with no group
+algebra element formed: a hyperplane x_k = 0 deletes the monomials that the
+residue of their x_k-exponent rules out, and a hyperplane x_k = r x_l gives
+rows of integer binomial sums times a root of unity.  `quasi_basis` solves
+these rows and `is_quasi_invariant` evaluates them, so membership and bases
+cannot disagree.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -17,18 +26,18 @@ closed under multiplication; closure is reported when checked, never assumed.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
+from math import comb
 from operator import add
 
 from quasinv.errors import DomainError
-from quasinv.groups import GroupAlgebraElement, Multiplicity, ReflectionGroup, idempotent
+from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, nullspace, rank, span_of
 from quasinv.poly import (
     Polynomial,
-    adapted_substitution,
     coordinate_vector,
-    divisibility_order,
     linear_coefficients,
     monomial_index,
     monomials_of_degree,
@@ -128,11 +137,90 @@ class FreenessCertificate:
         )
 
 
-# -- membership -----------------------------------------------------------------
+# -- the defining congruences, row by row ---------------------------------------------
+
+
+def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
+    """The congruences of every hyperplane in its eigen-coordinates, as a
+    pair (deletions, swaps).
+
+    Every group here is monomial, so each hyperplane is alpha = x_k or
+    alpha = x_k - r x_l.
+
+    For alpha = x_k the stabilizer is diagonal: w scales x_k by det w and
+    maps x^e to det(w)^(-e_k) x^e.  By the orthogonality of the determinant
+    characters the projection e_(-i) keeps x^e when e_k = i mod n_H and
+    kills it otherwise, and the reflection minus 1 kills x^e exactly when
+    e_k is even.  So the conditions only delete monomials: x^e goes when
+    e_k < need[e_k mod n_H], with need[0] = 0, need[1] = 2 m for n_H = 2
+    and need[i] = n_H m_i otherwise.  A deletion is (k, n_H, need).
+
+    For alpha = x_k - r x_l the stabilizer is {1, s}, with s fixing
+    beta = x_k + r x_l and every other variable and sending alpha to
+    -alpha.  So s(p) - p is divisible by alpha^(2m) exactly when the
+    coefficients of the odd powers alpha^t, t < 2m, of p vanish.  A swap is
+    (k, l, root index of r, 2m)."""
+    root_index = {r: j for j, r in enumerate(group.roots)}
+    deletions, swaps = [], []
+    for h in group.hyperplanes:
+        m_h, n_h = mult.of(h), h.stabilizer_order
+        need = (0, 2 * m_h) if n_h == 2 else (0, *(n_h * m for m in m_h))
+        if not any(need):
+            continue
+        coeffs = linear_coefficients(h.alpha)
+        moved = [i for i, c in enumerate(coeffs) if c]
+        if len(moved) == 1:
+            deletions.append((moved[0], n_h, need))
+        else:
+            k, l = moved
+            swaps.append((k, l, root_index[-coeffs[l]], need[1]))
+    return deletions, swaps
+
+
+@lru_cache(maxsize=4096)
+def _odd_alpha_coefficients(a: int, b: int, top: int):
+    """(t, c) for the odd t < top with c != 0 the coefficient of
+    alpha^t beta^(a+b-t) in (alpha + beta)^a (beta - alpha)^b."""
+    out = []
+    for t in range(1, min(top, a + b + 1), 2):
+        c = sum(comb(a, i) * comb(b, t - i) * (-1) ** (t - i)
+                for i in range(max(0, t - b), min(a, t) + 1))
+        if c:
+            out.append((t, c))
+    return tuple(out)
+
+
+def _constraint_entries(group: ReflectionGroup, conditions, e):
+    """The entries of column x^e in the constraint rows, as (row key,
+    entry) pairs, or None when a condition deletes x^e.
+
+    With x_k = (alpha + beta)/2 and x_l = (beta - alpha)/(2r), x^e is
+    2^(-d) r^(-e_l) (alpha + beta)^(e_k) (beta - alpha)^(e_l) times the
+    other variables; the factor 2^(-d) is common to a whole row of degree
+    d and is dropped.  A row key is the swap's index and the exponent in
+    the eigen-coordinates: alpha^t in slot k, beta in slot l, the rest
+    unchanged, so rows of different degrees never share a key."""
+    deletions, swaps = conditions
+    for k, n_h, need in deletions:
+        if e[k] < need[e[k] % n_h]:
+            return None
+    roots = group.roots
+    out = []
+    for si, (k, l, j, top) in enumerate(swaps):
+        a, b = e[k], e[l]
+        coefficients = _odd_alpha_coefficients(a, b, top)
+        if coefficients:
+            scale = roots[-j * b % len(roots)]
+            for t, c in coefficients:
+                f = list(e)
+                f[k], f[l] = t, a + b - t
+                out.append(((si, tuple(f)), scale * c))
+    return out
 
 
 def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial) -> bool:
-    """Test the defining congruences for every hyperplane directly."""
+    """Test the defining congruences of every hyperplane on p, with the
+    constraint rows that `quasi_basis` solves."""
     if not mult.is_integer():
         raise DomainError(
             "half-integer multiplicities define a module, not a subalgebra; "
@@ -140,153 +228,74 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
         )
     if p.vars != group.variables:
         raise ValueError("polynomial not in the group's coordinate ring")
-    cache: dict = {}
-    for h in group.hyperplanes:
-        m_h = mult.of(h)
-        if h.stabilizer_order == 2:
-            if m_h == 0:
-                continue
-            diff = group.act(group.reflection(h), p) - p
-            if divisibility_order(diff, h.alpha, _cache=cache) < 2 * m_h:
-                return False
-        else:
-            for i in range(1, h.stabilizer_order):
-                need = h.stabilizer_order * m_h[i - 1]
-                if need == 0:
-                    continue
-                e = idempotent(group, h, (-i) % h.stabilizer_order)
-                img = e.apply(p)
-                if divisibility_order(img, h.alpha, _cache=cache) < need:
-                    return False
-    return True
+    conditions = _hyperplane_conditions(group, mult)
+    sums: dict = {}
+    for e, c in p.terms.items():
+        entries = _constraint_entries(group, conditions, e)
+        if entries is None:
+            return False
+        for key, v in entries:
+            sums[key] = sums.get(key, 0) + c * v
+    return not any(sums.values())
 
 
 # -- degreewise solution spaces ----------------------------------------------------
 
 
-def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
-    """Per hyperplane: (pivot index, image of the pivot variable under the
-    adapted substitution, list of (group algebra element, required order))."""
-    out = []
-    for h in group.hyperplanes:
-        m_h = mult.of(h)
-        coeffs = linear_coefficients(h.alpha)
-        pivot = next(i for i, c in enumerate(coeffs) if c)
-        image = adapted_substitution(h.alpha)[group.variables[pivot]]
-        ops = []
-        if h.stabilizer_order == 2:
-            if m_h:
-                s_idx = group.reflection(h)
-                one = GroupAlgebraElement(group, {s_idx: Fraction(1), group.identity_index(): Fraction(-1)})
-                ops.append((one, 2 * m_h))
-        else:
-            for i in range(1, h.stabilizer_order):
-                need = h.stabilizer_order * m_h[i - 1]
-                if need:
-                    ops.append((idempotent(group, h, (-i) % h.stabilizer_order), need))
-        if ops:
-            out.append((pivot, image, ops))
-    return out
-
-
 def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> GradedBasis:
     """Solve the congruence conditions degree by degree.
 
-    In each degree the constraint matrix collects, for every hyperplane and
-    every required vanishing order, the low-order coefficients of the
-    condition polynomial in coordinates adapted to the hyperplane; the kernel
-    of that matrix is the quasi-invariant layer.  Only coefficients of order
-    below the required one enter, so the rows come from truncated adapted
-    expansions (`_adapted_terms_below`) and the higher-order terms are never
-    computed.  `nullspace` returns the canonical reduced basis of the
-    kernel, so any matrix with the same kernel (extra zero rows included)
-    gives the same layer.
+    In each degree the conditions of `_hyperplane_conditions` delete the
+    monomials that a coordinate hyperplane rules out and give, for each
+    hyperplane x_k - r x_l, one row per odd power of alpha below 2m and
+    exponent in its eigen-coordinates; the entries are integer binomial
+    sums times one root of unity (`_constraint_entries`).  The kernel of
+    those rows on the surviving monomials is the quasi-invariant layer.
+    `nullspace` returns the canonical reduced basis of the kernel, so any
+    matrix with the same kernel gives the same layer.
 
     The solution span is W-stable, hence stable under the diagonal subgroup,
     so the kernel splits along the diagonal characters of the monomials and
     each block is solved separately (blocked and unblocked solves agree; the
     regression suite compares them and checks an independent brute force).
-    The layer is returned sorted by leading exponent in graded-lex order.
+    A block left without rows is its surviving monomials.  The layer is
+    returned sorted by leading exponent in graded-lex order.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
     conditions = _hyperplane_conditions(group, mult)
     layers = []
-    cache: dict = {}
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
-        layers.append(_solve_layer(group, conditions, monos, group.monomial_blocks(monos), cache))
+        layers.append(_solve_layer(group, conditions, monos, group.monomial_blocks(monos)))
     return GradedBasis(group, mult, max_degree, layers)
 
 
-def _truncated_powers(image: Polynomial, pivot: int, below: int, top: int, cache: dict):
-    """image^k for k = 0 .. top (at least), each without its terms of pivot
-    exponent >= below.
-
-    Multiplying by a linear form never lowers the pivot exponent, so each
-    truncated power follows from the previous one.  The list lives in
-    `cache` and grows on demand; callers read it, never mutate it."""
-    key = (image, pivot, below)
-    powers = cache.get(key)
-    if powers is None:
-        powers = cache[key] = [Polynomial.constant(image.vars, 1)]
-    while len(powers) <= top:
-        full = powers[-1] * image
-        powers.append(Polynomial(image.vars, {t: v for t, v in full.terms.items() if t[pivot] < below}))
-    return powers
-
-
-def _adapted_terms_below(p: Polynomial, pivot: int, powers, need: int) -> dict:
-    """The terms of p.substitute({x_pivot: image}) of pivot exponent below
-    `need`, from `powers` = `_truncated_powers(image, pivot, below, ...)`
-    with below >= need and enough powers for p's pivot degree.
-
-    The substitution maps only the pivot variable, so a term c x^e becomes
-    c image^(e_pivot) times the other factors of x^e, which only shift the
-    exponents off the pivot."""
-    out: dict = {}
-    for e, c in p.terms.items():
-        rest = e[:pivot] + (0,) + e[pivot + 1:]
-        for t, v in powers[e[pivot]].terms.items():
-            if t[pivot] < need:
-                u = tuple(map(add, t, rest))
-                out[u] = out.get(u, 0) + c * v
-    return {u: c for u, c in out.items() if c}
-
-
-def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, cache: dict):
-    """Kernel of the degree-d constraint matrix, solved on each block of
-    columns separately, as polynomials sorted by leading exponent.
-
-    A row is keyed by (condition, op, adapted exponent); its entries are the
-    coefficients of that exponent in the truncated adapted expansions of
-    the condition polynomials op(x^e) of the block's monomials."""
+def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
+    """Kernel of the degree-d constraint rows, solved on each block of
+    columns separately, as polynomials sorted by leading exponent."""
     layer = []
-    d = sum(monos[0])
-    tables = [
-        _truncated_powers(image, pivot, max(need for _, need in ops), d, cache)
-        for pivot, image, ops in conditions
-    ]
     for block in blocks:
-        rows: dict = {}
-        for ci, (pivot, _, ops) in enumerate(conditions):
-            for oi, (op, need) in enumerate(ops):
-                for local, col in enumerate(block):
-                    cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
-                    for aexp, c in _adapted_terms_below(cond, pivot, tables[ci], need).items():
-                        row = rows.setdefault((ci, oi, aexp), [Fraction(0)] * len(block))
-                        row[local] = row[local] + c
-        matrix = [rows[k] for k in sorted(rows)]
-        if not matrix:
-            kernel = [
-                [Fraction(1) if i == j else Fraction(0) for j in range(len(block))]
-                for i in range(len(block))
-            ]
-        else:
-            kernel = nullspace(matrix)
-        for vec in kernel:
-            terms = {monos[block[i]]: c for i, c in enumerate(vec) if c}
-            layer.append(Polynomial(group.variables, terms))
+        kept, rows = [], {}
+        for col in block:
+            entries = _constraint_entries(group, conditions, monos[col])
+            if entries is None:
+                continue
+            for key, c in entries:
+                rows.setdefault(key, {})[len(kept)] = c
+            kept.append(monos[col])
+        if not rows:
+            layer.extend(Polynomial(group.variables, {e: Fraction(1)}) for e in kept)
+            continue
+        matrix = []
+        for key in sorted(rows):
+            row = [Fraction(0)] * len(kept)
+            for local, c in rows[key].items():
+                row[local] = c
+            matrix.append(row)
+        for vec in nullspace(matrix):
+            layer.append(Polynomial(group.variables,
+                                    {kept[i]: c for i, c in enumerate(vec) if c}))
     layer.sort(key=lambda p: min(p.terms))
     return layer
 

@@ -6,12 +6,14 @@ when its first K derivatives along a transversal direction vanish on the
 hyperplane), and ranks are computed by a self-contained forward elimination.
 This deliberately avoids the adapted-coordinate route of the library.  The
 group acts here by substituting the linear forms of the inverse matrices
-(`act`), not through the library's closed-form monomial action.
+(`act`), not through the library's closed-form monomial action, and the
+character idempotents come from the literal group algebra of
+`group_algebra`.
 """
 
 from fractions import Fraction
 
-from quasinv.groups import idempotent
+from group_algebra import idempotent
 from quasinv.poly import Polynomial, linear_coefficients, monomials_of_degree
 
 
@@ -137,8 +139,9 @@ def oracle_rank(rows) -> int:
     return rank
 
 
-def brute_quasi_dims(group, mult, max_degree):
-    """Graded dimensions of the quasi-invariants by the derivative route."""
+def _condition_ops(group, mult):
+    """(operator, required order, transversal vector, hyperplane basis) for
+    every defining congruence."""
     ops = []
     for h in group.hyperplanes:
         m_h = mult.of(h)
@@ -154,6 +157,24 @@ def brute_quasi_dims(group, mult, max_degree):
                 if need:
                     e = idempotent(group, h, (-i) % h.stabilizer_order)
                     ops.append((lambda p, e=e: apply(e, p), need, v, spanning))
+    return ops
+
+
+def brute_is_quasi_invariant(group, mult, p: Polynomial) -> bool:
+    """Membership by the derivative route: each condition polynomial and its
+    first K - 1 transversal derivatives vanish on the hyperplane."""
+    for op, need, v, spanning in _condition_ops(group, mult):
+        q = op(p)
+        for _ in range(need):
+            if restrict_to_span(q, spanning):
+                return False
+            q = directional_derivative(q, v)
+    return True
+
+
+def brute_quasi_dims(group, mult, max_degree):
+    """Graded dimensions of the quasi-invariants by the derivative route."""
+    ops = _condition_ops(group, mult)
     dims = []
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)

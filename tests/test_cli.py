@@ -384,7 +384,7 @@ def test_package_names_resolve_to_their_defining_modules():
     # the imports the package made eagerly before its names became lazy
     from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
     from quasinv.fields import Cyclotomic, Rational, cyclotomic_polynomial
-    from quasinv.groups import Multiplicity, ReflectionGroup, idempotent, parse_group
+    from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
     from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
     from quasinv.laurent import LaurentElement
     from quasinv.linalg import nullspace

@@ -10,6 +10,17 @@ from quasinv import fields
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
 
 
+def conjugate(a: Cyclotomic) -> Cyclotomic:
+    """The automorphism zeta -> zeta^(-1)."""
+    return a._galois(-1)
+
+
+def rational_part(a: Cyclotomic):
+    """a as a Fraction if it lies in Q, else None."""
+    coords = a.coords
+    return None if any(coords[1:]) else Fraction(coords[0])
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == [-1, 1]
     assert cyclotomic_polynomial(2) == [1, 1]
@@ -57,14 +68,14 @@ def test_conjugation_is_involutive_automorphism():
     for _ in range(20):
         a = _random_element(rng, 12)
         b = _random_element(rng, 12)
-        assert a.conjugate().conjugate() == a
-        assert (a * b).conjugate() == a.conjugate() * b.conjugate()
-        assert (a + b).conjugate() == a.conjugate() + b.conjugate()
+        assert conjugate(conjugate(a)) == a
+        assert conjugate(a * b) == conjugate(a) * conjugate(b)
+        assert conjugate(a + b) == conjugate(a) + conjugate(b)
 
 
 def test_zeta_conjugate_is_inverse():
     z = Cyclotomic.zeta(7)
-    assert z * z.conjugate() == 1
+    assert z * conjugate(z) == 1
 
 
 def test_mixed_orders_rejected():
@@ -77,8 +88,8 @@ def test_mixed_orders_rejected():
 def test_rational_embedding():
     a = Cyclotomic.from_rational(6, Fraction(3, 2))
     assert a + Fraction(1, 2) == 2
-    assert a.rational_part() == Fraction(3, 2)
-    assert Cyclotomic.zeta(6).rational_part() is None
+    assert rational_part(a) == Fraction(3, 2)
+    assert rational_part(Cyclotomic.zeta(6)) is None
 
 
 _RATIONALS = st.one_of(

@@ -7,16 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from group_algebra import GroupAlgebraElement, idempotent
 from oracles import brute_invariant_dims, brute_orbit_count
 from quasinv.errors import ParseError
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
-from quasinv.groups import (
-    GroupAlgebraElement,
-    Multiplicity,
-    ReflectionGroup,
-    idempotent,
-    parse_group,
-)
+from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.hilbert import HilbertSeries
 from quasinv.poly import Polynomial, divisibility_order
 from quasinv.serialize import encode_polynomial

@@ -4,25 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_quasi_dims
+from group_algebra import GroupAlgebraElement, idempotent
+from oracles import brute_is_quasi_invariant, brute_quasi_dims
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.fields import Cyclotomic, cyclotomic_polynomial
 from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, nullspace
 from quasinv.poly import (
     Polynomial,
     adapted_substitution,
     coordinate_vector,
+    linear_coefficients,
     monomial_index,
     monomials_of_degree,
 )
 from quasinv.quasi import (
     GradedBasis,
-    _adapted_terms_below,
     _hyperplane_conditions,
     _solve_layer,
-    _truncated_powers,
     cw_valued_basis,
     filtration_check,
     freeness_certificate,
@@ -92,11 +91,10 @@ def quasi_basis_unblocked(group, mult, max_degree):
     """`quasi_basis` with one matrix per degree over all monomials, the
     reference for its block decomposition."""
     conditions = _hyperplane_conditions(group, mult)
-    cache = {}
     layers = []
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
-        layers.append(_solve_layer(group, conditions, monos, [range(len(monos))], cache))
+        layers.append(_solve_layer(group, conditions, monos, [range(len(monos))]))
     return GradedBasis(group, mult, max_degree, layers)
 
 
@@ -112,15 +110,38 @@ def test_blocked_solver_agrees_with_unblocked():
                 assert unblocked.contains(p)
 
 
+def _group_algebra_conditions(group, mult):
+    """Per hyperplane: (pivot index, adapted substitution, list of (group
+    algebra element, required order)), the congruences as the paper states
+    them: the reflection minus one, or the character idempotents of the
+    stabilizer."""
+    out = []
+    for h in group.hyperplanes:
+        m_h = mult.of(h)
+        pivot = next(i for i, c in enumerate(linear_coefficients(h.alpha)) if c)
+        ops = []
+        if h.stabilizer_order == 2:
+            if m_h:
+                one = GroupAlgebraElement(group, {group.reflection(h): Fraction(1),
+                                                  group.identity_index(): Fraction(-1)})
+                ops.append((one, 2 * m_h))
+        else:
+            for i in range(1, h.stabilizer_order):
+                need = h.stabilizer_order * m_h[i - 1]
+                if need:
+                    ops.append((idempotent(group, h, (-i) % h.stabilizer_order), need))
+        if ops:
+            out.append((pivot, adapted_substitution(h.alpha), ops))
+    return out
+
+
 def quasi_basis_by_substitution(group, mult, max_degree):
     """`quasi_basis` with its rows built the direct way, the reference for
-    the truncated row builder: each condition polynomial is substituted in
-    full into the adapted coordinates, and only then are the terms below
-    the required order kept."""
-    conditions = _hyperplane_conditions(group, mult)
-    # one images dict per condition, alive for the whole call: `substitute`
-    # keys its power cache on the dict's identity
-    images = [{group.variables[pivot]: image} for pivot, image, _ in conditions]
+    the eigen-coordinate rows: each group algebra element is applied to each
+    monomial, the condition polynomial is substituted in full into the
+    adapted coordinates, and only then are the terms below the required
+    order kept."""
+    conditions = _group_algebra_conditions(group, mult)
     cache = {}
     layers = []
     for d in range(max_degree + 1):
@@ -128,11 +149,11 @@ def quasi_basis_by_substitution(group, mult, max_degree):
         layer = []
         for block in group.monomial_blocks(monos):
             rows = {}
-            for ci, (pivot, _, ops) in enumerate(conditions):
+            for ci, (pivot, images, ops) in enumerate(conditions):
                 for oi, (op, need) in enumerate(ops):
                     for local, col in enumerate(block):
                         cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
-                        adapted = cond.substitute(images[ci], cache=cache)
+                        adapted = cond.substitute(images, cache=cache)
                         for aexp, c in adapted.terms.items():
                             if aexp[pivot] < need:
                                 row = rows.setdefault((ci, oi, aexp), [Fraction(0)] * len(block))
@@ -170,42 +191,98 @@ def test_truncated_rows_give_the_layers_of_full_substitution(spec, D):
         assert quasi_basis(W, mu, D).layers == quasi_basis_by_substitution(W, mu, D).layers
 
 
-_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_GROUPS: dict = {}
+
+
+def _group(spec):
+    if spec not in _GROUPS:
+        _GROUPS[spec] = parse_group(spec)
+    return _GROUPS[spec]
 
 
 @st.composite
-def _expansion_case(draw):
-    rank = draw(st.integers(1, 3))
-    variables = tuple(f"x{i}" for i in range(rank))
-    n = draw(st.sampled_from([1, 3, 4, 5, 6]))
-
-    def coeff():
-        if n == 1:
-            return draw(_SMALL)
-        d = len(cyclotomic_polynomial(n)) - 1
-        return Cyclotomic(n, draw(st.lists(_SMALL, min_size=d, max_size=d)))
-
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    alpha = Polynomial(variables, {u: coeff() for u in units})
-    if not alpha:
-        alpha = Polynomial(variables, {units[-1]: 1})
-    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * rank), min_size=1, max_size=4))
-    p = Polynomial(variables, {e: coeff() for e in exps})
-    below = draw(st.integers(0, 8))
-    return alpha, p, below, draw(st.integers(0, below))
+def _multiplicity(draw, group, top):
+    """Random per-orbit values of at most `top`, a vector of n_H - 1 of
+    them on an orbit with n_H > 2."""
+    values = {}
+    for h in sorted(group.hyperplanes, key=lambda h: h.orbit_id):
+        entries = st.integers(0, top)
+        if h.orbit_id in values:
+            continue
+        if h.stabilizer_order == 2:
+            values[h.orbit_id] = draw(entries)
+        else:
+            size = h.stabilizer_order - 1
+            values[h.orbit_id] = tuple(draw(st.lists(entries, min_size=size, max_size=size)))
+    return Multiplicity(group, values)
 
 
-@settings(max_examples=120, deadline=None)
-@given(_expansion_case())
-def test_truncated_expansion_matches_filtered_substitution(case):
-    alpha, p, below, need = case
-    images = adapted_substitution(alpha)
-    ((name, image),) = images.items()
-    pivot = alpha.vars.index(name)
-    top = max((e[pivot] for e in p.terms), default=0)
-    powers = _truncated_powers(image, pivot, below, top, {})
-    expected = {t: c for t, c in p.substitute(images).terms.items() if t[pivot] < need}
-    assert _adapted_terms_below(p, pivot, powers, need) == expected
+@st.composite
+def _layer_case(draw, specs):
+    """(group, random multiplicity, degree bound) for one of `specs`, given
+    as (spec, largest entry, degree bound)."""
+    spec, top, D = draw(st.sampled_from(specs))
+    group = _group(spec)
+    return group, draw(_multiplicity(group, top)), D
+
+
+def _encoded_layers(basis):
+    return [[encode_polynomial(p) for p in layer] for layer in basis.layers]
+
+
+_REFERENCE_SPECS = (
+    ("Z/3", 2, 12), ("Z/4", 2, 12), ("Z/6", 1, 12), ("A1 x Z/3", 2, 8), ("Z/3 x Z/4", 1, 7),
+    ("I2(7)", 2, 12), ("I2(8)", 2, 11),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layer_case(_REFERENCE_SPECS))
+def test_eigen_rows_give_the_layers_of_group_algebra_substitution(case):
+    W, mult, D = case
+    assert _encoded_layers(quasi_basis(W, mult, D)) == \
+        _encoded_layers(quasi_basis_by_substitution(W, mult, D))
+
+
+_SOLVER_SPECS = (
+    ("A1 x A1", 3, 10), ("A1^3", 2, 7), ("I2(3)", 3, 12), ("I2(4)", 2, 12), ("I2(5)", 2, 12),
+    ("I2(6)", 2, 12), ("Z/3", 2, 12), ("Z/4", 2, 12), ("A1 x Z/3", 2, 8),
+    ("Z/3 x Z/4", 1, 7),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_layer_case(_SOLVER_SPECS))
+def test_blocked_solve_equals_unblocked_on_random_multiplicities(case):
+    W, mult, D = case
+    assert _encoded_layers(quasi_basis(W, mult, D)) == \
+        _encoded_layers(quasi_basis_unblocked(W, mult, D))
+
+
+_MEMBERSHIP_SPECS = (
+    ("A1", 3, 9), ("A1 x A1", 2, 6), ("A1^3", 1, 4), ("I2(3)", 2, 7), ("I2(4)", 1, 6),
+    ("I2(6)", 1, 6), ("Z/3", 2, 8), ("Z/4", 1, 7), ("A1 x Z/3", 1, 5),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_layer_case(_MEMBERSHIP_SPECS), st.data())
+def test_basis_elements_are_members_and_perturbed_elements_are_not(case, data):
+    # both verdicts checked against the derivative route of the oracle,
+    # which shares no code with the constraint rows
+    W, mult, D = case
+    basis = quasi_basis(W, mult, D)
+    for d, layer in enumerate(basis.layers):
+        monomials = [Polynomial.monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
+        outside = [x for x in monomials if not basis.contains(x)]
+        for p in layer:
+            assert is_quasi_invariant(W, mult, p)
+        for p in layer[:2]:
+            assert brute_is_quasi_invariant(W, mult, p)
+            if outside:
+                q = p + data.draw(st.sampled_from(outside))
+                assert not is_quasi_invariant(W, mult, q)
+                assert not brute_is_quasi_invariant(W, mult, q)
 
 
 def test_hilbert_rank_one():
@@ -435,7 +512,8 @@ def test_invariant_ring_dims():
 
 
 def test_basis_elements_pass_direct_membership():
-    # cross-route check: solver output against the direct divisibility test
+    # solver output against the membership test, which evaluates the same
+    # constraint rows; the oracle checks both on random multiplicities
     for spec, m in (("I2(3)", 1), ("Z/3", 1), ("A1 x A1", 2)):
         W = parse_group(spec)
         mult = Multiplicity.constant(W, m)
