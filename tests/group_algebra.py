@@ -32,9 +32,6 @@ class GroupAlgebraElement:
                 out.pop(i, None)
         return GroupAlgebraElement(self.group, out)
 
-    def __sub__(self, other):
-        return self + GroupAlgebraElement(other.group, {i: -c for i, c in other.coeffs.items()})
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             return GroupAlgebraElement(self.group, {i: c * other for i, c in self.coeffs.items()})

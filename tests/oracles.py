@@ -4,7 +4,7 @@ The divisibility conditions are imposed here through directional derivatives
 restricted to the hyperplane (a polynomial q is divisible by alpha^K exactly
 when its first K derivatives along a transversal direction vanish on the
 hyperplane), and ranks are computed by a self-contained forward elimination.
-This deliberately avoids the adapted-coordinate route of the library.  The
+This deliberately avoids the library's eigen-coordinate constraint rows.  The
 group acts here by substituting the linear forms of the inverse matrices
 (`act`), not through the library's closed-form monomial action, and the
 character idempotents come from the literal group algebra of

@@ -18,7 +18,7 @@ def conjugate(a: Cyclotomic) -> Cyclotomic:
 def rational_part(a: Cyclotomic):
     """a as a Fraction if it lies in Q, else None."""
     coords = a.coords
-    return None if any(coords[1:]) else Fraction(coords[0])
+    return None if any(coords[1:]) else coords[0]
 
 
 def test_cyclotomic_polynomials():

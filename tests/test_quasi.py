@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -191,13 +192,9 @@ def test_truncated_rows_give_the_layers_of_full_substitution(spec, D):
         assert quasi_basis(W, mu, D).layers == quasi_basis_by_substitution(W, mu, D).layers
 
 
-_GROUPS: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _group(spec):
-    if spec not in _GROUPS:
-        _GROUPS[spec] = parse_group(spec)
-    return _GROUPS[spec]
+    return parse_group(spec)
 
 
 @st.composite
