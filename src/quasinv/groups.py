@@ -84,7 +84,8 @@ class ReflectionGroup:
         self._inv_table = [self._lookup(_invert(f, n), "an inverse") for f in forms]
         # the action reads the forms of the inverses: x_k o w_i^(-1)
         self._forms = [forms[j] for j in self._inv_table]
-        self._diagonal = [i for i, (perm, _) in enumerate(self._forms) if perm == identity_perm]
+        self._diagonal = _generating_subset(
+            [expo for perm, expo in self._forms if perm == identity_perm], n)
 
         self.hyperplanes, self._stabilizers = self._build_hyperplanes(forms)
         self._verify_group_axioms()
@@ -218,12 +219,13 @@ class ReflectionGroup:
 
     def monomial_class_key(self, exp):
         """Character of a monomial under the diagonal subgroup, as the root
-        index sum_k expo[k] e_k mod N of each diagonal element.
+        index sum_k expo[k] e_k mod N of each element of a generating set
+        (a character is fixed by its values on generators).
 
         W-stable graded subspaces split along these characters, which lets
         degreewise systems be solved block by block."""
         n = len(self.roots)
-        return tuple(sum(map(mul, self._forms[i][1], exp)) % n for i in self._diagonal)
+        return tuple(sum(map(mul, expo, exp)) % n for expo in self._diagonal)
 
     def monomial_blocks(self, exponents):
         """Partition of the exponent list into diagonal-character classes,
@@ -249,6 +251,18 @@ class ReflectionGroup:
 
 
 # -- monomial forms ---------------------------------------------------------------
+
+
+def _generating_subset(vectors, n: int):
+    """The vectors, in order, that are not in the subgroup of (Z/n)^r
+    generated by the earlier ones; together they generate all of them."""
+    gens, reached = [], {(0,) * len(vectors[0])}
+    for v in vectors:
+        if v not in reached:
+            gens.append(v)
+            reached = {tuple((a + k * b) % n for a, b in zip(r, v))
+                       for r in reached for k in range(n)}
+    return gens
 
 
 def _root_table(field):

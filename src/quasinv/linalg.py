@@ -1,19 +1,35 @@
 """Exact linear algebra over Q or Q(zeta_n).
 
-`IncrementalSpan` holds the only elimination loop.  A row is reduced
-against the stored rows in insertion order, and its pivot is its first
-nonzero column after that reduction, so spans are reproducible across
+`IncrementalSpan` holds the only elimination loop.  It stores each row
+sparse, as `{column: entry}` over its nonzero entries, and takes a row
+either dense (a list) or sparse (a `SparseRow`).  A row is
+reduced against the stored rows in insertion order, and its pivot is its
+first nonzero column after that reduction, so spans are reproducible across
 platforms and runs.  `rref` inserts its rows into one span and
 back-substitutes; the reduced row echelon form is unique, so it and
-everything built on it (`rank`, `nullspace`, `solve_exact`,
-`coordinates`) depend only on the row space and the column order.
+everything built on it (`rank`, `nullspace`, `solve_exact`, `coordinates`)
+depend only on the row space and the column order.  These take and return
+dense lists; `nullspace` also takes sparse rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from quasinv.fields import Cyclotomic, field_inverse
+
+
+class SparseRow(dict):
+    """A row as `{column: entry}` over its nonzero entries.  Like a dense
+    row it iterates over its entries, so `any(row)`, `_check_field` and any
+    other reader of a row's entries take either form; `items()` gives the
+    columns."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self.values())
 
 
 def _norm_entry(c):
@@ -21,14 +37,8 @@ def _norm_entry(c):
 
 
 def _check_field(rows) -> None:
-    order = None
-    for row in rows:
-        for c in row:
-            if isinstance(c, Cyclotomic):
-                if order is None:
-                    order = c.n
-                elif c.n != order:
-                    raise ValueError("mixed coefficient fields in matrix")
+    if len({c.n for row in rows for c in row if isinstance(c, Cyclotomic)}) > 1:
+        raise ValueError("mixed coefficient fields in matrix")
 
 
 def span_of(vectors, ncols: int) -> "IncrementalSpan":
@@ -50,43 +60,36 @@ def rref(matrix):
     return span_of(matrix, len(matrix[0])).rref()
 
 
-def _scale(row, support) -> None:
-    """Divide `row` in place by its pivot, on its support, unless that is 1."""
-    inv = field_inverse(row[support[0]])
-    if inv != 1:
-        for j in support:
-            row[j] = row[j] * inv
-
-
 def rank(matrix) -> int:
     if not matrix:
         return 0
     return span_of(matrix, len(matrix[0])).dim()
 
 
-def nullspace(matrix):
-    """Basis of the exact kernel of a rectangular matrix.
+def nullspace(matrix, ncols=None):
+    """Basis of the exact kernel of a rectangular matrix, given by dense or
+    sparse rows; `ncols` is required for sparse rows or no rows.
 
     One basis vector per free column, in increasing column order, with a 1 in
     the free slot: the standard echelon parametrization, hence deterministic.
     An empty matrix (no rows) over n columns yields the standard basis.
     """
-    rows = [list(row) for row in matrix]
-    if not rows:
-        raise ValueError("cannot infer column count from an empty matrix; pass rows")
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            val = red[r][fc]
-            if val:
-                vec[pc] = -val
-        basis.append(vec)
-    return basis
+    if ncols is None:
+        if not matrix:
+            raise ValueError("cannot infer column count from an empty matrix; pass rows")
+        ncols = len(matrix[0])
+    span = span_of(matrix, ncols)
+    span.back_substitute()
+    basis = {}
+    for fc in range(ncols):
+        if fc not in span._where:
+            basis[fc] = vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+    for row, pc in zip(span._rows, span.pivots):
+        for j, c in row.items():
+            if j != pc:
+                basis[j][pc] = -c
+    return list(basis.values())
 
 
 def solve_exact(matrix, rhs):
@@ -118,63 +121,104 @@ def coordinates(vectors, target):
     return sol
 
 
+def _subtract(v: dict, f, row: dict, where, queue) -> None:
+    """v -= f * row in place, dropping the entries that cancel; each row
+    whose pivot column (`where` maps it to the row) becomes nonzero in v is
+    pushed on `queue`."""
+    for j, c in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = -(f * c)
+            if j in where:
+                heappush(queue, where[j])
+        else:
+            x = x - f * c
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+
+
 class IncrementalSpan:
     """Row span maintained by incremental elimination; rows are reduced
     against the stored pivot rows in insertion order, so the result is
-    deterministic.  Each stored row keeps the list of its nonzero columns,
-    and reduction touches only those."""
+    deterministic.
+
+    Rows are stored sparse, pivot entry 1.  A stored row is zero at the
+    pivots of the rows stored before it, so reducing a vector only visits
+    the rows whose pivots it reaches, smallest insertion index first, and
+    touches only their nonzero entries.  `rows` and `rref` make the rows
+    dense with the zero of their field."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows = []  # normalized rows, pivot entry 1
+        self._rows = []  # {column: entry}, pivot entry 1
         self.pivots = []  # pivot column per row
-        self.supports = []  # nonzero columns per row, pivot first
+        self._where = {}  # pivot column -> row index
 
-    def reduce(self, vector):
-        v = [_norm_entry(c) for c in vector]
-        for row, p, support in zip(self.rows, self.pivots, self.supports):
-            f = v[p]
-            if f:
-                for j in support:
-                    v[j] = v[j] - f * row[j]
+    def reduce(self, vector) -> dict:
+        """`vector` reduced against the stored rows, as `{column: entry}`."""
+        items = vector.items() if isinstance(vector, dict) else enumerate(vector)
+        v = {j: _norm_entry(c) for j, c in items if c}
+        rows, pivots, where = self._rows, self.pivots, self._where
+        queue = [where[j] for j in v.keys() if j in where]
+        heapify(queue)
+        while queue:
+            i = heappop(queue)
+            f = v.get(pivots[i])
+            if f is not None:  # a row pushed twice is visited once
+                _subtract(v, f, rows[i], where, queue)
         return v
 
     def add(self, vector) -> bool:
-        """Insert; True when the vector enlarged the span."""
+        """Insert a dense or sparse row; True when it enlarged the span."""
         v = self.reduce(vector)
-        support = [j for j, c in enumerate(v) if c]
-        if not support:
+        if not v:
             return False
-        _scale(v, support)
-        self.rows.append(v)
-        self.pivots.append(support[0])
-        self.supports.append(support)
+        p = min(v.keys())
+        if v[p] != 1:
+            inv = field_inverse(v[p])
+            for j in v.keys():
+                v[j] = v[j] * inv
+        self._where[p] = len(self._rows)
+        self._rows.append(v)
+        self.pivots.append(p)
         return True
 
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def contains(self, vector) -> bool:
-        return not any(self.reduce(vector))
+        return not self.reduce(vector)
+
+    @property
+    def rows(self):
+        """The stored rows, dense, in insertion order."""
+        return [self._dense(i) for i in range(len(self._rows))]
+
+    def _dense(self, i: int) -> list:
+        one = self._rows[i][self.pivots[i]]
+        vec = [one - one] * self.ncols  # the zero of the row's field
+        for j, c in self._rows[i].items():
+            vec[j] = c
+        return vec
+
+    def back_substitute(self) -> None:
+        """Make every stored row zero at every other row's pivot, in place.
+        Row i is already zero at the pivots of rows inserted before it, and
+        rows are processed in reverse insertion order, so each row is final
+        by the time it is subtracted from the earlier ones."""
+        rows, pivots = self._rows, self.pivots
+        for i in reversed(range(len(rows))):
+            p = pivots[i]
+            for k in range(i):
+                f = rows[k].get(p)
+                if f is not None:
+                    _subtract(rows[k], f, rows[i], {}, None)
 
     def rref(self):
-        """Back-substitute in place, so that every stored row is zero at
-        every other row's pivot, and return (rows, pivot_columns) sorted by
-        pivot.  Row i is already zero at the pivots of rows inserted before
-        it, and rows are processed in reverse insertion order, so each row
-        is final by the time it is subtracted from the earlier ones."""
-        rows, pivots, supports = self.rows, self.pivots, self.supports
-        touched = set()
-        for i in reversed(range(len(rows))):
-            row = rows[i]
-            if i in touched:
-                supports[i] = [j for j, c in enumerate(row) if c]
-            for k in range(i):
-                f = rows[k][pivots[i]]
-                if f:
-                    target = rows[k]
-                    for j in supports[i]:
-                        target[j] = target[j] - f * row[j]
-                    touched.add(k)
-        order = sorted(range(len(rows)), key=pivots.__getitem__)
-        return [rows[i] for i in order], [pivots[i] for i in order]
+        """Back-substitute in place and return (rows, pivot_columns), the
+        rows dense and sorted by pivot."""
+        self.back_substitute()
+        order = sorted(range(len(self._rows)), key=self.pivots.__getitem__)
+        return [self._dense(i) for i in order], [self.pivots[i] for i in order]

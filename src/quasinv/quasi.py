@@ -34,13 +34,12 @@ from operator import add
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, nullspace, rank, span_of
+from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, rank, span_of
 from quasinv.poly import (
     Polynomial,
     coordinate_vector,
     linear_coefficients,
     monomial_index,
-    monomials_of_degree,
 )
 
 __all__ = [
@@ -82,11 +81,12 @@ class GradedBasis:
         for d in sorted({sum(e) for e in p.terms}):
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
+            index = monomial_index(p.vars, d)
             span = self._spans.get(d)
             if span is None:
-                span = self._spans[d] = span_of(self.layer_vectors(d),
-                                                len(monomial_index(p.vars, d)))
-            if not span.contains(coordinate_vector(p.homogeneous_component(d), d)):
+                span = self._spans[d] = span_of([_row(q, index) for q in self.layers[d]],
+                                                len(index))
+            if not span.contains(_row(p.homogeneous_component(d), index)):
                 return False
         return True
 
@@ -266,7 +266,7 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     conditions = _hyperplane_conditions(group, mult)
     layers = []
     for d in range(max_degree + 1):
-        monos = monomials_of_degree(group.variables, d)
+        monos = list(monomial_index(group.variables, d))
         layers.append(_solve_layer(group, conditions, monos, group.monomial_blocks(monos)))
     return GradedBasis(group, mult, max_degree, layers)
 
@@ -282,18 +282,12 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
             if entries is None:
                 continue
             for key, c in entries:
-                rows.setdefault(key, {})[len(kept)] = c
+                rows.setdefault(key, SparseRow())[len(kept)] = c
             kept.append(monos[col])
         if not rows:
             layer.extend(Polynomial(group.variables, {e: Fraction(1)}) for e in kept)
             continue
-        matrix = []
-        for key in sorted(rows):
-            row = [Fraction(0)] * len(kept)
-            for local, c in rows[key].items():
-                row[local] = c
-            matrix.append(row)
-        for vec in nullspace(matrix):
+        for vec in nullspace([rows[key] for key in sorted(rows)], len(kept)):
             layer.append(Polynomial(group.variables,
                                     {kept[i]: c for i, c in enumerate(vec) if c}))
     layer.sort(key=lambda p: min(p.terms))
@@ -335,6 +329,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     ValueError.  Invariants are diagonal-invariant, so f^J g lies in g's
     block; once that block's span has the layer's dimension in the block,
     f^J g is not formed, and neither it nor a layer vector is inserted.
+    Each vector enters its block's span as a sparse row read off its terms.
     """
     D = basis.max_degree
     dims = basis.dims()
@@ -344,26 +339,29 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     status = None
     failure_degree = None
     for d in range(D + 1):
-        index = monomial_index(group.variables, d)
-        blocks = group.monomial_blocks(list(index))
-        col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
+        exps = list(monomial_index(group.variables, d))
+        blocks = group.monomial_blocks(exps)
+        block_of, local = {}, {}  # exponent -> its block, its column in the block
+        for bi, block in enumerate(blocks):
+            for lc, col in enumerate(block):
+                block_of[exps[col]] = bi
+                local[exps[col]] = lc
         spans = [IncrementalSpan(len(block)) for block in blocks]
         layer_blocks = []
         for p in basis.layers[d]:
-            found = {col_block[index[exp]] for exp in p.terms}
+            found = {block_of[exp] for exp in p.terms}
             if len(found) != 1:
                 raise ValueError("module vector does not lie in one diagonal-character block")
             layer_blocks.append(found.pop())
         full = [layer_blocks.count(bi) for bi in range(len(blocks))]
 
         def insert(bi, p):  # True when span bi grew
-            vec = coordinate_vector(p, d)
-            return spans[bi].add([vec[col] for col in blocks[bi]])
+            return spans[bi].add(_row(p, local))
 
         for gd, g in generators:
             lead = next(iter(g.terms))
             for fj in inv_monomials[d - gd]:
-                bi = col_block[index[tuple(map(add, lead, next(iter(fj.terms))))]]
+                bi = block_of[tuple(map(add, lead, next(iter(fj.terms))))]
                 if spans[bi].dim() < full[bi]:
                     insert(bi, fj * g)
         for p, bi in zip(basis.layers[d], layer_blocks):
@@ -381,6 +379,11 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     return FreenessCertificate(
         group, generators, status, series, shift, predicted_shift, failure_degree
     )
+
+
+def _row(p: Polynomial, columns) -> SparseRow:
+    """The coefficients of p as a sparse row, x^e in column columns[e]."""
+    return SparseRow((columns[e], c) for e, c in p.terms.items())
 
 
 def _invariant_monomials(fund, top: int):
@@ -427,18 +430,6 @@ class CWValuedElement:
         q = Polynomial(CWValuedElement.VARS, {(k,): c for k, c in q_coeffs.items()})
         return CWValuedElement(p, q)
 
-    def x_action(self) -> "CWValuedElement":
-        x = Polynomial.variable(self.VARS, "x")
-        return CWValuedElement(x * self.p, x * self.q)
-
-    def s_action(self) -> "CWValuedElement":
-        return CWValuedElement(reflect_x(self.p), -reflect_x(self.q))
-
-    def e0_projection(self) -> "CWValuedElement":
-        """Left multiplication by e0: keeps the even part on e0 and the odd
-        part on e1."""
-        return CWValuedElement(_even_part(self.p), _odd_part(self.q))
-
     def __add__(self, other):
         return CWValuedElement(self.p + other.p, self.q + other.q)
 
@@ -454,14 +445,6 @@ class CWValuedElement:
 def reflect_x(p: Polynomial) -> Polynomial:
     """The rank-one reflection x -> -x on a one-variable polynomial."""
     return Polynomial(p.vars, {e: (c if e[0] % 2 == 0 else -c) for e, c in p.terms.items()})
-
-
-def _even_part(p: Polynomial) -> Polynomial:
-    return Polynomial(p.vars, {e: c for e, c in p.terms.items() if e[0] % 2 == 0})
-
-
-def _odd_part(p: Polynomial) -> Polynomial:
-    return Polynomial(p.vars, {e: c for e, c in p.terms.items() if e[0] % 2 == 1})
 
 
 def cw_valued_basis(k, max_degree: int):

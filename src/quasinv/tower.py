@@ -47,42 +47,6 @@ class FiberProductAlgebra:
     def dims(self):
         return [len(layer) for layer in self.layers]
 
-    def dimension_formula_holds(self) -> bool:
-        """dim = dim A + dim B - dim C in every degree where both structure
-        maps are onto."""
-        for d, layer in enumerate(self.layers):
-            if all(self.surjective[d]):
-                if len(layer) != self.dims_a[d] + self.dims_b[d] - self.dims_c[d]:
-                    return False
-        return True
-
-    def contains_unit(self) -> bool:
-        if not self.layers or not self.layers[0]:
-            return False
-        one = Polynomial.constant(self.variables, 1)
-        return self._contains(0, one, one)
-
-    def product_in_span(self, pair1, pair2) -> bool:
-        a = pair1[0] * pair2[0]
-        b = pair1[1] * pair2[1]
-        d = max(_deg(a), _deg(b))
-        if d < 0:
-            return True
-        if d >= len(self.layers):
-            raise DomainError("product degree exceeds computed bound")
-        return self._contains(d, a, b)
-
-    def _contains(self, d: int, a: Polynomial, b: Polynomial) -> bool:
-        """Whether the pair (a, b) lies in the span of the degree-d layer."""
-        target = coordinate_vector(a, d) + coordinate_vector(b, d)
-        vecs = [coordinate_vector(x, d) + coordinate_vector(y, d) for x, y in self.layers[d]]
-        return span_of(vecs, len(target)).contains(target)
-
-
-def _deg(p: Polynomial) -> int:
-    d = p.degree()
-    return int(d) if p else -1
-
 
 def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
                         max_degree: int) -> FiberProductAlgebra:
@@ -107,13 +71,7 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         for ci in range(len(C)):
             row = [rf[ci] for rf in rows_f] + [-rg[ci] for rg in rows_g]
             matrix.append(row)
-        if matrix:
-            kernel = nullspace(matrix)
-        elif ncols:
-            kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)]
-                      for i in range(ncols)]
-        else:
-            kernel = []
+        kernel = nullspace(matrix, ncols)
         layer = []
         for vec in kernel:
             a = Polynomial.zero(variables)
@@ -309,7 +267,7 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
         rows = []
         for i in range(n):
             rows.append([coords[j][i] - (1 if i == j else 0) for j in range(n)])
-        kernel = nullspace(rows) if rows else []
+        kernel = nullspace(rows, n)
         inv_dims.append(len(kernel))
         for vec in kernel:
             a = Polynomial.zero(variables)

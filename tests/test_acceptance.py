@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from oracles import brute_quasi_dims
+from test_quasi import _certificate_outcome, _reference_outcome
 from quasinv.demazure import (
     chern_character,
     delta_m,
@@ -127,6 +128,43 @@ def test_criterion_02_freeness_and_gorenstein():
     elapsed = time.time() - start
     report(2, "freeness, rank |W|, palindromic numerator, shift dimV - 2 sum m",
            ok and elapsed < 60.0, f"{elapsed:.1f}s < 60s, {len(criterion_2_configurations())} configs")
+
+
+def larger_battery_configurations():
+    """Past criterion 2: larger dihedral groups, rank four, and products with
+    a cyclic factor (vector multiplicities), one or two multiplicities each."""
+    i7, i8, a4 = parse_group("I2(7)"), parse_group("I2(8)"), parse_group("A1^4")
+    z34, a1z3 = parse_group("Z/3 x Z/4"), parse_group("A1 x Z/3")
+    values = [
+        (i7, {0: 1}), (i7, {0: 2}), (i8, {0: 1, 1: 0}), (i8, {0: 1, 1: 1}),
+        (a4, {0: 1, 1: 1, 2: 1, 3: 1}),
+        (z34, {0: (1, 0, 1), 1: (1, 1)}), (z34, {0: (0, 1, 0), 1: (2, 1)}),
+        (a1z3, {0: (1, 0), 1: 1}), (a1z3, {0: (1, 2), 1: 2}),
+    ]
+    return [(group, Multiplicity(group, vals)) for group, vals in values]
+
+
+def test_larger_freeness_battery_at_the_criterion_2_degree():
+    """Free of rank |W| at the criterion-2 degree, within a wall-time bound;
+    graded dimensions equal the brute force through degree 10; and, where
+    the every-product reference is fast (all but A1^4, where it takes about
+    40 s), the certificate equals it."""
+    configs = [(group, mult, 4 * group.sum_invariant_degrees() + 4 * _max_entry(mult))
+               for group, mult in larger_battery_configurations()]
+    start = time.time()
+    certs = [freeness_certificate(group, mult, bound) for group, mult, bound in configs]
+    elapsed = time.time() - start
+    ok = True
+    for (group, mult, bound), cert in zip(configs, certs):
+        ok = ok and cert.status == "free" and cert.rank == group.order
+        if group.is_coxeter():
+            ok = ok and cert.gorenstein_shift == cert.predicted_shift
+        ok = ok and quasi_basis(group, mult, 10).dims() == brute_quasi_dims(group, mult, 10)
+        if group.spec != "A1^4":
+            reference = _reference_outcome(group, quasi_basis(group, mult, bound))
+            ok = ok and _certificate_outcome(cert) == reference
+    report(2, f"larger battery: free of rank |W|, oracle and reference agree, {len(configs)} "
+              "configs", ok and elapsed < 15.0, f"{elapsed:.1f}s < 15s")
 
 
 def test_criterion_03_oracle_equivalence():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
 from quasinv.linalg import (
     IncrementalSpan,
+    SparseRow,
     coordinates,
     nullspace,
     rank,
@@ -258,3 +259,55 @@ def _assert_rref_matches(span, dense, zeros_typed):
     dense_red, dense_pivots = dense_rref(dense.rows)
     assert pivots == dense_pivots
     assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """(n, ncols, rows): up to ten `SparseRow`s over Q (n is None) or
+    Q(zeta_n), each with at most three nonzero entries drawn from a few
+    small values, so that rows cancel and repeat."""
+    n = draw(st.sampled_from([None, 3, 4, 5, 8]))
+    ncols = draw(st.integers(1, 7))
+    small = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)])
+    if n is None:
+        value = small
+    else:
+        d = len(cyclotomic_polynomial(n)) - 1
+        value = st.one_of(small.map(lambda c: Cyclotomic(n, [c])),
+                          st.lists(small | st.just(Fraction(0)), min_size=d, max_size=d)
+                          .map(lambda cs: Cyclotomic(n, cs)).filter(bool))
+    row = st.dictionaries(st.integers(0, ncols - 1), value, max_size=3).map(SparseRow)
+    return n, ncols, draw(st.lists(row, min_size=1, max_size=10))
+
+
+def _densified(row, ncols):
+    vec = [Fraction(0)] * ncols
+    for j, c in row.items():
+        vec[j] = c
+    return vec
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows())
+def test_sparse_rows_match_their_dense_forms(case):
+    n, ncols, rows = case
+    zeros_typed = n is None  # dense forms hold Fraction zeros among Q(zeta_n) entries
+    dense_rows = [_densified(row, ncols) for row in rows]
+    span, dense = IncrementalSpan(ncols), DenseSpan()
+    for row, vec in zip(rows + rows[:2], dense_rows + dense_rows[:2]):
+        assert span.contains(row) == (not any(dense.reduce(vec)))
+        assert span.add(row) == dense.add(vec)
+        assert span.contains(row)
+    assert span.pivots == dense.pivots
+    assert _encoded(span.rows, zeros_typed) == _encoded(dense.rows, zeros_typed)
+    _assert_rref_matches(span, dense, zeros_typed)
+    assert _encoded(nullspace(rows, ncols)) == _encoded(dense_nullspace(dense_rows))
+    assert [_densified(row, ncols) for row in rows] == dense_rows  # inputs untouched
+
+
+def test_sparse_row_iterates_over_its_entries():
+    row = SparseRow({4: Fraction(2), 1: Fraction(-1)})
+    assert sorted(row) == [-1, 2] and any(row) and not any(SparseRow())
+    assert dict(row) == {4: 2, 1: -1}
+    with pytest.raises(ValueError):
+        nullspace([SparseRow({0: Cyclotomic.zeta(3)}), SparseRow({1: Cyclotomic.zeta(4)})], 2)

@@ -4,7 +4,8 @@ import pytest
 
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.poly import Polynomial
+from quasinv.linalg import span_of
+from quasinv.poly import Polynomial, coordinate_vector
 from quasinv.quasi import cw_valued_basis, quasi_basis
 from quasinv.tower import (
     coinvariant_dimension,
@@ -23,6 +24,31 @@ from quasinv.tower import (
 A1 = parse_group("A1")
 
 
+def dimension_formula_holds(fp):
+    """dim = dim A + dim B - dim C in every degree where both structure maps
+    are onto."""
+    return all(len(layer) == fp.dims_a[d] + fp.dims_b[d] - fp.dims_c[d]
+               for d, layer in enumerate(fp.layers) if all(fp.surjective[d]))
+
+
+def _pair_in_span(fp, d, a, b):
+    """Whether the pair (a, b) lies in the span of the degree-d layer."""
+    target = coordinate_vector(a, d) + coordinate_vector(b, d)
+    vecs = [coordinate_vector(x, d) + coordinate_vector(y, d) for x, y in fp.layers[d]]
+    return span_of(vecs, len(target)).contains(target)
+
+
+def contains_unit(fp):
+    one = Polynomial.constant(fp.variables, 1)
+    return bool(fp.layers and fp.layers[0]) and _pair_in_span(fp, 0, one, one)
+
+
+def product_in_span(fp, pair1, pair2):
+    a, b = pair1[0] * pair2[0], pair1[1] * pair2[1]
+    d = max(int(p.degree()) if p else -1 for p in (a, b))
+    return d < 0 or _pair_in_span(fp, d, a, b)
+
+
 def _plain_fiber_product(cut, D):
     variables = ("x",)
     return fiber_product_basis(
@@ -39,8 +65,8 @@ def _plain_fiber_product(cut, D):
 def test_fiber_product_over_length_one_quotient():
     fp = _plain_fiber_product(1, 6)
     assert fp.dims() == [1, 2, 2, 2, 2, 2, 2]
-    assert fp.contains_unit()
-    assert fp.dimension_formula_holds()
+    assert contains_unit(fp)
+    assert dimension_formula_holds(fp)
 
 
 def test_fiber_product_multiplicity_one():
@@ -53,8 +79,8 @@ def test_fiber_product_multiplicity_one():
 
 def test_fiber_product_closed_under_products():
     fp = _plain_fiber_product(3, 8)
-    assert fp.product_in_span(fp.layers[2][0], fp.layers[3][0])
-    assert fp.product_in_span(fp.layers[1][0], fp.layers[1][0])
+    assert product_in_span(fp, fp.layers[2][0], fp.layers[3][0])
+    assert product_in_span(fp, fp.layers[1][0], fp.layers[1][0])
 
 
 def test_ganea_step_from_zero():
