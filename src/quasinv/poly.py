@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from quasinv.fields import Cyclotomic, field_inverse
 
@@ -98,23 +99,12 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
             other = _as_coeff(other)
-            if not other:
-                return Polynomial(self.vars)
             out = Polynomial(self.vars)
-            out.terms = {e: c * other for e, c in self.terms.items()}
+            out.terms = {e: c * other for e, c in self.terms.items()} if other else {}
             return out
         self._check(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
         out = Polynomial(self.vars)
-        out.terms = terms
+        out.terms = multiply_terms(self.terms.items(), other.terms.items())
         return out
 
     __rmul__ = __mul__
@@ -206,14 +196,33 @@ class Polynomial:
                 if e
             )
             if mono:
-                parts.append(f"({c})*{mono}" if not _is_one(c) else mono)
+                parts.append(f"({c})*{mono}" if c != 1 else mono)
             else:
                 parts.append(f"({c})")
         return " + ".join(parts)
 
 
-def _is_one(c):
-    return c == 1
+def multiply_terms(left, right, columns=None) -> dict:
+    """The product of two re-iterable term lists of (exponent, nonzero
+    coefficient) pairs as `{e1 + e2: sum of c1 * c2}` without the entries
+    that cancel, keyed by `columns[e1 + e2]` when `columns` is given.  A left
+    coefficient equal to the rational 1 is not multiplied: 1 * c2 is c2."""
+    terms: dict = {}
+    for e1, c1 in left:
+        unit = c1.__class__ is Fraction and c1 == 1
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            if columns is not None:
+                e = columns[e]
+            c = c2 if unit else c1 * c2
+            s = terms.get(e)
+            if s is None:
+                terms[e] = c
+            elif s := s + c:
+                terms[e] = s
+            else:
+                del terms[e]
+    return terms
 
 
 def _cached_power(p: Polynomial, e: int, cache: dict, key) -> Polynomial:
@@ -307,19 +316,13 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
             break
         piece = Polynomial(alpha.vars)
         piece.terms = {
-            _dec_exp(e, pivot): c * inv
+            e[:pivot] + (top - 1,) + e[pivot + 1:]: c * inv
             for e, c in rem.terms.items()
             if e[pivot] == top
         }
         quotient = quotient + piece
         rem = rem - piece * alpha
     return quotient, rem
-
-
-def _dec_exp(e, pivot):
-    e = list(e)
-    e[pivot] -= 1
-    return tuple(e)
 
 
 def exact_quotient_by_power(p: Polynomial, alpha: Polynomial, k: int) -> Polynomial:

@@ -40,6 +40,7 @@ from quasinv.poly import (
     coordinate_vector,
     linear_coefficients,
     monomial_index,
+    multiply_terms,
 )
 
 __all__ = [
@@ -78,6 +79,8 @@ class GradedBasis:
     def contains(self, p: Polynomial) -> bool:
         """Exact span membership, degree by degree, against one eliminated
         span per layer that is built on first use and kept."""
+        if p.vars != self.group.variables:
+            raise ValueError("polynomial not in the group's coordinate ring")
         for d in sorted({sum(e) for e in p.terms}):
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
@@ -329,13 +332,16 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     ValueError.  Invariants are diagonal-invariant, so f^J g lies in g's
     block; once that block's span has the layer's dimension in the block,
     f^J g is not formed, and neither it nor a layer vector is inserted.
-    Each vector enters its block's span as a sparse row read off its terms.
+    A layer vector enters its block's span as a sparse row read off its
+    terms, and f^J g as the row that `multiply_terms` forms from the term
+    lists of f^J and g (each recorded once), with no product polynomial.
     """
     D = basis.max_degree
     dims = basis.dims()
     inv_dims = invariant_ring_dims(group, D)
     inv_monomials = _invariant_monomials(group.fundamental_invariants, D)
     generators = []
+    generator_terms = []  # (degree, term list) per generator
     status = None
     failure_degree = None
     for d in range(D + 1):
@@ -355,18 +361,16 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
             layer_blocks.append(found.pop())
         full = [layer_blocks.count(bi) for bi in range(len(blocks))]
 
-        def insert(bi, p):  # True when span bi grew
-            return spans[bi].add(_row(p, local))
-
-        for gd, g in generators:
-            lead = next(iter(g.terms))
+        for gd, g in generator_terms:
+            lead = g[0][0]
             for fj in inv_monomials[d - gd]:
-                bi = block_of[tuple(map(add, lead, next(iter(fj.terms))))]
+                bi = block_of[tuple(map(add, lead, fj[0][0]))]
                 if spans[bi].dim() < full[bi]:
-                    insert(bi, fj * g)
+                    spans[bi].add(multiply_terms(fj, g, local))
         for p, bi in zip(basis.layers[d], layer_blocks):
-            if spans[bi].dim() < full[bi] and insert(bi, p):
+            if spans[bi].dim() < full[bi] and spans[bi].add(_row(p, local)):
                 generators.append((d, p))
+                generator_terms.append((d, list(p.terms.items())))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
         if free_dim != dims[d]:
             status = "not-free"
@@ -387,17 +391,17 @@ def _row(p: Polynomial, columns) -> SparseRow:
 
 
 def _invariant_monomials(fund, top: int):
-    """Products f^J of the fundamental invariants of positive degree <= top,
-    by degree; each is one product f^J' * f_i with i no smaller than the
-    factor indices of J'."""
+    """Term lists of the products f^J of the fundamental invariants of
+    positive degree <= top, by degree; each is one product f^J' * f_i with
+    i no smaller than the factor indices of J'."""
     out = [[] for _ in range(top + 1)]
-    stack = [(Polynomial.constant(fund[0].vars, 1), 0, 0)]
+    stack = [([((0,) * len(fund[0].vars), Fraction(1))], 0, 0)]
     while stack:
         prod, deg, first = stack.pop()
         for i in range(first, len(fund)):
             nd = deg + int(fund[i].degree())
             if nd <= top:
-                out[nd].append(prod * fund[i])
+                out[nd].append(list(multiply_terms(prod, fund[i].terms.items()).items()))
                 stack.append((out[nd][-1], nd, i))
     return out
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasinv.fields import Cyclotomic
 from quasinv.poly import (
@@ -11,6 +13,7 @@ from quasinv.poly import (
     divisibility_order,
     exact_quotient_by_power,
     monomials_of_degree,
+    multiply_terms,
 )
 
 VARS = ("x", "y")
@@ -131,3 +134,105 @@ def test_substitute_matches_direct_expansion():
 def test_monomials_graded_lex():
     monos = monomials_of_degree(VARS, 2)
     assert monos == [(0, 2), (1, 1), (2, 0)]
+
+
+# -- the term-list product and the ring laws, against a plain convolution -----------
+
+# Few small values on a small exponent grid, so that products share exponents
+# and sums cancel often.  Inside Q(zeta_n) a coefficient is a rational (the
+# rational 1 among them), a root of unity times one, or a rational embedded
+# as a Cyclotomic (the cyclotomic 1 among them), so polynomials mix the two
+# coefficient types the way quasi_basis layers do.
+_SMALL = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+_EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+def _coefficients(n):
+    if n is None:
+        return _SMALL
+    return st.one_of(
+        _SMALL,
+        st.builds(lambda q, k: q * Cyclotomic.zeta(n, k), _SMALL, st.integers(0, n - 1)),
+        st.builds(lambda q: Cyclotomic.from_rational(n, q), _SMALL),
+    )
+
+
+@st.composite
+def _polynomials(draw, count):
+    """`count` polynomials in x, y over Q or over one Q(zeta_n).  When the
+    first two are nonzero, each gets one more term, x^(e+s) and x^(f+s) for
+    terms x^e of the first and x^f of the second, with coefficients that
+    make the products x^e * x^(f+s) and x^(e+s) * x^f cancel."""
+    n = draw(st.sampled_from([None, 3, 4, 5, 8]))
+    coefficients = _coefficients(n)
+    out = [draw(st.dictionaries(_EXPONENTS, coefficients, max_size=5)) for _ in range(count)]
+    if count > 1 and out[0] and out[1]:
+        left, right = out[0], out[1]
+        e, c = draw(st.sampled_from(sorted(left.items())))
+        f, d = draw(st.sampled_from(sorted(right.items())))
+        shift = draw(_EXPONENTS.filter(any))
+        right[tuple(map(sum, zip(f, shift)))] = b = draw(coefficients)
+        left[tuple(map(sum, zip(e, shift)))] = -(c * b) / d
+    return [Polynomial(VARS, terms) for terms in out]
+
+
+def _convolution(left: dict, right: dict) -> dict:
+    """Reference product of two {exponent: coefficient} dicts: each pair of
+    terms, left-major, is added into one dict as 0 + c1 * c2 or s + c1 * c2,
+    and an entry is removed as soon as it sums to zero; that order fixes the
+    keys' order and each coefficient's field type."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _typed(terms: dict) -> list:
+    return [(key, type(c), getattr(c, "n", None)) for key, c in terms.items()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomials(2))
+@example([Polynomial(VARS, {(1, 0): 1, (0, 1): 1}), Polynomial(VARS, {(1, 0): 1, (0, 1): -1})])
+@example([Polynomial(VARS, {(1, 0): Cyclotomic.zeta(4), (0, 0): 1}),
+          Polynomial(VARS, {(1, 0): Cyclotomic.zeta(4), (0, 0): 1, (0, 1): Fraction(1, 2)})])
+@example([Polynomial(VARS, {(0, 0): Cyclotomic.from_rational(3, 1)}),
+          Polynomial(VARS, {(1, 1): Fraction(1, 2)})])
+def test_term_product_matches_the_convolution(pair):
+    left, right = pair
+    want = _convolution(left.terms, right.terms)
+    got = multiply_terms(left.terms.items(), right.terms.items())
+    assert got == want and _typed(got) == _typed(want)
+    assert all(got.values())
+    columns = {(i, j): 9 * j + i for i in range(9) for j in range(9)}
+    keyed = multiply_terms(list(left.terms.items()), list(right.terms.items()), columns)
+    assert _typed(keyed) == _typed({columns[e]: c for e, c in want.items()})
+    assert list(keyed.values()) == list(want.values())
+    product = left * right
+    assert product.terms == want and _typed(product.terms) == _typed(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polynomials(3))
+def test_polynomial_ring_laws(triple):
+    a, b, c = triple
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomials(1), st.integers(0, 4))
+def test_power_is_the_repeated_product(single, k):
+    (a,) = single
+    repeated = Polynomial.constant(VARS, 1)
+    for _ in range(k):
+        repeated = repeated * a
+    assert a**k == repeated

@@ -339,6 +339,17 @@ def test_closure_report_gives_a_witness():
     assert report == {"closed": False, "pairs_checked": 1, "witness_degrees": (1, 1)}
 
 
+def test_membership_refuses_a_polynomial_outside_the_coordinate_ring():
+    W = parse_group("A1 x A1")
+    basis = quasi_basis(W, Multiplicity.constant(W, 1), 4)
+    renamed = Polynomial(("a", "b"), {(2, 0): 1})  # x1^2 is in Q_1, under other names
+    extra = Polynomial(W.variables + ("w",), {(2, 0, 0): 1})
+    for p in (renamed, extra):
+        with pytest.raises(ValueError, match="coordinate ring"):
+            basis.contains(p)
+    assert basis.contains(Polynomial(W.variables, {(2, 0): 1}))
+
+
 def test_module_certificate_rejects_a_vector_across_blocks():
     W = parse_group("A1 x A1")
     z1, z2 = (Polynomial.variable(W.variables, v) for v in W.variables)
