@@ -2,7 +2,7 @@
 
 `IncrementalSpan` holds the only elimination loop.  It stores each row
 sparse, as `{column: entry}` over its nonzero entries, and takes a row
-either dense (a list) or sparse (a `SparseRow`).  A row is
+either dense (a list) or sparse (such a dict, or a `SparseRow`).  A row is
 reduced against the stored rows in insertion order, and its pivot is its
 first nonzero column after that reduction, so spans are reproducible across
 platforms and runs.  `rref` inserts its rows into one span and
