@@ -302,6 +302,12 @@ def _fold(n: int, d: int, vec: list) -> list:
     return vec
 
 
+def rational_value(c):
+    """c as a Fraction if it is a Cyclotomic in Q, otherwise c itself."""
+    rational = c.__class__ is Cyclotomic and not any(c.nums[1:])
+    return Fraction(c.nums[0], c.den) if rational else c
+
+
 def field_inverse(c):
     """1/c for a rational or cyclotomic element."""
     return _ONE / c if isinstance(c, Fraction) else c.inverse()

@@ -17,7 +17,8 @@ algebra element formed: a hyperplane x_k = 0 deletes the monomials that the
 residue of their x_k-exponent rules out, and a hyperplane x_k = r x_l gives
 rows of integer binomial sums times a root of unity.  `quasi_basis` solves
 these rows and `is_quasi_invariant` evaluates them, so membership and bases
-cannot disagree.
+cannot disagree.  On a diagonal-character block the root is one per row up
+to sign (`_solve_layer`), so solves and freeness spans run on rationals.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -25,13 +26,15 @@ closed under multiplication; closure is reported when checked, never assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb
-from operator import add
+from operator import add, le
 
 from quasinv.errors import DomainError
+from quasinv.fields import Cyclotomic, rational_value
 from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, rank, span_of
@@ -58,6 +61,8 @@ __all__ = [
     "invariant_ring_dims",
 ]
 
+_ONE = Fraction(1)
+
 
 class GradedBasis:
     """Degreewise bases of a graded subspace of the polynomial ring."""
@@ -79,8 +84,7 @@ class GradedBasis:
     def contains(self, p: Polynomial) -> bool:
         """Exact span membership, degree by degree, against one eliminated
         span per layer that is built on first use and kept."""
-        if p.vars != self.group.variables:
-            raise ValueError("polynomial not in the group's coordinate ring")
+        _check_ring(self.group, p)
         for d in sorted({sum(e) for e in p.terms}):
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
@@ -194,8 +198,9 @@ def _odd_alpha_coefficients(a: int, b: int, top: int):
 
 
 def _constraint_entries(group: ReflectionGroup, conditions, e):
-    """The entries of column x^e in the constraint rows, as (row key,
-    entry) pairs, or None when a condition deletes x^e.
+    """The entries of column x^e in the constraint rows, as (row key, root
+    index u, integer c) triples for the entry roots[u] * c, or None when a
+    condition deletes x^e.
 
     With x_k = (alpha + beta)/2 and x_l = (beta - alpha)/(2r), x^e is
     2^(-d) r^(-e_l) (alpha + beta)^(e_k) (beta - alpha)^(e_l) times the
@@ -207,17 +212,17 @@ def _constraint_entries(group: ReflectionGroup, conditions, e):
     for k, n_h, need in deletions:
         if e[k] < need[e[k] % n_h]:
             return None
-    roots = group.roots
+    n = len(group.roots)
     out = []
     for si, (k, l, j, top) in enumerate(swaps):
         a, b = e[k], e[l]
         coefficients = _odd_alpha_coefficients(a, b, top)
         if coefficients:
-            scale = roots[-j * b % len(roots)]
+            u = -j * b % n
             for t, c in coefficients:
                 f = list(e)
                 f[k], f[l] = t, a + b - t
-                out.append(((si, tuple(f)), scale * c))
+                out.append(((si, tuple(f)), u, c))
     return out
 
 
@@ -229,17 +234,26 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
             "half-integer multiplicities define a module, not a subalgebra; "
             "use cw_valued_basis"
         )
-    if p.vars != group.variables:
-        raise ValueError("polynomial not in the group's coordinate ring")
+    _check_ring(group, p)
     conditions = _hyperplane_conditions(group, mult)
     sums: dict = {}
     for e, c in p.terms.items():
         entries = _constraint_entries(group, conditions, e)
         if entries is None:
             return False
-        for key, v in entries:
-            sums[key] = sums.get(key, 0) + c * v
+        for key, u, v in entries:
+            sums[key] = sums.get(key, 0) + c * (group.roots[u] * v)
     return not any(sums.values())
+
+
+def _check_ring(group: ReflectionGroup, p: Polynomial) -> None:
+    """Refuse p outside the group's coordinate ring, or with a coefficient in
+    a cyclotomic field other than the group's (over Q, any is accepted)."""
+    if p.vars != group.variables:
+        raise ValueError("polynomial not in the group's coordinate ring")
+    for c in p.terms.values():
+        if c.__class__ is Cyclotomic and group.field not in ("Q", ("zeta", c.n)):
+            raise ValueError(f"mixed coefficient fields: Q(zeta_{c.n}) vs Q(zeta_{group.field[1]})")
 
 
 # -- degreewise solution spaces ----------------------------------------------------
@@ -252,7 +266,7 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     monomials that a coordinate hyperplane rules out and give, for each
     hyperplane x_k - r x_l, one row per odd power of alpha below 2m and
     exponent in its eigen-coordinates; the entries are integer binomial
-    sums times one root of unity (`_constraint_entries`).  The kernel of
+    sums times a root of unity (`_constraint_entries`).  The kernel of
     those rows on the surviving monomials is the quasi-invariant layer.
     `nullspace` returns the canonical reduced basis of the kernel, so any
     matrix with the same kernel gives the same layer.
@@ -276,23 +290,38 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
 
 def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
     """Kernel of the degree-d constraint rows, solved on each block of
-    columns separately, as polynomials sorted by leading exponent."""
-    layer = []
+    columns separately, as polynomials sorted by leading exponent.
+
+    Each row is divided by the root of its first entry, which leaves
+    integers up to sign: a row of x_k - r x_l fixes e_k + e_l and a block
+    fixes e_k - e_l mod the order of r, so 2 e_l is fixed and r^(-e_l) is
+    fixed up to sign.  Repeated rows (an I2(k) orbit gives one per
+    hyperplane) are dropped while integers; the rest take the group's
+    coefficient type, roots[0] * c.  The row space, hence the kernel, is
+    unchanged."""
+    roots = group.roots
+    n, layer = len(roots), []
     for block in blocks:
-        kept, rows = [], {}
+        kept, rows, first = [], {}, {}
         for col in block:
             entries = _constraint_entries(group, conditions, monos[col])
-            if entries is None:
-                continue
-            for key, c in entries:
-                rows.setdefault(key, SparseRow())[len(kept)] = c
-            kept.append(monos[col])
-        if not rows:
-            layer.extend(Polynomial(group.variables, {e: Fraction(1)}) for e in kept)
-            continue
-        for vec in nullspace([rows[key] for key in sorted(rows)], len(kept)):
-            layer.append(Polynomial(group.variables,
-                                    {kept[i]: c for i, c in enumerate(vec) if c}))
+            if entries is not None:
+                for key, u, c in entries:
+                    u = (u - first.setdefault(key, u)) % n
+                    rows.setdefault(key, []).append(
+                        (len(kept), c if not u else -c if 2 * u == n else roots[u] * c))
+                kept.append(monos[col])
+        if rows:  # a block left without rows is its surviving monomials
+            matrix = [SparseRow((i, roots[0] * c) for i, c in row)
+                      for row in dict.fromkeys(tuple(rows[key]) for key in sorted(rows))]
+            kernel = [{kept[i]: c for i, c in enumerate(vec) if c}
+                      for vec in nullspace(matrix, len(kept))]
+        else:
+            kernel = [{e: _ONE} for e in kept]
+        for terms in kernel:  # already clean: no Polynomial.__init__ pass
+            p = Polynomial(group.variables)
+            p.terms = terms
+            layer.append(p)
     layer.sort(key=lambda p: min(p.terms))
     return layer
 
@@ -335,6 +364,9 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     A layer vector enters its block's span as a sparse row read off its
     terms, and f^J g as the row that `multiply_terms` forms from the term
     lists of f^J and g (each recorded once), with no product polynomial.
+    The spans read values: the layers solve integer rows (`_solve_layer`),
+    so a Cyclotomic coefficient in Q enters the rows and the recorded term
+    lists as its Fraction; the generators reported are the layer's own.
     """
     D = basis.max_degree
     dims = basis.dims()
@@ -370,7 +402,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         for p, bi in zip(basis.layers[d], layer_blocks):
             if spans[bi].dim() < full[bi] and spans[bi].add(_row(p, local)):
                 generators.append((d, p))
-                generator_terms.append((d, list(p.terms.items())))
+                generator_terms.append((d, [(e, rational_value(c)) for e, c in p.terms.items()]))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
         if free_dim != dims[d]:
             status = "not-free"
@@ -386,8 +418,9 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
 
 
 def _row(p: Polynomial, columns) -> SparseRow:
-    """The coefficients of p as a sparse row, x^e in column columns[e]."""
-    return SparseRow((columns[e], c) for e, c in p.terms.items())
+    """The coefficient values of p as a sparse row, x^e in column
+    columns[e]; a Cyclotomic in Q enters as its Fraction."""
+    return SparseRow((columns[e], rational_value(c)) for e, c in p.terms.items())
 
 
 def _invariant_monomials(fund, top: int):
@@ -507,27 +540,17 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
 def _intersection_dims(group: ReflectionGroup, D: int):
     """Graded dimensions of the intersection of all Q_m with total weight
     sum over hyperplanes of m_alpha at most D."""
-    orbit_sizes: dict = {}
-    orbit_nh: dict = {}
-    for h in group.hyperplanes:
-        orbit_sizes[h.orbit_id] = orbit_sizes.get(h.orbit_id, 0) + 1
-        orbit_nh[h.orbit_id] = h.stabilizer_order
+    orbit_sizes = Counter(h.orbit_id for h in group.hyperplanes)
+    orbit_nh = {h.orbit_id: h.stabilizer_order for h in group.hyperplanes}
     orbit_ids = sorted(orbit_sizes)
     maximal = _maximal_weight_vectors([orbit_sizes[o] for o in orbit_ids], D)
     spans = None
     for vec in maximal:
-        values = {}
-        for o, m in zip(orbit_ids, vec):
-            if orbit_nh[o] == 2:
-                values[o] = m
-            else:
-                values[o] = (m,) * (orbit_nh[o] - 1)
+        values = {o: m if orbit_nh[o] == 2 else (m,) * (orbit_nh[o] - 1)
+                  for o, m in zip(orbit_ids, vec)}
         basis = quasi_basis(group, Multiplicity(group, values), D)
         vecs = [basis.layer_vectors(d) for d in range(D + 1)]
-        if spans is None:
-            spans = vecs
-        else:
-            spans = [_intersect_spans(a, b) for a, b in zip(spans, vecs)]
+        spans = vecs if spans is None else [_intersect_spans(a, b) for a, b in zip(spans, vecs)]
     return [len(s) for s in spans]
 
 
@@ -547,12 +570,7 @@ def _maximal_weight_vectors(sizes, D: int):
             rec(prefix + [v], budget - sizes[i] * v)
 
     rec([], D)
-    # drop dominated vectors
-    maximal = []
-    for v in out:
-        if not any(all(a <= b for a, b in zip(v, w)) and v != w for w in out):
-            maximal.append(v)
-    return maximal
+    return [v for v in out if not any(v != w and all(map(le, v, w)) for w in out)]
 
 
 def _intersect_spans(A, B):
@@ -567,11 +585,7 @@ def _intersect_spans(A, B):
     span = IncrementalSpan(n)
     basis = []
     for k in (nullspace(cols) if cols else []):
-        v = [Fraction(0)] * n
-        for i, coef in enumerate(k[: len(A)]):
-            if coef:
-                for j in range(n):
-                    v[j] += coef * A[i][j]
+        v = [sum((c * a[j] for c, a in zip(k, A) if c), Fraction(0)) for j in range(n)]
         if span.add(v):
             basis.append(v)
     if len(basis) != len(A) + len(B) - dimsum:

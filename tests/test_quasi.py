@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from group_algebra import GroupAlgebraElement, idempotent
 from oracles import brute_is_quasi_invariant, brute_quasi_dims
 from quasinv.errors import DomainError
+from quasinv.fields import Cyclotomic
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, nullspace
@@ -231,7 +232,8 @@ def _encoded_layers(basis):
 
 _REFERENCE_SPECS = (
     ("Z/3", 2, 12), ("Z/4", 2, 12), ("Z/6", 1, 12), ("A1 x Z/3", 2, 8), ("Z/3 x Z/4", 1, 7),
-    ("I2(7)", 2, 12), ("I2(8)", 2, 11),
+    ("I2(3)", 2, 12), ("I2(5)", 2, 12), ("I2(6)", 2, 12), ("I2(7)", 2, 12), ("I2(8)", 2, 11),
+    ("I2(12)", 1, 14),
 )
 
 
@@ -350,6 +352,54 @@ def test_membership_refuses_a_polynomial_outside_the_coordinate_ring():
     assert basis.contains(Polynomial(W.variables, {(2, 0): 1}))
 
 
+def test_membership_refuses_a_coefficient_of_another_cyclotomic_field():
+    W = parse_group("I2(3)")  # over Q(zeta_6)
+    m = Multiplicity.constant(W, 1)
+    basis = quasi_basis(W, m, 4)
+    foreign = Polynomial(W.variables, {(3, 0): Cyclotomic.zeta(5), (0, 3): 1})
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        is_quasi_invariant(W, m, foreign)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        basis.contains(foreign)
+    # an irrational multiple of the invariant z1^3 + z2^3 in the group's own field
+    own = Polynomial(W.variables, {(3, 0): Cyclotomic.zeta(6), (0, 3): Cyclotomic.zeta(6)})
+    assert is_quasi_invariant(W, m, own) and basis.contains(own)
+    assert not is_quasi_invariant(W, m, own + Polynomial(W.variables, {(2, 1): 1}))
+    assert not basis.contains(own + Polynomial(W.variables, {(2, 1): 1}))
+
+
+def test_membership_over_q_accepts_cyclotomic_scalars():
+    W = parse_group("A1 x A1")
+    m = Multiplicity.constant(W, 1)
+    basis = quasi_basis(W, m, 4)
+    member = Polynomial(W.variables, {(2, 0): Cyclotomic.zeta(5), (0, 3): Cyclotomic.zeta(5, 2)})
+    assert is_quasi_invariant(W, m, member) and basis.contains(member)
+    outside = Polynomial(W.variables, {(1, 0): Cyclotomic.zeta(7)})
+    assert not is_quasi_invariant(W, m, outside)
+    assert not basis.contains(outside)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(12)"])
+def test_dihedral_constraint_rows_are_rational_and_distinct(spec, monkeypatch):
+    # each row is scaled by the root of its first entry and repeated rows are
+    # dropped, so the solver sees distinct rows of rational Cyclotomics
+    W = parse_group(spec)
+    matrices = []
+
+    def recording(matrix, ncols=None):
+        matrices.append(matrix)
+        return nullspace(matrix, ncols)
+
+    monkeypatch.setattr("quasinv.quasi.nullspace", recording)
+    quasi_basis(W, _mixed_multiplicity(W), 3 * W.invariant_degrees[-1])
+    assert matrices
+    for matrix in matrices:
+        for row in matrix:
+            assert all(isinstance(c, Cyclotomic) and not any(c.coords[1:]) for c in row)
+        distinct = {tuple(sorted(row.items())) for row in matrix}
+        assert len(distinct) == len(matrix)
+
+
 def test_module_certificate_rejects_a_vector_across_blocks():
     W = parse_group("A1 x A1")
     z1, z2 = (Polynomial.variable(W.variables, v) for v in W.variables)
@@ -413,7 +463,7 @@ def _certificate_case(draw):
     and a degree bound past the top generator degree."""
     spec, top = draw(st.sampled_from([
         ("A1 x A1", 2), ("A1^3", 1), ("I2(3)", 2), ("I2(4)", 1), ("I2(5)", 1), ("I2(6)", 1),
-        ("Z/4", 1), ("A1 x Z/3", 1),
+        ("I2(7)", 1), ("I2(8)", 1), ("Z/4", 1), ("A1 x Z/3", 1),
     ]))
     W = parse_group(spec)
     values = {}
