@@ -311,7 +311,7 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
                     rows.setdefault(key, []).append(
                         (len(kept), c if not u else -c if 2 * u == n else roots[u] * c))
                 kept.append(monos[col])
-        if rows:  # a block left without rows is its surviving monomials
+        if rows:
             matrix = [SparseRow((i, roots[0] * c) for i, c in row)
                       for row in dict.fromkeys(tuple(rows[key]) for key in sorted(rows))]
             kernel = [{kept[i]: c for i, c in enumerate(vec) if c}
