@@ -31,19 +31,6 @@ from quasinv.serialize import (
     encode_coeff,
 )
 
-REPLAY_SUITES = (
-    "gorenstein",
-    "tower",
-    "divided-differences",
-    "exponential-ring",
-    "fake-cohomology",
-    "fake-ktheory",
-    "triple-product",
-    "elliptic-sections",
-    "sheaf-dims",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -83,6 +70,9 @@ MAX_N = 20
 MAX_PRIME = 10**9  # trial division stops below 31,623
 MAX_NB = 10**9  # N_B**MAX_MULT stays far below the int-to-str digit limit
 MAX_WINDOW = 40  # 4 * 10, the widest --window in the tests, demos, README and replay
+# per coefficient of --apply and --elem, whose exponents stop at MAX_DEGREE and
+# MAX_WINDOW: the outputs stay far below the 4,300 int-to-str digits
+MAX_DIGITS = 1000
 
 
 def default_q_order() -> int:
@@ -166,6 +156,9 @@ def parse_polynomial(group, text: str) -> Polynomial:
             continue
         factor, pos = _parse_factor(tokens, pos, variables)
         current = factor if current is None else current * factor
+        for exp, c in current.terms.items():
+            if sum(exp) > MAX_DEGREE or max(abs(c.numerator), c.denominator) >= 10**MAX_DIGITS:
+                raise ParseError(f"a term exceeds degree {MAX_DEGREE} or {MAX_DIGITS} digits")
         if pos < len(tokens) and tokens[pos] == ("op", "*"):
             pos += 1
     if current is not None:
@@ -177,7 +170,7 @@ def _parse_factor(tokens, pos, variables):
     from quasinv.poly import Polynomial
     kind, value = tokens[pos]
     if kind == "num":
-        base = Polynomial.constant(variables, Fraction(value))
+        base = Polynomial.constant(variables, _rational(value))
         pos += 1
     elif kind == "name":
         if value not in variables:
@@ -190,9 +183,27 @@ def _parse_factor(tokens, pos, variables):
         kind2, exp = tokens[pos + 1]
         if kind2 != "num" or "/" in exp:
             raise ParseError("exponent must be a non-negative integer")
-        base = base ** int(exp)
+        base = base ** _exponent(exp, MAX_DEGREE)
         pos += 2
     return base, pos
+
+
+def _rational(text: str) -> Fraction:
+    """A literal "a" or "a/b" with b != 0 and at most MAX_DIGITS digits a part."""
+    parts = text.split("/")
+    if any(len(part) > MAX_DIGITS for part in parts):
+        raise ParseError(f"a coefficient has more than {MAX_DIGITS} digits")
+    if len(parts) == 2 and not int(parts[1]):
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(text)
+
+
+def _exponent(text: str, cap: int) -> int:
+    """An integer exponent of absolute value at most `cap`, checked before int()."""
+    digits = text.lstrip("-")
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise ParseError(f"exponent {text[:20]!r} exceeds {cap} in absolute value")
+    return int(text)
 
 
 def _tokenize(text: str):
@@ -234,10 +245,10 @@ def parse_laurent(text: str) -> LaurentElement:
         if "z" not in token and m.group("coeff") is None:
             raise ParseError(f"cannot parse character expression at {text[pos:]!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = _rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if "z" in token:
             exp = m.group("exp")
-            k = int(exp.strip("()")) if exp else 1
+            k = _exponent(exp.strip("()"), MAX_WINDOW) if exp else 1
         else:
             k = 0
         out = out + LaurentElement.z_power(k, sign * coeff)
@@ -753,11 +764,10 @@ def _suite_elliptic_sections():
     N = default_q_order()
     for n in range(1, 6):
         yield (f"dim sections({n}) = {2 * n}", ell.section_basis(n, N).dim() == 2 * n)
-    ok = True
     for m in range(3):
         for n in range(1, 5):
             ell.ell_graded_dimension(m, n, N)  # raises on mismatch
-    yield ("graded dimension formula matches direct linear algebra", ok)
+    yield ("graded dimension formula matches direct linear algebra", True)
 
 
 def _suite_sheaf_dims():
@@ -782,6 +792,7 @@ SUITE_RUNNERS = {
     "elliptic-sections": _suite_elliptic_sections,
     "sheaf-dims": _suite_sheaf_dims,
 }
+REPLAY_SUITES = tuple(SUITE_RUNNERS)
 
 
 def cmd_replay(args) -> int:

@@ -7,9 +7,12 @@ reduced against the stored rows in insertion order, and its pivot is its
 first nonzero column after that reduction, so spans are reproducible across
 platforms and runs.  `rref` inserts its rows into one span and
 back-substitutes; the reduced row echelon form is unique, so it and
-everything built on it (`rank`, `nullspace`, `solve_exact`, `coordinates`)
-depend only on the row space and the column order.  These take and return
-dense lists; `nullspace` also takes sparse rows.
+everything built on it (`rank`, `nullspace`) depend only on the row space
+and the column order.  These return dense lists; `rref` and `rank` take
+dense rows, `span_of` and `nullspace` also sparse ones with a column count.
+The library builds its rows from polynomial terms (`quasi._row`) and never
+solves for coordinates: membership reduces against a span, and a linear
+relation is a kernel.
 """
 
 from __future__ import annotations
@@ -90,35 +93,6 @@ def nullspace(matrix, ncols=None):
             if j != pc:
                 basis[j][pc] = -c
     return list(basis.values())
-
-
-def solve_exact(matrix, rhs):
-    """Solve M x = rhs exactly; returns the solution with free variables set
-    to zero, or None if inconsistent."""
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    if not rows:
-        return []
-    ncols = len(matrix[0])
-    red, pivots = rref(rows)
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-def coordinates(vectors, target):
-    """Exact coefficients c with sum c_i vectors[i] = target (free ones set
-    to zero); ValueError when `target` is outside the span."""
-    if not vectors:
-        if any(target):
-            raise ValueError("element outside span")
-        return []
-    sol = solve_exact([list(col) for col in zip(*vectors)], list(target))
-    if sol is None:
-        raise ValueError("element outside span")
-    return sol
 
 
 def _subtract(v: dict, f, row: dict, where, queue) -> None:

@@ -359,12 +359,3 @@ def monomial_index(variables: tuple, d: int) -> dict:
     order.  Shared between callers: read it, never mutate it."""
     return {m: i for i, m in enumerate(monomials_of_degree(variables, d))}
 
-
-def coordinate_vector(p: Polynomial, d: int) -> list:
-    """Coordinates of a homogeneous degree-d polynomial (or zero) in the
-    monomial basis of degree d, in `monomials_of_degree` order."""
-    index = monomial_index(p.vars, d)
-    vec = [Fraction(0)] * len(index)
-    for exp, c in p.terms.items():
-        vec[index[exp]] = c
-    return vec

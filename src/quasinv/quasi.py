@@ -31,20 +31,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb
-from operator import add, le
+from operator import add
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
 from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, rank, span_of
-from quasinv.poly import (
-    Polynomial,
-    coordinate_vector,
-    linear_coefficients,
-    monomial_index,
-    multiply_terms,
-)
+from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
+from quasinv.poly import Polynomial, linear_coefficients, monomial_index, multiply_terms
 
 __all__ = [
     "GradedBasis",
@@ -77,23 +71,24 @@ class GradedBasis:
     def dims(self):
         return [len(layer) for layer in self.layers]
 
-    def layer_vectors(self, d: int):
-        """Coordinate vectors of the degree-d layer in the monomial basis."""
-        return [coordinate_vector(p, d) for p in self.layers[d]]
+    def span(self, d: int) -> IncrementalSpan:
+        """The eliminated span of the degree-d layer in the columns of
+        `monomial_index`, built on first use and kept."""
+        span = self._spans.get(d)
+        if span is None:
+            index = monomial_index(self.group.variables, d)
+            span = self._spans[d] = span_of([_row(q, index) for q in self.layers[d]],
+                                            len(index))
+        return span
 
     def contains(self, p: Polynomial) -> bool:
-        """Exact span membership, degree by degree, against one eliminated
-        span per layer that is built on first use and kept."""
+        """Exact span membership, degree by degree."""
         _check_ring(self.group, p)
         for d in sorted({sum(e) for e in p.terms}):
             if d > self.max_degree:
                 raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
-            index = monomial_index(p.vars, d)
-            span = self._spans.get(d)
-            if span is None:
-                span = self._spans[d] = span_of([_row(q, index) for q in self.layers[d]],
-                                                len(index))
-            if not span.contains(_row(p.homogeneous_component(d), index)):
+            row = _row(p.homogeneous_component(d), monomial_index(p.vars, d))
+            if not self.span(d).contains(row):
                 return False
         return True
 
@@ -511,7 +506,13 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
     """Verify Q_(m') <= Q_m degreewise for m <= m', with codimensions and a
     witness for strictness, and check that intersecting over all
     multiplicities of total weight <= D cuts the filtration down to the
-    invariants through degree D."""
+    invariants through degree D.
+
+    Q_m is the kernel of its constraint rows, and the rows of a hyperplane
+    only grow with its multiplicity (the odd alpha-powers below 2m, the
+    deletions e_k < need).  An intersection of kernels is the kernel of all
+    their rows, so the intersection over every m of total weight <= D is
+    the one Q_m at the componentwise maximum, m_o = D // |orbit o|."""
     if not mult_low.componentwise_le(mult_high):
         raise DomainError("need componentwise m <= m'")
     low = quasi_basis(group, mult_low, max_degree)
@@ -539,55 +540,10 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
 
 def _intersection_dims(group: ReflectionGroup, D: int):
     """Graded dimensions of the intersection of all Q_m with total weight
-    sum over hyperplanes of m_alpha at most D."""
+    sum over hyperplanes of m_alpha at most D: the Q_m at the componentwise
+    maximum m_o = D // |orbit o| (see `filtration_check`)."""
     orbit_sizes = Counter(h.orbit_id for h in group.hyperplanes)
     orbit_nh = {h.orbit_id: h.stabilizer_order for h in group.hyperplanes}
-    orbit_ids = sorted(orbit_sizes)
-    maximal = _maximal_weight_vectors([orbit_sizes[o] for o in orbit_ids], D)
-    spans = None
-    for vec in maximal:
-        values = {o: m if orbit_nh[o] == 2 else (m,) * (orbit_nh[o] - 1)
-                  for o, m in zip(orbit_ids, vec)}
-        basis = quasi_basis(group, Multiplicity(group, values), D)
-        vecs = [basis.layer_vectors(d) for d in range(D + 1)]
-        spans = vecs if spans is None else [_intersect_spans(a, b) for a, b in zip(spans, vecs)]
-    return [len(s) for s in spans]
-
-
-def _maximal_weight_vectors(sizes, D: int):
-    """Componentwise-maximal integer vectors m with sum(sizes_i * m_i) <= D."""
-    out = []
-
-    def rec(prefix, budget):
-        i = len(prefix)
-        if i == len(sizes):
-            out.append(tuple(prefix))
-            return
-        if i == len(sizes) - 1:
-            rec(prefix + [budget // sizes[i]], 0)
-            return
-        for v in range(budget // sizes[i], -1, -1):
-            rec(prefix + [v], budget - sizes[i] * v)
-
-    rec([], D)
-    return [v for v in out if not any(v != w and all(map(le, v, w)) for w in out)]
-
-
-def _intersect_spans(A, B):
-    """Basis of the intersection of two row spans (each given by a basis)."""
-    if not A or not B:
-        return []
-    n = len(A[0])
-    dimsum = rank(A + B)
-    # solve [A^T | -B^T] kernel; intersection vectors are A^T * (a-part),
-    # reduced to a basis through one span
-    cols = [[a[j] for a in A] + [-b[j] for b in B] for j in range(n)]
-    span = IncrementalSpan(n)
-    basis = []
-    for k in (nullspace(cols) if cols else []):
-        v = [sum((c * a[j] for c, a in zip(k, A) if c), Fraction(0)) for j in range(n)]
-        if span.add(v):
-            basis.append(v)
-    if len(basis) != len(A) + len(B) - dimsum:
-        raise ArithmeticError("intersection dimension contradicts dim A + dim B - dim(A + B)")
-    return basis
+    values = {o: D // size if orbit_nh[o] == 2 else (D // size,) * (orbit_nh[o] - 1)
+              for o, size in orbit_sizes.items()}
+    return quasi_basis(group, Multiplicity(group, values), D).dims()

@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
-from quasinv.linalg import IncrementalSpan, coordinates, nullspace, rref, span_of
-from quasinv.poly import Polynomial, coordinate_vector, monomial_index, monomials_of_degree
-from quasinv.quasi import GradedBasis, module_certificate, quasi_basis, reflect_x
+from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
+from quasinv.poly import Polynomial, monomial_index, monomials_of_degree
+from quasinv.quasi import GradedBasis, _row, module_certificate, quasi_basis, reflect_x
 
 __all__ = [
     "FiberProductAlgebra",
@@ -53,9 +53,9 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
     """Equalizer of two degree-preserving maps into a common graded quotient.
 
     `f` and `g` are callables on polynomials.  In each degree the equalizer
-    is the kernel of [F | -G] written in coordinates of the quotient basis;
-    when some image fails to land in the span of the quotient basis the input
-    maps were not well formed and `coordinates` raises a ValueError.
+    is the kernel of [F | -G] on rows indexed by the monomials of the images;
+    an image outside the span of the quotient basis means the input maps
+    were not well formed and raises a ValueError.
     """
     layers = []
     dims_a, dims_b, dims_c, surjective = [], [], [], []
@@ -63,33 +63,34 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         A = layers_a[d]
         B = layers_b[d]
         C = layers_c[d]
-        basis_c = [coordinate_vector(c, d) for c in C]
-        rows_f = [coordinates(basis_c, coordinate_vector(f(a), d)) for a in A]
-        rows_g = [coordinates(basis_c, coordinate_vector(g(b), d)) for b in B]
-        ncols = len(A) + len(B)
-        matrix = []
-        for ci in range(len(C)):
-            row = [rf[ci] for rf in rows_f] + [-rg[ci] for rg in rows_g]
-            matrix.append(row)
-        kernel = nullspace(matrix, ncols)
-        layer = []
-        for vec in kernel:
-            a = Polynomial.zero(variables)
-            for coef, p in zip(vec[: len(A)], A):
-                if coef:
-                    a = a + p * coef
-            b = Polynomial.zero(variables)
-            for coef, p in zip(vec[len(A) :], B):
-                if coef:
-                    b = b + p * coef
-            layer.append((a, b))
-        layers.append(layer)
+        index = monomial_index(tuple(variables), d)
+        span_c = span_of([_row(c, index) for c in C], len(index))
+        images = [[_row(f(a), index) for a in A], [_row(g(b), index) for b in B]]
+        rows: dict = {}  # monomial column -> {kernel column: entry}
+        for col, image in enumerate(images[0] + images[1]):
+            if image and not span_c.contains(image):
+                raise ValueError("element outside span")
+            sign = 1 if col < len(A) else -1
+            for j, c in image.items():
+                rows.setdefault(j, SparseRow())[col] = sign * c
+        layers.append([(_combination(vec[: len(A)], A, variables),
+                        _combination(vec[len(A) :], B, variables))
+                       for vec in nullspace(list(rows.values()), len(A) + len(B))])
         dims_a.append(len(A))
         dims_b.append(len(B))
         dims_c.append(len(C))
-        surjective.append(tuple(span_of(rows, len(C)).dim() == len(C)
-                                for rows in (rows_f, rows_g)))
+        surjective.append(tuple(not C or span_of(image, len(index)).dim() == len(C)
+                                for image in images))
     return FiberProductAlgebra(variables, layers, dims_a, dims_b, dims_c, surjective)
+
+
+def _combination(coefficients, polys, variables) -> Polynomial:
+    """The sum of c * p over the nonzero coefficients c and their polynomials."""
+    out = Polynomial.zero(variables)
+    for coef, p in zip(coefficients, polys):
+        if coef:
+            out = out + p * coef
+    return out
 
 
 def line_layers(variables, max_degree: int):
@@ -144,24 +145,21 @@ def ganea_step(q_m: GradedBasis) -> dict:
     ])
     quot_reps = [[p for p in layer if not ideal.contains(p)] for layer in q_m.layers]
     fiber_total = sum(len(r) for r in quot_reps)
-    bases = {}  # degree -> coordinate vectors of its residues, then of the ideal
 
     def project(p: Polynomial) -> Polynomial:
-        """Reduction mod x^2 Q_m: keep only the residue coordinates."""
-        out = Polynomial.zero(variables)
-        for d in sorted({sum(e) for e in p.terms}):
-            reps = quot_reps[d]
-            if not reps:
+        """Reduction mod x^2 Q_m: what is left of p after elimination against
+        the ideal's span.  Each layer of the rank-one Q_m is one monomial, so
+        the remainder is the residue; `fiber_product_basis` refuses any
+        remainder outside the span of the residues."""
+        terms = {}
+        for d in {sum(e) for e in p.terms}:
+            if not quot_reps[d]:  # the layer lies in the ideal
                 continue
-            basis = bases.get(d)
-            if basis is None:
-                basis = bases[d] = ([coordinate_vector(r, d) for r in reps]
-                                    + ideal.layer_vectors(d))
-            coords = coordinates(basis, coordinate_vector(p.homogeneous_component(d), d))
-            for coef, r in zip(coords[: len(reps)], reps):
-                if coef:
-                    out = out + r * coef
-        return out
+            index = monomial_index(variables, d)
+            exps = list(index)
+            rest = ideal.span(d).reduce(_row(p.homogeneous_component(d), index))
+            terms.update((exps[j], c) for j, c in rest.items())
+        return Polynomial(variables, terms)
 
     const_layers = [[Polynomial.constant(variables, 1)]] + [[] for _ in range(max_degree)]
     fp = fiber_product_basis(
@@ -175,8 +173,9 @@ def ganea_step(q_m: GradedBasis) -> dict:
     )
     next_layers = []
     for d, layer in enumerate(fp.layers):
-        span = IncrementalSpan(len(monomial_index(variables, d)))
-        next_layers.append([a for a, _ in layer if span.add(coordinate_vector(a, d))])
+        index = monomial_index(variables, d)
+        span = IncrementalSpan(len(index))
+        next_layers.append([a for a, _ in layer if span.add(_row(a, index))])
     projected = GradedBasis(group, None, max_degree, next_layers)
     expected = quasi_basis(group, Multiplicity.constant(group, q_m_mult(q_m) + 1), max_degree)
     certified = _same_spans(projected, expected)
@@ -255,28 +254,17 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
     inv_dims = []
     iso_pairs = []
     for d, layer in enumerate(fp.layers):
-        if not layer:
-            inv_dims.append(0)
-            continue
-        # action on the pair coordinates: (p, q) -> (s(q), s(p))
-        vectors = [coordinate_vector(a, d) + coordinate_vector(b, d) for a, b in layer]
-        acted = [coordinate_vector(reflect_x(b), d) + coordinate_vector(reflect_x(a), d)
-                 for a, b in layer]
-        coords = [coordinates(vectors, v) for v in acted]
-        n = len(layer)
-        rows = []
-        for i in range(n):
-            rows.append([coords[j][i] - (1 if i == j else 0) for j in range(n)])
-        kernel = nullspace(rows, n)
+        # sigma - 1 on the pairs, (p, q) -> (s(q) - p, s(p) - q), one row per
+        # side and monomial
+        rows: dict = {}
+        for col, (a, b) in enumerate(layer):
+            for side, diff in enumerate((reflect_x(b) - a, reflect_x(a) - b)):
+                for e, c in diff.terms.items():
+                    rows.setdefault((side, e), SparseRow())[col] = c
+        kernel = nullspace(list(rows.values()), len(layer))
         inv_dims.append(len(kernel))
-        for vec in kernel:
-            a = Polynomial.zero(variables)
-            b = Polynomial.zero(variables)
-            for coef, (pa, pb) in zip(vec, layer):
-                if coef:
-                    a = a + pa * coef
-                    b = b + pb * coef
-            iso_pairs.append((d, a, b))
+        iso_pairs += [(d, *(_combination(vec, side, variables) for side in zip(*layer)))
+                      for vec in kernel]
     matches = inv_dims == q_m.dims()
     return {
         "fiber_dims": fp.dims(),
@@ -297,16 +285,16 @@ def x1_layers(group: ReflectionGroup, max_degree: int) -> GradedBasis:
     layers = [[Polynomial.constant(variables, 1)]]
     for d in range(1, max_degree + 1):
         monos = monomials_of_degree(variables, d)
+        index = monomial_index(variables, d)
         rows = []
         for f in group.fundamental_invariants:
             fd = int(f.degree())
             if d - fd < 0:
                 continue
             for exp in monomials_of_degree(variables, d - fd):
-                prod = f * Polynomial.monomial(variables, exp)
-                rows.append(coordinate_vector(prod, d))
+                rows.append(_row(f * Polynomial.monomial(variables, exp), index))
         layers.append([Polynomial(variables, {m: c for m, c in zip(monos, row) if c})
-                       for row in rref(rows)[0]])
+                       for row in span_of(rows, len(index)).rref()[0]])
     return GradedBasis(group, None, max_degree, layers)
 
 

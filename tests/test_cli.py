@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import quasinv
 from quasinv.cli import (
     MAX_DEGREE,
+    MAX_DIGITS,
     MAX_MULT,
     MAX_N,
     MAX_NB,
@@ -225,6 +226,37 @@ def test_windows_are_capped():
             assert out == "" and f"within -{MAX_WINDOW}:{MAX_WINDOW}" in err, argv
 
 
+def test_oversized_polynomials_and_characters_are_refused():
+    # each of these once ran for seconds or minutes, or ended in a traceback
+    nines = "9" * 5000
+    apply = ("demazure", "--group", "A1", "--mult", "0", "--apply")
+    member = ("exp", "member", "--mult", "1", "--elem")
+    for argv in (
+        (*member, "z^100000"),
+        (*member, f"z^-{MAX_WINDOW + 1}"),
+        (*member, f"z^{nines}"),
+        (*member, f"{nines}*z"),
+        (*member, "1/0*z"),
+        ("chern", "--mult", "1", "--elem", f"z^({MAX_WINDOW + 1})"),
+        (*apply, "3^30000000*x"),
+        (*apply, "3^10000*x"),
+        (*apply, f"{nines}*x"),
+        (*apply, f"1/{nines}*x"),
+        (*apply, f"x^{nines}"),
+        (*apply, f"x^{MAX_DEGREE + 1}"),
+        (*apply, f"x^{MAX_DEGREE}*x"),  # a product of capped factors
+        (*apply, "*".join(["9^256"] * 5) + "*x"),  # 1,221 digits
+        (*apply, "1/0*x"),
+    ):
+        code, out, err = call(*argv)
+        assert code == 1, argv
+        assert out == "" and "Traceback" not in err and err.strip(), argv
+    for argv in ((*member, f"z^{MAX_WINDOW} - 2 + z^-{MAX_WINDOW}"),
+                 (*apply, f"{'9' * MAX_DIGITS}/{'7' * MAX_DIGITS}*x^{MAX_DEGREE}")):
+        code, out, err = call(*argv)
+        assert code in (0, 2) and out and not err, argv
+
+
 def test_qorder_env_override_is_capped(monkeypatch):
     monkeypatch.setenv("QUASINV_DEFAULT_QORDER", str(MAX_Q_ORDER + 1))
     code, out, err = call("elliptic", "theta", "--form", "product")
@@ -275,8 +307,10 @@ SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
          "", "E8", "I2(2)", "Z/1", "A1^0", "A1 x I2(3)", "I2(33)", "Z/" + "9" * 5000,
          "A1^" + "9" * 5000)
 MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "")
-POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "")
-CHARACTERS = ("z^2 - 2 + z^-2", "z - z^-1", "3*z^-1", "z^(-3)", "2", "zz", "")
+POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "",
+               "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x")
+CHARACTERS = ("z^2 - 2 + z^-2", "z - z^-1", "3*z^-1", "z^(-3)", "2", "zz", "",
+              "z^100000", "9" * 5000 + "*z", "z^-" + "9" * 5000, "1/0*z")
 SERIES = ("0,0,3,1", "0,0,1", "1,2", "0,0,0,1", "a,b", "")
 
 small = st.integers(-3, 8).map(str)

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_inv, dense_rref
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
-from quasinv.linalg import (
-    IncrementalSpan,
-    SparseRow,
-    coordinates,
-    nullspace,
-    rank,
-    rref,
-    solve_exact,
-    span_of,
-)
+from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, rank, rref, span_of
 from quasinv.serialize import encode_coeff
 
 
@@ -68,28 +60,12 @@ def test_mixed_fields_rejected():
         rank([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]])
 
 
-def test_solve_exact():
-    sol = solve_exact([[1, 1], [0, 1]], [3, 1])
-    assert sol == [Fraction(2), Fraction(1)]
-    assert solve_exact([[1, 1], [1, 1]], [0, 1]) is None
-
-
 def test_incremental_span_contains():
     span = span_of([[1, 0, 1], [0, 1, 1]], 3)
     assert span.contains([1, 1, 2])
     assert not span.contains([1, 1, 1])
     assert span_of([], 3).contains([0, 0, 0])
     assert not span_of([], 3).contains([0, 0, 1])
-
-
-def test_coordinates():
-    vecs = [[1, 0, 1], [0, 1, 1]]
-    assert coordinates(vecs, [2, 3, 5]) == [2, 3]
-    with pytest.raises(ValueError):
-        coordinates(vecs, [1, 1, 1])
-    assert coordinates([], [0, 0]) == []
-    with pytest.raises(ValueError):
-        coordinates([], [0, 1])
 
 
 def test_incremental_span_matches_rank():
@@ -109,35 +85,6 @@ def test_incremental_span_matches_rank():
 # -- the zero-skipping elimination against a dense reference ------------------------
 
 
-def _dense_inv(c):
-    return Fraction(1) / c if isinstance(c, Fraction) else c.inverse()
-
-
-def dense_rref(matrix):
-    """Reduced row echelon form the dense way, the reference for `rref`:
-    every pivot row is scaled in full and every elimination runs over all
-    columns, zeros included."""
-    rows = [[Fraction(c) if isinstance(c, int) else c for c in row] for row in matrix]
-    pivots = []
-    r = 0
-    for col in range(len(rows[0]) if rows else 0):
-        sel = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = _dense_inv(rows[r][col])
-        rows[r] = [c * inv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
 def dense_nullspace(matrix):
     ncols = len(matrix[0])
     red, pivots = dense_rref(matrix)
@@ -150,17 +97,6 @@ def dense_nullspace(matrix):
                 vec[pc] = -red[r][fc]
         basis.append(vec)
     return basis
-
-
-def dense_solve(matrix, rhs):
-    ncols = len(matrix[0])
-    red, pivots = dense_rref([list(r) + [b] for r, b in zip(matrix, rhs)])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 class DenseSpan:
@@ -182,7 +118,7 @@ class DenseSpan:
         piv = next((j for j, c in enumerate(v) if c), None)
         if piv is None:
             return False
-        inv = _dense_inv(v[piv])
+        inv = dense_inv(v[piv])
         self.rows.append([c * inv for c in v])
         self.pivots.append(piv)
         return True
@@ -190,11 +126,11 @@ class DenseSpan:
 
 @st.composite
 def _sparse_case(draw):
-    """(matrix, rhs, probe, more, zeros_typed): a mostly-zero matrix over Q or Q(zeta_n),
+    """(matrix, probe, more, zeros_typed): a mostly-zero matrix over Q or Q(zeta_n),
     n <= 6, with entries 1 and small values.  When `zeros_typed` holds,
     every entry has the field's type, zeros included; otherwise the zeros
-    are Fraction(0) among cyclotomic entries, as `coordinate_vector` and
-    the row builders produce."""
+    are Fraction(0) among cyclotomic entries, as dense coordinate vectors
+    of polynomials hold them."""
     n = draw(st.sampled_from([None, 2, 3, 4, 5, 6]))
     zeros_typed = n is None or draw(st.booleans())
     small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -210,10 +146,9 @@ def _sparse_case(draw):
     ncols = draw(st.integers(1, 6))
     matrix = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                            min_size=1, max_size=6))
-    rhs = draw(st.lists(entry, min_size=len(matrix), max_size=len(matrix)))
     probe = draw(st.lists(entry, min_size=ncols, max_size=ncols))
     more = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
-    return matrix, rhs, probe, more, zeros_typed
+    return matrix, probe, more, zeros_typed
 
 
 def _encoded(rows, zeros_typed=True):
@@ -224,17 +159,13 @@ def _encoded(rows, zeros_typed=True):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_case())
 def test_zero_skipping_elimination_matches_the_dense_one(case):
-    matrix, rhs, probe, more, zeros_typed = case
+    matrix, probe, more, zeros_typed = case
     red, pivots = rref(matrix)
     dense_red, dense_pivots = dense_rref(matrix)
     assert pivots == dense_pivots
     assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
     assert rank(matrix) == len(dense_pivots)
     assert _encoded(nullspace(matrix)) == _encoded(dense_nullspace(matrix))
-    solution, dense_solution = solve_exact(matrix, rhs), dense_solve(matrix, rhs)
-    assert (solution is None) == (dense_solution is None)
-    if solution is not None:
-        assert _encoded([solution], zeros_typed) == _encoded([dense_solution], zeros_typed)
     span, dense = IncrementalSpan(len(matrix[0])), DenseSpan()
     for row in [probe] + matrix + [probe]:
         assert span.contains(row) == (not any(dense.reduce(row)))

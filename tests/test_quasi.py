@@ -1,21 +1,23 @@
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import le
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import coordinate_vector
 from group_algebra import GroupAlgebraElement, idempotent
 from oracles import brute_is_quasi_invariant, brute_quasi_dims
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, nullspace
+from quasinv.linalg import IncrementalSpan, nullspace, rank
 from quasinv.poly import (
     Polynomial,
     adapted_substitution,
-    coordinate_vector,
     linear_coefficients,
     monomial_index,
     monomials_of_degree,
@@ -583,6 +585,72 @@ def test_filtration_dihedral_strict():
     m1 = brute_quasi_dims(W, Multiplicity.constant(W, 1), 6)
     assert report["codims"] == [a - b for a, b in zip(m0, m1)]
     assert report["intersection_equals_invariants"]
+
+
+def _maximal_weight_vectors(sizes, D: int):
+    """Componentwise-maximal integer vectors m with sum(sizes_i * m_i) <= D."""
+    out = []
+
+    def rec(prefix, budget):
+        i = len(prefix)
+        if i == len(sizes):
+            out.append(tuple(prefix))
+            return
+        if i == len(sizes) - 1:
+            rec(prefix + [budget // sizes[i]], 0)
+            return
+        for v in range(budget // sizes[i], -1, -1):
+            rec(prefix + [v], budget - sizes[i] * v)
+
+    rec([], D)
+    return [v for v in out if not any(v != w and all(map(le, v, w)) for w in out)]
+
+
+def _intersect_spans(A, B):
+    """Basis of the intersection of two row spans (each given by a basis)."""
+    if not A or not B:
+        return []
+    n = len(A[0])
+    dimsum = rank(A + B)
+    # the kernel of [A^T | -B^T]; intersection vectors are A^T * (a-part),
+    # reduced to a basis through one span
+    cols = [[a[j] for a in A] + [-b[j] for b in B] for j in range(n)]
+    span = IncrementalSpan(n)
+    basis = []
+    for k in (nullspace(cols) if cols else []):
+        v = [sum((c * a[j] for c, a in zip(k, A) if c), Fraction(0)) for j in range(n)]
+        if span.add(v):
+            basis.append(v)
+    assert len(basis) == len(A) + len(B) - dimsum
+    return basis
+
+
+def _intersection_dims_by_spans(group, D: int):
+    """The intersection of Q_m over every maximal weight vector of total
+    weight <= D, one pair of dense layer spans at a time."""
+    orbit_sizes = Counter(h.orbit_id for h in group.hyperplanes)
+    orbit_nh = {h.orbit_id: h.stabilizer_order for h in group.hyperplanes}
+    orbit_ids = sorted(orbit_sizes)
+    spans = None
+    for vec in _maximal_weight_vectors([orbit_sizes[o] for o in orbit_ids], D):
+        values = {o: m if orbit_nh[o] == 2 else (m,) * (orbit_nh[o] - 1)
+                  for o, m in zip(orbit_ids, vec)}
+        basis = quasi_basis(group, Multiplicity(group, values), D)
+        vecs = [[coordinate_vector(p, d) for p in basis.layers[d]] for d in range(D + 1)]
+        spans = vecs if spans is None else [_intersect_spans(a, b) for a, b in zip(spans, vecs)]
+    return [len(s) for s in spans]
+
+
+@pytest.mark.parametrize("spec, D", [
+    ("A1", 5), ("A1", 8), ("A1 x A1", 8), ("A1^3", 6), ("I2(3)", 8), ("I2(3)", 12),
+    ("I2(4)", 10), ("I2(5)", 10), ("I2(6)", 12), ("Z/3", 8), ("Z/4", 8), ("A1 x Z/3", 7),
+    ("Z/3 x Z/4", 6),
+])
+def test_intersection_is_the_layer_at_the_componentwise_maximum(spec, D):
+    W = parse_group(spec)
+    zero = Multiplicity.constant(W, 0)
+    report = filtration_check(W, zero, zero, D)
+    assert report["intersection_dims"] == _intersection_dims_by_spans(W, D)
 
 
 def test_invariant_ring_dims():

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from dense_reference import coordinate_vector, dense_coordinates
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.linalg import span_of
-from quasinv.poly import Polynomial, coordinate_vector
-from quasinv.quasi import cw_valued_basis, quasi_basis
+from quasinv.linalg import nullspace, span_of
+from quasinv.poly import Polynomial
+from quasinv.quasi import GradedBasis, cw_valued_basis, quasi_basis, reflect_x
+from quasinv.serialize import encode_polynomial
 from quasinv.tower import (
     coinvariant_dimension,
     fake_cohomology_ring,
@@ -187,3 +189,103 @@ def test_ganea_next_basis_lies_in_q_m():
     # x^3 lies in Q_1 but not in Q_2, so the inclusion is strict
     x3 = Polynomial.variable(A1.variables, A1.variables[0]) ** 3
     assert q_1.contains(x3) and not step["next_basis"].contains(x3)
+
+
+# -- the coordinate-solve tower as the reference ---------------------------------------
+
+
+def _combination(vec, polys, variables):
+    out = Polynomial.zero(variables)
+    for coef, p in zip(vec, polys):
+        if coef:
+            out = out + p * coef
+    return out
+
+
+def _fiber_product_by_coordinates(variables, layers_a, layers_b, layers_c, f, g, max_degree):
+    """The equalizer written in coordinates of the quotient basis: each image
+    is solved for in the basis of C, and the layer is the kernel of
+    [F | -G] on those coordinates."""
+    layers = []
+    for d in range(max_degree + 1):
+        A, B, C = layers_a[d], layers_b[d], layers_c[d]
+        basis_c = [coordinate_vector(c, d) for c in C]
+        rows_f = [dense_coordinates(basis_c, coordinate_vector(f(a), d)) for a in A]
+        rows_g = [dense_coordinates(basis_c, coordinate_vector(g(b), d)) for b in B]
+        matrix = [[rf[ci] for rf in rows_f] + [-rg[ci] for rg in rows_g]
+                  for ci in range(len(C))]
+        layers.append([(_combination(vec[: len(A)], A, variables),
+                        _combination(vec[len(A):], B, variables))
+                       for vec in nullspace(matrix, len(A) + len(B))])
+    return layers
+
+
+def _ganea_fiber_product_by_coordinates(q_m):
+    """The fibre product of `ganea_step`, with each residue solved for in
+    the basis of residues and ideal elements."""
+    variables, D = A1.variables, q_m.max_degree
+    x2 = Polynomial.variable(variables, variables[0]) ** 2
+    ideal = GradedBasis(A1, None, D, [[x2 * p for p in q_m.layers[d - 2]] if d >= 2 else []
+                                      for d in range(D + 1)])
+    reps = [[p for p in layer if not ideal.contains(p)] for layer in q_m.layers]
+
+    def project(p):
+        out = Polynomial.zero(variables)
+        for d in sorted({sum(e) for e in p.terms}):
+            basis = [coordinate_vector(r, d) for r in reps[d] + ideal.layers[d]]
+            coords = dense_coordinates(basis, coordinate_vector(p.homogeneous_component(d), d))
+            out = out + _combination(coords[: len(reps[d])], reps[d], variables)
+        return out
+
+    const = [[Polynomial.constant(variables, 1)]] + [[] for _ in range(D)]
+    return _fiber_product_by_coordinates(variables, q_m.layers, const, reps, project,
+                                         lambda b: b, D)
+
+
+def _encoded_pairs(layers):
+    return [[(encode_polynomial(a), encode_polynomial(b)) for a, b in layer]
+            for layer in layers]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_ganea_step_matches_the_coordinate_solve(m):
+    q_m = quasi_basis(A1, Multiplicity.constant(A1, m), 14)
+    step = ganea_step(q_m)
+    reference = _ganea_fiber_product_by_coordinates(q_m)
+    assert _encoded_pairs(step["fiber_product"].layers) == _encoded_pairs(reference)
+    assert step["certified"]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_h_t_invariants_match_the_coordinate_solve(m):
+    D, cut, variables = 12, 2 * m + 1, ("x",)
+    report = h_t_invariants(m, D)
+    line = line_layers(variables, D)
+    fp = _fiber_product_by_coordinates(variables, line, line,
+                                       truncated_line_layers(variables, cut, D),
+                                       lambda p: truncate_poly(p, cut),
+                                       lambda p: truncate_poly(p, cut), D)
+    assert _encoded_pairs(report["fiber_product"].layers) == _encoded_pairs(fp)
+    # the involution (p, q) -> (s(q), s(p)) in coordinates of each layer
+    pairs = []
+    for d, layer in enumerate(fp):
+        vectors = [coordinate_vector(a, d) + coordinate_vector(b, d) for a, b in layer]
+        coords = [dense_coordinates(vectors, coordinate_vector(reflect_x(b), d)
+                                    + coordinate_vector(reflect_x(a), d))
+                  for a, b in layer]
+        n = len(layer)
+        rows = [[coords[j][i] - (i == j) for j in range(n)] for i in range(n)]
+        for vec in (nullspace(rows, n) if n else []):
+            pairs.append((d, *(_combination(vec, side, variables) for side in zip(*layer))))
+    assert ([(d, encode_polynomial(a), encode_polynomial(b)) for d, a, b in pairs]
+            == [(d, encode_polynomial(a), encode_polynomial(b))
+                for d, a, b in report["invariant_pairs"]])
+
+
+def test_fiber_product_refuses_an_image_outside_the_quotient():
+    variables, D = ("x",), 4
+    line = line_layers(variables, D)
+    with pytest.raises(ValueError, match="outside span"):
+        # x^3 survives the map but the quotient only keeps degrees below 2
+        fiber_product_basis(variables, line, line, truncated_line_layers(variables, 2, D),
+                            lambda p: p, lambda p: truncate_poly(p, 2), D)
