@@ -402,6 +402,27 @@ def test_dihedral_constraint_rows_are_rational_and_distinct(spec, monkeypatch):
         assert len(distinct) == len(matrix)
 
 
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"])
+def test_dihedral_layer_vectors_hold_one_fraction_one(spec):
+    # the kernel's free slot is the rational 1 and every other entry keeps
+    # the group's type; the encoded layers ("1" vs {"zeta_order": ...})
+    # depend on this mix
+    W = parse_group(spec)
+    for layer in quasi_basis(W, Multiplicity.constant(W, 2), 20).layers:
+        for p in layer:
+            fractions = [c for c in p.terms.values() if c.__class__ is Fraction]
+            assert fractions == [1]
+            assert all(c.__class__ in (Fraction, Cyclotomic) for c in p.terms.values())
+
+
+@pytest.mark.parametrize("spec", ["A1^3", "Z/3", "A1 x Z/3"])
+def test_layer_vectors_without_dihedral_rows_are_fractions(spec):
+    W = parse_group(spec)
+    for layer in quasi_basis(W, Multiplicity.constant(W, 2), 20).layers:
+        for p in layer:
+            assert all(c.__class__ is Fraction for c in p.terms.values())
+
+
 def test_module_certificate_rejects_a_vector_across_blocks():
     W = parse_group("A1 x A1")
     z1, z2 = (Polynomial.variable(W.variables, v) for v in W.variables)
