@@ -303,14 +303,13 @@ def _fold(n: int, d: int, vec: list) -> list:
 
 
 def rational_value(c):
-    """c as a Fraction if it is a Cyclotomic in Q, otherwise c itself."""
-    rational = c.__class__ is Cyclotomic and not any(c.nums[1:])
-    return Fraction(c.nums[0], c.den) if rational else c
-
-
-def field_inverse(c):
-    """1/c for a rational or cyclotomic element."""
-    return _ONE / c if isinstance(c, Fraction) else c.inverse()
+    """c as an int when it is an integer and as a Fraction when it lies in Q
+    otherwise (a Cyclotomic in Q included); an irrational c as it is."""
+    if c.__class__ is Cyclotomic:
+        if any(c.nums[1:]):
+            return c
+        return c.nums[0] if c.den == 1 else Fraction(c.nums[0], c.den)
+    return c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
 
 
 def poly_divmod(a: list, b: list):

@@ -1,33 +1,35 @@
-"""Exact linear algebra over Q or Q(zeta_n).
+"""Exact linear algebra over Q or Q(zeta_n), fraction-free.
 
-`IncrementalSpan` holds the only elimination loop.  It stores each row
-sparse, as `{column: entry}` over its nonzero entries, and takes a row
-either dense (a list) or sparse (such a dict, or a `SparseRow`).  A row is
-reduced against the stored rows in insertion order, and its pivot is its
-first nonzero column after that reduction, so spans are reproducible across
-platforms and runs.  `rref` inserts its rows into one span and
-back-substitutes; the reduced row echelon form is unique, so it and
-everything built on it (`rank`, `nullspace`) depend only on the row space
-and the column order.  These return dense lists; `rref` and `rank` take
-dense rows, `span_of` and `nullspace` also sparse ones with a column count.
-The library builds its rows from polynomial terms (`quasi._row`) and never
-solves for coordinates: membership reduces against a span, and a linear
-relation is a kernel.
+`IncrementalSpan` holds the only elimination loop, on sparse rows
+`{column: entry}`; it takes dense (list) or sparse (dict, `SparseRow`) rows.
+A row in Q is stored as a primitive integer row with a positive pivot, and a
+row with an irrational Cyclotomic entry keeps pivot 1.  A vector v is reduced
+against a stored row with pivot entry p by v <- a*v - f*row, where f is v's
+entry at the pivot and a = p, both divided by their gcd (Bareiss, Math.
+Comp. 22 (1968)); a = 1 against a pivot-1 row, so one loop serves both fields
+and rows in Q stay integer.  Vectors are reduced in insertion order and a
+row's pivot is its first nonzero column after reduction, so spans are
+reproducible.  Fractions and Cyclotomics appear only where entries enter
+and on output, in the span's field: `reduce` divides out the scale a vector
+accumulated, and `rows`, `rref` and `nullspace` divide by the pivot entry.
+The reduced row echelon form is unique, so `rref` and `nullspace` depend
+only on the row space and the column order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from quasinv.fields import Cyclotomic, field_inverse
+from quasinv.fields import Cyclotomic, rational_value
+
+_ONE = Fraction(1)
 
 
 class SparseRow(dict):
-    """A row as `{column: entry}` over its nonzero entries.  Like a dense
-    row it iterates over its entries, so `any(row)`, `_check_field` and any
-    other reader of a row's entries take either form; `items()` gives the
-    columns."""
+    """A row as `{column: entry}` over its nonzero entries; like a dense row
+    it iterates over its entries, and `items()` gives the columns."""
 
     __slots__ = ()
 
@@ -35,19 +37,11 @@ class SparseRow(dict):
         return iter(self.values())
 
 
-def _norm_entry(c):
-    return Fraction(c) if isinstance(c, int) else c
-
-
-def _check_field(rows) -> None:
-    if len({c.n for row in rows for c in row if isinstance(c, Cyclotomic)}) > 1:
-        raise ValueError("mixed coefficient fields in matrix")
-
-
 def span_of(vectors, ncols: int) -> "IncrementalSpan":
     """The span of `vectors` in `ncols` coordinates; insertion stops once
     the span is the whole space."""
-    _check_field(vectors)
+    if len({c.n for row in vectors for c in row if isinstance(c, Cyclotomic)}) > 1:
+        raise ValueError("mixed coefficient fields in matrix")
     span = IncrementalSpan(ncols)
     for v in vectors:
         if span.dim() == ncols:
@@ -56,27 +50,11 @@ def span_of(vectors, ncols: int) -> "IncrementalSpan":
     return span
 
 
-def rref(matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    if not matrix:
-        return [], []
-    return span_of(matrix, len(matrix[0])).rref()
-
-
-def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    return span_of(matrix, len(matrix[0])).dim()
-
-
 def nullspace(matrix, ncols=None):
-    """Basis of the exact kernel of a rectangular matrix, given by dense or
-    sparse rows; `ncols` is required for sparse rows or no rows.
-
-    One basis vector per free column, in increasing column order, with a 1 in
-    the free slot: the standard echelon parametrization, hence deterministic.
-    An empty matrix (no rows) over n columns yields the standard basis.
-    """
+    """Basis of the exact kernel of dense or sparse rows (`ncols` needed for
+    sparse rows or none): one vector per free column, in increasing order,
+    with the Fraction 1 in the free slot and the other entries in the span's
+    field.  No rows over n columns give the standard basis."""
     if ncols is None:
         if not matrix:
             raise ValueError("cannot infer column count from an empty matrix; pass rows")
@@ -87,18 +65,62 @@ def nullspace(matrix, ncols=None):
     for fc in range(ncols):
         if fc not in span._where:
             basis[fc] = vec = [Fraction(0)] * ncols
-            vec[fc] = Fraction(1)
+            vec[fc] = _ONE
     for row, pc in zip(span._rows, span.pivots):
         for j, c in row.items():
             if j != pc:
-                basis[j][pc] = -c
+                basis[j][pc] = span._value(-c, row[pc])
     return list(basis.values())
 
 
-def _subtract(v: dict, f, row: dict, where, queue) -> None:
-    """v -= f * row in place, dropping the entries that cancel; each row
-    whose pivot column (`where` maps it to the row) becomes nonzero in v is
-    pushed on `queue`."""
+def _clear(v: dict) -> int:
+    """Bring the entries of v in Q to ints in place by scaling v with their
+    least common denominator, which is returned."""
+    den = 1
+    for j, c in v.items():
+        if c.__class__ is not int:
+            v[j] = c = rational_value(c)
+            if c.__class__ is Fraction:
+                den = lcm(den, c.denominator)
+    if den != 1:
+        for j, c in v.items():
+            v[j] = c.numerator * (den // c.denominator) if c.__class__ is Fraction else c * den
+    return den
+
+
+def normalize_row(v: dict, p) -> None:
+    """Scale the nonzero row v with pivot column p in place: to pivot 1 when
+    it has an irrational entry, else to a primitive integer row with a
+    positive pivot."""
+    if len(v) == 1:
+        v[p] = 1
+        return
+    _clear(v)
+    if any(c.__class__ is Cyclotomic for c in v.values()):
+        inv = _ONE / v[p]
+        for j, c in v.items():
+            v[j] = rational_value(c * inv)
+        return
+    g = gcd(*v.values()) if v[p] > 0 else -gcd(*v.values())
+    for j, c in v.items():
+        v[j] = c // g
+
+
+def _eliminate(v: dict, row: dict, p, where, queue) -> int:
+    """Clear column p of v by v <- a*v - f*row in place and return a: the
+    row's pivot entry and f over their gcd for an int f, else a = 1.  Each
+    row whose pivot column (`where` maps it to the row) becomes nonzero in v
+    is pushed on `queue`."""
+    lead, f = row[p], v[p]
+    a = 1
+    if lead != 1:
+        if f.__class__ is int:
+            g = gcd(lead, f)
+            a, f = lead // g, f // g
+            for j, c in v.items():
+                v[j] = c * a
+        else:
+            f = f / lead
     for j, c in row.items():
         x = v.get(j)
         if x is None:
@@ -111,49 +133,55 @@ def _subtract(v: dict, f, row: dict, where, queue) -> None:
                 v[j] = x
             else:
                 del v[j]
+    return a
 
 
 class IncrementalSpan:
-    """Row span maintained by incremental elimination; rows are reduced
-    against the stored pivot rows in insertion order, so the result is
-    deterministic.
-
-    Rows are stored sparse, pivot entry 1.  A stored row is zero at the
-    pivots of the rows stored before it, so reducing a vector only visits
-    the rows whose pivots it reaches, smallest insertion index first, and
-    touches only their nonzero entries.  `rows` and `rref` make the rows
-    dense with the zero of their field."""
+    """Row span maintained by fraction-free incremental elimination.  A
+    stored row is zero at the pivots of the rows stored before it, so
+    reducing a vector visits only the rows whose pivots it reaches, in
+    insertion order, and touches only their nonzero entries.  Each visit
+    multiplies the vector by its lead a; `reduce` divides the product of
+    the leads and the entry denominators back out."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows = []  # {column: entry}, pivot entry 1
+        self._rows = []  # {column: entry}, primitive or pivot entry 1
         self.pivots = []  # pivot column per row
         self._where = {}  # pivot column -> row index
+        self._one = None  # the 1 of Q(zeta_n) once a Cyclotomic has entered
 
-    def reduce(self, vector) -> dict:
-        """`vector` reduced against the stored rows, as `{column: entry}`."""
+    def _reduce(self, vector):
+        """(v, scale): `vector` times the positive int `scale`, reduced."""
         items = vector.items() if isinstance(vector, dict) else enumerate(vector)
-        v = {j: _norm_entry(c) for j, c in items if c}
+        v = {j: c for j, c in items if c}
+        if self._one is None:
+            n = next((c.n for c in v.values() if c.__class__ is Cyclotomic), 0)
+            if n:
+                self._one = Cyclotomic.zeta(n, 0)
+        scale = _clear(v)
         rows, pivots, where = self._rows, self.pivots, self._where
         queue = [where[j] for j in v.keys() if j in where]
         heapify(queue)
         while queue:
             i = heappop(queue)
-            f = v.get(pivots[i])
-            if f is not None:  # a row pushed twice is visited once
-                _subtract(v, f, rows[i], where, queue)
-        return v
+            if pivots[i] in v:  # a row pushed twice is visited once
+                scale *= _eliminate(v, rows[i], pivots[i], where, queue)
+        return v, scale
+
+    def reduce(self, vector) -> dict:
+        """`vector` reduced against the stored rows, as `{column: entry}`
+        with entries in the span's field."""
+        v, scale = self._reduce(vector)
+        return {j: self._value(c, scale) for j, c in v.items()}
 
     def add(self, vector) -> bool:
         """Insert a dense or sparse row; True when it enlarged the span."""
-        v = self.reduce(vector)
+        v = self._reduce(vector)[0]
         if not v:
             return False
         p = min(v.keys())
-        if v[p] != 1:
-            inv = field_inverse(v[p])
-            for j in v.keys():
-                v[j] = v[j] * inv
+        normalize_row(v, p)
         self._where[p] = len(self._rows)
         self._rows.append(v)
         self.pivots.append(p)
@@ -163,18 +191,23 @@ class IncrementalSpan:
         return len(self._rows)
 
     def contains(self, vector) -> bool:
-        return not self.reduce(vector)
+        return not self._reduce(vector)[0]
+
+    def _value(self, c, den):
+        """c / den in the span's field."""
+        c = Fraction(c, den) if c.__class__ is int else c / den if den != 1 else c
+        return self._one * c if self._one is not None and c.__class__ is not Cyclotomic else c
 
     @property
     def rows(self):
-        """The stored rows, dense, in insertion order."""
+        """The stored rows, dense, pivot entry 1, in insertion order."""
         return [self._dense(i) for i in range(len(self._rows))]
 
     def _dense(self, i: int) -> list:
-        one = self._rows[i][self.pivots[i]]
-        vec = [one - one] * self.ncols  # the zero of the row's field
-        for j, c in self._rows[i].items():
-            vec[j] = c
+        row = self._rows[i]
+        vec = [self._value(0, 1)] * self.ncols
+        for j, c in row.items():
+            vec[j] = self._value(c, row[self.pivots[i]])
         return vec
 
     def back_substitute(self) -> None:
@@ -184,15 +217,13 @@ class IncrementalSpan:
         by the time it is subtracted from the earlier ones."""
         rows, pivots = self._rows, self.pivots
         for i in reversed(range(len(rows))):
-            p = pivots[i]
             for k in range(i):
-                f = rows[k].get(p)
-                if f is not None:
-                    _subtract(rows[k], f, rows[i], {}, None)
+                if pivots[i] in rows[k] and _eliminate(rows[k], rows[i], pivots[i], {}, None) != 1:
+                    normalize_row(rows[k], pivots[k])
 
     def rref(self):
         """Back-substitute in place and return (rows, pivot_columns), the
-        rows dense and sorted by pivot."""
+        rows dense, pivot entry 1, and sorted by pivot."""
         self.back_substitute()
         order = sorted(range(len(self._rows)), key=self.pivots.__getitem__)
         return [self._dense(i) for i in order], [self.pivots[i] for i in order]

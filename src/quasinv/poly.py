@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from quasinv.fields import Cyclotomic, field_inverse
+from quasinv.fields import Cyclotomic
 
 INFINITE_ORDER = math.inf
 
@@ -273,7 +273,7 @@ def adapted_substitution(alpha: Polynomial) -> dict:
     for j, c in enumerate(coeffs):
         if j != pivot and c:
             acc = acc - c * y[j]
-    images = {variables[pivot]: acc * field_inverse(coeffs[pivot])}
+    images = {variables[pivot]: acc * (Fraction(1) / coeffs[pivot])}
     _ADAPTED_MEMO[alpha] = images
     return images
 
@@ -306,7 +306,7 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
     """
     coeffs = linear_coefficients(alpha)
     pivot = next(i for i, c in enumerate(coeffs) if c)
-    inv = field_inverse(coeffs[pivot])
+    inv = Fraction(1) / coeffs[pivot]
     # view p as a polynomial in x_pivot; peel the top x_pivot-degree each round
     quotient = Polynomial(alpha.vars)
     rem = p

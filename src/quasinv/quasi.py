@@ -18,7 +18,7 @@ residue of their x_k-exponent rules out, and a hyperplane x_k = r x_l gives
 rows of integer binomial sums times a root of unity.  `quasi_basis` solves
 these rows and `is_quasi_invariant` evaluates them, so membership and bases
 cannot disagree.  On a diagonal-character block the root is one per row up
-to sign (`_solve_layer`), so solves and freeness spans run on rationals.
+to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -37,7 +37,7 @@ from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
 from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
+from quasinv.linalg import IncrementalSpan, SparseRow, normalize_row, nullspace, span_of
 from quasinv.poly import Polynomial, linear_coefficients, monomial_index, multiply_terms
 
 __all__ = [
@@ -357,11 +357,10 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     block; once that block's span has the layer's dimension in the block,
     f^J g is not formed, and neither it nor a layer vector is inserted.
     A layer vector enters its block's span as a sparse row read off its
-    terms, and f^J g as the row that `multiply_terms` forms from the term
-    lists of f^J and g (each recorded once), with no product polynomial.
-    The spans read values: the layers solve integer rows (`_solve_layer`),
-    so a Cyclotomic coefficient in Q enters the rows and the recorded term
-    lists as its Fraction; the generators reported are the layer's own.
+    terms, and f^J g as the integer row that `multiply_terms` forms from
+    the term lists of f^J and g, each scaled once to coprime integers
+    (`_primitive`), with no product polynomial; the generators reported are
+    the layer's own.
     """
     D = basis.max_degree
     dims = basis.dims()
@@ -397,7 +396,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         for p, bi in zip(basis.layers[d], layer_blocks):
             if spans[bi].dim() < full[bi] and spans[bi].add(_row(p, local)):
                 generators.append((d, p))
-                generator_terms.append((d, [(e, rational_value(c)) for e, c in p.terms.items()]))
+                generator_terms.append((d, _primitive(p)))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
         if free_dim != dims[d]:
             status = "not-free"
@@ -414,22 +413,31 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
 
 def _row(p: Polynomial, columns) -> SparseRow:
     """The coefficient values of p as a sparse row, x^e in column
-    columns[e]; a Cyclotomic in Q enters as its Fraction."""
+    columns[e]; a coefficient in Q enters as its int or Fraction."""
     return SparseRow((columns[e], rational_value(c)) for e, c in p.terms.items())
 
 
+def _primitive(p: Polynomial) -> list:
+    """The term list of p scaled by `normalize_row`, to coprime integers
+    over Q; a scaled vector spans the same line."""
+    v = dict(p.terms)
+    normalize_row(v, min(v))
+    return list(v.items())
+
+
 def _invariant_monomials(fund, top: int):
-    """Term lists of the products f^J of the fundamental invariants of
-    positive degree <= top, by degree; each is one product f^J' * f_i with
-    i no smaller than the factor indices of J'."""
+    """Term lists of the products f^J of the fundamental invariants (each
+    scaled once by `_primitive`) of positive degree <= top, by degree; each
+    is one product f^J' * f_i with i no smaller than the factor indices of J'."""
     out = [[] for _ in range(top + 1)]
-    stack = [([((0,) * len(fund[0].vars), Fraction(1))], 0, 0)]
+    terms = [_primitive(f) for f in fund]
+    stack = [([((0,) * len(fund[0].vars), 1)], 0, 0)]
     while stack:
         prod, deg, first = stack.pop()
         for i in range(first, len(fund)):
             nd = deg + int(fund[i].degree())
             if nd <= top:
-                out[nd].append(list(multiply_terms(prod, fund[i].terms.items()).items()))
+                out[nd].append(list(multiply_terms(prod, terms[i]).items()))
                 stack.append((out[nd][-1], nd, i))
     return out
 

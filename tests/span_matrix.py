@@ -1,0 +1,17 @@
+"""Whole-matrix reduced row echelon form and rank on dense rows, read off
+one `IncrementalSpan`; only tests need them, the library works on spans."""
+
+from quasinv.linalg import span_of
+
+
+def rref(matrix):
+    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
+    if not matrix:
+        return [], []
+    return span_of(matrix, len(matrix[0])).rref()
+
+
+def rank(matrix) -> int:
+    if not matrix:
+        return 0
+    return span_of(matrix, len(matrix[0])).dim()

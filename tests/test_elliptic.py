@@ -15,8 +15,8 @@ from quasinv.elliptic import (
     zq_exact_divide,
 )
 from quasinv.errors import DomainError
-from quasinv.linalg import rank
 from quasinv.series import ZQSeries
+from span_matrix import rank
 from zq_substitutions import negate_z, shift_q, square_z
 
 N = 12

@@ -14,7 +14,7 @@ from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, nullspace, rank
+from quasinv.linalg import IncrementalSpan, nullspace
 from quasinv.poly import (
     Polynomial,
     adapted_substitution,
@@ -39,6 +39,7 @@ from quasinv.quasi import (
 )
 from quasinv.serialize import encode_polynomial
 from quasinv.tower import x1_algebra
+from span_matrix import rank
 
 
 A1 = parse_group("A1")
