@@ -11,6 +11,8 @@ character idempotents come from the literal group algebra of
 `group_algebra`.
 """
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 from group_algebra import idempotent
@@ -307,3 +309,47 @@ def pointwise_stabilizer(group, alpha):
         i for i, m in enumerate(group.elements)
         if all(matrix_vector(m, v) == tuple(v) for v in basis)
     ]
+
+
+def closed_form_numerator(spec: str, values) -> Counter:
+    """The numerator of the Hilbert series of Q_m over the product of
+    (1 - t^d_i), as {degree: coefficient}, in closed form from the group
+    spec and the multiplicity values alone (Berest-Etingof-Ginzburg and
+    Felder-Veselov for Coxeter groups, Berest-Chalykh for complex ones).
+
+    I2(k), with M the sum of m over the k reflections: 1 + t^(k + 2M) +
+    sum over 1 <= j <= (k - 1)/2 of 2 t^M (t^j + t^(k - j)), plus
+    t^(k/2) (t^(k m_0) + t^(k m_1)) for even k.  Z/l with values
+    (m_1, ..., m_(l-1)) and m_0 = 0: sum over i < l of t^(i + l m_i); A1 is
+    l = 2.  A product of rank-one factors multiplies its factors' numerators;
+    each value belongs to the factor of its shape (an int to A1, an
+    (l - 1)-tuple to Z/l)."""
+    values = list(values)
+    dihedral = re.fullmatch(r"I2\((\d+)\)", spec.strip())
+    if dihedral:
+        k = int(dihedral.group(1))
+        total = k * sum(values) // len(values)  # one orbit of k, or two of k/2
+        num = Counter({0: 1, k + 2 * total: 1})
+        for j in range(1, (k - 1) // 2 + 1):
+            num[total + j] += 2
+            num[total + k - j] += 2
+        if k % 2 == 0:
+            for m in values:
+                num[k // 2 + k * m] += 1
+        return num
+    orders = []
+    for token in re.split(r"\s*x\s*", spec.strip()):
+        power = re.fullmatch(r"A1\^(\d+)", token)
+        orders += [2] * int(power.group(1)) if power else [2 if token == "A1" else int(token[2:])]
+    shapes = [len(v) + 1 if isinstance(v, tuple) else 2 for v in values]
+    if sorted(orders) != sorted(shapes):
+        raise ValueError(f"values {values} do not fit the factors of {spec}")
+    num = Counter({0: 1})
+    for v in values:
+        ms = (0, *v) if isinstance(v, tuple) else (0, v)
+        factor = [i + len(ms) * m for i, m in enumerate(ms)]
+        num, product = Counter(), num
+        for a, c in product.items():
+            for b in factor:
+                num[a + b] += c
+    return num

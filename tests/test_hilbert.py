@@ -1,7 +1,15 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import closed_form_numerator
 from quasinv.errors import ReconstructionError
+from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
+from quasinv.quasi import freeness_certificate
+from test_acceptance import _max_entry, criterion_2_configurations, larger_battery_configurations
 
 
 def test_polynomial_line_over_squares():
@@ -60,3 +68,44 @@ def test_shift_needs_one_degree_per_dimension():
     series = HilbertSeries([1], [2], verified_through=8)
     with pytest.raises(ValueError):
         gorenstein_shift(series, 2)
+
+
+# -- the engine against the closed form of the Hilbert series ------------------------
+
+
+def _assert_closed_form(group, mult, max_degree):
+    """The certificate's numerator and the multiset of its generator degrees
+    equal the closed form read off the spec and the multiplicity values."""
+    cert = freeness_certificate(group, mult, max_degree)
+    expected = closed_form_numerator(group.spec, mult.values.values())
+    assert {d: c for d, c in enumerate(cert.hilbert.numerator) if c} == +expected
+    assert Counter(cert.generator_degrees()) == +expected
+
+
+def test_closed_form_at_the_criterion_2_degree():
+    for group, mult in criterion_2_configurations() + larger_battery_configurations():
+        _assert_closed_form(group, mult,
+                            4 * group.sum_invariant_degrees() + 4 * _max_entry(mult))
+
+
+_CLOSED_FORM_SPECS = ("A1", "A1 x A1", "A1^3", "I2(3)", "I2(4)", "I2(5)", "I2(6)",
+                      "Z/3", "Z/4", "A1 x Z/3", "Z/3 x Z/4")
+
+
+@st.composite
+def _closed_form_case(draw):
+    group = parse_group(draw(st.sampled_from(_CLOSED_FORM_SPECS)))
+    values = {}
+    for h in group.hyperplanes:
+        if h.orbit_id not in values:
+            size = 1 if h.stabilizer_order == 2 else h.stabilizer_order - 1
+            ms = tuple(draw(st.integers(0, 2)) for _ in range(size))
+            values[h.orbit_id] = ms[0] if h.stabilizer_order == 2 else ms
+    return group, Multiplicity(group, values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_closed_form_case())
+def test_closed_form_on_random_multiplicities(case):
+    group, mult = case
+    _assert_closed_form(group, mult, 4 * group.sum_invariant_degrees() + 8)
