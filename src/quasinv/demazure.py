@@ -101,18 +101,11 @@ class ExpQuasiRing:
             )
         self.m = m
         self.window = (lo, hi)
-        delta = LaurentElement.delta()
-        elements = []
-        labels = []
-        for j in range(m):
-            elements.append(delta**j)
-            labels.append(f"delta^{j}")
+        delta, window = LaurentElement.delta(), range(lo, hi + 1)
         dm = delta**m
-        for k in range(lo, hi + 1):
-            elements.append(dm * LaurentElement.z_power(k))
-            labels.append(f"delta^{m} z^{k}")
-        self.elements = elements
-        self.labels = labels
+        self.elements = [delta**j for j in range(m)] + [dm * LaurentElement.z_power(k)
+                                                         for k in window]
+        self.labels = [f"delta^{j}" for j in range(m)] + [f"delta^{m} z^{k}" for k in window]
 
     def contains(self, f: LaurentElement) -> bool:
         """Membership in the integral span Z + Z delta + ... + Z delta^(m-1)
@@ -121,9 +114,11 @@ class ExpQuasiRing:
             return False
         m = self.m
         even = (f + f.involution()) * Fraction(1, 2)
-        # expand the symmetric part in powers of delta (leading z-coefficient
-        # of delta^k is 1, so peeling from the top is exact)
-        delta = LaurentElement.delta()
+        # expand the symmetric part in powers of delta, each kept (leading
+        # z-coefficient of delta^k is 1, so peeling from the top is exact)
+        powers = [LaurentElement.one()]
+        for _ in range(max(even.max_w_exp() // 2, m)):
+            powers.append(powers[-1] * LaurentElement.delta())
         coeffs = {}
         rest = even
         while rest:
@@ -132,20 +127,14 @@ class ExpQuasiRing:
                 return False  # symmetric part cannot have negative top degree
             c = rest.z_coefficient(k)
             coeffs[k] = c
-            rest = rest - delta**k * c
-        for j in range(m):
-            if coeffs.get(j, Fraction(0)).denominator != 1:
-                return False
-        head = LaurentElement.zero()
-        for j in range(m):
-            c = coeffs.get(j)
-            if c:
-                head = head + delta**j * c
-        tail = f - head
+            rest = rest - powers[k] * c
+        if any(c.denominator != 1 for j, c in coeffs.items() if j < m):
+            return False
+        tail = f - sum((powers[j] * c for j, c in coeffs.items() if j < m), LaurentElement.zero())
         if not tail:
             return True
         try:
-            quot = exact_div(tail, delta**m)
+            quot = exact_div(tail, powers[m])
         except ArithmeticError:
             return False
         return quot.is_integral()

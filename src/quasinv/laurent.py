@@ -188,20 +188,23 @@ def order_at_one(f: LaurentElement):
         raise ValueError("order at z = 1 needs integer z-exponents")
     base = f.min_w_exp()
     dense = _dense(f, base)
-    # collapse w^2 -> z
+    # collapse w^2 -> z; the divisions run on ints, since clearing the
+    # common denominator leaves the order unchanged
     coeffs = dense[::2]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     order = 0
     while True:
         if sum(coeffs) != 0:
             return order
         # synthetic division by (z - 1)
         out = []
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(coeffs):
-            acc = acc + c
+            acc += c
             out.append(acc)
         out.reverse()
-        coeffs = out[1:] if len(out) > 1 else [Fraction(0)]
+        coeffs = out[1:] if len(out) > 1 else [0]
         order += 1
         if order > 10**6:
             raise ArithmeticError("runaway vanishing order")
