@@ -73,19 +73,21 @@ def nullspace(matrix, ncols=None):
     return list(basis.values())
 
 
-def _clear(v: dict) -> int:
+def _clear(v: dict):
     """Bring the entries of v in Q to ints in place by scaling v with their
-    least common denominator, which is returned."""
-    den = 1
+    least common denominator; return it and the order n of a Cyclotomic
+    entry (0 for none)."""
+    den, n = 1, 0
     for j, c in v.items():
         if c.__class__ is not int:
+            n = c.n if c.__class__ is Cyclotomic else n
             v[j] = c = rational_value(c)
             if c.__class__ is Fraction:
                 den = lcm(den, c.denominator)
     if den != 1:
         for j, c in v.items():
             v[j] = c.numerator * (den // c.denominator) if c.__class__ is Fraction else c * den
-    return den
+    return den, n
 
 
 def normalize_row(v: dict, p) -> None:
@@ -155,11 +157,9 @@ class IncrementalSpan:
         """(v, scale): `vector` times the positive int `scale`, reduced."""
         items = vector.items() if isinstance(vector, dict) else enumerate(vector)
         v = {j: c for j, c in items if c}
-        if self._one is None:
-            n = next((c.n for c in v.values() if c.__class__ is Cyclotomic), 0)
-            if n:
-                self._one = Cyclotomic.zeta(n, 0)
-        scale = _clear(v)
+        scale, n = _clear(v)
+        if n and self._one is None:
+            self._one = Cyclotomic.zeta(n, 0)
         rows, pivots, where = self._rows, self.pivots, self._where
         queue = [where[j] for j in v.keys() if j in where]
         heapify(queue)
