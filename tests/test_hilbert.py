@@ -78,8 +78,8 @@ def _assert_closed_form(group, mult, max_degree):
     equal the closed form read off the spec and the multiplicity values."""
     cert = freeness_certificate(group, mult, max_degree)
     expected = closed_form_numerator(group.spec, mult.values.values())
-    assert {d: c for d, c in enumerate(cert.hilbert.numerator) if c} == +expected
-    assert Counter(cert.generator_degrees()) == +expected
+    assert {d: c for d, c in enumerate(cert.hilbert.numerator) if c} == expected
+    assert Counter(cert.generator_degrees()) == expected
 
 
 def test_closed_form_at_the_criterion_2_degree():
@@ -95,12 +95,12 @@ _CLOSED_FORM_SPECS = ("A1", "A1 x A1", "A1^3", "I2(3)", "I2(4)", "I2(5)", "I2(6)
 @st.composite
 def _closed_form_case(draw):
     group = parse_group(draw(st.sampled_from(_CLOSED_FORM_SPECS)))
-    values = {}
+    small, values = st.integers(0, 2), {}
     for h in group.hyperplanes:
+        n_h = h.stabilizer_order
         if h.orbit_id not in values:
-            size = 1 if h.stabilizer_order == 2 else h.stabilizer_order - 1
-            ms = tuple(draw(st.integers(0, 2)) for _ in range(size))
-            values[h.orbit_id] = ms[0] if h.stabilizer_order == 2 else ms
+            values[h.orbit_id] = (draw(small) if n_h == 2 else
+                                  tuple(draw(small) for _ in range(n_h - 1)))
     return group, Multiplicity(group, values)
 
 
