@@ -186,6 +186,22 @@ def test_zero_skipping_elimination_matches_the_dense_one(case):
     _assert_rref_matches(span, dense, zeros_typed)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_sparse_case())
+def test_reduce_returns_the_remainder_of_the_dense_reduction(case):
+    # the fraction-free loop scales the vector as it reduces; `reduce`
+    # divides that scale back out
+    matrix, probe, more, _ = case
+    span, dense = IncrementalSpan(len(probe)), DenseSpan()
+    for row in matrix + more:
+        span.add(row)
+        dense.add(row)
+        for vec in [probe] + matrix + more:
+            rest = span.reduce(vec)
+            dense_rest = [rest.get(j, 0) for j in range(len(vec))]
+            assert _encoded([dense_rest], False) == _encoded([dense.reduce(vec)], False)
+
+
 def _assert_rref_matches(span, dense, zeros_typed):
     red, pivots = span.rref()
     dense_red, dense_pivots = dense_rref(dense.rows)
