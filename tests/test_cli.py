@@ -257,6 +257,52 @@ def test_oversized_polynomials_and_characters_are_refused():
         assert code in (0, 2) and out and not err, argv
 
 
+def test_juxtaposed_and_parenthesized_factors_multiply():
+    from fractions import Fraction
+
+    from quasinv.cli import parse_laurent, parse_polynomial
+    from quasinv.groups import parse_group
+    from quasinv.laurent import LaurentElement
+    from quasinv.poly import Polynomial
+
+    W = parse_group("A1")
+    x = Polynomial.variable(W.variables, "x")
+    for text, value in (("x^(2)", x ** 2), ("2 3", 6 * x ** 0), ("2*3*x", 6 * x),
+                        ("x x", x ** 2), ("x^2 x", x ** 3)):
+        assert parse_polynomial(W, text) == value, text
+    z = LaurentElement.z_power
+    for text, value in (("2*3*z", z(1, 6)), ("z z", z(2)), ("z^2 z", z(3)),
+                        ("2 3", z(0, 6)), ("z^(-3)", z(-3)), ("z^(2)", z(2))):
+        assert parse_laurent(text) == value, text
+    # the README forms keep their values
+    U = parse_group("A1 x A1")
+    z1, z2 = (Polynomial.variable(U.variables, v) for v in U.variables)
+    assert parse_polynomial(W, "x^5") == x ** 5
+    assert parse_polynomial(W, "3*x^2 - 1/2*x + 4") == 3 * x ** 2 - Fraction(1, 2) * x + 4
+    assert parse_polynomial(U, "z1^3*z2") == z1 ** 3 * z2
+    assert parse_laurent("z - 2 + z^-1") == z(1) - 2 + z(-1)
+    assert parse_laurent("z^2 - 2 + z^-2") == z(2) - 2 + z(-2)
+    assert parse_laurent("3*z^-1") == z(-1, 3)
+    assert parse_laurent("") == LaurentElement.zero() and not parse_polynomial(W, " ")
+
+
+def test_malformed_expressions_are_refused():
+    # each of these once read as a different value: x - -x as 0, 2*3*z as
+    # 2 + 3z, z^(3 as z^3; none may be guessed at
+    apply = ("demazure", "--group", "A1", "--mult", "0")
+    member = ("exp", "member", "--mult", "1")
+    for text in ("x - -x", "--x", "+", "x-", "x*", "zz", "x^(2", "x^2)", "x^-2", "x^(-2)",
+                 "x**2", "x^1/2", "(x)", "2^-1*x"):
+        code, out, err = call(*apply, f"--apply={text}")
+        assert code == 1, text
+        assert out == "" and err.startswith("error: "), text
+    for text in ("z - -z", "--z", "+", "z-", "z*", "zz", "z^(3", "z^3)", "z2", "z^1/2",
+                 "z^20*z^21", "z^-20*z^-21", "2^-1*z", f"z^{MAX_WINDOW} z"):
+        code, out, err = call(*member, f"--elem={text}")
+        assert code == 1, text
+        assert out == "" and err.startswith("error: "), text
+
+
 def test_qorder_env_override_is_capped(monkeypatch):
     monkeypatch.setenv("QUASINV_DEFAULT_QORDER", str(MAX_Q_ORDER + 1))
     code, out, err = call("elliptic", "theta", "--form", "product")
