@@ -5,10 +5,12 @@ stdout, 2 domain errors, 3 inconclusive verdicts.  All JSON output is
 deterministic (sorted keys) and self-describing: it echoes the command, the
 inputs and the verification notes for each numeric claim, so outputs can be
 committed as golden files.  QUASINV_DEFAULT_QORDER overrides the
-q-truncation default.
+q-truncation default of the commands that build q-series.
 
-Each subcommand imports the modules it needs when it runs, so a process
-loads only the part of the library that its command uses.
+Polynomials (`demazure --apply`) and characters (`exp member`, `chern
+--elem`) are read by one term grammar, `_parse_terms`.  Each subcommand
+imports the modules it needs when it runs, so a process loads only the
+part of the library that its command uses.
 """
 
 from __future__ import annotations
@@ -130,62 +132,68 @@ def _parse_value(text: str):
         raise ParseError(f"bad multiplicity value {text!r}")
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+/\d+|\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[\^*+()-]))"
-)
+_TOKEN = re.compile(r"\^\s*(?:\(-?\d+\)|-?\d+)|\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*|\S", re.ASCII)
 
 
 def parse_polynomial(group, text: str) -> Polynomial:
     """Sums of monomials like "3*x^2 - 1/2*x + 4" or "z1^2*z2"."""
     from quasinv.poly import Polynomial
-    variables = group.variables
-    tokens = _tokenize(text)
+    return Polynomial(group.variables, _parse_terms(text, group.variables, False))
+
+
+def parse_laurent(text: str) -> LaurentElement:
+    """Characters like "z^2 - 2 + z^-2" or "3*z^(-1)"."""
+    from quasinv.laurent import LaurentElement
+    return LaurentElement({2 * e: c for (e,), c in _parse_terms(text, ("z",), True).items()})
+
+
+def _parse_terms(text: str, variables, signed: bool) -> dict:
+    """{exponent vector: coefficient} of an expression in `variables`:
+
+        expr := [+|-] term ((+|-) term)*    term := factor ([*] factor)*
+        factor := (number | variable) [^ exponent]
+
+    A number is "a" or "a/b", an exponent "k" or "(k)", and with `signed`
+    an exponent on a variable may be negative.  Juxtaposed factors
+    multiply; empty text is 0.  Exponents and term degrees stop at
+    MAX_DEGREE, or at +-MAX_WINDOW when `signed`, and each coefficient at
+    MAX_DIGITS digits, checked as each factor is read."""
+    tokens = _TOKEN.findall(text) + [""]
+    cap = MAX_WINDOW if signed else MAX_DEGREE
+    terms: dict = {}
     pos = 0
-    total = Polynomial.zero(variables)
-    sign = 1
-    current = None
-    while pos < len(tokens):
-        kind, value = tokens[pos]
-        if kind == "op" and value in "+-":
-            if current is not None:
-                total = total + current * sign
-                current = None
-            sign = 1 if value == "+" else -1
-            pos += 1
-            continue
-        factor, pos = _parse_factor(tokens, pos, variables)
-        current = factor if current is None else current * factor
-        for exp, c in current.terms.items():
-            if sum(exp) > MAX_DEGREE or max(abs(c.numerator), c.denominator) >= 10**MAX_DIGITS:
-                raise ParseError(f"a term exceeds degree {MAX_DEGREE} or {MAX_DIGITS} digits")
-        if pos < len(tokens) and tokens[pos] == ("op", "*"):
-            pos += 1
-    if current is not None:
-        total = total + current * sign
-    return total
-
-
-def _parse_factor(tokens, pos, variables):
-    from quasinv.poly import Polynomial
-    kind, value = tokens[pos]
-    if kind == "num":
-        base = Polynomial.constant(variables, _rational(value))
-        pos += 1
-    elif kind == "name":
-        if value not in variables:
-            raise ParseError(f"unknown variable {value!r}; have {variables}")
-        base = Polynomial.variable(variables, value)
-        pos += 1
-    else:
-        raise ParseError(f"unexpected token {value!r} in polynomial")
-    if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
-        kind2, exp = tokens[pos + 1]
-        if kind2 != "num" or "/" in exp:
-            raise ParseError("exponent must be a non-negative integer")
-        base = base ** _exponent(exp, MAX_DEGREE)
-        pos += 2
-    return base, pos
+    while tokens[pos]:
+        sign = tokens[pos] if tokens[pos] in ("+", "-") else ""
+        if pos and not sign:
+            raise ParseError(f"expected + or - before {tokens[pos][:20]!r}")
+        pos += bool(sign)
+        coeff, exp = Fraction(-1 if sign == "-" else 1), [0] * len(variables)
+        while True:  # one factor per round
+            tok = tokens[pos]
+            if "0" <= tok[:1] <= "9":
+                value, var = _rational(tok), None
+            elif tok in variables:
+                value, var = None, variables.index(tok)
+            elif tok[:1].isalpha():
+                raise ParseError(f"unknown variable {tok[:20]!r}; have {variables}")
+            else:
+                raise ParseError(f"expected a number or a variable, got {tok[:20]!r}" if tok
+                                 else f"{text[:20]!r} ends after an operator")
+            k = _exponent(tokens[pos + 1], cap, signed and var is not None)
+            pos += 2 if tokens[pos + 1][:1] == "^" else 1
+            if var is None:
+                coeff *= value ** k
+            else:
+                exp[var] += k
+            if abs(sum(exp)) > cap or max(abs(coeff.numerator), coeff.denominator) >= 10**MAX_DIGITS:
+                raise ParseError(f"a term exceeds degree {cap} or {MAX_DIGITS} digits")
+            if tokens[pos] == "*":
+                pos += 1
+            elif not tokens[pos][:1].isalnum():
+                break
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + coeff
+    return terms
 
 
 def _rational(text: str) -> Fraction:
@@ -198,62 +206,17 @@ def _rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _exponent(text: str, cap: int) -> int:
-    """An integer exponent of absolute value at most `cap`, checked before int()."""
-    digits = text.lstrip("-")
-    if len(digits) > len(str(cap)) or int(digits) > cap:
-        raise ParseError(f"exponent {text[:20]!r} exceeds {cap} in absolute value")
-    return int(text)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"cannot tokenize {text[pos:]!r}")
-            break
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    return tokens
-
-
-_LAURENT_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?"
-    r"(?:z(?:\^(?P<exp>\(?-?\d+\)?))?)?\s*"
-)
-
-
-def parse_laurent(text: str) -> LaurentElement:
-    """Expressions like "z^2 - 2 + z^-2" or "3*z^-1"."""
-    from quasinv.laurent import LaurentElement
-    out = LaurentElement.zero()
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        m = _LAURENT_TERM.match(text, pos)
-        if not m or m.end() == pos:
-            raise ParseError(f"cannot parse character expression at {text[pos:]!r}")
-        token = text[pos : m.end()]
-        if "z" not in token and m.group("coeff") is None:
-            raise ParseError(f"cannot parse character expression at {text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = _rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if "z" in token:
-            exp = m.group("exp")
-            k = _exponent(exp.strip("()"), MAX_WINDOW) if exp else 1
-        else:
-            k = 0
-        out = out + LaurentElement.z_power(k, sign * coeff)
-        pos = m.end()
-    return out
+def _exponent(token: str, cap: int, signed: bool) -> int:
+    """The k of an exponent token "^k" or "^(k)", 1 for a token that is no
+    exponent; |k| <= cap is checked before int(), and k < 0 needs `signed`."""
+    if token[:1] != "^":
+        return 1
+    digits = token[1:].strip().strip("()")
+    if not digits or digits[0] == "-" and not signed:
+        raise ParseError("an exponent is an integer k or (k), negative only on a character's z")
+    if len(digits.lstrip("-")) > len(str(cap)) or abs(int(digits)) > cap:
+        raise ParseError(f"exponent {digits[:20]!r} exceeds {cap} in absolute value")
+    return int(digits)
 
 
 # -- output ---------------------------------------------------------------------
@@ -623,6 +586,11 @@ def cmd_fake(args) -> int:
 
 def cmd_elliptic(args) -> int:
     from quasinv import elliptic as ell
+    if args.action == "sheafdims":  # no q-series: the q-order default is not read
+        result = ell.ell_sheaf_dims(args.mult)
+        emit(args, result, {"multiplicity": args.mult},
+             {"bookkeeping": "six-term exact sequence with rank-one middle map"})
+        return 0
     N = args.qorder if args.qorder is not None else default_q_order()
     if args.action == "theta":
         lo, hi = _parse_window(args.window) if args.window else ell.DEFAULT_WINDOW
@@ -643,17 +611,11 @@ def cmd_elliptic(args) -> int:
         emit(args, payload, {"n": args.n, "q_order": N},
              {"functional_equation": "every basis element certified at its degree"})
         return 0
-    if args.action == "elldim":
-        result = ell.ell_graded_dimension(args.mult, args.n, N)
-        emit(args, result, {"multiplicity": args.mult, "n": args.n, "q_order": N},
-             {"formula": "closed form cross-checked against exact linear algebra"})
-        return 0
-    if args.action == "sheafdims":
-        result = ell.ell_sheaf_dims(args.mult)
-        emit(args, result, {"multiplicity": args.mult},
-             {"bookkeeping": "six-term exact sequence with rank-one middle map"})
-        return 0
-    raise ParseError(f"unknown elliptic action {args.action!r}")
+    # elldim
+    result = ell.ell_graded_dimension(args.mult, args.n, N)
+    emit(args, result, {"multiplicity": args.mult, "n": args.n, "q_order": N},
+         {"formula": "closed form cross-checked against exact linear algebra"})
+    return 0
 
 
 # -- replay suites ----------------------------------------------------------------

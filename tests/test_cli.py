@@ -303,6 +303,16 @@ def test_malformed_expressions_are_refused():
         assert out == "" and err.startswith("error: "), text
 
 
+def test_sheafdims_reads_no_qorder_default(monkeypatch):
+    # the sheaf bookkeeping has no q-series, so a bad default cannot stop it
+    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", "0")
+    code, out, err = call("elliptic", "sheafdims", "--mult", "2")
+    assert code == 0 and "h1: 6" in out and not err
+    for action in ("theta", "sections", "elldim"):
+        code, out, err = call("elliptic", action)
+        assert code == 1 and out == "" and "must be at least 1" in err, action
+
+
 def test_qorder_env_override_is_capped(monkeypatch):
     monkeypatch.setenv("QUASINV_DEFAULT_QORDER", str(MAX_Q_ORDER + 1))
     code, out, err = call("elliptic", "theta", "--form", "product")
@@ -354,9 +364,10 @@ SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
          "A1^" + "9" * 5000)
 MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "")
 POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "",
-               "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x")
+               "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x",
+               "x - -x", "x^(2)", "x*", "+")
 CHARACTERS = ("z^2 - 2 + z^-2", "z - z^-1", "3*z^-1", "z^(-3)", "2", "zz", "",
-              "z^100000", "9" * 5000 + "*z", "z^-" + "9" * 5000, "1/0*z")
+              "z^100000", "9" * 5000 + "*z", "z^-" + "9" * 5000, "1/0*z", "2*3*z", "z^2 z", "+")
 SERIES = ("0,0,3,1", "0,0,1", "1,2", "0,0,0,1", "a,b", "")
 
 small = st.integers(-3, 8).map(str)
