@@ -9,6 +9,9 @@ integer rows x^(d+k) mod Phi_n) and reduces each result once; a rational
 operand only scales or shifts the numerators.  The coefficient field of a
 computation is fixed up front; mixing cyclotomic elements of different
 orders is rejected.
+
+`RingOps` derives the other operators of the ring-valued types over these
+fields (`Polynomial`, `LaurentElement`, `PowerSeries`, `ZQSeries`).
 """
 
 from __future__ import annotations
@@ -86,6 +89,38 @@ def _reduction_rows(n: int, count: int | None = None) -> list[tuple[int, ...]]:
 
 
 _RED_CACHE: dict[int, list[tuple[int, ...]]] = {}
+
+
+class RingOps:
+    """Operators of a commutative ring derived from `+`, unary `-`, `*`
+    and `_one()`: a scalar on either side of `+`, `-` and `*`, subtraction
+    as adding the negative, and `**` by square-and-multiply."""
+
+    __slots__ = ()
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        out = self._one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
 
 
 class Cyclotomic:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from quasinv.fields import poly_divmod
+from quasinv.fields import RingOps, poly_divmod
 
 
-class LaurentElement:
+class LaurentElement(RingOps):
     """Map from w-exponent (w = z^(1/2)) to nonzero rational coefficient."""
 
     __slots__ = ("terms",)
@@ -47,6 +47,9 @@ class LaurentElement:
         """(z^(1/2) - z^(-1/2))^2 = z - 2 + 1/z."""
         return LaurentElement({2: 1, 0: -2, -2: 1})
 
+    def _one(self) -> "LaurentElement":
+        return LaurentElement.one()
+
     # -- ring structure ---------------------------------------------------
 
     def __add__(self, other):
@@ -61,18 +64,8 @@ class LaurentElement:
                 terms.pop(e, None)
         return LaurentElement(terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentElement({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentElement({0: other})
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -88,20 +81,6 @@ class LaurentElement:
                 else:
                     terms.pop(e, None)
         return LaurentElement(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: use exact_div")
-        out = LaurentElement.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

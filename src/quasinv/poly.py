@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from quasinv.fields import Cyclotomic
+from quasinv.fields import Cyclotomic, RingOps
 
 INFINITE_ORDER = math.inf
 
@@ -24,7 +24,7 @@ def _as_coeff(c):
     return c
 
 
-class Polynomial:
+class Polynomial(RingOps):
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables, terms=None):
@@ -60,6 +60,9 @@ class Polynomial:
     def monomial(variables, exp, c=1) -> "Polynomial":
         return Polynomial(variables, {tuple(exp): c})
 
+    def _one(self) -> "Polynomial":
+        return Polynomial.constant(self.vars, 1)
+
     # -- ring operations ----------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -81,20 +84,10 @@ class Polynomial:
         out.terms = terms
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = Polynomial(self.vars)
         out.terms = {e: -c for e, c in self.terms.items()}
         return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            other = Polynomial.constant(self.vars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclotomic)):
@@ -105,20 +98,6 @@ class Polynomial:
         self._check(other)
         out = Polynomial(self.vars)
         out.terms = multiply_terms(self.terms.items(), other.terms.items())
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
         return out
 
     def __eq__(self, other):

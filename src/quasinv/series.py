@@ -22,9 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from quasinv.errors import InconclusiveError
+from quasinv.fields import RingOps
 
 
-class PowerSeries:
+class PowerSeries(RingOps):
     """sum c_k var^k + O(var^order): `coeffs` holds c_0 .. c_(order-1);
     `var` only names the variable in repr."""
 
@@ -38,22 +39,17 @@ class PowerSeries:
         self.order = order
         self.var = var
 
+    def _one(self) -> "PowerSeries":
+        return PowerSeries([1], self.order, self.var)
+
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
             other = PowerSeries([other], self.order)
         n = min(self.order, other.order)
         return PowerSeries([a + b for a, b in zip(self.coeffs[:n], other.coeffs)], n, self.var)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return PowerSeries([-c for c in self.coeffs], self.order, self.var)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
@@ -66,20 +62,6 @@ class PowerSeries:
                     if b:
                         out[i + j] += a * b
         return PowerSeries(out, n, self.var)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a series")
-        out = PowerSeries([1], self.order, self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def inverse(self) -> "PowerSeries":
         """Inverse of a series with constant term 1 or -1, the units of
@@ -111,7 +93,7 @@ class PowerSeries:
         return (" + ".join(parts) if parts else "0") + f" + O({v}^{self.order})"
 
 
-class ZQSeries:
+class ZQSeries(RingOps):
     """coeffs: map (w_exponent, q_exponent) -> coefficient, q_exponent < q_order.
 
     A coefficient is stored as an int when it is integral and as a Fraction
@@ -143,6 +125,9 @@ class ZQSeries:
     def one(q_order: int) -> "ZQSeries":
         return ZQSeries({(0, 0): 1}, q_order)
 
+    def _one(self) -> "ZQSeries":
+        return ZQSeries.one(self.q_order)
+
     @staticmethod
     def from_q_coeffs(qcoeffs, q_order: int) -> "ZQSeries":
         """Pure q-series from a coefficient list."""
@@ -170,18 +155,8 @@ class ZQSeries:
             out[key] = out.get(key, 0) + c
         return ZQSeries(out, min(self.q_order, other.q_order))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return ZQSeries({k: -c for k, c in self.coeffs.items()}, self.q_order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ZQSeries({(0, 0): other}, self.q_order)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -200,20 +175,6 @@ class ZQSeries:
                         w = w1 + w2
                         level[w] = level.get(w, 0) + c1 * c2
         return ZQSeries({(w, s): c for s, level in acc.items() for w, c in level.items()}, N)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a series")
-        out = ZQSeries.one(self.q_order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     def truncate_q(self, N: int) -> "ZQSeries":
         return ZQSeries(self.coeffs, min(self.q_order, N))

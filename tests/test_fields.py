@@ -338,3 +338,49 @@ def test_rational_fast_paths_return_the_operand_and_build_nothing(monkeypatch):
     monkeypatch.setattr(Cyclotomic, "__init__", built)
     assert one == 1 and one == Fraction(1) and not one != 1
     assert zero == 0 and not zero != Fraction(0) and not zero
+
+
+# -- the operators RingOps derives, on each of its four types ------------------
+
+
+def _ring_samples(kind, rng):
+    """(element, constant) makers of one RingOps type, on small random data."""
+    from quasinv.laurent import LaurentElement
+    from quasinv.poly import Polynomial
+    from quasinv.series import PowerSeries, ZQSeries
+
+    def c():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return {
+        "Polynomial": (lambda: Polynomial(("x", "y"), {(rng.randint(0, 2), rng.randint(0, 2)): c()
+                                                       for _ in range(3)}),
+                       lambda q: Polynomial.constant(("x", "y"), q)),
+        "LaurentElement": (lambda: LaurentElement({rng.randint(-4, 4): c() for _ in range(3)}),
+                           lambda q: LaurentElement({0: q})),
+        "PowerSeries": (lambda: PowerSeries([c() for _ in range(5)], 5),
+                        lambda q: PowerSeries([q], 5)),
+        "ZQSeries": (lambda: ZQSeries({(rng.randint(-3, 3), rng.randint(0, 3)): c()
+                                       for _ in range(3)}, 4),
+                     lambda q: ZQSeries({(0, 0): q}, 4)),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", ["Polynomial", "LaurentElement", "PowerSeries", "ZQSeries"])
+def test_derived_ring_operators(kind):
+    rng = random.Random(kind)
+    element, constant = _ring_samples(kind, rng)
+    for _ in range(25):
+        a, b = element(), element()
+        for q in (0, 1, -3, Fraction(-1, 2)):
+            s = constant(q)
+            assert q + a == s + a and a + q == a + s
+            assert q - a == s - a and a - q == a - s
+            assert q * a == s * a and a * q == a * s
+        assert a - b == a + (-b) and b - a == -(a - b)
+        product = constant(1)
+        for k in range(5):
+            assert a ** k == product, k
+            product = product * a
+        with pytest.raises(ValueError):
+            a ** -1
