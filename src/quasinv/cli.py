@@ -167,7 +167,7 @@ def _parse_terms(text: str, variables, signed: bool) -> dict:
         if pos and not sign:
             raise ParseError(f"expected + or - before {tokens[pos][:20]!r}")
         pos += bool(sign)
-        coeff, exp = Fraction(-1 if sign == "-" else 1), [0] * len(variables)
+        c, exp = Fraction(-1 if sign == "-" else 1), [0] * len(variables)
         while True:  # one factor per round
             tok = tokens[pos]
             if "0" <= tok[:1] <= "9":
@@ -179,20 +179,22 @@ def _parse_terms(text: str, variables, signed: bool) -> dict:
             else:
                 raise ParseError(f"expected a number or a variable, got {tok[:20]!r}" if tok
                                  else f"{text[:20]!r} ends after an operator")
-            k = _exponent(tokens[pos + 1], cap, signed and var is not None)
-            pos += 2 if tokens[pos + 1][:1] == "^" else 1
+            pos, k = pos + 1, 1
+            if tokens[pos][:1] == "^":
+                k = _exponent(tokens[pos], cap, signed and var is not None)
+                pos += 1
             if var is None:
-                coeff *= value ** k
+                c *= value ** k
             else:
                 exp[var] += k
-            if abs(sum(exp)) > cap or max(abs(coeff.numerator), coeff.denominator) >= 10**MAX_DIGITS:
+            if abs(sum(exp)) > cap or max(abs(c.numerator), c.denominator) >= 10**MAX_DIGITS:
                 raise ParseError(f"a term exceeds degree {cap} or {MAX_DIGITS} digits")
             if tokens[pos] == "*":
                 pos += 1
             elif not tokens[pos][:1].isalnum():
                 break
         key = tuple(exp)
-        terms[key] = terms.get(key, 0) + coeff
+        terms[key] = terms.get(key, 0) + c
     return terms
 
 
@@ -207,10 +209,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _exponent(token: str, cap: int, signed: bool) -> int:
-    """The k of an exponent token "^k" or "^(k)", 1 for a token that is no
-    exponent; |k| <= cap is checked before int(), and k < 0 needs `signed`."""
-    if token[:1] != "^":
-        return 1
+    """The k of an exponent token "^k" or "^(k)"; |k| <= cap is checked
+    before int(), and k < 0 needs `signed`."""
     digits = token[1:].strip().strip("()")
     if not digits or digits[0] == "-" and not signed:
         raise ParseError("an exponent is an integer k or (k), negative only on a character's z")

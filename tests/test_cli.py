@@ -176,6 +176,12 @@ def test_qorder_env_override_is_bounded(monkeypatch):
     code, out, err = call("elliptic", "theta", "--form", "product")
     assert code == 1
     assert out == "" and "must be at least 1" in err
+    for action in ("sections", "elldim"):
+        code, out, err = call("elliptic", action)
+        assert code == 1 and out == "" and "must be at least 1" in err, action
+    # the sheaf bookkeeping builds no q-series, so it never reads the default
+    code, out, err = call("elliptic", "sheafdims", "--mult", "2")
+    assert code == 0 and "h1: 6" in out and not err
 
 
 def test_integer_options_are_capped():
@@ -301,16 +307,6 @@ def test_malformed_expressions_are_refused():
         code, out, err = call(*member, f"--elem={text}")
         assert code == 1, text
         assert out == "" and err.startswith("error: "), text
-
-
-def test_sheafdims_reads_no_qorder_default(monkeypatch):
-    # the sheaf bookkeeping has no q-series, so a bad default cannot stop it
-    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", "0")
-    code, out, err = call("elliptic", "sheafdims", "--mult", "2")
-    assert code == 0 and "h1: 6" in out and not err
-    for action in ("theta", "sections", "elldim"):
-        code, out, err = call("elliptic", action)
-        assert code == 1 and out == "" and "must be at least 1" in err, action
 
 
 def test_qorder_env_override_is_capped(monkeypatch):
