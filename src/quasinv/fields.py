@@ -287,6 +287,8 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
+        if not any(self.nums[1:]):  # a value in Q hashes as the rational it equals
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.n, self.den, self.nums))
 
     def __repr__(self):

@@ -83,6 +83,7 @@ class LaurentElement(RingOps):
         return LaurentElement(terms)
 
     def __eq__(self, other):
+        """Equal terms; a constant also equals its scalar, and hashes as it."""
         if isinstance(other, (int, Fraction)):
             other = LaurentElement({0: other})
         if not isinstance(other, LaurentElement):
@@ -90,6 +91,8 @@ class LaurentElement(RingOps):
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {0}:
+            return hash(self.terms.get(0, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self):

@@ -101,11 +101,18 @@ class Polynomial(RingOps):
         return out
 
     def __eq__(self, other):
+        """Equal polynomials in the same variables; a constant polynomial also
+        equals its scalar, and hashes as it."""
+        if isinstance(other, (int, Fraction, Cyclotomic)):
+            return self.terms == ({(0,) * len(self.vars): other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        zero = (0,) * len(self.vars)
+        if self.terms.keys() <= {zero}:
+            return hash(self.terms.get(zero, 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __bool__(self):

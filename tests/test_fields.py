@@ -384,3 +384,46 @@ def test_derived_ring_operators(kind):
             product = product * a
         with pytest.raises(ValueError):
             a ** -1
+
+
+# -- one rule for a value equal to a scalar -----------------------------------
+
+
+@pytest.mark.parametrize("kind", ["Polynomial", "LaurentElement"])
+def test_a_constant_equals_its_scalar_and_hashes_as_it(kind):
+    _, constant = _ring_samples(kind, random.Random(kind))
+    for q in (0, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
+        c = constant(q)
+        assert c == q and q == c and not c != q
+        assert hash(c) == hash(q)
+        assert q in {c} and c in {q}
+        assert c != q + 1
+        assert c * 2 + constant(1) * 2 == 2 * q + 2
+    x = _variable(kind)
+    for q in (0, 1, Fraction(1, 2)):
+        assert x + q != q and x * q != q + 1 and x != q
+
+
+def _variable(kind):
+    from quasinv.laurent import LaurentElement
+    from quasinv.poly import Polynomial
+
+    return Polynomial.variable(("x", "y"), "x") if kind == "Polynomial" else LaurentElement.z_power(1)
+
+
+def test_a_rational_cyclotomic_hashes_as_the_rational_it_equals():
+    from quasinv.poly import Polynomial
+
+    for q in (0, 1, -4, Fraction(5, 6)):
+        c = Cyclotomic.from_rational(12, q)
+        assert c == q and hash(c) == hash(q) and q in {c}
+        assert Polynomial.constant(("x",), c) == q and q in {Polynomial.constant(("x",), c)}
+    assert Polynomial.constant(("x",), Cyclotomic.zeta(12)) == Cyclotomic.zeta(12)
+
+
+@pytest.mark.parametrize("kind", ["PowerSeries", "ZQSeries"])
+def test_truncated_series_never_equal_a_scalar(kind):
+    _, constant = _ring_samples(kind, random.Random(kind))
+    for q in (0, 3, Fraction(1, 2)):
+        assert constant(q) != q and not constant(q) == q
+    assert constant(3) == constant(3)
