@@ -30,8 +30,8 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb
-from operator import add
+from math import comb, prod
+from operator import add, mul
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -270,8 +270,10 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     so the kernel splits along the diagonal characters of the monomials and
     each block is solved separately (blocked and unblocked solves agree; the
     regression suite compares them and checks an independent brute force).
-    A block left without rows is its surviving monomials.  The layer is
-    returned sorted by leading exponent in graded-lex order.
+    A block left without rows is its surviving monomials, so without
+    hyperplanes x_k - r x_l (A1^n, Z/l and their products) the degree is
+    not split at all.  The layer is returned sorted by leading exponent in
+    graded-lex order.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
@@ -279,7 +281,8 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     layers = []
     for d in range(max_degree + 1):
         monos = list(monomial_index(group.variables, d))
-        layers.append(_solve_layer(group, conditions, monos, group.monomial_blocks(monos)))
+        blocks = group.monomial_blocks(monos) if conditions[1] else [range(len(monos))]
+        layers.append(_solve_layer(group, conditions, monos, blocks))
     return GradedBasis(group, mult, max_degree, layers)
 
 
@@ -350,27 +353,38 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     on the generators found so far ever outgrows the actual dimensions, a
     relation exists and the module is not free.
 
+    Once the generators number |W| they are proved independent over the
+    invariant ring R, once (`_independent`).  Then S_d has dimension
+    sum_i dim R_(d - deg g_i), and in every later degree where that sum is
+    dim L_d, S_d is L_d by the closure precondition: the degree holds no
+    generator and no relation, and it is certified without a span.  Every
+    other degree, and every degree when the proof fails, is spanned.
+
     Span bookkeeping runs per diagonal-character block on disjoint column
     sets, an exact reformulation because spans of disjointly supported
-    vectors decompose; a layer vector that spans two blocks raises
-    ValueError.  Invariants are diagonal-invariant, so f^J g lies in g's
-    block; once that block's span has the layer's dimension in the block,
-    f^J g is not formed, and neither it nor a layer vector is inserted.
-    A layer vector enters its block's span as a sparse row read off its
-    terms, and f^J g as the integer row that `multiply_terms` forms from
-    the term lists of f^J and g, each scaled once to coprime integers
-    (`_primitive`), with no product polynomial; the generators reported are
-    the layer's own.
+    vectors decompose; in a spanned degree a layer vector that spans two
+    blocks raises ValueError.  Invariants are diagonal-invariant, so f^J g
+    lies in g's block, found once per generator and degree; once that
+    block's span has the layer's dimension in the block, g's products stop,
+    and no layer vector enters it.  A layer vector enters its block's span
+    as a sparse row read off its terms, and f^J g as the integer row that
+    `multiply_terms` forms from the term lists of f^J and g, each scaled
+    once to coprime integers (`_primitive`), with no product polynomial;
+    the generators reported are the layer's own.
     """
     D = basis.max_degree
     dims = basis.dims()
     inv_dims = invariant_ring_dims(group, D)
-    inv_monomials = _invariant_monomials(group.fundamental_invariants, D)
+    inv_monomials = _invariant_monomials(group.fundamental_invariants)
     generators = []
     generator_terms = []  # (degree, term list) per generator
+    independent = None  # the proof, taken once the generators number |W|
     status = None
     failure_degree = None
     for d in range(D + 1):
+        if independent and len(generators) == group.order and \
+                sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
+            continue
         exps = list(monomial_index(group.variables, d))
         blocks = group.monomial_blocks(exps)
         block_of, local = {}, {}  # exponent -> its block, its column in the block
@@ -388,20 +402,25 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         full = [layer_blocks.count(bi) for bi in range(len(blocks))]
 
         for gd, g in generator_terms:
-            lead = g[0][0]
-            for fj in inv_monomials[d - gd]:
-                bi = block_of[tuple(map(add, lead, fj[0][0]))]
-                if spans[bi].dim() < full[bi]:
-                    spans[bi].add(multiply_terms(fj, g, local))
+            products = inv_monomials(d - gd)
+            if products:
+                bi = block_of[tuple(map(add, g[0][0], products[0][0][0]))]
+                span, need = spans[bi], full[bi]
+                for fj in products:
+                    if span.dim() >= need:
+                        break
+                    span.add(multiply_terms(fj, g, local))
         for p, bi in zip(basis.layers[d], layer_blocks):
             if spans[bi].dim() < full[bi] and spans[bi].add(_row(p, local)):
                 generators.append((d, p))
                 generator_terms.append((d, _primitive(p)))
-        free_dim = sum(inv_dims[d - gd] for gd, _ in generators if gd <= d)
+        free_dim = sum(inv_dims[d - gd] for gd, _ in generators)
         if free_dim != dims[d]:
             status = "not-free"
             failure_degree = d
             break
+        if independent is None and len(generators) == group.order:
+            independent = _independent(group, [g for _, g in generator_terms])
     series = hilbert_from_basis(dims, group.invariant_degrees)
     shift = gorenstein_shift(series, group.rank)
     if status is None:
@@ -409,6 +428,44 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     return FreenessCertificate(
         group, generators, status, series, shift, predicted_shift, failure_degree
     )
+
+
+def _independent(group: ReflectionGroup, generators) -> bool:
+    """Whether det(w(g_i)), over the group elements w and |W| term lists
+    g_i, is nonzero at x0 = (2, 3, ...); True proves the g_i independent
+    over the invariant ring, since a relation sum a_i g_i = 0 gives
+    sum a_i w(g_i) = 0 for every w.
+
+    The determinant is taken block by block under the diagonal subgroup T.
+    Each g_i lies in one character chi_i of T, so g_i(t s x0) =
+    chi_i(t) g_i(s x0), and a Fourier transform over T leaves one block per
+    character: the matrix (g_i(s x0)) over the g_i of that character and
+    one element s per permutation part of the forms (1 x 1 for A1^n, Z/l
+    and their products, 2 x 2 for I2(k)).  So the determinant is nonzero
+    exactly when each of the |T| characters holds |W/T| of the g_i and
+    every block is nonsingular.  A term list across two characters raises
+    ValueError, as the block guard of `module_certificate` does."""
+    reps = {}  # permutation part -> the exponents of its first element
+    for perm, expo in group._forms:
+        reps.setdefault(perm, expo)
+    roots, n = group.roots, len(group.roots)
+    spans: dict = {}  # character -> span of the rows (g_i(s x0))_s
+    for terms in generators:
+        keys = {group.monomial_class_key(e) for e, _ in terms}
+        if len(keys) != 1:
+            raise ValueError("module vector does not lie in one diagonal-character block")
+        row = []
+        for perm, expo in reps.items():
+            at = [k + 2 for k in perm]  # x^e o w^(-1) = roots[j] prod_k x_perm[k]^(e_k)
+            value = 0
+            for e, c in terms:
+                j = sum(map(mul, expo, e)) % n
+                value += (roots[j] * c if j else c) * prod(map(pow, at, e))
+            row.append(value)
+        if not spans.setdefault(keys.pop(), IncrementalSpan(len(reps))).add(row):
+            return False
+    return len(spans) * len(reps) == group.order and \
+        all(span.dim() == len(reps) for span in spans.values())
 
 
 def _row(p: Polynomial, columns) -> SparseRow:
@@ -425,21 +482,26 @@ def _primitive(p: Polynomial) -> list:
     return list(v.items())
 
 
-def _invariant_monomials(fund, top: int):
-    """Term lists of the products f^J of the fundamental invariants (each
-    scaled once by `_primitive`) of positive degree <= top, by degree; each
-    is one product f^J' * f_i with i no smaller than the factor indices of J'."""
-    out = [[] for _ in range(top + 1)]
+def _invariant_monomials(fund):
+    """The function k -> term lists of the products f^J of the fundamental
+    invariants (each scaled once by `_primitive`) of degree k >= 1, built
+    degree by degree on first use, so a certificate forms only the degrees
+    it spans; each is one product f^J' * f_i with i no smaller than the
+    factor indices of J'."""
     terms = [_primitive(f) for f in fund]
-    stack = [([((0,) * len(fund[0].vars), 1)], 0, 0)]
-    while stack:
-        prod, deg, first = stack.pop()
-        for i in range(first, len(fund)):
-            nd = deg + int(fund[i].degree())
-            if nd <= top:
-                out[nd].append(list(multiply_terms(prod, terms[i]).items()))
-                stack.append((out[nd][-1], nd, i))
-    return out
+    degrees = [int(f.degree()) for f in fund]
+    table = [[[((0,) * len(fund[0].vars), 1)]]]  # term lists per degree, 1 in degree 0
+    last = [[0]]  # the last factor index of each
+
+    def of_degree(k: int) -> list:
+        for d in range(len(table), k + 1):
+            pairs = [(list(multiply_terms(t, terms[i]).items()), i)
+                     for i, fd in enumerate(degrees) if fd <= d
+                     for t, j in zip(table[d - fd], last[d - fd]) if j <= i]
+            table.append([t for t, _ in pairs])
+            last.append([i for _, i in pairs])
+        return table[k]
+    return of_degree
 
 
 def freeness_certificate(group: ReflectionGroup, mult: Multiplicity,

@@ -21,11 +21,15 @@ from quasinv.poly import (
     linear_coefficients,
     monomial_index,
     monomials_of_degree,
+    multiply_terms,
 )
+from quasinv import quasi
 from quasinv.quasi import (
     CWValuedElement,
     GradedBasis,
     _hyperplane_conditions,
+    _independent,
+    _row,
     _solve_layer,
     cw_valued_basis,
     filtration_check,
@@ -520,6 +524,105 @@ def test_generator_products_match_every_product_on_a_non_free_module():
     basis, cert = x1_algebra(W, 14)
     assert cert.status == "not-free"
     assert _certificate_outcome(cert) == _reference_outcome(W, basis)
+
+
+_X1_SPECS = ("A1", "A1 x A1", "A1^3", "I2(3)", "I2(4)", "I2(5)", "I2(6)", "Z/3", "Z/4",
+             "A1 x Z/3", "Z/3 x Z/4")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(_X1_SPECS), st.integers(0, 4))
+def test_x1_certificates_match_every_product(spec, extra):
+    """Free (rank one) and not-free modules alike: in rank two and up the
+    generators outnumber |W| before the first relation."""
+    W = _group(spec)
+    basis, cert = x1_algebra(W, 2 * W.sum_invariant_degrees() + 4 + extra)
+    assert cert.status == ("free" if W.rank == 1 else "not-free")
+    assert _certificate_outcome(cert) == _reference_outcome(W, basis)
+
+
+# -- the independence proof of |W| generators --------------------------------------
+
+
+def _terms(generators):
+    return [list(g.terms.items()) for g in generators]
+
+
+def _certificate_generators(spec, m, D):
+    W = parse_group(spec)
+    cert = freeness_certificate(W, Multiplicity.constant(W, m), D)
+    assert cert.status == "free"
+    return W, [g for _, g in cert.generators]
+
+
+def test_independence_proof_holds_on_the_battery_generators():
+    from test_acceptance import _max_entry, criterion_2_configurations, \
+        larger_battery_configurations
+
+    for group, mult in criterion_2_configurations() + larger_battery_configurations():
+        cert = freeness_certificate(group, mult,
+                                    4 * group.sum_invariant_degrees() + 4 * _max_entry(mult))
+        assert _independent(group, _terms(g for _, g in cert.generators)), group.spec
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)"])
+def test_independence_proof_fails_on_an_invariant_multiple(spec):
+    """Two generators of one dihedral character, the second replaced by
+    f_1 times the first: the character's 2 x 2 block is singular, since
+    f_1 = z1 z2 takes one value on the whole orbit of x0."""
+    W, gens = _certificate_generators(spec, 1, 40)
+    key = W.monomial_class_key
+    a, b = next(
+        (i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
+        if key(min(gens[i].terms)) == key(min(gens[j].terms))
+    )
+    assert _independent(W, _terms(gens))
+    gens[b] = W.fundamental_invariants[0] * gens[a]
+    assert not _independent(W, _terms(gens))
+
+
+def test_independence_proof_fails_on_a_wrong_count_per_character():
+    W, gens = _certificate_generators("A1 x A1", 0, 16)  # 1, x1, x2, x1 x2
+    x1, _ = (Polynomial.variable(W.variables, v) for v in W.variables)
+    assert _independent(W, _terms(gens))
+    assert not _independent(W, _terms(gens[:3]))  # a character holds none
+    assert not _independent(W, _terms(gens[:3] + [x1**3]))  # x1's character holds two
+    W, gens = _certificate_generators("I2(4)", 1, 40)
+    key = W.monomial_class_key
+    other = next(i for i, g in enumerate(gens) if key(min(g.terms)) != key((0, 0)))
+    # z1^4 is diagonal-invariant: the character of 1 holds three, another one
+    gens[other] = Polynomial.variable(W.variables, "z1") ** 4
+    assert not _independent(W, _terms(gens))
+
+
+def test_independence_proof_refuses_a_generator_across_blocks():
+    W, gens = _certificate_generators("A1 x A1", 0, 16)
+    x1, x2 = (Polynomial.variable(W.variables, v) for v in W.variables)
+    with pytest.raises(ValueError, match="diagonal-character block"):
+        _independent(W, _terms(gens[:3] + [x1 + x2]))
+
+
+def test_no_span_row_above_the_last_generator_degree(monkeypatch):
+    """A1^3 with m = (1, 1, 2) at D = 32: once its eight generators are
+    proved independent, every later degree is certified by the count."""
+    W = parse_group("A1^3")
+    basis = quasi_basis(W, Multiplicity(W, {0: 1, 1: 1, 2: 2}), 32)
+    degrees = []  # the degree of every row formed for a span
+
+    def product(left, right, columns=None):
+        if columns is not None:
+            degrees.append(sum(left[0][0]) + sum(right[0][0]))
+        return multiply_terms(left, right, columns)
+
+    def row(p, columns):
+        degrees.append(sum(min(p.terms)))
+        return _row(p, columns)
+
+    monkeypatch.setattr(quasi, "multiply_terms", product)
+    monkeypatch.setattr(quasi, "_row", row)
+    cert = module_certificate(W, basis)
+    assert cert.status == "free" and cert.rank == 8
+    assert max(degrees) == max(cert.generator_degrees()) < 32
 
 
 def test_span_is_group_stable():
