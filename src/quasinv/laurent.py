@@ -83,8 +83,7 @@ class LaurentElement(RingOps):
         return LaurentElement(terms)
 
     def __eq__(self, other):
-        """Equal terms; a constant also equals its scalar, and hashes as it."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)):  # a constant hashes as it too
             other = LaurentElement({0: other})
         if not isinstance(other, LaurentElement):
             return NotImplemented

@@ -101,9 +101,7 @@ class Polynomial(RingOps):
         return out
 
     def __eq__(self, other):
-        """Equal polynomials in the same variables; a constant polynomial also
-        equals its scalar, and hashes as it."""
-        if isinstance(other, (int, Fraction, Cyclotomic)):
+        if isinstance(other, (int, Fraction, Cyclotomic)):  # a constant hashes as it too
             return self.terms == ({(0,) * len(self.vars): other} if other else {})
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -431,20 +431,17 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
 
 
 def _independent(group: ReflectionGroup, generators) -> bool:
-    """Whether det(w(g_i)), over the group elements w and |W| term lists
-    g_i, is nonzero at x0 = (2, 3, ...); True proves the g_i independent
-    over the invariant ring, since a relation sum a_i g_i = 0 gives
-    sum a_i w(g_i) = 0 for every w.
+    """Whether det(w(g_i)) over the elements w and |W| term lists g_i is
+    nonzero at x0 = (2, 3, ...), which proves the g_i independent over the
+    invariant ring: a relation sum a_i g_i = 0 gives sum a_i w(g_i) = 0.
 
-    The determinant is taken block by block under the diagonal subgroup T.
-    Each g_i lies in one character chi_i of T, so g_i(t s x0) =
-    chi_i(t) g_i(s x0), and a Fourier transform over T leaves one block per
-    character: the matrix (g_i(s x0)) over the g_i of that character and
-    one element s per permutation part of the forms (1 x 1 for A1^n, Z/l
-    and their products, 2 x 2 for I2(k)).  So the determinant is nonzero
-    exactly when each of the |T| characters holds |W/T| of the g_i and
-    every block is nonsingular.  A term list across two characters raises
-    ValueError, as the block guard of `module_certificate` does."""
+    Each g_i lies in one character chi_i of the diagonal subgroup T, so
+    g_i(t s x0) = chi_i(t) g_i(s x0), and a Fourier transform over T splits
+    the determinant into one block per character, (g_i(s x0)) over one
+    element s per permutation part (1 x 1 for A1^n, Z/l and their products,
+    2 x 2 for I2(k)).  It is nonzero exactly when each of the |T| characters
+    holds |W/T| of the g_i and every block is nonsingular.  A term list
+    across two characters raises the ValueError of the block guard."""
     reps = {}  # permutation part -> the exponents of its first element
     for perm, expo in group._forms:
         reps.setdefault(perm, expo)

@@ -14,9 +14,7 @@ is, so products run on integer arithmetic; a Fraction appears only where a
 division or a rational factor brings one in.
 
 z-exponents are stored as integers in w = z^(1/2), as for LaurentElement.
-Both types compare equal only to a series of the same type at the same
-certified order, and never to a scalar: a truncated series is not a number,
-while a constant Polynomial or LaurentElement equals its scalar.
+Both types compare equal only at equal certified orders, never to a scalar.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from quasinv.fields import RingOps
 
 class PowerSeries(RingOps):
     """sum c_k var^k + O(var^order): `coeffs` holds c_0 .. c_(order-1);
-    `var` only names the variable in repr.  Equal only to a PowerSeries of
-    the same order with the same coefficients, never to a scalar."""
+    `var` only names the variable in repr.  Equal only at equal order."""
 
     __slots__ = ("coeffs", "order", "var")
 
@@ -101,9 +98,8 @@ class ZQSeries(RingOps):
 
     A coefficient is stored as an int when it is integral and as a Fraction
     only where a division made it one; `q_slice` and `coefficient` return
-    Fractions either way.  Equal only to a ZQSeries of the same q-order with
-    the same coefficients, never to a scalar; `agree_through` compares
-    across orders."""
+    Fractions either way.  Equal only at equal q-order (`agree_through`
+    compares across orders), never to a scalar."""
 
     __slots__ = ("coeffs", "q_order")
 
