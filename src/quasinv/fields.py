@@ -288,7 +288,7 @@ class Cyclotomic:
 
     def __hash__(self):
         if not any(self.nums[1:]):  # a value in Q hashes as the rational it equals
-            return hash(Fraction(self.nums[0], self.den))
+            return hash(self.nums[0] if self.den == 1 else Fraction(self.nums[0], self.den))
         return hash((self.n, self.den, self.nums))
 
     def __repr__(self):

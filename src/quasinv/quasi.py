@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, prod
-from operator import add, mul
+from operator import add
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -420,7 +420,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
             failure_degree = d
             break
         if independent is None and len(generators) == group.order:
-            independent = _independent(group, [g for _, g in generator_terms])
+            independent = _independent(group, [g for _, g in generators])
     series = hilbert_from_basis(dims, group.invariant_degrees)
     shift = gorenstein_shift(series, group.rank)
     if status is None:
@@ -431,34 +431,29 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
 
 
 def _independent(group: ReflectionGroup, generators) -> bool:
-    """Whether det(w(g_i)) over the elements w and |W| term lists g_i is
+    """Whether det(w(g_i)) over the elements w and |W| polynomials g_i is
     nonzero at x0 = (2, 3, ...), which proves the g_i independent over the
     invariant ring: a relation sum a_i g_i = 0 gives sum a_i w(g_i) = 0.
 
     Each g_i lies in one character chi_i of the diagonal subgroup T, so
-    g_i(t s x0) = chi_i(t) g_i(s x0), and a Fourier transform over T splits
-    the determinant into one block per character, (g_i(s x0)) over one
-    element s per permutation part (1 x 1 for A1^n, Z/l and their products,
-    2 x 2 for I2(k)).  It is nonzero exactly when each of the |T| characters
-    holds |W/T| of the g_i and every block is nonsingular.  A term list
-    across two characters raises the ValueError of the block guard."""
-    reps = {}  # permutation part -> the exponents of its first element
-    for perm, expo in group._forms:
-        reps.setdefault(perm, expo)
-    roots, n = group.roots, len(group.roots)
-    spans: dict = {}  # character -> span of the rows (g_i(s x0))_s
-    for terms in generators:
-        keys = {group.monomial_class_key(e) for e, _ in terms}
+    w(g_i) = chi_i(t) s(g_i) for w = s t with t in T, and a Fourier
+    transform over T splits the determinant into one block per character:
+    (s(g_i)(x0)) over its g_i and one element s per permutation pattern
+    (1 x 1 for A1^n, Z/l and their products, 2 x 2 for I2(k)).  It is
+    nonzero exactly when each of the |T| characters holds |W/T| of the g_i
+    and every block is nonsingular.  A g_i across two characters raises the
+    ValueError of the block guard."""
+    reps = {}  # permutation pattern -> its first element
+    for i, m in enumerate(group.elements):
+        reps.setdefault(tuple(tuple(map(bool, row)) for row in m), i)
+    x0 = range(2, group.rank + 2)
+    spans: dict = {}  # character -> span of the rows (w(g_i)(x0))_w
+    for g in generators:
+        keys = {group.monomial_class_key(e) for e in g.terms}
         if len(keys) != 1:
             raise ValueError("module vector does not lie in one diagonal-character block")
-        row = []
-        for perm, expo in reps.items():
-            at = [k + 2 for k in perm]  # x^e o w^(-1) = roots[j] prod_k x_perm[k]^(e_k)
-            value = 0
-            for e, c in terms:
-                j = sum(map(mul, expo, e)) % n
-                value += (roots[j] * c if j else c) * prod(map(pow, at, e))
-            row.append(value)
+        row = [sum(c * prod(map(pow, x0, e)) for e, c in group.act(i, g).terms.items())
+               for i in reps.values()]
         if not spans.setdefault(keys.pop(), IncrementalSpan(len(reps))).add(row):
             return False
     return len(spans) * len(reps) == group.order and \

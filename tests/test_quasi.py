@@ -544,10 +544,6 @@ def test_x1_certificates_match_every_product(spec, extra):
 # -- the independence proof of |W| generators --------------------------------------
 
 
-def _terms(generators):
-    return [list(g.terms.items()) for g in generators]
-
-
 def _certificate_generators(spec, m, D):
     W = parse_group(spec)
     cert = freeness_certificate(W, Multiplicity.constant(W, m), D)
@@ -562,7 +558,7 @@ def test_independence_proof_holds_on_the_battery_generators():
     for group, mult in criterion_2_configurations() + larger_battery_configurations():
         cert = freeness_certificate(group, mult,
                                     4 * group.sum_invariant_degrees() + 4 * _max_entry(mult))
-        assert _independent(group, _terms(g for _, g in cert.generators)), group.spec
+        assert _independent(group, [g for _, g in cert.generators]), group.spec
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)"])
@@ -576,30 +572,51 @@ def test_independence_proof_fails_on_an_invariant_multiple(spec):
         (i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))
         if key(min(gens[i].terms)) == key(min(gens[j].terms))
     )
-    assert _independent(W, _terms(gens))
+    assert _independent(W, gens)
     gens[b] = W.fundamental_invariants[0] * gens[a]
-    assert not _independent(W, _terms(gens))
+    assert not _independent(W, gens)
 
 
 def test_independence_proof_fails_on_a_wrong_count_per_character():
     W, gens = _certificate_generators("A1 x A1", 0, 16)  # 1, x1, x2, x1 x2
     x1, _ = (Polynomial.variable(W.variables, v) for v in W.variables)
-    assert _independent(W, _terms(gens))
-    assert not _independent(W, _terms(gens[:3]))  # a character holds none
-    assert not _independent(W, _terms(gens[:3] + [x1**3]))  # x1's character holds two
+    assert _independent(W, gens)
+    assert not _independent(W, gens[:3])  # a character holds none
+    assert not _independent(W, gens[:3] + [x1**3])  # x1's character holds two
+    assert not _independent(W, gens + [x1**3])  # one generator too many
     W, gens = _certificate_generators("I2(4)", 1, 40)
     key = W.monomial_class_key
     other = next(i for i, g in enumerate(gens) if key(min(g.terms)) != key((0, 0)))
     # z1^4 is diagonal-invariant: the character of 1 holds three, another one
     gens[other] = Polynomial.variable(W.variables, "z1") ** 4
-    assert not _independent(W, _terms(gens))
+    assert not _independent(W, gens)
 
 
 def test_independence_proof_refuses_a_generator_across_blocks():
     W, gens = _certificate_generators("A1 x A1", 0, 16)
     x1, x2 = (Polynomial.variable(W.variables, v) for v in W.variables)
     with pytest.raises(ValueError, match="diagonal-character block"):
-        _independent(W, _terms(gens[:3] + [x1 + x2]))
+        _independent(W, gens[:3] + [x1 + x2])
+
+
+def test_generators_found_after_the_proof_match_every_product():
+    """Q_1 of A1 x A1 plus the R-multiples of x1 x2^10 and x1^12 x2: four
+    generators by degree 6 pass the proof, a fifth comes in degree 11, and
+    in degree 13 a sixth and the first relation cancel in the dimension
+    count, so only a spanned degree 13 sees that the module is not free."""
+    W = parse_group("A1 x A1")
+
+    def member(a, b):
+        return ((a % 2 == 0 or a >= 3) and (b % 2 == 0 or b >= 3)
+                or a % 2 and b % 2 == 0 and b >= 10 or b % 2 and a % 2 == 0 and a >= 12)
+
+    layers = [[Polynomial.monomial(W.variables, e)
+               for e in monomials_of_degree(W.variables, d) if member(*e)] for d in range(21)]
+    basis = GradedBasis(W, None, 20, layers)
+    cert = module_certificate(W, basis)
+    assert (cert.status, cert.failure_degree) == ("not-free", 13)
+    assert cert.generator_degrees() == [0, 3, 3, 6, 11, 13]
+    assert _certificate_outcome(cert) == _reference_outcome(W, basis)
 
 
 def test_no_span_row_above_the_last_generator_degree(monkeypatch):
