@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dense_reference import coordinate_vector
 from group_algebra import GroupAlgebraElement, idempotent
 from oracles import brute_is_quasi_invariant, brute_quasi_dims
+from quasinv import quasi
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
 from quasinv.groups import Multiplicity, parse_group
@@ -23,7 +24,6 @@ from quasinv.poly import (
     monomials_of_degree,
     multiply_terms,
 )
-from quasinv import quasi
 from quasinv.quasi import (
     CWValuedElement,
     GradedBasis,
