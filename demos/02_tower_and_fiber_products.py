@@ -38,10 +38,10 @@ print()
 # higher rank -- the counterexample that separates rank one from the rest.
 for spec in ("A1", "A1 x A1", "I2(3)"):
     W = parse_group(spec)
-    _, cert = x1_algebra(W, 12)
+    basis, cert = x1_algebra(W, 12)
     print(f"{spec:8s} first-step algebra: {cert.status}"
           + (f" (relation at degree {cert.failure_degree})" if cert.failure_degree else ""))
-    print("          coinvariant total dimension:", coinvariant_dimension(W, 12),
+    print("          coinvariant total dimension:", coinvariant_dimension(basis),
           "= |W| =", W.order)
 print()
 

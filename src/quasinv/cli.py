@@ -430,7 +430,7 @@ def cmd_x1(args) -> int:
     payload = {
         "dims": basis.dims(),
         "certificate": _freeness_payload(cert),
-        "coinvariant_total_dimension": tower.coinvariant_dimension(W, D),
+        "coinvariant_total_dimension": tower.coinvariant_dimension(basis),
     }
     emit(args, payload, {"group": args.group, "max_degree": D},
          {"algebra": "constants plus the ideal generated by positive-degree invariants"})

@@ -315,22 +315,6 @@ def _default_variables(rank: int):
 # -- constructors ------------------------------------------------------------------
 
 
-def _build_rank_one(kind: str, ell: int):
-    """Matrices, degrees and invariants of a rank-one factor on one variable."""
-    if kind == "A1":
-        return [Fraction(1), Fraction(-1)], [2], 2
-    # Z/l: x -> zeta_l x as a point map
-    if ell == 2:
-        return [Fraction(1), Fraction(-1)], [2], 2
-    zeta = Cyclotomic.zeta(ell)
-    scalars = []
-    cur = Cyclotomic.from_rational(ell, 1)
-    for _ in range(ell):
-        scalars.append(cur)
-        cur = cur * zeta
-    return scalars, [ell], ell
-
-
 MAX_GROUP_ORDER = 64
 
 
@@ -426,32 +410,17 @@ def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
 
 
 def _build_product(spec: str, factors) -> ReflectionGroup:
+    """Rank-one factors acting diagonally: Z/l with l > 2 by the l-th roots
+    of unity in Q(zeta_lcm), the lcm taken over those l, and A1 or Z/2 by
+    +-1 in the same field, which is Q when no l exceeds 2."""
     rank = len(factors)
-    lcm = math.lcm(*(ell for kind, ell in factors if kind == "Z" and ell > 2))
-    if lcm > 2:
-        field = ("zeta", lcm)
-        def embed(c):
-            if isinstance(c, Fraction):
-                return Cyclotomic.from_rational(lcm, c)
-            # re-embed zeta_l into zeta_lcm
-            out = Cyclotomic.from_rational(lcm, 0)
-            step = lcm // c.n
-            for kpow, coord in enumerate(c.coords):
-                if coord:
-                    out = out + coord * Cyclotomic.zeta(lcm, kpow * step)
-            return out
-    else:
-        field = "Q"
-        def embed(c):
-            return c
-    scalar_lists = []
-    degrees = []
-    for kind, ell in factors:
-        scalars, degs, _ = _build_rank_one(kind, ell)
-        scalar_lists.append([embed(s) for s in scalars])
-        degrees.extend(degs)
-    one = Fraction(1) if field == "Q" else Cyclotomic.from_rational(field[1], 1)
+    lcm = math.lcm(*(ell for _, ell in factors if ell > 2))
+    field = ("zeta", lcm) if lcm > 2 else "Q"
+    one = Fraction(1) if field == "Q" else Cyclotomic.from_rational(lcm, 1)
     zero = one - one
+    scalar_lists = [[one, -one] if ell == 2 else
+                    [Cyclotomic.zeta(lcm, j * lcm // ell) for j in range(ell)]
+                    for _, ell in factors]
     elements = []
     for combo in itertools.product(*scalar_lists):
         elements.append(
@@ -461,19 +430,15 @@ def _build_product(spec: str, factors) -> ReflectionGroup:
             )
         )
     variables = _default_variables(rank)
-    invariants = []
-    for i, (kind, ell) in enumerate(factors):
-        d = 2 if kind == "A1" or ell == 2 else ell
-        v = Polynomial.variable(variables, variables[i])
-        invariants.append(v**d)
     return ReflectionGroup(
         spec=spec,
         rank=rank,
         field=field,
         variables=variables,
         elements=elements,
-        invariant_degrees=degrees,
-        fundamental_invariants=invariants,
+        invariant_degrees=[ell for _, ell in factors],
+        fundamental_invariants=[Polynomial.variable(variables, v) ** ell
+                                for v, (_, ell) in zip(variables, factors)],
     )
 
 

@@ -3,7 +3,8 @@
 Terms are stored as a map from exponent vectors (tuples of non-negative
 integers) to nonzero coefficients, which may be Fractions or Cyclotomic
 elements of one fixed order.  Instances are value-like: no operation mutates
-its arguments.
+its arguments.  Divisibility by a linear form has one algorithm, the
+synthetic division of `divide_by_linear`.
 """
 
 from __future__ import annotations
@@ -140,35 +141,6 @@ class Polynomial(RingOps):
         """Terms sorted in graded-lexicographic exponent order."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 
-    def substitute(self, images: dict, cache: dict | None = None) -> "Polynomial":
-        """Replace each variable by the given polynomial image.
-
-        Variables absent from `images` keep their exponents in place.
-        `cache` memoizes powers of the images across repeated calls; reuse
-        one cache together with stable image dictionaries for speed.
-        """
-        touched = [i for i, name in enumerate(self.vars) if name in images]
-        if not touched or not self.terms:
-            return self
-        if cache is None:
-            cache = {}
-        images_id = id(images)
-        out = Polynomial(self.vars)
-        for exp, c in self.terms.items():
-            kept = list(exp)
-            term = None
-            for i in touched:
-                e = kept[i]
-                if e:
-                    kept[i] = 0
-                    name = self.vars[i]
-                    power = _cached_power(images[name], e, cache, (images_id, name))
-                    term = power if term is None else term * power
-            base = Polynomial.monomial(self.vars, kept, c)
-            contrib = base if term is None else base * term
-            out = out + contrib
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -209,16 +181,6 @@ def multiply_terms(left, right, columns=None) -> dict:
     return terms
 
 
-def _cached_power(p: Polynomial, e: int, cache: dict, key) -> Polynomial:
-    powers = cache.get(key)
-    if powers is None:
-        powers = [Polynomial.constant(p.vars, 1), p]
-        cache[key] = powers
-    while len(powers) <= e:
-        powers.append(powers[-1] * p)
-    return powers[e]
-
-
 # -- linear forms and divisibility --------------------------------------
 
 
@@ -234,59 +196,11 @@ def linear_coefficients(alpha: Polynomial):
     return coeffs
 
 
-def adapted_substitution(alpha: Polynomial) -> dict:
-    """A deterministic invertible change of variables adapted to alpha.
-
-    With c the coefficient vector of alpha and p its leftmost nonzero index
-    (the pivot), the new coordinates are y_p = alpha and y_j = x_j for
-    j != p: the form is completed to a coordinate system by the standard
-    basis vectors of the remaining slots.  The returned images express the
-    old variables in the new ones (reusing the same variable names), so that
-    q(x) is divisible by alpha^k exactly when every term of the substituted
-    polynomial has exponent >= k in the pivot slot.
-    """
-    cached = _ADAPTED_MEMO.get(alpha)
-    if cached is not None:
-        return cached
-    coeffs = linear_coefficients(alpha)
-    pivot = next(i for i, c in enumerate(coeffs) if c)
-    variables = alpha.vars
-    y = [Polynomial.variable(variables, v) for v in variables]
-    # x_j = y_j off the pivot; x_pivot = (y_pivot - sum_j c_j y_j) / c_pivot
-    acc = y[pivot]
-    for j, c in enumerate(coeffs):
-        if j != pivot and c:
-            acc = acc - c * y[j]
-    images = {variables[pivot]: acc * (Fraction(1) / coeffs[pivot])}
-    _ADAPTED_MEMO[alpha] = images
-    return images
-
-
-_ADAPTED_MEMO: dict = {}
-
-
-def divisibility_order(p: Polynomial, alpha: Polynomial, _cache: dict | None = None):
-    """Largest k with alpha^k dividing p exactly; 0 if alpha does not divide p
-    and the infinite sentinel for p = 0.
-
-    Computed through the deterministic coordinate change of
-    `adapted_substitution`, which turns divisibility into vanishing of all
-    terms of low order in the first coordinate.
-    """
-    images = adapted_substitution(alpha)
-    if not p:
-        return INFINITE_ORDER
-    q = p.substitute(images, cache=_cache)
-    coeffs = linear_coefficients(alpha)
-    pivot = next(i for i, c in enumerate(coeffs) if c)
-    # after substitution, "y_1" occupies the pivot variable's slot
-    return min(exp[pivot] for exp in q.terms)
-
-
 def divide_by_linear(p: Polynomial, alpha: Polynomial):
     """Synthetic division of p by a linear form: returns (quotient, remainder)
     with p = quotient * alpha + remainder and the remainder free of the pivot
-    variable of alpha.  Independent of `divisibility_order`.
+    variable of alpha (its first variable with a nonzero coefficient).  Both
+    are linear in p.
     """
     coeffs = linear_coefficients(alpha)
     pivot = next(i for i, c in enumerate(coeffs) if c)
@@ -307,6 +221,21 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
         quotient = quotient + piece
         rem = rem - piece * alpha
     return quotient, rem
+
+
+def divisibility_order(p: Polynomial, alpha: Polynomial):
+    """Largest k with alpha^k dividing p exactly, counted as the exact rounds
+    of `divide_by_linear` before a nonzero remainder; the infinite sentinel
+    for p = 0.  A form that is not linear is refused, also for p = 0."""
+    linear_coefficients(alpha)
+    if not p:
+        return INFINITE_ORDER
+    k = 0
+    while True:
+        p, rem = divide_by_linear(p, alpha)
+        if rem:
+            return k
+        k += 1
 
 
 def exact_quotient_by_power(p: Polynomial, alpha: Polynomial, k: int) -> Polynomial:

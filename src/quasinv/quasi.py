@@ -536,11 +536,6 @@ class CWValuedElement:
         return f"({self.p})*e0 + ({self.q})*e1"
 
 
-def reflect_x(p: Polynomial) -> Polynomial:
-    """The rank-one reflection x -> -x on a one-variable polynomial."""
-    return Polynomial(p.vars, {e: (c if e[0] % 2 == 0 else -c) for e, c in p.terms.items()})
-
-
 def cw_valued_basis(k, max_degree: int):
     """Degreewise basis of Q[x] e0 + Q[x] x^(2k) e1 for half-integer k >= 0.
 

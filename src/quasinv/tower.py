@@ -16,7 +16,7 @@ from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
 from quasinv.poly import Polynomial, monomial_index, monomials_of_degree
-from quasinv.quasi import GradedBasis, _row, module_certificate, quasi_basis, reflect_x
+from quasinv.quasi import GradedBasis, _row, module_certificate, quasi_basis
 
 __all__ = [
     "FiberProductAlgebra",
@@ -250,6 +250,7 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
         max_degree,
     )
     group = parse_group("A1")
+    s = group.reflection(group.hyperplanes[0])
     q_m = quasi_basis(group, Multiplicity.constant(group, m), max_degree)
     inv_dims = []
     iso_pairs = []
@@ -258,7 +259,7 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
         # side and monomial
         rows: dict = {}
         for col, (a, b) in enumerate(layer):
-            for side, diff in enumerate((reflect_x(b) - a, reflect_x(a) - b)):
+            for side, diff in enumerate((group.act(s, b) - a, group.act(s, a) - b)):
                 for e, c in diff.terms.items():
                     rows.setdefault((side, e), SparseRow())[col] = c
         kernel = nullspace(list(rows.values()), len(layer))
@@ -307,13 +308,13 @@ def x1_algebra(group: ReflectionGroup, max_degree: int):
     return basis, cert
 
 
-def coinvariant_dimension(group: ReflectionGroup, max_degree: int) -> int:
+def coinvariant_dimension(basis: GradedBasis) -> int:
     """Total dimension of Q[V] / <positive-degree invariants> through the
-    bound; equals |W| once the bound passes the top coinvariant degree."""
-    basis = x1_layers(group, max_degree)
+    bound of `basis`, the layers of `x1_layers`; equals |W| once the bound
+    passes the top coinvariant degree."""
     total = 0
-    for d in range(max_degree + 1):
-        full = len(monomials_of_degree(group.variables, d))
+    for d in range(basis.max_degree + 1):
+        full = len(monomials_of_degree(basis.group.variables, d))
         ideal = len(basis.layers[d]) if d > 0 else 0
         total += full - ideal
     return total

@@ -21,16 +21,19 @@ from quasinv.poly import Polynomial, linear_coefficients, monomials_of_degree
 
 def act(group, i, p: Polynomial) -> Polynomial:
     """p o w_i^(-1), by substituting the linear forms x_k o w_i^(-1) given by
-    the rows of the inverse matrix."""
+    the rows of the inverse matrix, expanded with the ring operations."""
     inv = group.elements[group.inverse(i)]
-    images = {}
-    for k, name in enumerate(group.variables):
-        form = Polynomial.zero(group.variables)
-        for j, other in enumerate(group.variables):
-            if inv[k][j]:
-                form = form + Polynomial.variable(group.variables, other) * inv[k][j]
-        images[name] = form
-    return p.substitute(images)
+    x = [Polynomial.variable(group.variables, name) for name in group.variables]
+    forms = [sum((x[j] * c for j, c in enumerate(row) if c), Polynomial.zero(group.variables))
+             for row in inv]
+    acc = Polynomial.zero(group.variables)
+    for exp, c in p.terms.items():
+        term = Polynomial.constant(group.variables, c)
+        for form, e in zip(forms, exp):
+            if e:
+                term = term * form**e
+        acc = acc + term
+    return acc
 
 
 def apply(element, p: Polynomial) -> Polynomial:

@@ -1,3 +1,5 @@
+import cmath
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -39,6 +41,29 @@ def test_parse_cyclic_4():
     assert len(W.hyperplanes) == 1
     assert W.hyperplanes[0].stabilizer_order == 4
     assert W.invariant_degrees == (4,)
+
+
+@pytest.mark.parametrize("spec, orders, n", [
+    ("A1 x Z/3", (2, 3), 3), ("Z/2 x Z/3", (2, 3), 3), ("Z/3 x Z/4", (3, 4), 12),
+])
+def test_product_elements_are_roots_of_unity_in_order(spec, orders, n):
+    # element (j_1, j_2) in lexicographic order is diag(e^(2 pi i j_k / l_k)),
+    # every entry in Q(zeta_n) with n the lcm of the orders above 2
+    W = parse_group(spec)
+    assert W.field == ("zeta", n)
+    assert W.invariant_degrees == orders
+    x = [Polynomial.variable(W.variables, v) for v in W.variables]
+    assert W.fundamental_invariants == [x[0] ** orders[0], x[1] ** orders[1]]
+    combos = list(itertools.product(*(range(ell) for ell in orders)))
+    assert len(W.elements) == len(combos)
+    for matrix, combo in zip(W.elements, combos):
+        for i, row in enumerate(matrix):
+            for k, entry in enumerate(row):
+                assert type(entry) is Cyclotomic and entry.n == n
+                value = sum(float(c) * cmath.exp(2j * cmath.pi * p / n)
+                            for p, c in enumerate(entry.coords))
+                expected = cmath.exp(2j * cmath.pi * combo[i] / orders[i]) if i == k else 0
+                assert abs(value - expected) < 1e-9
 
 
 def test_dihedral_orbit_parity():

@@ -18,8 +18,7 @@ from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, nullspace
 from quasinv.poly import (
     Polynomial,
-    adapted_substitution,
-    linear_coefficients,
+    divide_by_linear,
     monomial_index,
     monomials_of_degree,
     multiply_terms,
@@ -39,7 +38,6 @@ from quasinv.quasi import (
     is_quasi_invariant,
     module_certificate,
     quasi_basis,
-    reflect_x,
 )
 from quasinv.serialize import encode_polynomial
 from quasinv.tower import x1_algebra
@@ -122,14 +120,12 @@ def test_blocked_solver_agrees_with_unblocked():
 
 
 def _group_algebra_conditions(group, mult):
-    """Per hyperplane: (pivot index, adapted substitution, list of (group
-    algebra element, required order)), the congruences as the paper states
-    them: the reflection minus one, or the character idempotents of the
-    stabilizer."""
+    """Per hyperplane: (alpha, list of (group algebra element, required
+    order)), the congruences as the paper states them: the reflection minus
+    one, or the character idempotents of the stabilizer."""
     out = []
     for h in group.hyperplanes:
         m_h = mult.of(h)
-        pivot = next(i for i, c in enumerate(linear_coefficients(h.alpha)) if c)
         ops = []
         if h.stabilizer_order == 2:
             if m_h:
@@ -142,32 +138,32 @@ def _group_algebra_conditions(group, mult):
                 if need:
                     ops.append((idempotent(group, h, (-i) % h.stabilizer_order), need))
         if ops:
-            out.append((pivot, adapted_substitution(h.alpha), ops))
+            out.append((h.alpha, ops))
     return out
 
 
-def quasi_basis_by_substitution(group, mult, max_degree):
+def quasi_basis_by_division(group, mult, max_degree):
     """`quasi_basis` with its rows built the direct way, the reference for
     the eigen-coordinate rows: each group algebra element is applied to each
-    monomial, the condition polynomial is substituted in full into the
-    adapted coordinates, and only then are the terms below the required
-    order kept."""
+    monomial, and the condition polynomial is divided by alpha as often as
+    the required order K.  alpha^K divides it exactly when the K remainders
+    of successive `divide_by_linear` calls vanish; each remainder is linear
+    in the polynomial, so each remainder term gives one row."""
     conditions = _group_algebra_conditions(group, mult)
-    cache = {}
     layers = []
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
         layer = []
         for block in group.monomial_blocks(monos):
             rows = {}
-            for ci, (pivot, images, ops) in enumerate(conditions):
+            for ci, (alpha, ops) in enumerate(conditions):
                 for oi, (op, need) in enumerate(ops):
                     for local, col in enumerate(block):
                         cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
-                        adapted = cond.substitute(images, cache=cache)
-                        for aexp, c in adapted.terms.items():
-                            if aexp[pivot] < need:
-                                row = rows.setdefault((ci, oi, aexp), [Fraction(0)] * len(block))
+                        for k in range(need):
+                            cond, rem = divide_by_linear(cond, alpha)
+                            for exp, c in rem.terms.items():
+                                row = rows.setdefault((ci, oi, k, exp), [Fraction(0)] * len(block))
                                 row[local] = row[local] + c
             if rows:
                 kernel = nullspace([rows[k] for k in sorted(rows)])
@@ -196,10 +192,10 @@ def _mixed_multiplicity(group):
 @pytest.mark.parametrize("spec, D", [
     ("I2(3)", 12), ("I2(4)", 12), ("I2(5)", 12), ("I2(6)", 12), ("Z/4", 14), ("A1 x Z/3", 8),
 ])
-def test_truncated_rows_give_the_layers_of_full_substitution(spec, D):
+def test_truncated_rows_give_the_layers_of_division(spec, D):
     W = parse_group(spec)
     for mu in (_mixed_multiplicity(W), Multiplicity.constant(W, 1)):
-        assert quasi_basis(W, mu, D).layers == quasi_basis_by_substitution(W, mu, D).layers
+        assert quasi_basis(W, mu, D).layers == quasi_basis_by_division(W, mu, D).layers
 
 
 @lru_cache(maxsize=None)
@@ -246,10 +242,10 @@ _REFERENCE_SPECS = (
 
 @settings(max_examples=40, deadline=None)
 @given(_layer_case(_REFERENCE_SPECS))
-def test_eigen_rows_give_the_layers_of_group_algebra_substitution(case):
+def test_eigen_rows_give_the_layers_of_group_algebra_division(case):
     W, mult, D = case
     assert _encoded_layers(quasi_basis(W, mult, D)) == \
-        _encoded_layers(quasi_basis_by_substitution(W, mult, D))
+        _encoded_layers(quasi_basis_by_division(W, mult, D))
 
 
 _SOLVER_SPECS = (
@@ -676,7 +672,8 @@ def x_action(el):
 
 
 def s_action(el):
-    return CWValuedElement(reflect_x(el.p), -reflect_x(el.q))
+    s = A1.reflection(A1.hyperplanes[0])
+    return CWValuedElement(A1.act(s, el.p), -A1.act(s, el.q))
 
 
 def test_cw_valued_e0_projection_matches_quasi():

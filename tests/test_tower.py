@@ -7,7 +7,7 @@ from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.linalg import nullspace, span_of
 from quasinv.poly import Polynomial
-from quasinv.quasi import GradedBasis, cw_valued_basis, quasi_basis, reflect_x
+from quasinv.quasi import GradedBasis, cw_valued_basis, quasi_basis
 from quasinv.serialize import encode_polynomial
 from quasinv.tower import (
     coinvariant_dimension,
@@ -21,6 +21,7 @@ from quasinv.tower import (
     truncate_poly,
     truncated_line_layers,
     x1_algebra,
+    x1_layers,
 )
 
 A1 = parse_group("A1")
@@ -150,8 +151,7 @@ def test_x1_not_free_in_higher_rank():
 def test_coinvariant_dimension_is_group_order():
     for spec in ("A1", "A1 x A1", "I2(3)", "I2(4)"):
         W = parse_group(spec)
-        bound = sum(W.invariant_degrees) + 2
-        assert coinvariant_dimension(W, bound) == W.order
+        assert coinvariant_dimension(x1_layers(W, sum(W.invariant_degrees) + 2)) == W.order
 
 
 @pytest.mark.parametrize("m", range(4))
@@ -267,11 +267,12 @@ def test_h_t_invariants_match_the_coordinate_solve(m):
                                        lambda p: truncate_poly(p, cut), D)
     assert _encoded_pairs(report["fiber_product"].layers) == _encoded_pairs(fp)
     # the involution (p, q) -> (s(q), s(p)) in coordinates of each layer
+    s = A1.reflection(A1.hyperplanes[0])
     pairs = []
     for d, layer in enumerate(fp):
         vectors = [coordinate_vector(a, d) + coordinate_vector(b, d) for a, b in layer]
-        coords = [dense_coordinates(vectors, coordinate_vector(reflect_x(b), d)
-                                    + coordinate_vector(reflect_x(a), d))
+        coords = [dense_coordinates(vectors, coordinate_vector(A1.act(s, b), d)
+                                    + coordinate_vector(A1.act(s, a), d))
                   for a, b in layer]
         n = len(layer)
         rows = [[coords[j][i] - (i == j) for j in range(n)] for i in range(n)]
