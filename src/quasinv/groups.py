@@ -68,7 +68,6 @@ class ReflectionGroup:
         self.order = len(elements)
         self.invariant_degrees = tuple(sorted(invariant_degrees))
         self.fundamental_invariants = list(fundamental_invariants)
-        self._blocks: dict = {}
 
         self.roots = _root_table(field)
         root_index = {r: j for j, r in enumerate(self.roots)}
@@ -202,10 +201,7 @@ class ReflectionGroup:
     # -- sanity ---------------------------------------------------------------------
 
     def _verify_group_axioms(self):
-        prod = 1
-        for d in self.invariant_degrees:
-            prod *= d
-        if prod != self.order:
+        if math.prod(self.invariant_degrees) != self.order:
             raise ValueError("invariant degrees inconsistent with group order")
         for f in self.fundamental_invariants:
             for i in range(self.order):
@@ -229,19 +225,11 @@ class ReflectionGroup:
 
     def monomial_blocks(self, exponents):
         """Partition of the exponent list into diagonal-character classes,
-        as index lists ordered by first occurrence.
-
-        Memoized per exponent list on the group and shared between callers:
-        read the blocks, never mutate them."""
-        key = tuple(exponents)
-        got = self._blocks.get(key)
-        if got is None:
-            blocks: dict = {}
-            for idx, exp in enumerate(key):
-                blocks.setdefault(self.monomial_class_key(exp), []).append(idx)
-            got = [blocks[k] for k in sorted(blocks, key=lambda k: blocks[k][0])]
-            self._blocks[key] = got
-        return got
+        as index lists ordered by first occurrence."""
+        blocks: dict = {}
+        for idx, exp in enumerate(exponents):
+            blocks.setdefault(self.monomial_class_key(exp), []).append(idx)
+        return list(blocks.values())
 
     def sum_invariant_degrees(self) -> int:
         return sum(self.invariant_degrees)
@@ -373,12 +361,9 @@ def _spec_number(digits: str, text: str) -> int:
 
 def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
     n_field = 2 * k
-    one = Cyclotomic.from_rational(n_field, 1)
     zero = Cyclotomic.from_rational(n_field, 0)
-    zeta_k = Cyclotomic.zeta(n_field, 2)  # zeta_2k^2 is a primitive k-th root
-    powers = [one]
-    for _ in range(k - 1):
-        powers.append(powers[-1] * zeta_k)
+    # zeta^j for zeta = zeta_2k^2, a primitive k-th root of unity
+    powers = [Cyclotomic.zeta(n_field, 2 * j) for j in range(k)]
     elements = []
     for j in range(k):  # rotations diag(zeta^j, zeta^-j)
         elements.append(

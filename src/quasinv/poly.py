@@ -203,24 +203,25 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
     are linear in p.
     """
     coeffs = linear_coefficients(alpha)
+    p._check(alpha)
     pivot = next(i for i, c in enumerate(coeffs) if c)
     inv = Fraction(1) / coeffs[pivot]
-    # view p as a polynomial in x_pivot; peel the top x_pivot-degree each round
-    quotient = Polynomial(alpha.vars)
-    rem = p
-    while True:
-        top = max((e[pivot] for e in rem.terms), default=0)
-        if top == 0:
-            break
-        piece = Polynomial(alpha.vars)
-        piece.terms = {
-            e[:pivot] + (top - 1,) + e[pivot + 1:]: c * inv
-            for e, c in rem.terms.items()
-            if e[pivot] == top
-        }
-        quotient = quotient + piece
-        rem = rem - piece * alpha
-    return quotient, rem
+    others = [(e, c) for e, c in alpha.terms.items() if not e[pivot]]
+    # view p as a polynomial in x_pivot; peel the top x_pivot-degree each
+    # round in place: its terms move to the quotient, and q * alpha minus
+    # the peeled terms is subtracted from the rest
+    quotient, remainder = Polynomial(alpha.vars), Polynomial(alpha.vars)
+    rem = remainder.terms = dict(p.terms)
+    for top in range(max((e[pivot] for e in rem), default=0), 0, -1):
+        piece = [(e[:pivot] + (top - 1,) + e[pivot + 1:], rem.pop(e) * inv)
+                 for e in [e for e in rem if e[pivot] == top]]
+        quotient.terms.update(piece)
+        for e, c in multiply_terms(piece, others).items():
+            if c := rem.get(e, 0) - c:
+                rem[e] = c
+            else:
+                rem.pop(e, None)
+    return quotient, remainder
 
 
 def divisibility_order(p: Polynomial, alpha: Polynomial):

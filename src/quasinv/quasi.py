@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, prod
-from operator import add
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -360,16 +359,11 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     generator and no relation, and it is certified without a span.  Every
     other degree, and every degree when the proof fails, is spanned.
 
-    Span bookkeeping runs per diagonal-character block on disjoint column
-    sets, an exact reformulation because spans of disjointly supported
-    vectors decompose; in a spanned degree a layer vector that spans two
-    blocks raises ValueError.  Invariants are diagonal-invariant, so f^J g
-    lies in g's block, found once per generator and degree; once that
-    block's span has the layer's dimension in the block, g's products stop,
-    and no layer vector enters it.  A layer vector enters its block's span
-    as a sparse row read off its terms, and f^J g as the integer row that
-    `multiply_terms` forms from the term lists of f^J and g, each scaled
-    once to coprime integers (`_primitive`), with no product polynomial;
+    A spanned degree has one span over its monomials.  A layer vector
+    enters it as a sparse row read off its terms, and f^J g as the integer
+    row that `multiply_terms` forms from the term lists of f^J and g, each
+    scaled once to coprime integers (`_primitive`), with no product
+    polynomial; products stop once the span has the layer's dimension, and
     the generators reported are the layer's own.
     """
     D = basis.max_degree
@@ -385,33 +379,15 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         if independent and len(generators) == group.order and \
                 sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
             continue
-        exps = list(monomial_index(group.variables, d))
-        blocks = group.monomial_blocks(exps)
-        block_of, local = {}, {}  # exponent -> its block, its column in the block
-        for bi, block in enumerate(blocks):
-            for lc, col in enumerate(block):
-                block_of[exps[col]] = bi
-                local[exps[col]] = lc
-        spans = [IncrementalSpan(len(block)) for block in blocks]
-        layer_blocks = []
-        for p in basis.layers[d]:
-            found = {block_of[exp] for exp in p.terms}
-            if len(found) != 1:
-                raise ValueError("module vector does not lie in one diagonal-character block")
-            layer_blocks.append(found.pop())
-        full = [layer_blocks.count(bi) for bi in range(len(blocks))]
-
+        index = monomial_index(group.variables, d)
+        span = IncrementalSpan(len(index))
         for gd, g in generator_terms:
-            products = inv_monomials(d - gd)
-            if products:
-                bi = block_of[tuple(map(add, g[0][0], products[0][0][0]))]
-                span, need = spans[bi], full[bi]
-                for fj in products:
-                    if span.dim() >= need:
-                        break
-                    span.add(multiply_terms(fj, g, local))
-        for p, bi in zip(basis.layers[d], layer_blocks):
-            if spans[bi].dim() < full[bi] and spans[bi].add(_row(p, local)):
+            for fj in inv_monomials(d - gd):
+                if span.dim() >= dims[d]:
+                    break
+                span.add(multiply_terms(fj, g, index))
+        for p in basis.layers[d]:
+            if span.dim() < dims[d] and span.add(_row(p, index)):
                 generators.append((d, p))
                 generator_terms.append((d, _primitive(p)))
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators)
@@ -441,8 +417,8 @@ def _independent(group: ReflectionGroup, generators) -> bool:
     (s(g_i)(x0)) over its g_i and one element s per permutation pattern
     (1 x 1 for A1^n, Z/l and their products, 2 x 2 for I2(k)).  It is
     nonzero exactly when each of the |T| characters holds |W/T| of the g_i
-    and every block is nonsingular.  A g_i across two characters raises the
-    ValueError of the block guard."""
+    and every block is nonsingular.  A g_i across two characters gives no
+    proof: False."""
     reps = {}  # permutation pattern -> its first element
     for i, m in enumerate(group.elements):
         reps.setdefault(tuple(tuple(map(bool, row)) for row in m), i)
@@ -451,7 +427,7 @@ def _independent(group: ReflectionGroup, generators) -> bool:
     for g in generators:
         keys = {group.monomial_class_key(e) for e in g.terms}
         if len(keys) != 1:
-            raise ValueError("module vector does not lie in one diagonal-character block")
+            return False
         row = [sum(c * prod(map(pow, x0, e)) for e, c in group.act(i, g).terms.items())
                for i in reps.values()]
         if not spans.setdefault(keys.pop(), IncrementalSpan(len(reps))).add(row):

@@ -112,11 +112,20 @@ def test_divisibility_order_keeps_no_field_between_calls():
 def test_divide_by_linear_reconstructs():
     rng = random.Random(5)
     x, y = x_y()
-    for alpha in (x, y, x - y, 3 * x + y):
+    for alpha, pivot in ((x, 0), (y, 1), (x - y, 0), (3 * x + y, 0)):
         for _ in range(10):
             p = _random_poly(rng)
+            before = dict(p.terms)
             q, r = divide_by_linear(p, alpha)
             assert q * alpha + r == p
+            assert p.terms == before
+            assert all(not e[pivot] for e in r.terms)
+
+
+def test_divide_by_linear_refuses_a_form_in_other_variables():
+    x, y = x_y()
+    with pytest.raises(ValueError, match="variable mismatch"):
+        divide_by_linear(x * y, Polynomial.variable(("x", "y", "z"), "x"))
 
 
 def test_exact_quotient_by_power():

@@ -424,12 +424,19 @@ def test_layer_vectors_without_dihedral_rows_are_fractions(spec):
             assert all(c.__class__ is Fraction for c in p.terms.values())
 
 
-def test_module_certificate_rejects_a_vector_across_blocks():
+def test_module_certificate_takes_layer_vectors_across_characters():
+    """The polynomial ring of A1 x A1 with degree-1 layer x1 + x2, x1 - x2,
+    each across two diagonal characters: free on 1, x1 + x2, x1 - x2 and
+    x1 x2.  The independence proof needs one character per generator, so
+    every degree is spanned."""
     W = parse_group("A1 x A1")
-    z1, z2 = (Polynomial.variable(W.variables, v) for v in W.variables)
-    basis = GradedBasis(W, None, 1, [[Polynomial.constant(W.variables, 1)], [z1 + z2]])
-    with pytest.raises(ValueError, match="diagonal-character block"):
-        module_certificate(W, basis)
+    x1, x2 = (Polynomial.variable(W.variables, v) for v in W.variables)
+    layers = [[Polynomial.monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
+              for d in range(9)]
+    layers[1] = [x1 + x2, x1 - x2]
+    cert = module_certificate(W, GradedBasis(W, None, 8, layers))
+    assert cert.status == "free"
+    assert cert.generator_degrees() == [0, 1, 1, 2]
 
 
 def module_certificate_by_every_product(group, basis):
@@ -588,11 +595,10 @@ def test_independence_proof_fails_on_a_wrong_count_per_character():
     assert not _independent(W, gens)
 
 
-def test_independence_proof_refuses_a_generator_across_blocks():
+def test_independence_proof_fails_on_a_generator_across_characters():
     W, gens = _certificate_generators("A1 x A1", 0, 16)
     x1, x2 = (Polynomial.variable(W.variables, v) for v in W.variables)
-    with pytest.raises(ValueError, match="diagonal-character block"):
-        _independent(W, gens[:3] + [x1 + x2])
+    assert not _independent(W, gens[:3] + [x1 + x2])
 
 
 def test_generators_found_after_the_proof_match_every_product():
