@@ -18,11 +18,11 @@ from quasinv.elliptic import (
 )
 
 N = 12
-tp = theta("product", (-8, 8), N).series
-ts = theta("sum", (-8, 8), N).series
+tp = theta("product", (-8, 8), N)
+ts = theta("sum", (-8, 8), N)
 print(f"sum form == product form through q^{N}:", ts == tp)
 
-jac = jacobi_theta((-8, 8), N).series
+jac = jacobi_theta((-8, 8), N)
 print("half-power variant at q^0:", sorted(jac.q_slice(0).items()))
 print("inversion identity theta(1/z) = -theta(z)/z:",
       tp.involution() == tp.mul_monomial(-1, 0) * -1)

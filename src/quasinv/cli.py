@@ -21,6 +21,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import comb
 
 from quasinv import __version__
 from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
@@ -75,6 +76,9 @@ MAX_WINDOW = 40  # 4 * 10, the widest --window in the tests, demos, README and r
 # per coefficient of --apply and --elem, whose exponents stop at MAX_DEGREE and
 # MAX_WINDOW: the outputs stay far below the 4,300 int-to-str digits
 MAX_DIGITS = 1000
+# monomials of degree <= D in rank r, C(D + r, r): 4 * 194,580 (A1^4 through
+# D = 44, the largest in use) rounded up
+MAX_MONOMIALS = 800_000
 
 
 def default_q_order() -> int:
@@ -319,12 +323,23 @@ def _mult_payload(mult: Multiplicity):
     return out
 
 
+def _degree_bound(W, max_deg, default: int) -> int:
+    """--max-deg, or `default` without it; refused when the monomials
+    through that degree, C(D + rank, rank), exceed MAX_MONOMIALS."""
+    D = max_deg if max_deg is not None else default
+    count = comb(D + W.rank, W.rank)
+    if count > MAX_MONOMIALS:
+        raise ParseError(f"{count:,} monomials through degree {D} in rank {W.rank} exceed "
+                         f"the cap of {MAX_MONOMIALS:,}; lower --max-deg")
+    return D
+
+
 def _group_query(args):
     """Group, multiplicity, degree bound and echoed inputs of basis/hilbert/freeness."""
     from quasinv.groups import parse_group
     W = parse_group(args.group)
+    D = _degree_bound(W, args.max_deg, 4 * W.sum_invariant_degrees())
     mult = parse_multiplicity(W, args.mult)
-    D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
     return W, mult, D, {"group": args.group, "multiplicity": _mult_payload(mult), "max_degree": D}
 
 
@@ -390,9 +405,9 @@ def cmd_filtration(args) -> int:
     from quasinv import quasi
     from quasinv.groups import parse_group
     W = parse_group(args.group)
+    D = _degree_bound(W, args.max_deg, 2 * W.sum_invariant_degrees())
     m_low = parse_multiplicity(W, args.mult)
     m_high = parse_multiplicity(W, args.mult_high)
-    D = args.max_deg if args.max_deg is not None else 2 * W.sum_invariant_degrees()
     report = quasi.filtration_check(W, m_low, m_high, D)
     payload = dict(report)
     if payload["strict_witness"] is not None:
@@ -425,7 +440,7 @@ def cmd_x1(args) -> int:
     from quasinv import tower
     from quasinv.groups import parse_group
     W = parse_group(args.group)
-    D = args.max_deg if args.max_deg is not None else 4 * W.sum_invariant_degrees()
+    D = _degree_bound(W, args.max_deg, 4 * W.sum_invariant_degrees())
     basis, cert = tower.x1_algebra(W, D)
     payload = {
         "dims": basis.dims(),
@@ -594,8 +609,7 @@ def cmd_elliptic(args) -> int:
     N = args.qorder if args.qorder is not None else default_q_order()
     if args.action == "theta":
         lo, hi = _parse_window(args.window) if args.window else ell.DEFAULT_WINDOW
-        el = ell.theta(args.form, (lo, hi), N)
-        emit(args, {"series": encode_zq_series(el.series)},
+        emit(args, {"series": encode_zq_series(ell.theta(args.form, (lo, hi), N))},
              {"form": args.form, "q_order": N, "window": [lo, hi]},
              {"normal_form": "product and sum normal forms agree on the "
                              "common certified range (tested separately)"})
@@ -606,7 +620,7 @@ def cmd_elliptic(args) -> int:
             "degree": args.n,
             "dimension": space.dim(),
             "basepoints": space.basepoints,
-            "basis": [encode_zq_series(b.series) for b in space.basis],
+            "basis": [encode_zq_series(b) for b in space.basis],
         }
         emit(args, payload, {"n": args.n, "q_order": N},
              {"functional_equation": "every basis element certified at its degree"})
@@ -711,10 +725,10 @@ def _suite_fake_ktheory():
 def _suite_triple_product():
     from quasinv import elliptic as ell
     N = 12
-    ts = ell.theta("sum", (-8, 8), N).series
-    tp = ell.theta("product", (-8, 8), N).series
+    ts = ell.theta("sum", (-8, 8), N)
+    tp = ell.theta("product", (-8, 8), N)
     yield (f"sum = product through q^{N}", ts == tp)
-    jac = ell.jacobi_theta((-8, 8), N).series
+    jac = ell.jacobi_theta((-8, 8), N)
     yield ("jacobi = -z^(-1/2) * theta",
            jac == tp.mul_monomial(Fraction(-1, 2), 0) * -1)
     yield ("theta(1/z) = -theta(z)/z",

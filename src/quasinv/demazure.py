@@ -62,7 +62,6 @@ def delta_m(group: ReflectionGroup, h, mult: Multiplicity, p: Polynomial) -> Pol
 
 
 _ONE_MINUS_Z2 = LaurentElement({0: 1, 4: -1})  # 1 - z^2 in w-units
-_ONE_MINUS_Z = LaurentElement({0: 1, 2: -1})
 
 
 def lambda_op(f: LaurentElement) -> LaurentElement:

@@ -10,8 +10,6 @@ ride on the w = z^(1/2) bookkeeping of ZQSeries.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from quasinv.errors import DomainError, InconclusiveError
 from quasinv.laurent import LaurentElement, exact_div
 from quasinv.linalg import nullspace
@@ -21,7 +19,6 @@ DEFAULT_Q_ORDER = 12
 DEFAULT_WINDOW = (-12, 12)
 
 __all__ = [
-    "ThetaElement",
     "SectionSpace",
     "theta",
     "jacobi_theta",
@@ -37,21 +34,6 @@ __all__ = [
 ]
 
 
-class ThetaElement:
-    """A ZQSeries together with the line-bundle degree it is a section of
-    (if any) and the certificate of its functional equation."""
-
-    __slots__ = ("series", "declared_degree", "certificate")
-
-    def __init__(self, series: ZQSeries, declared_degree=None, certificate=None):
-        self.series = series
-        self.declared_degree = declared_degree
-        self.certificate = certificate
-
-    def __repr__(self):
-        return f"<ThetaElement deg={self.declared_degree} {self.series!r}>"
-
-
 def _check_window(series: ZQSeries, z_window) -> None:
     lo, hi = z_window
     zlo, zhi = series.z_window()
@@ -61,7 +43,7 @@ def _check_window(series: ZQSeries, z_window) -> None:
         )
 
 
-def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ThetaElement:
+def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ZQSeries:
     """The odd theta function with simple zeros on the q-power lattice, in
     its product or sum normal form.
 
@@ -75,10 +57,7 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
     if lo > -2 or hi < 2:
         raise DomainError("window must contain [-2, 2]")
     if form == "product":
-        series = ZQSeries({(0, 0): 1, (2, 0): -1}, q_order)
-        for n in range(1, q_order):
-            series = series * ZQSeries({(0, 0): 1, (2, n): -1}, q_order)
-            series = series * ZQSeries({(0, 0): 1, (-2, n): -1}, q_order)
+        series = _times_triple_product(ZQSeries({(0, 0): 1, (2, 0): -1}, q_order))
     elif form == "sum":
         acc: dict = {}
         n = 0
@@ -94,7 +73,16 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
     else:
         raise DomainError(f"unknown theta form {form!r}")
     _check_window(series, z_window)
-    return ThetaElement(series)
+    return series
+
+
+def _times_triple_product(series: ZQSeries) -> ZQSeries:
+    """series * prod_(0<n<N) (1 - q^n z)(1 - q^n / z), N its q-order."""
+    N = series.q_order
+    for n in range(1, N):
+        series = series * ZQSeries({(0, 0): 1, (2, n): -1}, N)
+        series = series * ZQSeries({(0, 0): 1, (-2, n): -1}, N)
+    return series
 
 
 def _euler_product(q_order: int) -> PowerSeries:
@@ -105,15 +93,12 @@ def _euler_product(q_order: int) -> PowerSeries:
     return acc
 
 
-def jacobi_theta(z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ThetaElement:
+def jacobi_theta(z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ZQSeries:
     """(z^(1/2) - z^(-1/2)) prod_(n>0) (1 - q^n z)(1 - q^n / z); an odd
     function of z supported on half-integer powers."""
-    series = ZQSeries({(1, 0): 1, (-1, 0): -1}, q_order)
-    for n in range(1, q_order):
-        series = series * ZQSeries({(0, 0): 1, (2, n): -1}, q_order)
-        series = series * ZQSeries({(0, 0): 1, (-2, n): -1}, q_order)
+    series = _times_triple_product(ZQSeries({(1, 0): 1, (-1, 0): -1}, q_order))
     _check_window(series, z_window)
-    return ThetaElement(series)
+    return series
 
 
 def check_functional_equation(f: ZQSeries, n: int) -> dict:
@@ -130,25 +115,15 @@ def check_functional_equation(f: ZQSeries, n: int) -> dict:
     if any(w % 2 for (w, _) in f.coeffs):
         raise DomainError("functional equations are stated for integer z-exponents")
     N = f.q_order
-    lo_w, _ = f.w_window()
-    q_full = N + min(0, lo_w // 2 - n)  # uniform order across the support
-    substituted: dict = {}
-    for (w, s), c in f.coeffs.items():
-        key = (w + 4 * n, s + w // 2 + n)
-        v = substituted.get(key, 0) + c
-        if v:
-            substituted[key] = v
-        else:
-            substituted.pop(key, None)
-    diff = dict(substituted)
-    for (w, s), c in f.coeffs.items():
-        v = diff.get((w, s), 0) - c
-        if v:
-            diff[(w, s)] = v
-        else:
-            diff.pop((w, s), None)
     if N <= 0:
         raise InconclusiveError("no decidable cells for the substitution")
+    lo_w, _ = f.w_window()
+    q_full = N + min(0, lo_w // 2 - n)  # uniform order across the support
+    diff: dict = {}  # substituted side minus f
+    for (w, s), c in f.coeffs.items():
+        for key, v in (((w + 4 * n, s + w // 2 + n), c), ((w, s), -c)):
+            diff[key] = diff.get(key, 0) + v
+    diff = {key: v for key, v in diff.items() if v}
     violations = [
         (w, s) for (w, s) in diff if s - w // 2 + n < N and s < N
     ]
@@ -182,7 +157,7 @@ class SectionSpace:
     def __init__(self, degree: int, q_order: int, basis, basepoints):
         self.degree = degree
         self.q_order = q_order
-        self.basis = basis  # list of ThetaElement
+        self.basis = basis  # list of ZQSeries
         self.basepoints = basepoints  # z-exponent where each coordinate reads off
 
     def dim(self) -> int:
@@ -191,13 +166,13 @@ class SectionSpace:
     def coordinates(self, f: ZQSeries):
         """q-series coordinates (tuples of coefficients) in the basis if f
         lies in the span over the truncated q-ring, else None."""
-        N = min([f.q_order] + [el.series.q_order for el in self.basis])
+        N = min([f.q_order] + [el.q_order for el in self.basis])
         coords = [tuple(f.coeffs.get((2 * b, s), 0) for s in range(N)) for b in self.basepoints]
         residual = f.truncate_q(N)
         for col, el in zip(coords, self.basis):
             col_series = ZQSeries({(0, s): c for s, c in enumerate(col)}, N)
             if col_series:
-                residual = residual - el.series * col_series
+                residual = residual - el * col_series
         if any(s < N for (_, s) in residual.coeffs):
             return None
         return coords
@@ -215,16 +190,11 @@ class SectionSpace:
         return out
 
     def element_from(self, coords) -> ZQSeries:
-        """Combination with rational or q-series coefficients."""
+        """Combination with rational coefficients."""
         acc = ZQSeries.zero(self.q_order)
         for c, el in zip(coords, self.basis):
-            if isinstance(c, (int, Fraction)):
-                if c:
-                    acc = acc + el.series * c
-            else:
-                for s, cs in enumerate(c):
-                    if cs:
-                        acc = acc + el.series * ZQSeries({(0, s): cs}, self.q_order)
+            if c:
+                acc = acc + el * c
         return acc
 
 
@@ -242,27 +212,18 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
     for r in range(2 * n):
         base = ((r + n) % (2 * n)) - n  # representative in [-n, n)
         coeffs = {(2 * base, 0): 1}
-        # upward: a_(k+2n) picks up q^(k+n)
-        k, e = base, 0
-        while True:
-            e += k + n
-            k += 2 * n
-            if e >= q_order:
-                break
-            coeffs[(2 * k, e)] = 1
-        # downward: a_(k-2n) picks up q^(-(k-2n)-n) = q^(n-k+2n)... track directly
-        k, e = base, 0
-        while True:
-            e += -(k - 2 * n) - n
-            k -= 2 * n
-            if e >= q_order:
-                break
-            coeffs[(2 * k, e)] = 1
+        # a step k -> k + 2 sign n from the basepoint adds sign k + n to the
+        # q-exponent (a_(k+2n) = q^(k+n) a_k), upward and then downward
+        for sign in (1, -1):
+            k, e = base, sign * base + n
+            while e < q_order:
+                k += 2 * sign * n
+                coeffs[(2 * k, e)] = 1
+                e += sign * k + n
         series = ZQSeries(coeffs, q_order)
-        cert = check_functional_equation(series, n)
-        if not cert["holds"]:
+        if not check_functional_equation(series, n)["holds"]:
             raise ArithmeticError("basis element fails its functional equation")
-        basis.append(ThetaElement(series, declared_degree=n, certificate=cert))
+        basis.append(series)
         basepoints.append(base)
     return SectionSpace(n, q_order, basis, basepoints)
 
@@ -277,7 +238,7 @@ def invariant_anti_split(space: SectionSpace):
     d = space.dim()
     action = []
     for el in space.basis:
-        img = el.series.involution()
+        img = el.involution()
         coords = space.constant_coordinates(img)
         if coords is None:
             raise ArithmeticError("section space not stable under the involution")
@@ -325,7 +286,7 @@ def theta_divisibility(f: ZQSeries, k: int, q_order: int | None = None) -> dict:
         q_order = f.q_order
     if min(f.q_order, q_order) < 1:
         return {"verdict": "inconclusive", "reason": "empty certified q-range"}
-    th = theta("product", _wide_window(f, k), min(f.q_order, q_order)).series
+    th = theta("product", _wide_window(f, k), min(f.q_order, q_order))
     quotient = zq_exact_divide(f, th**k)
     if quotient is None:
         return {"verdict": False, "power": k}
@@ -358,8 +319,7 @@ def ell_graded_dimension(m: int, n: int, q_order: int = DEFAULT_Q_ORDER) -> dict
     space = section_basis(n, q_order)
     inv, anti = invariant_anti_split(space)
     direct_inv = len(inv)
-    jac = jacobi_theta((-4 * (m + n + 2), 4 * (m + n + 2)), q_order).series
-    jac2m = jac ** (2 * m) if m else ZQSeries.one(q_order)
+    jac2m = jacobi_theta((-4 * (m + n + 2), 4 * (m + n + 2)), q_order) ** (2 * m)
     direct_anti = 0
     if n - m >= 1:
         lower = section_basis(n - m, q_order)
@@ -426,9 +386,8 @@ def ell_g_generator(m: int, z_window=None, q_order: int = DEFAULT_Q_ORDER) -> di
     lo, hi = z_window
     if hi < 2 * m + 2 or lo > -(2 * m + 2):
         raise DomainError("window too small for the generator support")
-    th = theta("product", z_window, q_order).series
-    jac = jacobi_theta(z_window, q_order).series
-    jac2m = jac ** (2 * m) if m else ZQSeries.one(q_order)
+    th = theta("product", z_window, q_order)
+    jac2m = jacobi_theta(z_window, q_order) ** (2 * m)
     g = (th - th.involution()) * jac2m
     simplified = (ZQSeries.one(q_order) + ZQSeries({(-2, 0): 1}, q_order)) * th * jac2m
     anti = g.involution() + g

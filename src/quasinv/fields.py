@@ -66,12 +66,10 @@ def _int_poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduction_rows(n: int, count: int | None = None) -> list[tuple[int, ...]]:
+def _reduction_rows(n: int, count: int) -> list[tuple[int, ...]]:
     """x^(d+k) mod Phi_n as integer coordinate rows, k = 0 .. count-1."""
     phi = _phi_cache_get(n)
     d = len(phi) - 1
-    if count is None:
-        count = max(d - 1, 1)
     rows = _RED_CACHE.get(n)
     if rows is None:
         cur = [-c for c in phi[:d]]  # x^d

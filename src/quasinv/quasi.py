@@ -290,9 +290,13 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
     columns separately, as polynomials sorted by leading exponent.
 
     Each row is divided by the root of its first entry, which leaves
-    integers up to sign: a row of x_k - r x_l fixes e_k + e_l and a block
-    fixes e_k - e_l mod the order of r, so 2 e_l is fixed and r^(-e_l) is
-    fixed up to sign.  Repeated rows (an I2(k) orbit gives one per
+    integers up to sign.  Only I2(k) has swap rows, and its root table is
+    that of Q(zeta_2k), N = 2k entries, where the swap's root r = zeta_k^j
+    has the even index 2j.  A row of x_k - r x_l fixes e_k + e_l and a
+    block fixes e_k - e_l mod k, so two columns of a row differ by b in
+    e_l with 2b = 0 mod k, and their indices u = -2j e_l mod 2k differ by
+    2jb, which is 0 or k = N/2 mod 2k.  Any other offset raises an
+    ArithmeticError.  Repeated rows (an I2(k) orbit gives one per
     hyperplane) are dropped while integers; the rest take the group's
     coefficient type, roots[0] * c.  The row space, hence the kernel, is
     unchanged."""
@@ -305,8 +309,9 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
             if entries is not None:
                 for key, u, c in entries:
                     u = (u - first.setdefault(key, u)) % n
-                    rows.setdefault(key, []).append(
-                        (len(kept), c if not u else -c if 2 * u == n else roots[u] * c))
+                    if 2 * u % n:
+                        raise ArithmeticError("a constraint row is not rational up to sign")
+                    rows.setdefault(key, []).append((len(kept), -c if u else c))
                 kept.append(monos[col])
         if rows:
             matrix = [SparseRow((i, roots[0] * c) for i, c in row)

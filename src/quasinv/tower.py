@@ -21,7 +21,6 @@ from quasinv.quasi import GradedBasis, _row, module_certificate, quasi_basis
 __all__ = [
     "FiberProductAlgebra",
     "fiber_product_basis",
-    "line_layers",
     "truncated_line_layers",
     "ganea_step",
     "ganea_tower",
@@ -36,13 +35,9 @@ class FiberProductAlgebra:
     """Degreewise basis of {(a, b) : f(a) = g(b) in C} with componentwise
     product."""
 
-    def __init__(self, variables, layers, dims_a, dims_b, dims_c, surjective):
+    def __init__(self, variables, layers):
         self.variables = variables
         self.layers = layers  # layers[d] = list of (Polynomial, Polynomial)
-        self.dims_a = dims_a
-        self.dims_b = dims_b
-        self.dims_c = dims_c
-        self.surjective = surjective  # per degree: (f onto, g onto)
 
     def dims(self):
         return [len(layer) for layer in self.layers]
@@ -58,30 +53,23 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
     were not well formed and raises a ValueError.
     """
     layers = []
-    dims_a, dims_b, dims_c, surjective = [], [], [], []
     for d in range(max_degree + 1):
         A = layers_a[d]
         B = layers_b[d]
-        C = layers_c[d]
         index = monomial_index(tuple(variables), d)
-        span_c = span_of([_row(c, index) for c in C], len(index))
-        images = [[_row(f(a), index) for a in A], [_row(g(b), index) for b in B]]
+        span_c = span_of([_row(c, index) for c in layers_c[d]], len(index))
         rows: dict = {}  # monomial column -> {kernel column: entry}
-        for col, image in enumerate(images[0] + images[1]):
+        for col, p in enumerate(A + B):
+            sign, h = (1, f) if col < len(A) else (-1, g)
+            image = _row(h(p), index)
             if image and not span_c.contains(image):
                 raise ValueError("element outside span")
-            sign = 1 if col < len(A) else -1
             for j, c in image.items():
                 rows.setdefault(j, SparseRow())[col] = sign * c
         layers.append([(_combination(vec[: len(A)], A, variables),
                         _combination(vec[len(A) :], B, variables))
                        for vec in nullspace(list(rows.values()), len(A) + len(B))])
-        dims_a.append(len(A))
-        dims_b.append(len(B))
-        dims_c.append(len(C))
-        surjective.append(tuple(not C or span_of(image, len(index)).dim() == len(C)
-                                for image in images))
-    return FiberProductAlgebra(variables, layers, dims_a, dims_b, dims_c, surjective)
+    return FiberProductAlgebra(variables, layers)
 
 
 def _combination(coefficients, polys, variables) -> Polynomial:
@@ -91,13 +79,6 @@ def _combination(coefficients, polys, variables) -> Polynomial:
         if coef:
             out = out + p * coef
     return out
-
-
-def line_layers(variables, max_degree: int):
-    """Degreewise monomial layers of the one-variable polynomial ring."""
-    name = variables[0]
-    x = Polynomial.variable(variables, name)
-    return [[x**d] for d in range(max_degree + 1)]
 
 
 def truncated_line_layers(variables, cut: int, max_degree: int):
@@ -131,7 +112,7 @@ def ganea_step(q_m: GradedBasis) -> dict:
     through the same degree `q_m.max_degree`.  Returns the projected graded
     basis, certifies that it equals the congruence-solver basis of
     multiplicity m+1 (returned as "expected_basis", the input of the next
-    step), and reports the fiber algebra Q_m/(x^2) with its total dimension.
+    step), and reports the total dimension of the fiber algebra Q_m/(x^2).
     """
     group = q_m.group
     _require_a1(group)
@@ -184,7 +165,6 @@ def ganea_step(q_m: GradedBasis) -> dict:
         "expected_basis": expected,
         "certified": certified,
         "fiber_total_dimension": fiber_total,
-        "fiber_quotient": quot_reps,
         "fiber_product": fp,
     }
 
@@ -240,10 +220,11 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
     and the matching is returned explicitly."""
     variables = ("x",)
     cut = 2 * m + 1
+    line = truncated_line_layers(variables, max_degree + 1, max_degree)
     fp = fiber_product_basis(
         variables,
-        line_layers(variables, max_degree),
-        line_layers(variables, max_degree),
+        line,
+        line,
         truncated_line_layers(variables, cut, max_degree),
         lambda p: truncate_poly(p, cut),
         lambda p: truncate_poly(p, cut),

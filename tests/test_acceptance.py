@@ -311,9 +311,9 @@ def test_criterion_11_theta_identities():
     start = time.time()
     n = 12
     window = (-8, 8)
-    tp = theta("product", window, n).series
-    ts = theta("sum", window, n).series
-    jac = jacobi_theta(window, n).series
+    tp = theta("product", window, n)
+    ts = theta("sum", window, n)
+    jac = jacobi_theta(window, n)
     ok = ts == tp
     ok = ok and jac == tp.mul_monomial(Fraction(-1, 2), 0) * -1
     ok = ok and tp.involution() == tp.mul_monomial(-1, 0) * -1

@@ -4,7 +4,9 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ import quasinv
 from quasinv.cli import (
     MAX_DEGREE,
     MAX_DIGITS,
+    MAX_MONOMIALS,
     MAX_MULT,
     MAX_N,
     MAX_NB,
@@ -353,6 +356,24 @@ def test_out_of_range_inputs_exit_with_a_message():
         assert out == "" and "Traceback" not in err and err.strip(), argv
 
 
+def test_degree_bounds_past_the_monomial_cap_are_refused():
+    # C(D + 4, 4) monomials through degree D in rank 4: 63 is the last accepted bound
+    assert comb(63 + 4, 4) <= MAX_MONOMIALS < comb(64 + 4, 4)
+    for argv in (
+        ("basis", "--group", "A1^4", "--mult", "1", "--max-deg", "64"),
+        ("hilbert", "--group", "A1^4", "--mult", "1", "--max-deg", "64"),
+        ("freeness", "--group", "A1^4", "--mult", "1", "--max-deg", "64"),
+        ("filtration", "--group", "A1^4", "--mult", "0", "--mult-high", "1", "--max-deg", "64"),
+        ("x1", "--group", "A1^4", "--max-deg", "64"),
+        ("freeness", "--group", "A1^6", "--mult", "1"),  # the default bound, 48
+    ):
+        start = time.perf_counter()
+        code, out, err = call(*argv, "--json")
+        assert time.perf_counter() - start < 1, argv
+        assert code == 1 and out == "", argv
+        assert f"exceed the cap of {MAX_MONOMIALS:,}" in err, argv
+
+
 # -- fuzzing the subcommand grammar ------------------------------------------------
 
 SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
@@ -373,6 +394,8 @@ windows = st.sampled_from(("3", "a:b", "", f"-{MAX_WINDOW + 1}:3",
                            f"0:{MAX_WINDOW + 1}")) | st.builds(
     lambda lo, hi: f"{lo}:{hi}", st.integers(-3, 8), st.integers(-3, 8))
 nbs = small | st.sampled_from((str(MAX_NB + 1), str(-MAX_NB - 1), "9" * 150))
+# A1^6 through degree 40 or more, given or by default (48), is past MAX_MONOMIALS
+large_degrees = st.sampled_from(("40", "48", str(MAX_DEGREE)))
 
 
 def _command(*head, max_deg=False, **options):
@@ -393,6 +416,8 @@ def _actions(head, actions, **options):
 ARGVS = st.one_of(
     _command("group", spec=specs),
     _actions((), ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
+    _actions((), ("basis", "hilbert", "freeness", "x1"), group=st.just("A1^6"), mult=mults,
+             **{"max-deg": large_degrees}),
     _command("filtration", max_deg=True, group=specs, mult=mults, **{"mult-high": mults}),
     _command("tower", max_deg=True, steps=st.integers(-3, 3).map(str)),
     _command("fake-cohomology", max_deg=True, nb=nbs, mult=small),

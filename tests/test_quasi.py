@@ -15,7 +15,7 @@ from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, nullspace
+from quasinv.linalg import IncrementalSpan, SparseRow, nullspace
 from quasinv.poly import (
     Polynomial,
     divide_by_linear,
@@ -26,6 +26,7 @@ from quasinv.poly import (
 from quasinv.quasi import (
     CWValuedElement,
     GradedBasis,
+    _constraint_entries,
     _hyperplane_conditions,
     _independent,
     _row,
@@ -97,13 +98,24 @@ def test_dihedral_dims_against_brute_force():
 
 
 def quasi_basis_unblocked(group, mult, max_degree):
-    """`quasi_basis` with one matrix per degree over all monomials, the
-    reference for its block decomposition."""
+    """`quasi_basis` with one matrix per degree over all monomials, each
+    entry roots[u] * c as `_constraint_entries` gives it, unscaled: the
+    reference for the block decomposition and the integer rows of
+    `_solve_layer`."""
     conditions = _hyperplane_conditions(group, mult)
     layers = []
     for d in range(max_degree + 1):
-        monos = monomials_of_degree(group.variables, d)
-        layers.append(_solve_layer(group, conditions, monos, [range(len(monos))]))
+        kept, rows = [], {}
+        for e in monomials_of_degree(group.variables, d):
+            entries = _constraint_entries(group, conditions, e)
+            if entries is not None:
+                for key, u, c in entries:
+                    rows.setdefault(key, SparseRow())[len(kept)] = group.roots[u] * c
+                kept.append(e)
+        kernel = nullspace(list(rows.values()), len(kept))
+        layer = [Polynomial(group.variables, {kept[i]: c for i, c in enumerate(vec) if c})
+                 for vec in kernel]
+        layers.append(sorted(layer, key=lambda p: min(p.terms)))
     return GradedBasis(group, mult, max_degree, layers)
 
 
@@ -382,7 +394,8 @@ def test_membership_over_q_accepts_cyclotomic_scalars():
     assert not basis.contains(outside)
 
 
-@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "I2(12)"])
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(9)", "I2(10)", "I2(11)", "I2(12)"])
 def test_dihedral_constraint_rows_are_rational_and_distinct(spec, monkeypatch):
     # each row is scaled by the root of its first entry and repeated rows are
     # dropped, so the solver sees distinct rows of rational Cyclotomics
@@ -401,6 +414,16 @@ def test_dihedral_constraint_rows_are_rational_and_distinct(spec, monkeypatch):
             assert all(isinstance(c, Cyclotomic) and not any(c.coords[1:]) for c in row)
         distinct = {tuple(sorted(row.items())) for row in matrix}
         assert len(distinct) == len(matrix)
+
+
+def test_a_block_across_characters_is_refused():
+    # z1 and z2 have different rotation characters; in one block the row of
+    # the swap with root index 2 holds root indices 4 and 0 of N = 6, which
+    # are neither 0 nor N/2 apart
+    W = parse_group("I2(3)")
+    conditions = _hyperplane_conditions(W, Multiplicity.constant(W, 1))
+    with pytest.raises(ArithmeticError, match="not rational up to sign"):
+        _solve_layer(W, conditions, [(0, 1), (1, 0)], [range(2)])
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"])

@@ -16,22 +16,27 @@ from quasinv.tower import (
     ganea_step,
     ganea_tower,
     h_t_invariants,
-    line_layers,
     presentation_check,
     truncate_poly,
     truncated_line_layers,
     x1_algebra,
     x1_layers,
 )
+from span_matrix import rank
 
 A1 = parse_group("A1")
 
 
-def dimension_formula_holds(fp):
+def dimension_formula_holds(fp, layers_a, layers_b, layers_c, f, g):
     """dim = dim A + dim B - dim C in every degree where both structure maps
-    are onto."""
-    return all(len(layer) == fp.dims_a[d] + fp.dims_b[d] - fp.dims_c[d]
-               for d, layer in enumerate(fp.layers) if all(fp.surjective[d]))
+    f: A -> C and g: B -> C are onto."""
+    for d, layer in enumerate(fp.layers):
+        A, B, C = layers_a[d], layers_b[d], layers_c[d]
+        onto = all(not C or rank([coordinate_vector(h(p), d) for p in P]) == len(C)
+                   for h, P in ((f, A), (g, B)))
+        if onto and len(layer) != len(A) + len(B) - len(C):
+            return False
+    return True
 
 
 def _pair_in_span(fp, d, a, b):
@@ -52,24 +57,26 @@ def product_in_span(fp, pair1, pair2):
     return d < 0 or _pair_in_span(fp, d, a, b)
 
 
-def _plain_fiber_product(cut, D):
+def _line_fiber_product_data(cut, D):
+    """Q[x], Q[x], Q[x]/(x^cut) through degree D and the truncations."""
     variables = ("x",)
-    return fiber_product_basis(
-        variables,
-        line_layers(variables, D),
-        line_layers(variables, D),
-        truncated_line_layers(variables, cut, D),
-        lambda p: truncate_poly(p, cut),
-        lambda p: truncate_poly(p, cut),
-        D,
-    )
+    line = truncated_line_layers(variables, D + 1, D)
+
+    def truncate(p):
+        return truncate_poly(p, cut)
+
+    return line, line, truncated_line_layers(variables, cut, D), truncate, truncate
+
+
+def _plain_fiber_product(cut, D):
+    return fiber_product_basis(("x",), *_line_fiber_product_data(cut, D), D)
 
 
 def test_fiber_product_over_length_one_quotient():
     fp = _plain_fiber_product(1, 6)
     assert fp.dims() == [1, 2, 2, 2, 2, 2, 2]
     assert contains_unit(fp)
-    assert dimension_formula_holds(fp)
+    assert dimension_formula_holds(fp, *_line_fiber_product_data(1, 6))
 
 
 def test_fiber_product_multiplicity_one():
@@ -260,7 +267,7 @@ def test_ganea_step_matches_the_coordinate_solve(m):
 def test_h_t_invariants_match_the_coordinate_solve(m):
     D, cut, variables = 12, 2 * m + 1, ("x",)
     report = h_t_invariants(m, D)
-    line = line_layers(variables, D)
+    line = truncated_line_layers(variables, D + 1, D)
     fp = _fiber_product_by_coordinates(variables, line, line,
                                        truncated_line_layers(variables, cut, D),
                                        lambda p: truncate_poly(p, cut),
@@ -285,7 +292,7 @@ def test_h_t_invariants_match_the_coordinate_solve(m):
 
 def test_fiber_product_refuses_an_image_outside_the_quotient():
     variables, D = ("x",), 4
-    line = line_layers(variables, D)
+    line = truncated_line_layers(variables, D + 1, D)
     with pytest.raises(ValueError, match="outside span"):
         # x^3 survives the map but the quotient only keeps degrees below 2
         fiber_product_basis(variables, line, line, truncated_line_layers(variables, 2, D),
