@@ -19,6 +19,8 @@ rows of integer binomial sums times a root of unity.  `quasi_basis` solves
 these rows and `is_quasi_invariant` evaluates them, so membership and bases
 cannot disagree.  On a diagonal-character block the root is one per row up
 to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
+Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
+the surviving monomials: `quasi_basis` counts them and solves a layer when read.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -58,17 +60,30 @@ _ONE = Fraction(1)
 
 
 class GradedBasis:
-    """Degreewise bases of a graded subspace of the polynomial ring."""
+    """Degreewise bases of a graded subspace of the polynomial ring: the layers,
+    or a function d -> layer with their `dims`, each layer built on first read."""
 
-    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, layers):
+    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, layers, dims=None):
         self.group = group
         self.multiplicity = multiplicity
         self.max_degree = max_degree
-        self.layers = layers  # layers[d] = list of Polynomial
+        self._build = layers
+        self._layers = [None] * (max_degree + 1) if dims else list(layers)
+        self._dims = dims or [len(layer) for layer in layers]
         self._spans: dict = {}  # degree -> IncrementalSpan of that layer
 
+    def layer(self, d: int) -> list:
+        """The degree-d layer, a list of Polynomial, built on first read."""
+        if self._layers[d] is None:
+            self._layers[d] = self._build(d)
+        return self._layers[d]
+
+    @property
+    def layers(self) -> list:
+        return [self.layer(d) for d in range(len(self._layers))]
+
     def dims(self):
-        return [len(layer) for layer in self.layers]
+        return list(self._dims)
 
     def span(self, d: int) -> IncrementalSpan:
         """The eliminated span of the degree-d layer in the columns of
@@ -76,7 +91,7 @@ class GradedBasis:
         span = self._spans.get(d)
         if span is None:
             index = monomial_index(self.group.variables, d)
-            span = self._spans[d] = span_of([_row(q, index) for q in self.layers[d]],
+            span = self._spans[d] = span_of([_row(q, index) for q in self.layer(d)],
                                             len(index))
         return span
 
@@ -103,8 +118,8 @@ class GradedBasis:
             (a, b, pa * pb)
             for a in range(1, top + 1)
             for b in range(a, top + 1 - a)
-            for pa in self.layers[a][:2]
-            for pb in self.layers[b][:2]
+            for pa in self.layer(a)[:2]
+            for pb in self.layer(b)[:2]
         )
         checked = 0
         for a, b, product in islice(pairs, max_pairs):
@@ -191,6 +206,11 @@ def _odd_alpha_coefficients(a: int, b: int, top: int):
     return tuple(out)
 
 
+def _survives(n_h: int, need, a: int) -> bool:
+    """Whether the deletion (k, n_H, need) keeps x^e with e_k = a."""
+    return a >= need[a % n_h]
+
+
 def _constraint_entries(group: ReflectionGroup, conditions, e):
     """The entries of column x^e in the constraint rows, as (row key, root
     index u, integer c) triples for the entry roots[u] * c, or None when a
@@ -204,7 +224,7 @@ def _constraint_entries(group: ReflectionGroup, conditions, e):
     unchanged, so rows of different degrees never share a key."""
     deletions, swaps = conditions
     for k, n_h, need in deletions:
-        if e[k] < need[e[k] % n_h]:
+        if not _survives(n_h, need, e[k]):
             return None
     n = len(group.roots)
     out = []
@@ -269,20 +289,31 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     so the kernel splits along the diagonal characters of the monomials and
     each block is solved separately (blocked and unblocked solves agree; the
     regression suite compares them and checks an independent brute force).
-    A block left without rows is its surviving monomials, so without
-    hyperplanes x_k - r x_l (A1^n, Z/l and their products) the degree is
-    not split at all.  The layer is returned sorted by leading exponent in
-    graded-lex order.
+    The layer is returned sorted by leading exponent in graded-lex order.
+
+    Without hyperplanes x_k - r x_l (A1^n, Z/l and their products) there
+    are no rows, so a layer is its surviving monomials and its dimension
+    their count.  Each deletion tests one exponent (`_survives`), so the
+    dims are the convolution over k of the 0/1 sequences "x_k^a survives":
+    they are counted so, and a layer is solved on first read.  With swap
+    rows (I2(k)) every layer is solved up front.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
-    conditions = _hyperplane_conditions(group, mult)
-    layers = []
-    for d in range(max_degree + 1):
+    conditions = deletions, swaps = _hyperplane_conditions(group, mult)
+
+    def layer(d: int) -> list:
         monos = list(monomial_index(group.variables, d))
-        blocks = group.monomial_blocks(monos) if conditions[1] else [range(len(monos))]
-        layers.append(_solve_layer(group, conditions, monos, blocks))
-    return GradedBasis(group, mult, max_degree, layers)
+        blocks = group.monomial_blocks(monos) if swaps else [range(len(monos))]
+        return _solve_layer(group, conditions, monos, blocks)
+    if swaps:
+        return GradedBasis(group, mult, max_degree, [layer(d) for d in range(max_degree + 1)])
+    dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
+    for k in range(group.rank):
+        kept = [a for a in range(max_degree + 1)
+                if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k)]
+        dims = [sum(dims[d - a] for a in kept if a <= d) for d in range(max_degree + 1)]
+    return GradedBasis(group, mult, max_degree, layer, dims)
 
 
 def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
@@ -329,8 +360,7 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
 
 
 def hilbert(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> HilbertSeries:
-    basis = quasi_basis(group, mult, max_degree)
-    return hilbert_from_basis(basis.dims(), group.invariant_degrees)
+    return hilbert_from_basis(quasi_basis(group, mult, max_degree).dims(), group.invariant_degrees)
 
 
 def invariant_ring_dims(group: ReflectionGroup, through: int):
@@ -391,7 +421,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
                 if span.dim() >= dims[d]:
                     break
                 span.add(multiply_terms(fj, g, index))
-        for p in basis.layers[d]:
+        for p in basis.layer(d):
             if span.dim() < dims[d] and span.add(_row(p, index)):
                 generators.append((d, p))
                 generator_terms.append((d, _primitive(p)))
@@ -559,11 +589,11 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
     witness = None
     included = True
     for d in range(max_degree + 1):
-        if not all(low.contains(p) for p in high.layers[d]):
+        if not all(low.contains(p) for p in high.layer(d)):
             included = False
-        codims.append(len(low.layers[d]) - len(high.layers[d]))
+        codims.append(len(low.layer(d)) - len(high.layer(d)))
         if witness is None and codims[-1] > 0:
-            witness = next(p for p in low.layers[d] if not high.contains(p))
+            witness = next(p for p in low.layer(d) if not high.contains(p))
     inv_dims = invariant_ring_dims(group, max_degree)
     inter_dims = _intersection_dims(group, max_degree)
     return {

@@ -301,6 +301,57 @@ def test_basis_elements_are_members_and_perturbed_elements_are_not(case, data):
                 assert not brute_is_quasi_invariant(W, mult, q)
 
 
+# groups without hyperplanes x_k - r x_l, whose dims are counted, not solved
+_COUNTED_SPECS = (
+    ("A1", 3, 20), ("A1 x A1", 3, 12), ("A1^3", 3, 8), ("A1^4", 3, 6), ("Z/3", 3, 14),
+    ("Z/4", 3, 14), ("Z/5", 3, 14), ("A1 x Z/3", 3, 9), ("Z/2 x Z/3", 3, 9),
+    ("Z/3 x Z/4", 3, 8),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_layer_case(_COUNTED_SPECS), st.data())
+def test_counted_dims_equal_solved_layers_and_the_oracle(case, data):
+    # the oracle's derivative route shares no code with the count or the solve
+    W, mult, top = case
+    D = data.draw(st.integers(0, top))
+    basis = quasi_basis(W, mult, D)
+    dims = basis.dims()
+    assert len(dims) == D + 1
+    assert dims == [len(layer) for layer in basis.layers]
+    assert dims == brute_quasi_dims(W, mult, D)
+
+
+def _typed_outcome(cert):
+    """Everything a certificate reports, coefficient types included."""
+    generators = [(d, sorted((e, type(c).__name__, c) for e, c in g.terms.items()))
+                  for d, g in cert.generators]
+    return (generators, cert.status, cert.failure_degree, cert.gorenstein_shift,
+            cert.predicted_shift, cert.hilbert.numerator, cert.hilbert.denominator_exponents,
+            cert.hilbert.verified_through)
+
+
+def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
+    W = parse_group("A1^4")
+    mult = Multiplicity.constant(W, 1)
+    built = []
+    solve = quasi._solve_layer
+
+    def counted_solve(group, conditions, monos, blocks):
+        built.append(sum(monos[0]))
+        return solve(group, conditions, monos, blocks)
+
+    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    cert = freeness_certificate(W, mult, 44)
+    assert cert.status == "free" and max(cert.generator_degrees()) == 12
+    assert sorted(built) == list(range(13))
+    monkeypatch.undo()
+    basis = quasi_basis(W, mult, 44)
+    eager = GradedBasis(W, mult, 44, basis.layers)
+    assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
+        _typed_outcome(cert)
+
+
 def test_hilbert_rank_one():
     for m in range(4):
         series = hilbert(A1, Multiplicity.constant(A1, m), 12 + 2 * m)
