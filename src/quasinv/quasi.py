@@ -67,7 +67,7 @@ class GradedBasis:
         self.group = group
         self.multiplicity = multiplicity
         self.max_degree = max_degree
-        self._build = layers
+        self._build = layers if dims else None
         self._layers = [None] * (max_degree + 1) if dims else list(layers)
         self._dims = dims or [len(layer) for layer in layers]
         self._spans: dict = {}  # degree -> IncrementalSpan of that layer
@@ -207,7 +207,7 @@ def _odd_alpha_coefficients(a: int, b: int, top: int):
 
 
 def _survives(n_h: int, need, a: int) -> bool:
-    """Whether the deletion (k, n_H, need) keeps x^e with e_k = a."""
+    """Whether a deletion (k, n_H, need) of `_hyperplane_conditions` keeps e_k = a."""
     return a >= need[a % n_h]
 
 
