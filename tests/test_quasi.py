@@ -320,6 +320,7 @@ def test_counted_dims_equal_solved_layers_and_the_oracle(case, data):
     assert len(dims) == D + 1
     assert dims == [len(layer) for layer in basis.layers]
     assert dims == brute_quasi_dims(W, mult, D)
+    assert quasi_basis(W, mult, 0).dims() == [1]
 
 
 def _typed_outcome(cert):
