@@ -1,7 +1,9 @@
 """Exact linear algebra over Q or Q(zeta_n), fraction-free.
 
 `IncrementalSpan` holds the only elimination loop, on sparse rows
-`{column: entry}`; it takes dense (list) or sparse (dict, `SparseRow`) rows.
+`{column: entry}`; it takes dense (list) or sparse (dict, `SparseRow`) rows,
+all in one field: a row with entries of two cyclotomic orders, or of an order
+other than the span's, raises a ValueError.
 A row in Q is stored as a primitive integer row with a positive pivot, and a
 row with an irrational Cyclotomic entry keeps pivot 1.  A vector v is reduced
 against a stored row with pivot entry p by v <- a*v - f*row, where f is v's
@@ -11,9 +13,10 @@ and rows in Q stay integer.  Vectors are reduced in insertion order and a
 row's pivot is its first nonzero column after reduction, so spans are
 reproducible.  Fractions and Cyclotomics appear only where entries enter
 and on output, in the span's field: `reduce` divides out the scale a vector
-accumulated, and `rows`, `rref` and `nullspace` divide by the pivot entry.
-The reduced row echelon form is unique, so `rref` and `nullspace` depend
-only on the row space and the column order.
+accumulated, and `rref` and `nullspace` divide by the pivot entry.  `rref`
+gives its rows as `{column: entry}` and `nullspace` its kernel vectors as
+dense lists.  The reduced row echelon form is unique, so `rref` and
+`nullspace` depend only on the row space and the column order.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ class SparseRow(dict):
 def span_of(vectors, ncols: int) -> "IncrementalSpan":
     """The span of `vectors` in `ncols` coordinates; insertion stops once
     the span is the whole space."""
-    if len({c.n for row in vectors for c in row if isinstance(c, Cyclotomic)}) > 1:
-        raise ValueError("mixed coefficient fields in matrix")
-    span = IncrementalSpan(ncols)
+    span = IncrementalSpan()
     for v in vectors:
         if span.dim() == ncols:
             break
@@ -73,14 +74,17 @@ def nullspace(matrix, ncols=None):
     return list(basis.values())
 
 
-def _clear(v: dict):
+def _clear(v: dict, n: int = 0):
     """Bring the entries of v in Q to ints in place by scaling v with their
-    least common denominator; return it and the order n of a Cyclotomic
-    entry (0 for none)."""
-    den, n = 1, 0
+    least common denominator; return it and the order of the Cyclotomic
+    entries, 0 for none, which must agree with each other and a nonzero n."""
+    den = 1
     for j, c in v.items():
         if c.__class__ is not int:
-            n = c.n if c.__class__ is Cyclotomic else n
+            if c.__class__ is Cyclotomic:
+                if n and c.n != n:
+                    raise ValueError(f"mixed coefficient fields: Q(zeta_{n}) and Q(zeta_{c.n})")
+                n = c.n
             v[j] = c = rational_value(c)
             if c.__class__ is Fraction:
                 den = lcm(den, c.denominator)
@@ -146,8 +150,7 @@ class IncrementalSpan:
     multiplies the vector by its lead a; `reduce` divides the product of
     the leads and the entry denominators back out."""
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self):
         self._rows = []  # {column: entry}, primitive or pivot entry 1
         self.pivots = []  # pivot column per row
         self._where = {}  # pivot column -> row index
@@ -157,7 +160,7 @@ class IncrementalSpan:
         """(v, scale): `vector` times the positive int `scale`, reduced."""
         items = vector.items() if isinstance(vector, dict) else enumerate(vector)
         v = {j: c for j, c in items if c}
-        scale, n = _clear(v)
+        scale, n = _clear(v, 0 if self._one is None else self._one.n)
         if n and self._one is None:
             self._one = Cyclotomic.zeta(n, 0)
         rows, pivots, where = self._rows, self.pivots, self._where
@@ -198,32 +201,25 @@ class IncrementalSpan:
         c = Fraction(c, den) if c.__class__ is int else c / den if den != 1 else c
         return self._one * c if self._one is not None and c.__class__ is not Cyclotomic else c
 
-    @property
-    def rows(self):
-        """The stored rows, dense, pivot entry 1, in insertion order."""
-        return [self._dense(i) for i in range(len(self._rows))]
-
-    def _dense(self, i: int) -> list:
-        row = self._rows[i]
-        vec = [self._value(0, 1)] * self.ncols
-        for j, c in row.items():
-            vec[j] = self._value(c, row[self.pivots[i]])
-        return vec
-
     def back_substitute(self) -> None:
         """Make every stored row zero at every other row's pivot, in place.
-        Row i is already zero at the pivots of rows inserted before it, and
-        rows are processed in reverse insertion order, so each row is final
-        by the time it is subtracted from the earlier ones."""
-        rows, pivots = self._rows, self.pivots
-        for i in reversed(range(len(rows))):
-            for k in range(i):
-                if pivots[i] in rows[k] and _eliminate(rows[k], rows[i], pivots[i], {}, None) != 1:
-                    normalize_row(rows[k], pivots[k])
+        Row k is already zero at the pivots of the rows inserted before it.
+        Rows are processed in reverse insertion order, so each later row
+        whose pivot row k holds is final, zero at every other pivot: its
+        subtraction clears that entry and makes no other pivot entry."""
+        rows, pivots, where = self._rows, self.pivots, self._where
+        for k in reversed(range(len(rows))):
+            row = rows[k]
+            for j in [j for j in row if j in where and j != pivots[k]]:
+                if _eliminate(row, rows[where[j]], j, {}, None) != 1:
+                    normalize_row(row, pivots[k])
 
     def rref(self):
         """Back-substitute in place and return (rows, pivot_columns), the
-        rows dense, pivot entry 1, and sorted by pivot."""
+        rows as `{column: entry}` in the span's field with pivot entry 1,
+        sorted by pivot."""
         self.back_substitute()
-        order = sorted(range(len(self._rows)), key=self.pivots.__getitem__)
-        return [self._dense(i) for i in order], [self.pivots[i] for i in order]
+        pivots = sorted(self._where)
+        rows = [self._rows[self._where[p]] for p in pivots]
+        return [{j: self._value(c, row[p]) for j, c in row.items()}
+                for row, p in zip(rows, pivots)], pivots

@@ -415,7 +415,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
                 sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
             continue
         index = monomial_index(group.variables, d)
-        span = IncrementalSpan(len(index))
+        span = IncrementalSpan()
         for gd, g in generator_terms:
             for fj in inv_monomials(d - gd):
                 if span.dim() >= dims[d]:
@@ -465,7 +465,7 @@ def _independent(group: ReflectionGroup, generators) -> bool:
             return False
         row = [sum(c * prod(map(pow, x0, e)) for e, c in group.act(i, g).terms.items())
                for i in reps.values()]
-        if not spans.setdefault(keys.pop(), IncrementalSpan(len(reps))).add(row):
+        if not spans.setdefault(keys.pop(), IncrementalSpan()).add(row):
             return False
     return len(spans) * len(reps) == group.order and \
         all(span.dim() == len(reps) for span in spans.values())

@@ -11,12 +11,13 @@ doubled (cohomological) degrees rescale explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
-from quasinv.poly import Polynomial, monomial_index, monomials_of_degree
-from quasinv.quasi import GradedBasis, _row, module_certificate, quasi_basis
+from quasinv.poly import Polynomial, monomial_index, multiply_terms
+from quasinv.quasi import _ONE, GradedBasis, _primitive, _row, module_certificate, quasi_basis
 
 __all__ = [
     "FiberProductAlgebra",
@@ -155,7 +156,7 @@ def ganea_step(q_m: GradedBasis) -> dict:
     next_layers = []
     for d, layer in enumerate(fp.layers):
         index = monomial_index(variables, d)
-        span = IncrementalSpan(len(index))
+        span = IncrementalSpan()
         next_layers.append([a for a, _ in layer if span.add(_row(a, index))])
     projected = GradedBasis(group, None, max_degree, next_layers)
     expected = quasi_basis(group, Multiplicity.constant(group, q_m_mult(q_m) + 1), max_degree)
@@ -262,22 +263,26 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
 
 
 def x1_layers(group: ReflectionGroup, max_degree: int) -> GradedBasis:
-    """Degreewise basis of Q + <positive-degree invariants>."""
+    """Degreewise basis of Q + <positive-degree invariants>: the constant in
+    degree 0, and above it the reduced echelon rows of the products f x^e of
+    the fundamental invariants f (as `_primitive` term lists) and monomials
+    x^e, formed by `multiply_terms`.  The dims are their ranks, counted up
+    front by forward elimination; a layer spans its degree again when read."""
     variables = group.variables
-    layers = [[Polynomial.constant(variables, 1)]]
-    for d in range(1, max_degree + 1):
-        monos = monomials_of_degree(variables, d)
+    fund = [(int(f.degree()), _primitive(f)) for f in group.fundamental_invariants]
+
+    def span(d: int) -> IncrementalSpan:
         index = monomial_index(variables, d)
-        rows = []
-        for f in group.fundamental_invariants:
-            fd = int(f.degree())
-            if d - fd < 0:
-                continue
-            for exp in monomials_of_degree(variables, d - fd):
-                rows.append(_row(f * Polynomial.monomial(variables, exp), index))
-        layers.append([Polynomial(variables, {m: c for m, c in zip(monos, row) if c})
-                       for row in span_of(rows, len(index)).rref()[0]])
-    return GradedBasis(group, None, max_degree, layers)
+        return span_of((multiply_terms([(e, _ONE)], f, index)
+                        for fd, f in fund if fd <= d
+                        for e in monomial_index(variables, d - fd)), len(index))
+
+    def layer(d: int) -> list:
+        exps = list(monomial_index(variables, d))
+        return [Polynomial(variables, {exps[j]: c for j, c in row.items()})
+                for row in (span(d).rref()[0] if d else [{0: _ONE}])]
+    dims = [1] + [span(d).dim() for d in range(1, max_degree + 1)]
+    return GradedBasis(group, None, max_degree, layer, dims)
 
 
 def x1_algebra(group: ReflectionGroup, max_degree: int):
@@ -291,14 +296,10 @@ def x1_algebra(group: ReflectionGroup, max_degree: int):
 
 def coinvariant_dimension(basis: GradedBasis) -> int:
     """Total dimension of Q[V] / <positive-degree invariants> through the
-    bound of `basis`, the layers of `x1_layers`; equals |W| once the bound
-    passes the top coinvariant degree."""
-    total = 0
-    for d in range(basis.max_degree + 1):
-        full = len(monomials_of_degree(basis.group.variables, d))
-        ideal = len(basis.layers[d]) if d > 0 else 0
-        total += full - ideal
-    return total
+    bound of `basis`, an `x1_layers` basis, read off its dims with no layer
+    built; equals |W| once the bound passes the top coinvariant degree."""
+    rank = basis.group.rank  # the constant is in dims()[0], outside the ideal
+    return comb(basis.max_degree + rank, rank) - sum(basis.dims()) + 1
 
 
 # -- presentations and fake cohomology --------------------------------------------------

@@ -61,6 +61,21 @@ def test_mixed_fields_rejected():
         rank([[Cyclotomic.zeta(3), Cyclotomic.zeta(4)]])
 
 
+def test_mixed_fields_are_refused_in_plain_dict_rows():
+    # a plain dict iterates over its columns, not its entries, so the field
+    # is read where the entries are cleared
+    rows = [{0: Cyclotomic.zeta(3)}, {1: Cyclotomic.zeta(4)}]
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        nullspace(rows, 2)
+    span = IncrementalSpan()
+    assert span.add(rows[0])
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        span.add(rows[1])
+    assert span.dim() == 1
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        IncrementalSpan().add({0: Cyclotomic.zeta(3), 1: Cyclotomic.zeta(4)})
+
+
 def test_incremental_span_contains():
     span = span_of([[1, 0, 1], [0, 1, 1]], 3)
     assert span.contains([1, 1, 2])
@@ -75,7 +90,7 @@ def test_incremental_span_matches_rank():
         vectors = [
             [Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(6)
         ]
-        span = IncrementalSpan(4)
+        span = IncrementalSpan()
         added = sum(1 for v in vectors if span.add(v))
         assert added == rank(vectors) if any(any(v) for v in vectors) else added == 0
         assert span.dim() == added
@@ -160,30 +175,27 @@ def _encoded(rows, zeros_typed=True):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_case())
 def test_zero_skipping_elimination_matches_the_dense_one(case):
-    matrix, probe, more, zeros_typed = case
+    matrix, probe, more, _ = case
     red, pivots = rref(matrix)
     dense_red, dense_pivots = dense_rref(matrix)
     assert pivots == dense_pivots
-    assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
+    densified = [_densified(row, len(probe)) for row in red]
+    assert _encoded(densified, False) == _encoded(dense_red, False)
     assert rank(matrix) == len(dense_pivots)
     assert _encoded(nullspace(matrix)) == _encoded(dense_nullspace(matrix))
-    span, dense = IncrementalSpan(len(matrix[0])), DenseSpan()
+    span, dense = IncrementalSpan(), DenseSpan()
     for row in [probe] + matrix + [probe]:
         assert span.contains(row) == (not any(dense.reduce(row)))
         assert span.add(row) == dense.add(row)
     assert span.pivots == dense.pivots
-    assert _encoded(span.rows, zeros_typed) == _encoded(dense.rows, zeros_typed)
     # back-substitution reduces the span in place; it stays a span that
     # reduces and inserts exactly as before
-    _assert_rref_matches(span, dense, zeros_typed)
-    reduced = span.dim()
+    _assert_rref_matches(span, dense, len(probe))
     for row in more + [probe]:
         assert span.contains(row) == (not any(dense.reduce(row)))
         assert span.add(row) == dense.add(row)
     assert span.pivots == dense.pivots
-    assert _encoded(span.rows[reduced:], zeros_typed) == _encoded(dense.rows[reduced:],
-                                                                  zeros_typed)
-    _assert_rref_matches(span, dense, zeros_typed)
+    _assert_rref_matches(span, dense, len(probe))
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,7 +204,7 @@ def test_reduce_returns_the_remainder_of_the_dense_reduction(case):
     # the fraction-free loop scales the vector as it reduces; `reduce`
     # divides that scale back out
     matrix, probe, more, _ = case
-    span, dense = IncrementalSpan(len(probe)), DenseSpan()
+    span, dense = IncrementalSpan(), DenseSpan()
     for row in matrix + more:
         span.add(row)
         dense.add(row)
@@ -202,11 +214,16 @@ def test_reduce_returns_the_remainder_of_the_dense_reduction(case):
             assert _encoded([dense_rest], False) == _encoded([dense.reduce(vec)], False)
 
 
-def _assert_rref_matches(span, dense, zeros_typed):
+def _assert_rref_matches(span, dense, ncols):
+    """The span's sparse echelon rows, densified, against the dense echelon
+    form of the rows the dense span kept: every entry typed, and the zeros
+    (which the sparse rows do not hold) by value."""
     red, pivots = span.rref()
     dense_red, dense_pivots = dense_rref(dense.rows)
     assert pivots == dense_pivots
-    assert _encoded(red, zeros_typed) == _encoded(dense_red, zeros_typed)
+    assert all(row[p] == 1 and min(row) == p for row, p in zip(red, pivots))
+    assert all(c for row in red for c in row.values())
+    assert _encoded([_densified(row, ncols) for row in red], False) == _encoded(dense_red, False)
 
 
 @st.composite
@@ -238,17 +255,15 @@ def _densified(row, ncols):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_rows())
 def test_sparse_rows_match_their_dense_forms(case):
-    n, ncols, rows = case
-    zeros_typed = n is None  # dense forms hold Fraction zeros among Q(zeta_n) entries
+    _, ncols, rows = case
     dense_rows = [_densified(row, ncols) for row in rows]
-    span, dense = IncrementalSpan(ncols), DenseSpan()
+    span, dense = IncrementalSpan(), DenseSpan()
     for row, vec in zip(rows + rows[:2], dense_rows + dense_rows[:2]):
         assert span.contains(row) == (not any(dense.reduce(vec)))
         assert span.add(row) == dense.add(vec)
         assert span.contains(row)
     assert span.pivots == dense.pivots
-    assert _encoded(span.rows, zeros_typed) == _encoded(dense.rows, zeros_typed)
-    _assert_rref_matches(span, dense, zeros_typed)
+    _assert_rref_matches(span, dense, ncols)
     assert _encoded(nullspace(rows, ncols)) == _encoded(dense_nullspace(dense_rows))
     assert [_densified(row, ncols) for row in rows] == dense_rows  # inputs untouched
 

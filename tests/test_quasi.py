@@ -527,7 +527,7 @@ def module_certificate_by_every_product(group, basis):
         index = monomial_index(group.variables, d)
         blocks = group.monomial_blocks(list(index))
         col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
-        spans = [IncrementalSpan(len(block)) for block in blocks]
+        spans = [IncrementalSpan() for _ in blocks]
 
         def add(p):
             found = {col_block[index[exp]] for exp in p.terms}
@@ -835,7 +835,7 @@ def _intersect_spans(A, B):
     # the kernel of [A^T | -B^T]; intersection vectors are A^T * (a-part),
     # reduced to a basis through one span
     cols = [[a[j] for a in A] + [-b[j] for b in B] for j in range(n)]
-    span = IncrementalSpan(n)
+    span = IncrementalSpan()
     basis = []
     for k in (nullspace(cols) if cols else []):
         v = [sum((c * a[j] for c, a in zip(k, A) if c), Fraction(0)) for j in range(n)]

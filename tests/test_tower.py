@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from dense_reference import coordinate_vector, dense_coordinates
+from dense_reference import coordinate_vector, dense_coordinates, dense_rref
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.linalg import nullspace, span_of
-from quasinv.poly import Polynomial
-from quasinv.quasi import GradedBasis, cw_valued_basis, quasi_basis
-from quasinv.serialize import encode_polynomial
+from quasinv.linalg import IncrementalSpan, nullspace, span_of
+from quasinv.poly import Polynomial, monomials_of_degree
+from quasinv.quasi import GradedBasis, cw_valued_basis, module_certificate, quasi_basis
+from quasinv.serialize import encode_hilbert, encode_polynomial
 from quasinv.tower import (
     coinvariant_dimension,
     fake_cohomology_ring,
@@ -159,6 +159,53 @@ def test_coinvariant_dimension_is_group_order():
     for spec in ("A1", "A1 x A1", "I2(3)", "I2(4)"):
         W = parse_group(spec)
         assert coinvariant_dimension(x1_layers(W, sum(W.invariant_degrees) + 2)) == W.order
+
+
+def _dense_x1_layers(W, D):
+    """X_1 built the dense way: each product f x^e of a fundamental invariant
+    and a monomial as a polynomial, every degree's coordinate rows brought
+    to reduced echelon form by `dense_rref`, each row read back as a
+    polynomial, and the constant in degree 0."""
+    layers = [[Polynomial.constant(W.variables, 1)]]
+    for d in range(1, D + 1):
+        rows = [coordinate_vector(f * Polynomial.monomial(W.variables, e), d)
+                for f in W.fundamental_invariants if f.degree() <= d
+                for e in monomials_of_degree(W.variables, d - int(f.degree()))]
+        monos = monomials_of_degree(W.variables, d)
+        layers.append([Polynomial(W.variables, dict(zip(monos, row)))
+                       for row in (dense_rref(rows)[0] if rows else [])])
+    return layers
+
+
+@pytest.mark.parametrize("spec", ["A1", "A1^2", "A1^3", "I2(3)", "I2(4)", "I2(5)", "I2(6)",
+                                  "Z/3", "Z/3 x Z/4", "A1 x Z/3"])
+def test_x1_layers_match_the_dense_echelon_form_of_the_products(spec):
+    W = parse_group(spec)
+    for D in (0, 2 * sum(W.invariant_degrees)):
+        basis = x1_layers(W, D)
+        layers = basis.layers
+        assert basis.dims() == [len(layer) for layer in layers]
+        assert [[encode_polynomial(p) for p in layer] for layer in layers] == \
+            [[encode_polynomial(p) for p in layer] for layer in _dense_x1_layers(W, D)]
+
+
+def _encoded_certificate(cert):
+    return (cert.status, cert.failure_degree, encode_hilbert(cert.hilbert),
+            cert.gorenstein_shift, [(d, encode_polynomial(g)) for d, g in cert.generators])
+
+
+def test_x1_certificate_builds_no_layer_above_its_failure_degree(monkeypatch):
+    built = []
+    rref = IncrementalSpan.rref
+    monkeypatch.setattr(IncrementalSpan, "rref", lambda span: built.append(span) or rref(span))
+    W = parse_group("A1^4")
+    basis, cert = x1_algebra(W, 32)
+    assert cert.status == "not-free" and cert.failure_degree == 5
+    assert len(built) == 5  # degrees 1-5; degree 0 is the constant
+    assert coinvariant_dimension(basis) == W.order and len(built) == 5
+    eager = GradedBasis(W, None, 32, basis.layers)
+    assert len(built) == 32
+    assert _encoded_certificate(module_certificate(W, eager)) == _encoded_certificate(cert)
 
 
 @pytest.mark.parametrize("m", range(4))
