@@ -353,7 +353,7 @@ def cmd_basis(args) -> int:
     }
     checks = {"congruences": "imposed for every hyperplane, solved exactly"}
     if args.check_closure:
-        payload["closure"] = basis.closure_report()
+        payload["closure"] = quasi.closure_report(basis)
         checks["closure"] = "products of sampled basis elements re-tested for membership"
     emit(args, payload, inputs, checks)
     return 0

@@ -32,7 +32,10 @@ _ONE = Fraction(1)
 
 class SparseRow(dict):
     """A row as `{column: entry}` over its nonzero entries; like a dense row
-    it iterates over its entries, and `items()` gives the columns."""
+    it iterates over its entries, and `items()` gives the columns.  Readers
+    of the rows handed to `nullspace` (`perfbench/fieldbench.harvest`, the
+    row checks in `tests/test_quasi.py`) iterate them for their entries; a
+    plain dict would give them the column indices instead."""
 
     __slots__ = ()
 

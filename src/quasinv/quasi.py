@@ -16,8 +16,10 @@ monomial by monomial in eigen-coordinates of each hyperplane, with no group
 algebra element formed: a hyperplane x_k = 0 deletes the monomials that the
 residue of their x_k-exponent rules out, and a hyperplane x_k = r x_l gives
 rows of integer binomial sums times a root of unity.  `quasi_basis` solves
-these rows and `is_quasi_invariant` evaluates them, so membership and bases
-cannot disagree.  On a diagonal-character block the root is one per row up
+these rows and `_satisfies` evaluates them; every membership question about
+Q_m (`is_quasi_invariant`, `closure_report`, `filtration_check`, the tower's
+certification) goes through the rows, so membership and bases cannot
+disagree.  On a diagonal-character block the root is one per row up
 to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
 the surviving monomials: `quasi_basis` counts them and solves a layer when read.
@@ -38,7 +40,7 @@ from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
 from quasinv.groups import Multiplicity, ReflectionGroup
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.linalg import IncrementalSpan, SparseRow, normalize_row, nullspace, span_of
+from quasinv.linalg import IncrementalSpan, SparseRow, normalize_row, nullspace
 from quasinv.poly import Polynomial, linear_coefficients, monomial_index, multiply_terms
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "FreenessCertificate",
     "CWValuedElement",
     "is_quasi_invariant",
+    "closure_report",
     "quasi_basis",
     "hilbert",
     "freeness_certificate",
@@ -61,7 +64,8 @@ _ONE = Fraction(1)
 
 class GradedBasis:
     """Degreewise bases of a graded subspace of the polynomial ring: the layers,
-    or a function d -> layer with their `dims`, each layer built on first read."""
+    or a function d -> layer with their `dims`, each layer built on first read.
+    It holds no spans: membership in Q_m is decided by its congruences."""
 
     def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, layers, dims=None):
         self.group = group
@@ -70,7 +74,6 @@ class GradedBasis:
         self._build = layers if dims else None
         self._layers = [None] * (max_degree + 1) if dims else list(layers)
         self._dims = dims or [len(layer) for layer in layers]
-        self._spans: dict = {}  # degree -> IncrementalSpan of that layer
 
     def layer(self, d: int) -> list:
         """The degree-d layer, a list of Polynomial, built on first read."""
@@ -84,49 +87,6 @@ class GradedBasis:
 
     def dims(self):
         return list(self._dims)
-
-    def span(self, d: int) -> IncrementalSpan:
-        """The eliminated span of the degree-d layer in the columns of
-        `monomial_index`, built on first use and kept."""
-        span = self._spans.get(d)
-        if span is None:
-            index = monomial_index(self.group.variables, d)
-            span = self._spans[d] = span_of([_row(q, index) for q in self.layer(d)],
-                                            len(index))
-        return span
-
-    def contains(self, p: Polynomial) -> bool:
-        """Exact span membership, degree by degree."""
-        _check_ring(self.group, p)
-        for d in sorted({sum(e) for e in p.terms}):
-            if d > self.max_degree:
-                raise DomainError(f"degree {d} exceeds computed bound {self.max_degree}")
-            row = _row(p.homogeneous_component(d), monomial_index(p.vars, d))
-            if not self.span(d).contains(row):
-                return False
-        return True
-
-    def closure_report(self, max_pairs: int = 40):
-        """Spot-check that products of basis elements stay in the span.
-
-        Only the first two elements of each layer enter, and at most
-        `max_pairs` products, so passing proves nothing: "closed" is False
-        with the witness degrees when a product leaves the span, and None
-        with "sampled" set otherwise."""
-        top = self.max_degree
-        pairs = (
-            (a, b, pa * pb)
-            for a in range(1, top + 1)
-            for b in range(a, top + 1 - a)
-            for pa in self.layer(a)[:2]
-            for pb in self.layer(b)[:2]
-        )
-        checked = 0
-        for a, b, product in islice(pairs, max_pairs):
-            checked += 1
-            if not self.contains(product):
-                return {"closed": False, "pairs_checked": checked, "witness_degrees": (a, b)}
-        return {"closed": None, "sampled": True, "pairs_checked": checked}
 
 
 class FreenessCertificate:
@@ -249,7 +209,12 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
             "use cw_valued_basis"
         )
     _check_ring(group, p)
-    conditions = _hyperplane_conditions(group, mult)
+    return _satisfies(group, _hyperplane_conditions(group, mult), p)
+
+
+def _satisfies(group: ReflectionGroup, conditions, p: Polynomial) -> bool:
+    """Whether p meets `conditions` (`_hyperplane_conditions`): no term
+    deleted, and every constraint row sums to zero on p's coefficients."""
     sums: dict = {}
     for e, c in p.terms.items():
         entries = _constraint_entries(group, conditions, e)
@@ -258,6 +223,31 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
         for key, u, v in entries:
             sums[key] = sums.get(key, 0) + c * (group.roots[u] * v)
     return not any(sums.values())
+
+
+def closure_report(basis: GradedBasis, max_pairs: int = 40):
+    """Spot-check that products of elements of a `quasi_basis` satisfy its
+    congruences.
+
+    Only the first two elements of each layer enter, and at most
+    `max_pairs` products, so passing proves nothing: "closed" is False
+    with the witness degrees when a product fails the congruences, and None
+    with "sampled" set otherwise."""
+    conditions = _hyperplane_conditions(basis.group, basis.multiplicity)
+    top = basis.max_degree
+    pairs = (
+        (a, b, pa * pb)
+        for a in range(1, top + 1)
+        for b in range(a, top + 1 - a)
+        for pa in basis.layer(a)[:2]
+        for pb in basis.layer(b)[:2]
+    )
+    checked = 0
+    for a, b, product in islice(pairs, max_pairs):
+        checked += 1
+        if not _satisfies(basis.group, conditions, product):
+            return {"closed": False, "pairs_checked": checked, "witness_degrees": (a, b)}
+    return {"closed": None, "sampled": True, "pairs_checked": checked}
 
 
 def _check_ring(group: ReflectionGroup, p: Polynomial) -> None:
@@ -585,15 +575,13 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
         raise DomainError("need componentwise m <= m'")
     low = quasi_basis(group, mult_low, max_degree)
     high = quasi_basis(group, mult_high, max_degree)
-    codims = []
-    witness = None
-    included = True
-    for d in range(max_degree + 1):
-        if not all(low.contains(p) for p in high.layer(d)):
-            included = False
-        codims.append(len(low.layer(d)) - len(high.layer(d)))
-        if witness is None and codims[-1] > 0:
-            witness = next(p for p in low.layer(d) if not high.contains(p))
+    codims = [a - b for a, b in zip(low.dims(), high.dims())]
+    rows_low = _hyperplane_conditions(group, mult_low)
+    included = all(_satisfies(group, rows_low, p) for layer in high.layers for p in layer)
+    rows_high = _hyperplane_conditions(group, mult_high)
+    # the first element of Q_m outside Q_(m') in the first degree of positive codim
+    witness = next((p for d, c in enumerate(codims) if c > 0
+                    for p in low.layer(d) if not _satisfies(group, rows_high, p)), None)
     inv_dims = invariant_ring_dims(group, max_degree)
     inter_dims = _intersection_dims(group, max_degree)
     return {

@@ -17,7 +17,8 @@ from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
 from quasinv.poly import Polynomial, monomial_index, multiply_terms
-from quasinv.quasi import _ONE, GradedBasis, _primitive, _row, module_certificate, quasi_basis
+from quasinv.quasi import (_ONE, GradedBasis, _hyperplane_conditions, _primitive, _row,
+                           _satisfies, module_certificate, quasi_basis)
 
 __all__ = [
     "FiberProductAlgebra",
@@ -121,11 +122,14 @@ def ganea_step(q_m: GradedBasis) -> dict:
     variables = group.variables
     x = Polynomial.variable(variables, variables[0])
     x2 = x * x
-    # the ideal x^2 Q_m and the 2-dimensional quotient algebra
-    ideal = GradedBasis(group, None, max_degree, [
-        [x2 * p for p in q_m.layers[d - 2]] if d >= 2 else [] for d in range(max_degree + 1)
-    ])
-    quot_reps = [[p for p in layer if not ideal.contains(p)] for layer in q_m.layers]
+    # the ideal x^2 Q_m, one span per degree, and the 2-dimensional quotient algebra
+    ideal, quot_reps = [], []
+    for d in range(max_degree + 1):
+        index = monomial_index(variables, d)
+        span = span_of([_row(x2 * p, index) for p in q_m.layer(d - 2)] if d >= 2 else [],
+                       len(index))
+        ideal.append(span)
+        quot_reps.append([p for p in q_m.layer(d) if not span.contains(_row(p, index))])
     fiber_total = sum(len(r) for r in quot_reps)
 
     def project(p: Polynomial) -> Polynomial:
@@ -139,7 +143,7 @@ def ganea_step(q_m: GradedBasis) -> dict:
                 continue
             index = monomial_index(variables, d)
             exps = list(index)
-            rest = ideal.span(d).reduce(_row(p.homogeneous_component(d), index))
+            rest = ideal[d].reduce(_row(p.homogeneous_component(d), index))
             terms.update((exps[j], c) for j, c in rest.items())
         return Polynomial(variables, terms)
 
@@ -178,12 +182,13 @@ def q_m_mult(basis: GradedBasis) -> int:
 
 
 def _same_spans(a: GradedBasis, b: GradedBasis) -> bool:
-    """Whether two graded bases span the same subspace in every degree: with
-    equal dimensions, that holds exactly when every element of b lies in
-    the span of a."""
+    """Whether the graded basis a, independent in every degree, spans the
+    `quasi_basis` b degree by degree: with equal dimensions, that holds
+    exactly when every element of a satisfies the congruences of b."""
     if a.dims() != b.dims():
         return False
-    return all(a.contains(p) for layer in b.layers for p in layer)
+    conditions = _hyperplane_conditions(b.group, b.multiplicity)
+    return all(_satisfies(a.group, conditions, p) for layer in a.layers for p in layer)
 
 
 def ganea_tower(steps: int, max_degree: int) -> dict:
@@ -314,7 +319,7 @@ def presentation_check(m: int, max_degree: int) -> dict:
     through the bound.
     """
     group = parse_group("A1")
-    q_m = quasi_basis(group, Multiplicity.constant(group, m), max_degree)
+    dims = quasi_basis(group, Multiplicity.constant(group, m), max_degree).dims()
     wu, wv = 2 * m + 1, 2
     dims_ok = True
     kernel_ok = True
@@ -322,7 +327,7 @@ def presentation_check(m: int, max_degree: int) -> dict:
         monos = [(a, b) for a in range(d // wu + 1) for b in range(d // wv + 1)
                  if a * wu + b * wv == d]
         normal = [(a, b) for a, b in monos if a <= 1]
-        if len(normal) != len(q_m.layers[d]):
+        if len(normal) != dims[d]:
             dims_ok = False
         # kernel of the naive map: all monomials hit x^d, so it is the
         # difference lattice; it must match the principal ideal in dimension
