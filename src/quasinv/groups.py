@@ -35,6 +35,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from quasinv.errors import ParseError
@@ -64,10 +65,10 @@ class ReflectionGroup:
         self.rank = rank
         self.field = field  # "Q" or ("zeta", n)
         self.variables = tuple(variables)
-        self.elements = elements  # list of matrices (tuple of tuple rows)
-        self.order = len(elements)
+        self.elements = tuple(elements)  # matrices as tuples of tuple rows
+        self.order = len(self.elements)
         self.invariant_degrees = tuple(sorted(invariant_degrees))
-        self.fundamental_invariants = list(fundamental_invariants)
+        self.fundamental_invariants = tuple(fundamental_invariants)
 
         self.roots = _root_table(field)
         root_index = {r: j for j, r in enumerate(self.roots)}
@@ -96,12 +97,6 @@ class ReflectionGroup:
         if got is None:
             raise ValueError(f"group elements not closed: {what} is missing")
         return got
-
-    def mul(self, i: int, j: int) -> int:
-        return self._mul_table[i][j]
-
-    def inverse(self, i: int) -> int:
-        return self._inv_table[i]
 
     def identity_index(self) -> int:
         return self._ident
@@ -175,15 +170,9 @@ class ReflectionGroup:
                 image = frozenset(self._mul_table[row[s]][w_inv] for s in stab)
                 orbit_of[by_stabilizer[image]] = next_orbit
             next_orbit += 1
-        hyperplanes = [Hyperplane(a, len(stabilizers[idx]), orbit_of[idx], idx)
-                       for idx, a in enumerate(alphas)]
+        hyperplanes = tuple(Hyperplane(a, len(stabilizers[idx]), orbit_of[idx], idx)
+                            for idx, a in enumerate(alphas))
         return hyperplanes, stabilizers
-
-    def orbits(self):
-        out: dict = {}
-        for h in self.hyperplanes:
-            out.setdefault(h.orbit_id, []).append(h)
-        return out
 
     def stabilizer(self, h: Hyperplane):
         """Indices of elements fixing the hyperplane pointwise (a cyclic group)."""
@@ -306,9 +295,13 @@ def _default_variables(rank: int):
 MAX_GROUP_ORDER = 64
 
 
+@lru_cache(maxsize=64)
 def parse_group(spec: str) -> ReflectionGroup:
-    """Build a supported reflection group from its spec string.  Specs of
-    order above MAX_GROUP_ORDER are refused before anything is built."""
+    """The supported reflection group of a spec string, built once per
+    process and spec: every call with the same string returns the same
+    shared, immutable group.  Specs of order above MAX_GROUP_ORDER are
+    refused before anything is built.  A ParseError is raised again on
+    every call; errors are not cached."""
     text = spec.strip()
     if not text:
         raise ParseError("empty group spec")

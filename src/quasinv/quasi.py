@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, prod
+from operator import add
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -300,9 +301,11 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
         return GradedBasis(group, mult, max_degree, [layer(d) for d in range(max_degree + 1)])
     dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
     for k in range(group.rank):
-        kept = [a for a in range(max_degree + 1)
-                if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k)]
-        dims = [sum(dims[d - a] for a in kept if a <= d) for d in range(max_degree + 1)]
+        out = [0] * (max_degree + 1)
+        for a in range(max_degree + 1):
+            if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k):
+                out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
+        dims = out
     return GradedBasis(group, mult, max_degree, layer, dims)
 
 

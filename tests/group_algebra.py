@@ -13,6 +13,16 @@ from quasinv.fields import Cyclotomic
 from quasinv.poly import Polynomial
 
 
+def product(group, i: int, j: int) -> int:
+    """Index of w_i w_j, read off the group's multiplication table."""
+    return group._mul_table[i][j]
+
+
+def inverse(group, i: int) -> int:
+    """Index of w_i^(-1), read off the group's table of inverses."""
+    return group._inv_table[i]
+
+
 class GroupAlgebraElement:
     """Element of the group algebra: map from element index to coefficient."""
 
@@ -38,7 +48,7 @@ class GroupAlgebraElement:
         out: dict = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
-                k = self.group.mul(i, j)
+                k = product(self.group, i, j)
                 s = out.get(k, 0) + ci * cj
                 if s:
                     out[k] = s

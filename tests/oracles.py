@@ -15,14 +15,14 @@ import re
 from collections import Counter
 from fractions import Fraction
 
-from group_algebra import idempotent
+from group_algebra import idempotent, inverse
 from quasinv.poly import Polynomial, linear_coefficients, monomials_of_degree
 
 
 def act(group, i, p: Polynomial) -> Polynomial:
     """p o w_i^(-1), by substituting the linear forms x_k o w_i^(-1) given by
     the rows of the inverse matrix, expanded with the ring operations."""
-    inv = group.elements[group.inverse(i)]
+    inv = group.elements[inverse(group, i)]
     x = [Polynomial.variable(group.variables, name) for name in group.variables]
     forms = [sum((x[j] * c for j, c in enumerate(row) if c), Polynomial.zero(group.variables))
              for row in inv]

@@ -50,6 +50,13 @@ def test_demazure_domain_error_exit_code():
     assert "domain error" in err
 
 
+def test_half_integer_multiplicities_are_refused_on_the_command_line():
+    # the half-integer rank-one modules are reachable from Python only
+    code, out, err = call("hilbert", "--group", "A1", "--mult", "1/2")
+    assert code == 2
+    assert out == "" and "quasi_basis needs integer multiplicities" in err
+
+
 def test_demazure_applies():
     code, out, _ = call("demazure", "--group", "A1", "--mult", "1", "--apply", "x^5")
     assert code == 0

@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from group_algebra import GroupAlgebraElement, idempotent
+from group_algebra import GroupAlgebraElement, idempotent, inverse, product
 from oracles import brute_invariant_dims, brute_orbit_count
 from quasinv.errors import ParseError
 from quasinv.fields import Cyclotomic, cyclotomic_polynomial
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.hilbert import HilbertSeries
 from quasinv.poly import Polynomial, divisibility_order
-from quasinv.serialize import encode_polynomial
+from quasinv.quasi import freeness_certificate
+from quasinv.serialize import encode_coeff, encode_polynomial
 
 
 def test_parse_a1():
@@ -53,7 +54,7 @@ def test_product_elements_are_roots_of_unity_in_order(spec, orders, n):
     assert W.field == ("zeta", n)
     assert W.invariant_degrees == orders
     x = [Polynomial.variable(W.variables, v) for v in W.variables]
-    assert W.fundamental_invariants == [x[0] ** orders[0], x[1] ** orders[1]]
+    assert W.fundamental_invariants == (x[0] ** orders[0], x[1] ** orders[1])
     combos = list(itertools.product(*(range(ell) for ell in orders)))
     assert len(W.elements) == len(combos)
     for matrix, combo in zip(W.elements, combos):
@@ -87,6 +88,49 @@ def test_parse_errors(bad):
         parse_group(bad)
 
 
+def test_one_spec_gives_one_shared_group():
+    W = parse_group("I2(4)")
+    assert parse_group("I2(4)") is W
+    assert parse_group("I2(5)") is not W
+    assert parse_group("A1^2") is not parse_group("A1 x A1")
+    for field in ("elements", "hyperplanes", "fundamental_invariants"):
+        assert type(getattr(W, field)) is tuple, field
+
+
+def test_a_bad_spec_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ParseError, match="k >= 3"):
+            parse_group("I2(2)")
+
+
+def _snapshot(W):
+    """The encoded matrices, hyperplanes and invariants of a group."""
+    return repr((
+        [[[encode_coeff(c) for c in row] for row in m] for m in W.elements],
+        [(encode_polynomial(h.alpha), h.stabilizer_order, h.orbit_id, h.index)
+         for h in W.hyperplanes],
+        [encode_polynomial(f) for f in W.fundamental_invariants],
+        W.invariant_degrees,
+    ))
+
+
+def test_shared_groups_are_unchanged_by_certifying_the_freeness_strata():
+    # every per-orbit multiplicity with entries at most 2, at the criterion-2
+    # bound 4 (sum of the invariant degrees) + 4 max m: the pairs the
+    # freeness benchmark draws its queries from
+    specs = ("A1 x A1", "A1^3", "I2(3)", "I2(4)", "I2(5)", "I2(6)")
+    watched = {spec: _snapshot(parse_group(spec)) for spec in ("A1^3", "I2(6)")}
+    for spec in specs:
+        W = parse_group(spec)
+        orbit_ids = sorted({h.orbit_id for h in W.hyperplanes})
+        for values in itertools.product(range(3), repeat=len(orbit_ids)):
+            mult = Multiplicity(W, dict(zip(orbit_ids, values)))
+            degree = 4 * sum(W.invariant_degrees) + 4 * max(values)
+            assert freeness_certificate(W, mult, degree).status == "free"
+    for spec, before in watched.items():
+        assert _snapshot(parse_group(spec)) == before, spec
+
+
 def test_sign_action():
     W = parse_group("A1")
     x = Polynomial.variable(W.variables, "x")
@@ -103,7 +147,7 @@ def test_action_is_homomorphism():
     p = z1**2 * z2 + 3 * z2**3
     for _ in range(10):
         i, j = rng.randrange(W.order), rng.randrange(W.order)
-        assert W.act(W.mul(i, j), p) == W.act(i, W.act(j, p))
+        assert W.act(product(W, i, j), p) == W.act(i, W.act(j, p))
 
 
 def test_degree_two_invariant_of_dihedral():
@@ -284,7 +328,7 @@ def _character_blocks(group, exponents):
     for idx, exp in enumerate(exponents):
         key = []
         for i in diagonal:
-            m = group.elements[group.inverse(i)]
+            m = group.elements[inverse(group, i)]
             scalar = group.roots[0]
             for k, e in enumerate(exp):
                 for _ in range(e):
@@ -336,8 +380,8 @@ STRUCTURE_SPECS = ("A1", "A1^3", "Z/3", "Z/4", "A1 x Z/3", "Z/3 x Z/4",
 def _assert_structure_matches_matrices(W):
     products, inverses, identity = oracles.matrix_structure(W)
     assert W.identity_index() == identity
-    assert [W.inverse(i) for i in range(W.order)] == inverses
-    assert [[W.mul(i, j) for j in range(W.order)] for i in range(W.order)] == products
+    assert [inverse(W, i) for i in range(W.order)] == inverses
+    assert [[product(W, i, j) for j in range(W.order)] for i in range(W.order)] == products
     fixed = [oracles.fixed_hyperplane(W, i) for i in range(W.order)]
     forms = sorted({repr(encode_polynomial(a)) for a in fixed if a is not None})
     assert sorted(repr(encode_polynomial(h.alpha)) for h in W.hyperplanes) == forms
@@ -363,7 +407,7 @@ def test_signed_permutations_have_reflections_only_where_the_swap_product_is_one
         invariant_degrees=(2, 4), fundamental_invariants=[x1**2 + x2**2, x1**2 * x2**2],
     )
     _assert_structure_matches_matrices(W)
-    assert len(W.hyperplanes) == 4 and len(W.orbits()) == 2
+    assert len(W.hyperplanes) == 4 and len({h.orbit_id for h in W.hyperplanes}) == 2
 
 
 @pytest.mark.parametrize("spec", STRUCTURE_SPECS)
@@ -392,6 +436,7 @@ def test_constructor_refuses_elements_not_closed_under_products():
 
 @pytest.mark.parametrize("spec", ["A1^6", "A1^5 x Z/2", "Z/4 x Z/4 x Z/4", "I2(32)"])
 def test_order_64_groups_construct_within_a_second(spec):
+    parse_group.cache_clear()  # time a construction, not a cache hit
     start = time.perf_counter()
     W = parse_group(spec)
     elapsed = time.perf_counter() - start
