@@ -17,14 +17,14 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("errors", "DomainError InconclusiveError ParseError ReconstructionError"),
-        ("fields", "Cyclotomic Rational cyclotomic_polynomial"),
+        ("fields", "Cyclotomic Rational"),
         ("groups", "Multiplicity ReflectionGroup parse_group"),
         ("hilbert", "HilbertSeries gorenstein_shift hilbert_from_basis"),
         ("laurent", "LaurentElement"),
         ("linalg", "nullspace"),
-        ("poly", "Polynomial divisibility_order"),
-        ("quasi", "cw_valued_basis filtration_check freeness_certificate hilbert "
-                  "is_quasi_invariant quasi_basis"),
+        ("poly", "Polynomial"),
+        ("quasi", "filtration_check freeness_certificate hilbert is_quasi_invariant "
+                  "quasi_basis"),
         ("series", "ZQSeries"),
     )
     for name in names.split()

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 argument/parse errors (with usage) or a closed
 stdout, 2 domain errors, 3 inconclusive verdicts.  All JSON output is
 deterministic (sorted keys) and self-describing: it echoes the command, the
 inputs and the verification notes for each numeric claim, so outputs can be
-committed as golden files.  QUASINV_DEFAULT_QORDER overrides the
-q-truncation default of the commands that build q-series.
+committed as golden files.  The commands read no environment variable:
+the q-truncation of the q-series commands is `--qorder`, or
+`elliptic.DEFAULT_Q_ORDER` without it.
 
 Polynomials (`demazure --apply`) and characters (`exp member`, `chern
 --elem`) are read by one term grammar, `_parse_terms`.  Each subcommand
@@ -21,7 +22,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from quasinv import __version__
 from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
@@ -79,17 +80,6 @@ MAX_DIGITS = 1000
 # monomials of degree <= D in rank r, C(D + r, r): 4 * 194,580 (A1^4 through
 # D = 44, the largest in use) rounded up
 MAX_MONOMIALS = 800_000
-
-
-def default_q_order() -> int:
-    from quasinv.elliptic import DEFAULT_Q_ORDER
-    raw = os.environ.get("QUASINV_DEFAULT_QORDER")
-    if not raw:
-        return DEFAULT_Q_ORDER
-    try:
-        return _int_in(1, MAX_Q_ORDER)(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ParseError(f"QUASINV_DEFAULT_QORDER {exc}")
 
 
 # -- small input parsers -------------------------------------------------------
@@ -236,22 +226,10 @@ def emit(args, payload: dict, inputs: dict, checks: dict) -> None:
             "verification": checks,
             "payload": payload,
         }
-        print(json.dumps(envelope, sort_keys=True, indent=2, default=_json_default))
+        print(json.dumps(envelope, sort_keys=True, indent=2))
     else:
         for line in _tabulate(payload):
             print(line)
-
-
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return encode_rational(obj)
-    from quasinv.laurent import LaurentElement
-    from quasinv.poly import Polynomial
-    if isinstance(obj, Polynomial):
-        return encode_polynomial(obj)
-    if isinstance(obj, LaurentElement):
-        return encode_laurent(obj)
-    raise TypeError(f"cannot encode {type(obj).__name__}")
 
 
 def _tabulate(payload, prefix=""):
@@ -552,11 +530,21 @@ def cmd_fake(args) -> int:
             for chunk in args.assign.split(","):
                 try:
                     p_str, n_str = chunk.split(":")
-                    assignments[_int_in(None, MAX_PRIME)(p_str)] = int(n_str)
+                    p = _int_in(None, MAX_PRIME)(p_str)
                 except ValueError:
                     raise ParseError(f"bad assignment chunk {chunk!r}")
                 except argparse.ArgumentTypeError as exc:
                     raise ParseError(f"prime in --assign {exc}")
+                try:
+                    assignments[p] = _int_in(-MAX_NB, MAX_NB)(n_str)
+                except argparse.ArgumentTypeError as exc:
+                    raise ParseError(f"gluing degree in --assign {exc}")
+        # N_B, the lcm of the degrees, under the cap of --nb
+        nb = 1
+        for n in assignments.values():
+            nb = lcm(nb, n)
+            if nb > MAX_NB:
+                raise ParseError(f"N_B = lcm of the gluing degrees exceeds {MAX_NB}")
         result = fk.n_b(assignments)
         emit(args, result, {"assign": args.assign or ""},
              {"signs": "quadratic-residue signs recomputed per prime"})
@@ -601,12 +589,12 @@ def cmd_fake(args) -> int:
 
 def cmd_elliptic(args) -> int:
     from quasinv import elliptic as ell
-    if args.action == "sheafdims":  # no q-series: the q-order default is not read
+    if args.action == "sheafdims":  # no q-series, so no q-order
         result = ell.ell_sheaf_dims(args.mult)
         emit(args, result, {"multiplicity": args.mult},
              {"bookkeeping": "six-term exact sequence with rank-one middle map"})
         return 0
-    N = args.qorder if args.qorder is not None else default_q_order()
+    N = args.qorder if args.qorder is not None else ell.DEFAULT_Q_ORDER
     if args.action == "theta":
         lo, hi = _parse_window(args.window) if args.window else ell.DEFAULT_WINDOW
         emit(args, {"series": encode_zq_series(ell.theta(args.form, (lo, hi), N))},
@@ -737,7 +725,7 @@ def _suite_triple_product():
 
 def _suite_elliptic_sections():
     from quasinv import elliptic as ell
-    N = default_q_order()
+    N = ell.DEFAULT_Q_ORDER
     for n in range(1, 6):
         yield (f"dim sections({n}) = {2 * n}", ell.section_basis(n, N).dim() == 2 * n)
     for m in range(3):

@@ -278,15 +278,14 @@ def zq_exact_divide(f: ZQSeries, g: ZQSeries):
     return ZQSeries(coeffs, N)
 
 
-def theta_divisibility(f: ZQSeries, k: int, q_order: int | None = None) -> dict:
+def theta_divisibility(f: ZQSeries, k: int) -> dict:
     """Whether f is divisible by the k-th power of the odd theta function,
-    decided by the exact level-by-level division; a positive verdict returns
-    the quotient and the q-order of the certificate."""
-    if q_order is None:
-        q_order = f.q_order
-    if min(f.q_order, q_order) < 1:
+    decided by the exact level-by-level division through the q-order of f;
+    a positive verdict returns the quotient and the q-order of the
+    certificate."""
+    if f.q_order < 1:
         return {"verdict": "inconclusive", "reason": "empty certified q-range"}
-    th = theta("product", _wide_window(f, k), min(f.q_order, q_order))
+    th = theta("product", _wide_window(f, k), f.q_order)
     quotient = zq_exact_divide(f, th**k)
     if quotient is None:
         return {"verdict": False, "power": k}

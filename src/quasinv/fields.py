@@ -25,15 +25,9 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def cyclotomic_polynomial(n: int) -> list[int]:
-    """Integer coefficients of Phi_n, low degree first, computed by dividing
-    x^n - 1 by the product of Phi_d over proper divisors d of n."""
-    if n < 1:
-        raise ValueError("order must be positive")
-    return list(_phi_cache_get(n))
-
-
 def _phi_cache_get(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, n >= 1, low degree first, computed by
+    dividing x^n - 1 by the product of Phi_d over proper divisors d of n."""
     phi = _PHI_CACHE.get(n)
     if phi is None:
         num = [0] * (n + 1)

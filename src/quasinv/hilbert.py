@@ -42,7 +42,7 @@ class HilbertSeries:
     def is_palindromic(self) -> bool:
         return bool(self.numerator) and tuple(reversed(self.numerator)) == self.numerator
 
-    def numerator_string(self, var: str = "t") -> str:
+    def numerator_string(self) -> str:
         if not self.numerator:
             return "0"
         parts = []
@@ -52,7 +52,7 @@ class HilbertSeries:
             if k == 0:
                 parts.append(str(c))
             else:
-                mono = var if k == 1 else f"{var}^{k}"
+                mono = "t" if k == 1 else f"t^{k}"
                 if c == 1:
                     parts.append(mono)
                 elif c == -1:
@@ -62,8 +62,8 @@ class HilbertSeries:
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
 
-    def denominator_string(self, var: str = "t") -> str:
-        return "".join(f"(1-{var}^{d})" for d in self.denominator_exponents)
+    def denominator_string(self) -> str:
+        return "".join(f"(1-t^{d})" for d in self.denominator_exponents)
 
     def __repr__(self):
         return f"({self.numerator_string()}) / {self.denominator_string()}"

@@ -161,8 +161,7 @@ def _dense(f: LaurentElement, base: int):
 def order_at_one(f: LaurentElement):
     """Order of vanishing at z = 1 of a Laurent polynomial with integer
     z-exponents: the largest k with (1 - z)^k dividing f after clearing
-    z-denominators.  Returns math.inf for f = 0, the sentinel of
-    `poly.divisibility_order`."""
+    z-denominators.  Returns math.inf (`poly.INFINITE_ORDER`) for f = 0."""
     if not f:
         return math.inf
     if not f.has_integer_z_exponents():

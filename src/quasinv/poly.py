@@ -224,21 +224,6 @@ def divide_by_linear(p: Polynomial, alpha: Polynomial):
     return quotient, remainder
 
 
-def divisibility_order(p: Polynomial, alpha: Polynomial):
-    """Largest k with alpha^k dividing p exactly, counted as the exact rounds
-    of `divide_by_linear` before a nonzero remainder; the infinite sentinel
-    for p = 0.  A form that is not linear is refused, also for p = 0."""
-    linear_coefficients(alpha)
-    if not p:
-        return INFINITE_ORDER
-    k = 0
-    while True:
-        p, rem = divide_by_linear(p, alpha)
-        if rem:
-            return k
-        k += 1
-
-
 def exact_quotient_by_power(p: Polynomial, alpha: Polynomial, k: int) -> Polynomial:
     """p / alpha^k, raising if the division is not exact."""
     q = p

@@ -47,7 +47,6 @@ from quasinv.poly import Polynomial, linear_coefficients, monomial_index, multip
 __all__ = [
     "GradedBasis",
     "FreenessCertificate",
-    "CWValuedElement",
     "is_quasi_invariant",
     "closure_report",
     "quasi_basis",
@@ -55,7 +54,6 @@ __all__ = [
     "freeness_certificate",
     "module_certificate",
     "gorenstein_shift",
-    "cw_valued_basis",
     "filtration_check",
     "invariant_ring_dims",
 ]
@@ -206,8 +204,7 @@ def is_quasi_invariant(group: ReflectionGroup, mult: Multiplicity, p: Polynomial
     constraint rows that `quasi_basis` solves."""
     if not mult.is_integer():
         raise DomainError(
-            "half-integer multiplicities define a module, not a subalgebra; "
-            "use cw_valued_basis"
+            "half-integer multiplicities define a module, not a subalgebra"
         )
     _check_ring(group, p)
     return _satisfies(group, _hyperplane_conditions(group, mult), p)
@@ -507,56 +504,6 @@ def freeness_certificate(group: ReflectionGroup, mult: Multiplicity,
     if group.is_coxeter() and mult.is_integer():
         predicted = group.rank - 2 * mult.coxeter_total()
     return module_certificate(group, basis, predicted_shift=predicted)
-
-
-# -- group-algebra-valued quasi-invariants in rank one --------------------------------
-
-
-class CWValuedElement:
-    """p * e0 + q * e1 with one-variable polynomial coefficients, where
-    e0 = (1+s)/2 and e1 = (1-s)/2 in the rank-one group algebra."""
-
-    VARS = ("x",)
-
-    def __init__(self, p: Polynomial, q: Polynomial):
-        self.p = p
-        self.q = q
-
-    @staticmethod
-    def from_pair(p_coeffs: dict, q_coeffs: dict) -> "CWValuedElement":
-        p = Polynomial(CWValuedElement.VARS, {(k,): c for k, c in p_coeffs.items()})
-        q = Polynomial(CWValuedElement.VARS, {(k,): c for k, c in q_coeffs.items()})
-        return CWValuedElement(p, q)
-
-    def __add__(self, other):
-        return CWValuedElement(self.p + other.p, self.q + other.q)
-
-    def __eq__(self, other):
-        if not isinstance(other, CWValuedElement):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
-
-    def __repr__(self):
-        return f"({self.p})*e0 + ({self.q})*e1"
-
-
-def cw_valued_basis(k, max_degree: int):
-    """Degreewise basis of Q[x] e0 + Q[x] x^(2k) e1 for half-integer k >= 0.
-
-    Layer d holds x^d e0 always and x^d e1 exactly when d >= 2k; for integer
-    k = m the e0-projection reproduces the graded dimensions of Q_m.
-    """
-    k = Fraction(k)
-    if k < 0 or (2 * k).denominator != 1:
-        raise DomainError("multiplicity must be a non-negative half-integer")
-    threshold = int(2 * k)
-    layers = []
-    for d in range(max_degree + 1):
-        layer = [CWValuedElement.from_pair({d: 1}, {})]
-        if d >= threshold:
-            layer.append(CWValuedElement.from_pair({}, {d: 1}))
-        layers.append(layer)
-    return layers
 
 
 # -- filtration ------------------------------------------------------------------------

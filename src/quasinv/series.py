@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quasinv.errors import InconclusiveError
 from quasinv.fields import RingOps
 
 
@@ -98,7 +97,7 @@ class ZQSeries(RingOps):
 
     A coefficient is stored as an int when it is integral and as a Fraction
     only where a division made it one; `q_slice` and `coefficient` return
-    Fractions either way.  Equal only at equal q-order (`agree_through`
+    Fractions either way.  Equal only at equal q-order (`a == b.truncate_q(n)`
     compares across orders), never to a scalar."""
 
     __slots__ = ("coeffs", "q_order")
@@ -212,16 +211,8 @@ class ZQSeries(RingOps):
     def __eq__(self, other):
         if not isinstance(other, ZQSeries):
             return NotImplemented
-        # equal certified orders only: agree_through compares across orders
+        # equal certified orders only: truncate_q the longer one first to compare
         return self.q_order == other.q_order and self.coeffs == other.coeffs
-
-    def agree_through(self, other: "ZQSeries", q_through: int) -> bool:
-        """Coefficientwise equality for q-exponents < q_through."""
-        if min(self.q_order, other.q_order) < q_through:
-            raise InconclusiveError("series not certified through requested q-order")
-        a = {k: c for k, c in self.coeffs.items() if k[1] < q_through}
-        b = {k: c for k, c in other.coeffs.items() if k[1] < q_through}
-        return a == b
 
     def __repr__(self):
         n = len(self.coeffs)

@@ -8,7 +8,9 @@ This deliberately avoids the library's eigen-coordinate constraint rows.  The
 group acts here by substituting the linear forms of the inverse matrices
 (`act`), not through the library's closed-form monomial action, and the
 character idempotents come from the literal group algebra of
-`group_algebra`.
+`group_algebra`.  The half-integer rank-one modules and the Hilbert series
+numerators of Q_m are written down in closed form (`cw_valued_basis`,
+`closed_form_numerator`).
 """
 
 import re
@@ -16,6 +18,7 @@ from collections import Counter
 from fractions import Fraction
 
 from group_algebra import idempotent, inverse
+from quasinv.errors import DomainError
 from quasinv.poly import Polynomial, linear_coefficients, monomials_of_degree
 
 
@@ -356,3 +359,55 @@ def closed_form_numerator(spec: str, values) -> Counter:
             for b in factor:
                 num[a + b] += c
     return num
+
+
+# -- the half-integer modules in rank one, in closed form ----------------------
+# `tower.h_t_invariants` realizes them as fiber products; this basis is the
+# reference that its layer dimensions are compared against.
+
+
+class CWValuedElement:
+    """p * e0 + q * e1 with one-variable polynomial coefficients, where
+    e0 = (1+s)/2 and e1 = (1-s)/2 in the rank-one group algebra."""
+
+    VARS = ("x",)
+
+    def __init__(self, p: Polynomial, q: Polynomial):
+        self.p = p
+        self.q = q
+
+    @staticmethod
+    def from_pair(p_coeffs: dict, q_coeffs: dict) -> "CWValuedElement":
+        p = Polynomial(CWValuedElement.VARS, {(k,): c for k, c in p_coeffs.items()})
+        q = Polynomial(CWValuedElement.VARS, {(k,): c for k, c in q_coeffs.items()})
+        return CWValuedElement(p, q)
+
+    def __add__(self, other):
+        return CWValuedElement(self.p + other.p, self.q + other.q)
+
+    def __eq__(self, other):
+        if not isinstance(other, CWValuedElement):
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __repr__(self):
+        return f"({self.p})*e0 + ({self.q})*e1"
+
+
+def cw_valued_basis(k, max_degree: int):
+    """Degreewise basis of Q[x] e0 + Q[x] x^(2k) e1 for half-integer k >= 0.
+
+    Layer d holds x^d e0 always and x^d e1 exactly when d >= 2k; for integer
+    k = m the e0-projection reproduces the graded dimensions of Q_m.
+    """
+    k = Fraction(k)
+    if k < 0 or (2 * k).denominator != 1:
+        raise DomainError("multiplicity must be a non-negative half-integer")
+    threshold = int(2 * k)
+    layers = []
+    for d in range(max_degree + 1):
+        layer = [CWValuedElement.from_pair({d: 1}, {})]
+        if d >= threshold:
+            layer.append(CWValuedElement.from_pair({}, {d: 1}))
+        layers.append(layer)
+    return layers

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import brute_quasi_dims
+from oracles import brute_quasi_dims, cw_valued_basis
 from test_quasi import _certificate_outcome, _reference_outcome
 from quasinv.demazure import (
     chern_character,
@@ -36,7 +36,6 @@ from quasinv.groups import Multiplicity, parse_group
 from quasinv.laurent import LaurentElement
 from quasinv.poly import Polynomial
 from quasinv.quasi import (
-    cw_valued_basis,
     freeness_certificate,
     hilbert,
     quasi_basis,

@@ -28,6 +28,8 @@ from quasinv.cli import (
 )
 
 HERE = os.path.dirname(__file__)
+# two gluing degrees whose lcm N_B once overflowed the int-to-str digit limit
+MANY_DIGIT_ASSIGN = "3:" + "7" * 4000 + ",5:1" + "0" * 3998 + "1"
 
 
 def call(*argv):
@@ -137,14 +139,6 @@ def test_elliptic_sheafdims_command():
     assert "h1: 6" in out
 
 
-def test_qorder_env_override(monkeypatch):
-    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", "6")
-    code, out, _ = call("elliptic", "theta", "--form", "product", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["payload"]["series"]["q_order"] == 6
-
-
 def test_missing_action_flags_are_parse_errors():
     for argv in (
         ("exp", "member", "--mult", "1"),
@@ -181,19 +175,6 @@ def test_bounded_integers_are_refused():
         assert out == "" and "must be at least" in err
 
 
-def test_qorder_env_override_is_bounded(monkeypatch):
-    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", "0")
-    code, out, err = call("elliptic", "theta", "--form", "product")
-    assert code == 1
-    assert out == "" and "must be at least 1" in err
-    for action in ("sections", "elldim"):
-        code, out, err = call("elliptic", action)
-        assert code == 1 and out == "" and "must be at least 1" in err, action
-    # the sheaf bookkeeping builds no q-series, so it never reads the default
-    code, out, err = call("elliptic", "sheafdims", "--mult", "2")
-    assert code == 0 and "h1: 6" in out and not err
-
-
 def test_integer_options_are_capped():
     # one past each cap: every refusal comes before any computation
     deg, steps, qorder, order, mult, n, prime, nb = (str(cap + 1) for cap in (
@@ -228,6 +209,18 @@ def test_integer_options_are_capped():
         code, out, err = call(*argv)
         assert code == 1, argv
         assert out == "" and "must be at most" in err, argv
+
+
+def test_fake_nb_past_its_caps_is_refused():
+    # one past the cap on a gluing degree and on N_B = lcm (about 10^18)
+    for assign in (f"3:{MAX_NB + 1}", f"3:{-MAX_NB - 1}", "5:999999999,7:999999998",
+                   MANY_DIGIT_ASSIGN):
+        for json_flag in ((), ("--json",)):
+            code, out, err = call("fake", "nb", "--assign", assign, *json_flag)
+            assert code == 1, assign
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, assign
+    code, out, _ = call("fake", "nb", "--assign", f"5:{MAX_NB - 1},2:1", "--json")
+    assert code == 0 and json.loads(out)["payload"]["N_B"] == MAX_NB - 1
 
 
 def test_windows_are_capped():
@@ -317,13 +310,6 @@ def test_malformed_expressions_are_refused():
         code, out, err = call(*member, f"--elem={text}")
         assert code == 1, text
         assert out == "" and err.startswith("error: "), text
-
-
-def test_qorder_env_override_is_capped(monkeypatch):
-    monkeypatch.setenv("QUASINV_DEFAULT_QORDER", str(MAX_Q_ORDER + 1))
-    code, out, err = call("elliptic", "theta", "--form", "product")
-    assert code == 1
-    assert out == "" and f"must be at most {MAX_Q_ORDER}" in err
 
 
 def test_malformed_multiplicities_are_parse_errors():
@@ -435,7 +421,7 @@ ARGVS = st.one_of(
     _command("chern", mult=small, order=small, elem=st.sampled_from(CHARACTERS)),
     _actions(("fake",), ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
              elem=st.sampled_from(SERIES), mult=small, order=small, nb=nbs, prime=small,
-             assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x"))),
+             assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x", MANY_DIGIT_ASSIGN))),
     _actions(("elliptic",), ("theta", "sections", "elldim", "sheafdims"),
              form=st.sampled_from(("sum", "product")), qorder=small, window=windows,
              n=small, mult=small),
@@ -502,14 +488,14 @@ def test_closed_stdout_exits_1_with_a_message():
 def test_package_names_resolve_to_their_defining_modules():
     # the imports the package made eagerly before its names became lazy
     from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
-    from quasinv.fields import Cyclotomic, Rational, cyclotomic_polynomial
+    from quasinv.fields import Cyclotomic, Rational
     from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
     from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
     from quasinv.laurent import LaurentElement
     from quasinv.linalg import nullspace
-    from quasinv.poly import Polynomial, divisibility_order
-    from quasinv.quasi import (cw_valued_basis, filtration_check, freeness_certificate,
-                               hilbert, is_quasi_invariant, quasi_basis)
+    from quasinv.poly import Polynomial
+    from quasinv.quasi import (filtration_check, freeness_certificate, hilbert,
+                               is_quasi_invariant, quasi_basis)
     from quasinv.series import ZQSeries
 
     expected = {name: value for name, value in locals().items()}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasinv import fields
-from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.fields import Cyclotomic, _phi_cache_get
 
 
 def conjugate(a: Cyclotomic) -> Cyclotomic:
@@ -22,14 +22,14 @@ def rational_part(a: Cyclotomic):
 
 
 def test_cyclotomic_polynomials():
-    assert cyclotomic_polynomial(1) == [-1, 1]
-    assert cyclotomic_polynomial(2) == [1, 1]
-    assert cyclotomic_polynomial(3) == [1, 1, 1]
-    assert cyclotomic_polynomial(4) == [1, 0, 1]
-    assert cyclotomic_polynomial(6) == [1, -1, 1]
-    assert cyclotomic_polynomial(8) == [1, 0, 0, 0, 1]
-    assert cyclotomic_polynomial(10) == [1, -1, 1, -1, 1]
-    assert cyclotomic_polynomial(12) == [1, 0, -1, 0, 1]
+    assert _phi_cache_get(1) == (-1, 1)
+    assert _phi_cache_get(2) == (1, 1)
+    assert _phi_cache_get(3) == (1, 1, 1)
+    assert _phi_cache_get(4) == (1, 0, 1)
+    assert _phi_cache_get(6) == (1, -1, 1)
+    assert _phi_cache_get(8) == (1, 0, 0, 0, 1)
+    assert _phi_cache_get(10) == (1, -1, 1, -1, 1)
+    assert _phi_cache_get(12) == (1, 0, -1, 0, 1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 10])
@@ -43,7 +43,7 @@ def test_zeta_has_order_n(n):
 
 
 def _random_element(rng, n):
-    d = len(cyclotomic_polynomial(n)) - 1
+    d = len(_phi_cache_get(n)) - 1
     return Cyclotomic(n, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)])
 
 
@@ -101,7 +101,7 @@ _RATIONALS = st.one_of(
 @st.composite
 def _element_and_rational(draw):
     n = draw(st.sampled_from([3, 4, 5, 6, 8, 10, 12]))
-    d = len(cyclotomic_polynomial(n)) - 1
+    d = len(_phi_cache_get(n)) - 1
     coords = draw(st.lists(_RATIONALS, min_size=d, max_size=d))
     return Cyclotomic(n, coords), draw(_RATIONALS)
 
@@ -129,7 +129,7 @@ class FractionCyclotomic:
     shares no arithmetic with the code under test."""
 
     def __init__(self, n, coords):
-        phi = cyclotomic_polynomial(n)
+        phi = _phi_cache_get(n)
         d = len(phi) - 1
         c = [Fraction(x) for x in coords] + [Fraction(0)] * d
         for k in range(len(c) - 1, d - 1, -1):
@@ -171,7 +171,7 @@ class FractionCyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        r0 = [Fraction(c) for c in _phi_cache_get(self.n)]
         r1 = list(self.coords)
         s0, s1 = [Fraction(0)], [Fraction(1)]
         while True:
@@ -225,7 +225,7 @@ def _elements(draw, count):
     """`count` elements of one Q(zeta_n), built from coordinate lists that may
     run past deg(Phi_n), so the constructor's reduction takes part."""
     n = draw(st.sampled_from(_ORDERS))
-    coords = st.lists(_RATIONALS, max_size=len(cyclotomic_polynomial(n)) + 3)
+    coords = st.lists(_RATIONALS, max_size=len(_phi_cache_get(n)) + 3)
     return [Cyclotomic(n, draw(coords)) for _ in range(count)]
 
 
@@ -237,7 +237,7 @@ def _assert_canonical(c):
     assert type(c) is Cyclotomic
     assert type(c.den) is int and c.den > 0
     assert all(type(x) is int for x in c.nums)
-    assert len(c.nums) == len(cyclotomic_polynomial(c.n)) - 1
+    assert len(c.nums) == len(_phi_cache_get(c.n)) - 1
     assert math.gcd(c.den, *c.nums) == 1
     assert all(type(x) is Fraction for x in c.coords)
 

@@ -2,8 +2,8 @@
 
 The files in tests/golden/ hold
 - the `--json` stdout and exit code of every `quasinv ...` line of
-  README.md, run in-process through `cli.run` with QUASINV_DEFAULT_QORDER
-  unset (`replay --suite all --json` is one of them);
+  README.md, run in-process through `cli.run` (`replay --suite all
+  --json` is one of them);
 - the stdout of each script in demos/.
 
 After a deliberate output change, and only then, regenerate them with
@@ -46,7 +46,6 @@ def run_json(argv):
 
 def demo_stdout(path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    env.pop("QUASINV_DEFAULT_QORDER", None)
     done = subprocess.run([sys.executable, path], cwd=ROOT, env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
@@ -56,8 +55,7 @@ def _demo_golden(path):
     return os.path.join(GOLDEN, "demos", os.path.basename(path)[:-3] + ".txt")
 
 
-def test_readme_commands_match_golden(monkeypatch):
-    monkeypatch.delenv("QUASINV_DEFAULT_QORDER", raising=False)
+def test_readme_commands_match_golden():
     with open(README_GOLDEN) as fh:
         golden = json.load(fh)
     assert [record["argv"] for record in golden] == readme_argvs()
@@ -73,7 +71,6 @@ def test_demo_stdout_matches_golden(demo):
 
 
 if __name__ == "__main__":
-    os.environ.pop("QUASINV_DEFAULT_QORDER", None)
     with open(README_GOLDEN, "w") as fh:
         json.dump([run_json(argv) for argv in readme_argvs()], fh, indent=1)
         fh.write("\n")

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from divisibility import divisibility_order
 from group_algebra import GroupAlgebraElement, idempotent, inverse, product
 from oracles import brute_invariant_dims, brute_orbit_count
 from quasinv.errors import ParseError
-from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.fields import Cyclotomic, _phi_cache_get
 from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
 from quasinv.hilbert import HilbertSeries
-from quasinv.poly import Polynomial, divisibility_order
+from quasinv.poly import Polynomial
 from quasinv.quasi import freeness_certificate
 from quasinv.serialize import encode_coeff, encode_polynomial
 
@@ -270,7 +271,7 @@ def _coefficient(draw, group):
     if group.field == "Q" or draw(st.booleans()):
         return q
     n = group.field[1]
-    d = len(cyclotomic_polynomial(n)) - 1
+    d = len(_phi_cache_get(n)) - 1
     return Cyclotomic(n, draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d)))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_inv, dense_rref
-from quasinv.fields import Cyclotomic, cyclotomic_polynomial
+from quasinv.fields import Cyclotomic, _phi_cache_get
 from quasinv.linalg import IncrementalSpan, SparseRow, nullspace, span_of
 from quasinv.serialize import encode_coeff
 from span_matrix import rank, rref
@@ -154,7 +154,7 @@ def _sparse_case(draw):
         value = small
         zero = st.just(Fraction(0))
     else:
-        d = len(cyclotomic_polynomial(n)) - 1
+        d = len(_phi_cache_get(n)) - 1
         value = st.lists(small, min_size=d, max_size=d).map(lambda cs: Cyclotomic(n, cs))
         zero = st.just(Cyclotomic(n, [0]) if zeros_typed else Fraction(0))
     one = st.just(Fraction(1) if n is None else Cyclotomic(n, [1]))
@@ -237,7 +237,7 @@ def _sparse_rows(draw):
     if n is None:
         value = small
     else:
-        d = len(cyclotomic_polynomial(n)) - 1
+        d = len(_phi_cache_get(n)) - 1
         value = st.one_of(small.map(lambda c: Cyclotomic(n, [c])),
                           st.lists(small | st.just(Fraction(0)), min_size=d, max_size=d)
                           .map(lambda cs: Cyclotomic(n, cs)).filter(bool))

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divisibility import divisibility_order
 from quasinv.fields import Cyclotomic
 from quasinv.poly import (
     Polynomial,
     divide_by_linear,
-    divisibility_order,
     exact_quotient_by_power,
     monomials_of_degree,
     multiply_terms,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dense_reference import coordinate_vector
 from group_algebra import GroupAlgebraElement, idempotent
-from oracles import brute_is_quasi_invariant, brute_quasi_dims
+from oracles import CWValuedElement, brute_is_quasi_invariant, brute_quasi_dims, cw_valued_basis
 from quasinv import quasi
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
@@ -24,7 +24,6 @@ from quasinv.poly import (
     multiply_terms,
 )
 from quasinv.quasi import (
-    CWValuedElement,
     GradedBasis,
     _constraint_entries,
     _hyperplane_conditions,
@@ -32,7 +31,6 @@ from quasinv.quasi import (
     _row,
     _solve_layer,
     closure_report,
-    cw_valued_basis,
     filtration_check,
     freeness_certificate,
     hilbert,

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from dense_reference import coordinate_vector, dense_coordinates, dense_rref
+from oracles import cw_valued_basis
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.linalg import IncrementalSpan, nullspace, span_of
 from quasinv.poly import Polynomial, monomials_of_degree
-from quasinv.quasi import GradedBasis, cw_valued_basis, module_certificate, quasi_basis
+from quasinv.quasi import GradedBasis, module_certificate, quasi_basis
 from quasinv.serialize import encode_hilbert, encode_polynomial
 from quasinv.tower import (
     coinvariant_dimension,
