@@ -54,11 +54,11 @@ def _int_in(low, high: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text[:20]!r}")
         if low is not None and value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {str(value)[:20]}")
         if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {str(value)[:20]}")
         return value
 
     return check
@@ -87,7 +87,8 @@ MAX_MONOMIALS = 800_000
 
 def parse_multiplicity(group, text: str) -> Multiplicity:
     """Either a constant ("2", "1/2") or per-orbit values "0:2,1:1"; vector
-    values for orbits with stabilizer order > 2 use plus signs: "0:1+2"."""
+    values for orbits with stabilizer order > 2 use plus signs: "0:1+2".
+    Each value and each vector entry is at most MAX_MULT."""
     from quasinv.groups import Multiplicity
     text = text.strip()
     if not text:
@@ -100,17 +101,18 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
     values = {}
     for chunk in text.split(","):
         if ":" not in chunk:
-            raise ParseError(f"bad multiplicity chunk {chunk!r}")
+            raise ParseError(f"bad multiplicity chunk {chunk[:20]!r}")
         orbit_str, val = chunk.split(":", 1)
         try:
             orbit = int(orbit_str)
         except ValueError:
-            raise ParseError(f"bad orbit id {orbit_str!r}")
+            raise ParseError(f"bad orbit id {orbit_str[:20]!r}")
         if "+" in val:
             try:
                 values[orbit] = tuple(int(v) for v in val.split("+"))
             except ValueError:
-                raise ParseError(f"bad multiplicity vector {val!r}")
+                raise ParseError(f"bad multiplicity vector {val[:20]!r}")
+            _check_mult_cap(max(values[orbit]), val)
         else:
             values[orbit] = _parse_value(val)
     try:
@@ -121,9 +123,16 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
 
 def _parse_value(text: str):
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad multiplicity value {text!r}")
+        raise ParseError(f"bad multiplicity value {text[:20]!r}")
+    _check_mult_cap(value, text)
+    return value
+
+
+def _check_mult_cap(value, text: str) -> None:
+    if value > MAX_MULT:
+        raise ParseError(f"a multiplicity must be at most {MAX_MULT}, got {text[:20]!r}")
 
 
 _TOKEN = re.compile(r"\^\s*(?:\(-?\d+\)|-?\d+)|\d+(?:/\d+)?|[A-Za-z][A-Za-z0-9]*|\S", re.ASCII)
@@ -198,7 +207,7 @@ def _rational(text: str) -> Fraction:
     if any(len(part) > MAX_DIGITS for part in parts):
         raise ParseError(f"a coefficient has more than {MAX_DIGITS} digits")
     if len(parts) == 2 and not int(parts[1]):
-        raise ParseError(f"zero denominator in {text!r}")
+        raise ParseError(f"zero denominator in {text[:20]!r}")
     return Fraction(text)
 
 
@@ -444,7 +453,7 @@ def cmd_demazure(args) -> int:
     W = parse_group(args.group)
     mult = parse_multiplicity(W, args.mult)
     p = parse_polynomial(W, args.apply)
-    if not 0 <= args.hyperplane < len(W.hyperplanes):
+    if args.hyperplane >= len(W.hyperplanes):
         raise ParseError(f"--hyperplane must lie in 0..{len(W.hyperplanes) - 1}, "
                          f"got {args.hyperplane}")
     h = W.hyperplanes[args.hyperplane]
@@ -496,13 +505,16 @@ def cmd_exp(args) -> int:
 
 
 def _parse_window(text: str):
+    """lo:hi with both ends in [-MAX_WINDOW, MAX_WINDOW]; an end with more
+    digits than the cap is refused before int() reads it."""
     m = re.fullmatch(r"\s*(-?\d+)\s*:\s*(-?\d+)\s*", text)
     if not m:
-        raise ParseError(f"window must look like lo:hi, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2))
-    if max(-lo, hi) > MAX_WINDOW:
-        raise ParseError(f"window must lie within -{MAX_WINDOW}:{MAX_WINDOW}, got {text!r}")
-    return lo, hi
+        raise ParseError(f"window must look like lo:hi, got {text[:20]!r}")
+    ends = m.groups()
+    if any(len(end.lstrip("-0")) > len(str(MAX_WINDOW)) or abs(int(end)) > MAX_WINDOW
+           for end in ends):
+        raise ParseError(f"window must lie within -{MAX_WINDOW}:{MAX_WINDOW}, got {text[:20]!r}")
+    return int(ends[0]), int(ends[1])
 
 
 def cmd_chern(args) -> int:
@@ -532,7 +544,7 @@ def cmd_fake(args) -> int:
                     p_str, n_str = chunk.split(":")
                     p = _int_in(None, MAX_PRIME)(p_str)
                 except ValueError:
-                    raise ParseError(f"bad assignment chunk {chunk!r}")
+                    raise ParseError(f"bad assignment chunk {chunk[:20]!r}")
                 except argparse.ArgumentTypeError as exc:
                     raise ParseError(f"prime in --assign {exc}")
                 try:
@@ -562,7 +574,7 @@ def cmd_fake(args) -> int:
     try:
         coeffs = [int(c) for c in args.series.split(",")]
     except ValueError:
-        raise ParseError(f"bad series coefficients {args.series!r}")
+        raise ParseError(f"bad series coefficients {args.series[:20]!r}")
     order = max(args.order, 0)  # the ring refuses orders below 3 as a domain error
     ring = fk.qmb(PowerSeries(coeffs, order), args.mult, order)
     payload = {"ring": repr(ring), "recursion_verified": ring.recursion_verified}
@@ -570,7 +582,7 @@ def cmd_fake(args) -> int:
         try:
             f = PowerSeries([int(c) for c in args.elem.split(",")], order)
         except ValueError:
-            raise ParseError(f"bad element coefficients {args.elem!r}")
+            raise ParseError(f"bad element coefficients {args.elem[:20]!r}")
         verdict = ring.membership(f)
         payload["element"] = list(f.coeffs)
         payload["membership"] = verdict
@@ -835,7 +847,8 @@ def build_parser() -> _Parser:
     p.add_argument("--group", required=True)
     p.add_argument("--mult", required=True)
     p.add_argument("--apply", required=True, help="polynomial expression")
-    p.add_argument("--hyperplane", type=int, default=0)
+    # group orders stop at 64, so no index past 63 names a hyperplane
+    p.add_argument("--hyperplane", type=_int_in(0, 64), default=0)
 
     p = add("exp", cmd_exp, help="exponential quasi-invariants")
     p.add_argument("action", choices=("basis", "member"))

@@ -21,17 +21,6 @@ from quasinv.series import PowerSeries
 
 NORMALIZATION_CONSTANT = 2  # value of delta_m on x^(2m+1) in rank one
 
-__all__ = [
-    "delta_classical",
-    "delta_m",
-    "lambda_op",
-    "is_exp_quasi_invariant",
-    "ExpQuasiRing",
-    "exp_basis",
-    "chern_character",
-    "NORMALIZATION_CONSTANT",
-]
-
 
 def delta_classical(group: ReflectionGroup, h, p: Polynomial) -> Polynomial:
     """(p - s_H p) / alpha_H; the division is exact for every polynomial."""

@@ -18,21 +18,6 @@ from quasinv.series import PowerSeries, ZQSeries
 DEFAULT_Q_ORDER = 12
 DEFAULT_WINDOW = (-12, 12)
 
-__all__ = [
-    "SectionSpace",
-    "theta",
-    "jacobi_theta",
-    "check_functional_equation",
-    "section_basis",
-    "invariant_anti_split",
-    "zq_exact_divide",
-    "theta_divisibility",
-    "ell_graded_dimension",
-    "ell_sheaf_dims",
-    "ell_g_generator",
-    "DEFAULT_Q_ORDER",
-]
-
 
 def _check_window(series: ZQSeries, z_window) -> None:
     lo, hi = z_window

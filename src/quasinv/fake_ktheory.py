@@ -20,19 +20,6 @@ MEMBER = "member"
 NON_MEMBER = "non-member"
 INCONCLUSIVE = "inconclusive"
 
-__all__ = [
-    "FakeKRing",
-    "legendre",
-    "n_b",
-    "qmb",
-    "distinguishing_invariant",
-    "bg_series",
-    "laurent_to_t_series",
-    "MEMBER",
-    "NON_MEMBER",
-    "INCONCLUSIVE",
-]
-
 
 def legendre(k: int, p: int) -> int:
     """Quadratic residue sign of k mod p; at p = 2 the sign is +1 exactly for

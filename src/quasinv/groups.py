@@ -310,31 +310,31 @@ def parse_group(spec: str) -> ReflectionGroup:
     for token in re.split(r"\s*x\s*", text):
         token = token.strip()
         if not token:
-            raise ParseError(f"empty factor in spec {spec!r}")
+            raise ParseError(f"empty factor in spec {spec[:20]!r}")
         m = re.fullmatch(r"A1\^(\d+)", token)
         if m:
             n = _spec_number(m.group(1), text)
             if n < 1:
-                raise ParseError(f"bad power in {token!r}")
+                raise ParseError(f"bad power in {token[:20]!r}")
             factor, count = ("A1", 2), n
         elif token == "A1":
             factor, count = ("A1", 2), 1
         elif m := re.fullmatch(r"I2\((\d+)\)", token):
             k = _spec_number(m.group(1), text)
             if k < 3:
-                raise ParseError(f"I2(k) needs k >= 3, got {token!r}")
+                raise ParseError(f"I2(k) needs k >= 3, got {token[:20]!r}")
             factor, count = ("I2", k), 1
         elif m := re.fullmatch(r"Z/(\d+)", token):
             ell = _spec_number(m.group(1), text)
             if ell < 2:
-                raise ParseError(f"Z/l needs l >= 2, got {token!r}")
+                raise ParseError(f"Z/l needs l >= 2, got {token[:20]!r}")
             factor, count = ("Z", ell), 1
         else:
-            raise ParseError(f"unknown group token {token!r}")
+            raise ParseError(f"unknown group token {token[:20]!r}")
         for _ in range(count):  # every factor has order >= 2: at most 7 rounds
             order *= 2 * factor[1] if factor[0] == "I2" else factor[1]
             if order > MAX_GROUP_ORDER:
-                raise ParseError(f"group {text!r} has order above {MAX_GROUP_ORDER}")
+                raise ParseError(f"group {text[:20]!r} has order above {MAX_GROUP_ORDER}")
             factors.append(factor)
     if len(factors) == 1 and factors[0][0] == "I2":
         return _build_dihedral(spec.strip(), factors[0][1])
@@ -348,7 +348,7 @@ def _spec_number(digits: str, text: str) -> int:
     more digits than the order cap: each factor's order is at least its number."""
     digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(MAX_GROUP_ORDER)):
-        raise ParseError(f"group {text!r} has order above {MAX_GROUP_ORDER}")
+        raise ParseError(f"group {text[:20]!r} has order above {MAX_GROUP_ORDER}")
     return int(digits)
 
 

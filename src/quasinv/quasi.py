@@ -44,19 +44,6 @@ from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
 from quasinv.linalg import IncrementalSpan, SparseRow, normalize_row, nullspace
 from quasinv.poly import Polynomial, linear_coefficients, monomial_index, multiply_terms
 
-__all__ = [
-    "GradedBasis",
-    "FreenessCertificate",
-    "is_quasi_invariant",
-    "closure_report",
-    "quasi_basis",
-    "hilbert",
-    "freeness_certificate",
-    "module_certificate",
-    "gorenstein_shift",
-    "filtration_check",
-    "invariant_ring_dims",
-]
 
 _ONE = Fraction(1)
 

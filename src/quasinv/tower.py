@@ -20,18 +20,6 @@ from quasinv.poly import Polynomial, monomial_index, multiply_terms
 from quasinv.quasi import (_ONE, GradedBasis, _hyperplane_conditions, _primitive, _row,
                            _satisfies, module_certificate, quasi_basis)
 
-__all__ = [
-    "FiberProductAlgebra",
-    "fiber_product_basis",
-    "truncated_line_layers",
-    "ganea_step",
-    "ganea_tower",
-    "h_t_invariants",
-    "x1_algebra",
-    "presentation_check",
-    "fake_cohomology_ring",
-]
-
 
 class FiberProductAlgebra:
     """Degreewise basis of {(a, b) : f(a) = g(b) in C} with componentwise

@@ -8,10 +8,10 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import quasinv
 from quasinv.cli import (
     MAX_DEGREE,
     MAX_DIGITS,
@@ -224,15 +224,68 @@ def test_fake_nb_past_its_caps_is_refused():
 
 
 def test_windows_are_capped():
-    # one past the cap on either side; the README windows lie well inside it
+    # one past the cap on either side; the README windows lie well inside it.
+    # An end longer than int() reads once ended in a traceback.
     past = MAX_WINDOW + 1
-    for window in (f"-{past}:0", f"0:{past}", f"-{past}:{past}"):
+    for window in (f"-{past}:0", f"0:{past}", f"-{past}:{past}", "0:" + "9" * 5000):
         for argv in (("exp", "basis", "--mult", "1", "--window", window),
                      ("exp", "member", "--mult", "1", "--elem", "z", "--window", window),
                      ("elliptic", "theta", "--window", window)):
             code, out, err = call(*argv)
             assert code == 1, argv
             assert out == "" and f"within -{MAX_WINDOW}:{MAX_WINDOW}" in err, argv
+
+
+def test_group_multiplicities_are_capped():
+    # one past the cap as a constant, an orbit value and a vector entry;
+    # "1e5000" once ended in a traceback while its value was printed
+    for head in (("basis",), ("hilbert",), ("freeness",), ("filtration", "--mult-high", "1"),
+                 ("demazure", "--apply", "x")):
+        for group, mult in (("A1", str(MAX_MULT + 1)), ("A1", "1e5000"),
+                            ("Z/3", f"0:1+{MAX_MULT + 1}"), ("A1 x A1", f"0:1,1:{MAX_MULT + 1}")):
+            for json_flag in ((), ("--json",)):
+                argv = (*head, "--group", group, "--mult", mult, *json_flag)
+                code, out, err = call(*argv)
+                assert code == 1, argv
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+                assert f"must be at most {MAX_MULT}" in err, argv
+    for group, mult in (("A1", str(MAX_MULT)), ("Z/3", f"0:{MAX_MULT}+1")):
+        code, out, _ = call("basis", "--group", group, "--mult", mult, "--max-deg", "4")
+        assert code == 0 and out, mult
+
+
+LONG = "a" * 4000
+LONG_DIGITS = "9" * 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ("fake-cohomology", "--nb", LONG, "--mult", "1"),
+    ("fake-cohomology", "--nb", LONG_DIGITS, "--mult", "1"),
+    ("fake-cohomology", "--nb", "-" + LONG_DIGITS, "--mult", "1"),
+    ("fake", "nb", "--assign", "3:" + LONG_DIGITS),
+    ("fake", "nb", "--assign", LONG),
+    ("fake", "ktheory", "--series", LONG),
+    ("fake", "ktheory", "--series", "0,0,3,1", "--elem", LONG),
+    ("exp", "basis", "--mult", "1", "--window", LONG),
+    ("exp", "basis", "--mult", "1", "--window", "-3:" + LONG_DIGITS),
+    ("elliptic", "theta", "--window", LONG_DIGITS + ":3"),
+    ("demazure", "--group", "A1", "--mult", "1", "--apply", "x", "--hyperplane", LONG_DIGITS),
+    ("demazure", "--group", "A1", "--mult", "0", "--apply", "9" * 999 + "/0*x"),
+    *(("hilbert", "--group", spec, "--mult", "1") for spec in (
+        "Z/" + LONG_DIGITS, "Z/" + "0" * 4000, "I2(" + "0" * 4000 + ")", "A1^" + "0" * 4000,
+        "A1^" + "0" * 4000 + "7", "A1 x x " + LONG, LONG)),
+    *(("hilbert", "--group", group, "--mult", mult) for group, mult in (
+        ("A1", LONG), ("A1", "0:" + LONG), ("A1", "0:1," + LONG), ("A1", LONG + ":1"),
+        ("Z/3", "0:1+" + LONG), ("A1", LONG_DIGITS))),
+], ids=lambda argv: " ".join(a[:12] for a in argv))
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_refusals_repeat_at_most_20_input_characters(argv, json_flag):
+    # each of these once repeated the whole value: 4,000 characters, or 1,002
+    # for the zero denominator
+    code, out, err = call(*argv, *json_flag)
+    assert code == 1 and out == "", argv
+    assert "Traceback" not in err and err.count("error: ") == 1
+    assert len(err) < 300, err[:100]
 
 
 def test_oversized_polynomials_and_characters_are_refused():
@@ -372,7 +425,8 @@ def test_degree_bounds_past_the_monomial_cap_are_refused():
 SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
          "", "E8", "I2(2)", "Z/1", "A1^0", "A1 x I2(3)", "I2(33)", "Z/" + "9" * 5000,
          "A1^" + "9" * 5000)
-MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "")
+MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "", "33",
+         "1e5000", "9" * 5000)
 POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "",
                "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x",
                "x - -x", "x^(2)", "x*", "+")
@@ -431,9 +485,11 @@ ARGVS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(ARGVS, st.booleans())
 def test_every_argv_exits_with_a_code(argv, as_json):
-    # argparse errors exit 1 through the parser; nothing else may escape
+    # argparse errors exit 1 through the parser; nothing else may escape, and
+    # no message repeats a long input
     code, _, err = call(*argv, *(("--json",) if as_json else ()))
     assert code in (0, 1, 2, 3), (argv, code, err)
+    assert len(err) < 1000, (argv, code, err[:200])
 
 
 # -- per-command imports ---------------------------------------------------------
@@ -457,7 +513,12 @@ def _loaded_after(code):
 def test_cli_import_loads_no_subcommand_module():
     loaded = _loaded_after("import quasinv.cli")
     assert "quasinv.cli" in loaded
-    assert not loaded & {"quasinv.groups", "quasinv.quasi", "quasinv.tower", "quasinv.elliptic"}
+    assert not loaded & {"quasinv.groups", "quasinv.quasi", "quasinv.tower", "quasinv.elliptic",
+                         "quasinv.hilbert"}
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after("import quasinv") == {"quasinv"}
 
 
 def test_elliptic_command_loads_no_group_module():
@@ -484,26 +545,3 @@ def test_closed_stdout_exits_1_with_a_message():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
-
-def test_package_names_resolve_to_their_defining_modules():
-    # the imports the package made eagerly before its names became lazy
-    from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
-    from quasinv.fields import Cyclotomic, Rational
-    from quasinv.groups import Multiplicity, ReflectionGroup, parse_group
-    from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-    from quasinv.laurent import LaurentElement
-    from quasinv.linalg import nullspace
-    from quasinv.poly import Polynomial
-    from quasinv.quasi import (filtration_check, freeness_certificate, hilbert,
-                               is_quasi_invariant, quasi_basis)
-    from quasinv.series import ZQSeries
-
-    expected = {name: value for name, value in locals().items()}
-    expected["__version__"] = quasinv.__version__  # defined in the package itself
-    assert sorted(expected) == sorted(quasinv.__all__)
-    for name, value in expected.items():
-        assert getattr(quasinv, name) is value, name
-    star: dict = {}
-    exec("from quasinv import *", star)
-    assert all(star[name] is value for name, value in expected.items())
-    assert not hasattr(quasinv, "no_such_name")
