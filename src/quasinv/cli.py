@@ -122,6 +122,11 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
 
 
 def _parse_value(text: str):
+    """A rational value of at most MAX_MULT; a decimal exponent of more than
+    4 digits is refused before Fraction() computes its power of ten."""
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    if exponent and len(exponent.group(1).replace("_", "").lstrip("0")) > 4:
+        raise ParseError(f"a multiplicity's exponent has more than 4 digits, got {text[:20]!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):

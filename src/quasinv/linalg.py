@@ -25,7 +25,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from quasinv.fields import Cyclotomic, rational_value
+from quasinv.fields import Cyclotomic, _element, rational_value
 
 _ONE = Fraction(1)
 
@@ -200,9 +200,16 @@ class IncrementalSpan:
         return not self._reduce(vector)[0]
 
     def _value(self, c, den):
-        """c / den in the span's field."""
-        c = Fraction(c, den) if c.__class__ is int else c / den if den != 1 else c
-        return self._one * c if self._one is not None and c.__class__ is not Cyclotomic else c
+        """c / den in the span's field, den an int; a rational c over
+        Q(zeta_n) becomes one Cyclotomic in lowest terms with a positive
+        denominator."""
+        if c.__class__ is Cyclotomic:
+            return c / den if den != 1 else c
+        if self._one is None:
+            return Fraction(c, den)
+        s = -1 if den < 0 else 1
+        return _element(self._one.n, s * den * c.denominator,
+                        [s * c.numerator] + [0] * (len(self._one.nums) - 1))
 
     def back_substitute(self) -> None:
         """Make every stored row zero at every other row's pivot, in place.

@@ -7,9 +7,10 @@ s_H(p) - p is divisible by alpha_H^(2 m_H); for hyperplanes with cyclic
 stabilizer of order n_H > 2 the conditions read
 e_(H,-i)(p) = 0 mod alpha_H^(n_H m_(H,i)) for i = 1 .. n_H - 1, where
 e_(H,j) = (1/n_H) sum_w det(w)^(-j) w, summed over the stabilizer, is the
-projection onto a character.  Conditions are imposed for all hyperplanes, not
-orbit representatives: a single solution need not be W-symmetric, only the
-solution span is.
+projection onto a character.  Membership imposes the conditions of all
+hyperplanes, not orbit representatives: a single solution need not be
+W-symmetric, only the solution span is.  A solve keeps one hyperplane per
+orbit of the diagonal subgroup, which holds block by block (`quasi_basis`).
 
 The conditions are linear in the coefficients of p and are written down
 monomial by monomial in eigen-coordinates of each hyperplane, with no group
@@ -34,7 +35,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import comb, prod
+from math import gcd, prod
 from operator import add
 
 from quasinv.errors import DomainError
@@ -142,12 +143,16 @@ def _hyperplane_conditions(group: ReflectionGroup, mult: Multiplicity):
 @lru_cache(maxsize=4096)
 def _odd_alpha_coefficients(a: int, b: int, top: int):
     """(t, c) for the odd t < top with c != 0 the coefficient of
-    alpha^t beta^(a+b-t) in (alpha + beta)^a (beta - alpha)^b."""
-    out = []
-    for t in range(1, min(top, a + b + 1), 2):
-        c = sum(comb(a, i) * comb(b, t - i) * (-1) ** (t - i)
-                for i in range(max(0, t - b), min(a, t) + 1))
-        if c:
+    alpha^t beta^(a+b-t) in (alpha + beta)^a (beta - alpha)^b.
+
+    These are the coefficients c_t of f = (1 + alpha)^a (1 - alpha)^b, and
+    (1 - alpha^2) f' = ((a - b) - (a + b) alpha) f gives the recurrence
+    t c_t = (a - b) c_(t-1) - (a + b - t + 2) c_(t-2), with c_(-1) = 0 and
+    c_0 = 1, whose division is exact."""
+    out, before, c = [], 0, 1  # c_(t-2), c_(t-1)
+    for t in range(1, min(top, a + b + 1)):
+        before, c = c, ((a - b) * c - (a + b - t + 2) * before) // t
+        if t % 2 and c:
             out.append((t, c))
     return tuple(out)
 
@@ -260,10 +265,18 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     `nullspace` returns the canonical reduced basis of the kernel, so any
     matrix with the same kernel gives the same layer.
 
-    The solution span is W-stable, hence stable under the diagonal subgroup,
-    so the kernel splits along the diagonal characters of the monomials and
+    The solution span is W-stable, hence stable under the diagonal subgroup
+    T, so the kernel splits along the diagonal characters of the monomials and
     each block is solved separately (blocked and unblocked solves agree; the
     regression suite compares them and checks an independent brute force).
+    On a block T acts by one scalar, so p meets the congruences of H exactly
+    when it meets those of tH, t in T: the rows of H and tH span one space
+    there, and one swap per T-orbit is solved.  T moves the root index j of
+    x_k - r x_l by the character of x_k / x_l, so an orbit is the swaps of
+    one (k, l, 2m) with j equal mod the gcd g of N and that character's
+    values.  On I2(n) that leaves one swap for odd n and two for even n,
+    not n.  Membership (`_satisfies`) keeps every swap, since its p need not
+    lie in one block.
     The layer is returned sorted by leading exponent in graded-lex order.
 
     Without hyperplanes x_k - r x_l (A1^n, Z/l and their products) there
@@ -275,7 +288,14 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
-    conditions = deletions, swaps = _hyperplane_conditions(group, mult)
+    deletions, swaps = _hyperplane_conditions(group, mult)
+    orbits = {}  # one swap per T-orbit: see above
+    for k, l, j, top in swaps:
+        ratio = [0] * group.rank
+        ratio[k], ratio[l] = 1, -1
+        g = gcd(len(group.roots), *group.monomial_class_key(ratio))
+        orbits.setdefault((k, l, top, j % g), (k, l, j, top))
+    conditions = deletions, list(orbits.values())
 
     def layer(d: int) -> list:
         monos = list(monomial_index(group.variables, d))
@@ -304,12 +324,11 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
     block fixes e_k - e_l mod k, so two columns of a row differ by b in
     e_l with 2b = 0 mod k, and their indices u = -2j e_l mod 2k differ by
     2jb, which is 0 or k = N/2 mod 2k.  Any other offset raises an
-    ArithmeticError.  Repeated rows (an I2(k) orbit gives one per
-    hyperplane) are dropped while integers; the rest take the group's
-    coefficient type, roots[0] * c.  The row space, hence the kernel, is
-    unchanged."""
+    ArithmeticError.  Repeated rows are dropped while integers; the rest
+    take the group's coefficient type, roots[0] * c, formed once per int c
+    in a call.  The row space, hence the kernel, is unchanged."""
     roots = group.roots
-    n, layer = len(roots), []
+    n, layer, typed = len(roots), [], {}  # typed: c -> roots[0] * c
     for block in blocks:
         kept, rows, first = [], {}, {}
         for col in block:
@@ -322,7 +341,8 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
                     rows.setdefault(key, []).append((len(kept), -c if u else c))
                 kept.append(monos[col])
         if rows:
-            matrix = [SparseRow((i, roots[0] * c) for i, c in row)
+            matrix = [SparseRow((i, typed.get(c) or typed.setdefault(c, roots[0] * c))
+                                for i, c in row)
                       for row in dict.fromkeys(tuple(rows[key]) for key in sorted(rows))]
             kernel = [{kept[i]: c for i, c in enumerate(vec) if c}
                       for vec in nullspace(matrix, len(kept))]

@@ -254,6 +254,26 @@ def test_group_multiplicities_are_capped():
         assert code == 0 and out, mult
 
 
+def test_multiplicity_exponents_are_refused_before_they_are_read():
+    # Fraction() computes 10**e before the cap can refuse the value, so the
+    # ten characters 1e99999999 once cost far more than their refusal.  Five
+    # exponent digits are one past the bound, and a zero or negative value
+    # paid the same
+    for head in (("basis",), ("hilbert",), ("freeness",), ("filtration", "--mult-high", "1")):
+        for mult in ("1e10000", "0e10000", "1e-10000", "1e99999999", "0:1e010000",
+                     "1E1_0000", "1e" + "9" * 5000):
+            start = time.perf_counter()
+            code, out, err = call(*head, "--group", "A1 x A1", "--mult", mult, "--json")
+            assert time.perf_counter() - start < 1, (head, mult)
+            assert code == 1 and out == "" and len(err) < 100, (head, mult)
+            assert "exponent has more than 4 digits" in err, (head, mult)
+            assert repr(mult.split(":")[-1][:20]) in err, (head, mult)
+        code, _, err = call(*head, "--group", "A1", "--mult", "1e9999", "--json")
+        assert code == 1 and f"must be at most {MAX_MULT}" in err, head
+    code, out, _ = call("basis", "--group", "A1", "--mult", "1e0000", "--max-deg", "4")
+    assert code == 0 and out
+
+
 LONG = "a" * 4000
 LONG_DIGITS = "9" * 4000
 
@@ -426,7 +446,7 @@ SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
          "", "E8", "I2(2)", "Z/1", "A1^0", "A1 x I2(3)", "I2(33)", "Z/" + "9" * 5000,
          "A1^" + "9" * 5000)
 MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "", "33",
-         "1e5000", "9" * 5000)
+         "1e5000", "9" * 5000, "1e99999999", "0e99999999", "1e-99999999")
 POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "",
                "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x",
                "x - -x", "x^(2)", "x*", "+")

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import le
 
 import pytest
@@ -28,6 +29,7 @@ from quasinv.quasi import (
     _constraint_entries,
     _hyperplane_conditions,
     _independent,
+    _odd_alpha_coefficients,
     _row,
     _solve_layer,
     closure_report,
@@ -118,17 +120,92 @@ def quasi_basis_unblocked(group, mult, max_degree):
     return GradedBasis(group, mult, max_degree, layers)
 
 
-def test_blocked_solver_agrees_with_unblocked():
-    for spec, m, D in (("I2(3)", 2, 9), ("I2(4)", 1, 9), ("A1 x A1", 1, 8), ("Z/4", 2, 9)):
+def _blocked_cases():
+    """(group, multiplicity, D): I2(3)-I2(8) and I2(12) at m = 1, 2, 3 and,
+    for even k, two per-orbit values, then the rational groups."""
+    for k in (3, 4, 5, 6, 7, 8, 12):
+        W = parse_group(f"I2({k})")
+        mults = [Multiplicity.constant(W, m) for m in (1, 2, 3)]
+        if k % 2 == 0:
+            mults += [Multiplicity(W, {0: 1, 1: 3}), Multiplicity(W, {0: 2, 1: 0})]
+        yield from ((W, mu, 14) for mu in mults)
+    for spec, m, D in (("A1 x A1", 1, 8), ("Z/4", 2, 9)):
         W = parse_group(spec)
-        mu = Multiplicity.constant(W, m)
+        yield W, Multiplicity.constant(W, m), D
+
+
+def test_blocked_solver_agrees_with_unblocked():
+    # the blocked solve keeps one swap per rotation orbit; the reference
+    # solves every swap on one block per degree
+    for W, mu, D in _blocked_cases():
         blocked = quasi_basis(W, mu, D)
         unblocked = quasi_basis_unblocked(W, mu, D)
-        assert blocked.dims() == unblocked.dims()
+        assert _encoded_layers(blocked) == _encoded_layers(unblocked), (W.spec, mu)
         in_unblocked = span_membership(unblocked.layers)
         for d in range(D + 1):
             for p in blocked.layers[d]:
                 assert in_unblocked(p)
+
+
+def _odd_alpha_by_binomials(a, b, top):
+    """The reference for `_odd_alpha_coefficients`: each coefficient as its
+    sum over the binomial expansions of both factors."""
+    out = []
+    for t in range(1, min(top, a + b + 1), 2):
+        c = sum(comb(a, i) * comb(b, t - i) * (-1) ** (t - i)
+                for i in range(max(0, t - b), min(a, t) + 1))
+        if c:
+            out.append((t, c))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 65))
+def test_odd_alpha_recurrence_matches_the_binomial_sums(a, b, top):
+    assert _odd_alpha_coefficients(a, b, top) == _odd_alpha_by_binomials(a, b, top)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"])
+def test_membership_keeps_the_hyperplanes_a_solve_drops(spec):
+    # beta = 2 z1 - alpha is fixed by the reflection in the first hyperplane,
+    # so it meets that swap's rows, the one a solve keeps for its rotation
+    # orbit; it lies across the characters of z1 and z2 and fails the others
+    W = parse_group(spec)
+    first = W.hyperplanes[0]
+    mult = Multiplicity(W, {h.orbit_id: int(h.orbit_id == first.orbit_id) for h in W.hyperplanes})
+    z1 = Polynomial.variable(W.variables, "z1")
+    beta = z1 * 2 - first.alpha
+    assert W.monomial_class_key((1, 0)) != W.monomial_class_key((0, 1))
+    deletions, swaps = _hyperplane_conditions(W, mult)
+    assert len(swaps) > 1 and quasi._satisfies(W, (deletions, swaps[:1]), beta)
+    assert not is_quasi_invariant(W, mult, beta)
+    assert not brute_is_quasi_invariant(W, mult, beta)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)"])
+def test_dihedral_solves_take_one_swap_per_rotation_orbit(spec, monkeypatch):
+    # the rotations join all hyperplanes of odd k and each of the two orbits
+    # of even k, so a block has at most sum over those swaps of m_H rows
+    W = parse_group(spec)
+    mult = _mixed_multiplicity(W)
+    swaps, sizes = [], []
+    solve = quasi._solve_layer
+
+    def counted_solve(group, conditions, monos, blocks):
+        swaps.append(len(conditions[1]))
+        return solve(group, conditions, monos, blocks)
+
+    def recording(matrix, ncols=None):
+        sizes.append(len(matrix))
+        return nullspace(matrix, ncols)
+
+    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    monkeypatch.setattr(quasi, "nullspace", recording)
+    quasi_basis(W, mult, 3 * W.invariant_degrees[-1])
+    orbits = {h.orbit_id: mult.of(h) for h in W.hyperplanes}
+    assert set(swaps) == {len(orbits)} and len(orbits) == 2 - W.invariant_degrees[-1] % 2
+    assert sizes and max(sizes) <= sum(orbits.values())
 
 
 def _group_algebra_conditions(group, mult):
