@@ -174,12 +174,12 @@ class SectionSpace:
             out.append(col[0])
         return out
 
-    def element_from(self, coords) -> ZQSeries:
-        """Combination with rational coefficients."""
+    def element_from(self, coords: dict) -> ZQSeries:
+        """Combination with rational coefficients, from the sparse
+        coordinates `{index: coefficient}` of a `nullspace` vector."""
         acc = ZQSeries.zero(self.q_order)
-        for c, el in zip(coords, self.basis):
-            if c:
-                acc = acc + el * c
+        for j, c in coords.items():
+            acc = acc + self.basis[j] * c
         return acc
 
 
@@ -303,7 +303,9 @@ def ell_graded_dimension(m: int, n: int, q_order: int = DEFAULT_Q_ORDER) -> dict
     space = section_basis(n, q_order)
     inv, anti = invariant_anti_split(space)
     direct_inv = len(inv)
-    jac2m = jacobi_theta((-4 * (m + n + 2), 4 * (m + n + 2)), q_order) ** (2 * m)
+    # below q^N the theta reaches z^(k + 1/2) only for k(k + 1)/2 < N, so
+    # within |z| < N
+    jac2m = jacobi_theta((-q_order, q_order), q_order) ** (2 * m)
     direct_anti = 0
     if n - m >= 1:
         lower = section_basis(n - m, q_order)

@@ -14,9 +14,9 @@ row's pivot is its first nonzero column after reduction, so spans are
 reproducible.  Fractions and Cyclotomics appear only where entries enter
 and on output, in the span's field: `reduce` divides out the scale a vector
 accumulated, and `rref` and `nullspace` divide by the pivot entry.  `rref`
-gives its rows as `{column: entry}` and `nullspace` its kernel vectors as
-dense lists.  The reduced row echelon form is unique, so `rref` and
-`nullspace` depend only on the row space and the column order.
+gives its rows and `nullspace` its kernel vectors as `{column: entry}`
+over their nonzero entries.  The reduced row echelon form is unique, so
+`rref` and `nullspace` depend only on the row space and the column order.
 """
 
 from __future__ import annotations
@@ -57,23 +57,24 @@ def span_of(vectors, ncols: int) -> "IncrementalSpan":
 def nullspace(matrix, ncols=None):
     """Basis of the exact kernel of dense or sparse rows (`ncols` needed for
     sparse rows or none): one vector per free column, in increasing order,
-    with the Fraction 1 in the free slot and the other entries in the span's
-    field.  No rows over n columns give the standard basis."""
+    as `{column: entry}` over its nonzero entries in increasing column
+    order, with the Fraction 1 in the free slot and the other entries in the
+    span's field.  No rows over n columns give the standard basis."""
     if ncols is None:
         if not matrix:
             raise ValueError("cannot infer column count from an empty matrix; pass rows")
         ncols = len(matrix[0])
     span = span_of(matrix, ncols)
     span.back_substitute()
-    basis = {}
-    for fc in range(ncols):
-        if fc not in span._where:
-            basis[fc] = vec = [Fraction(0)] * ncols
-            vec[fc] = _ONE
-    for row, pc in zip(span._rows, span.pivots):
+    where = span._where
+    basis = {fc: {} for fc in range(ncols) if fc not in where}
+    for pc in sorted(where):  # a row's entries lie right of its pivot
+        row = span._rows[where[pc]]
         for j, c in row.items():
             if j != pc:
                 basis[j][pc] = span._value(-c, row[pc])
+    for fc, vec in basis.items():
+        vec[fc] = _ONE
     return list(basis.values())
 
 

@@ -24,6 +24,8 @@ disagree.  On a diagonal-character block the root is one per row up
 to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
 the surviving monomials: `quasi_basis` counts them and solves a layer when read.
+With swap rows (I2(k)) it solves every degree and forms a layer's
+polynomials from the kernels when read.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -284,7 +286,9 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     their count.  Each deletion tests one exponent (`_survives`), so the
     dims are the convolution over k of the 0/1 sequences "x_k^a survives":
     they are counted so, and a layer is solved on first read.  With swap
-    rows (I2(k)) every layer is solved up front.
+    rows (I2(k)) every degree is solved up front and kept as its kernels,
+    whose sizes are the dims; a layer's polynomials are formed on first
+    read, and its kernels then dropped.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
@@ -296,13 +300,22 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
         g = gcd(len(group.roots), *group.monomial_class_key(ratio))
         orbits.setdefault((k, l, top, j % g), (k, l, j, top))
     conditions = deletions, list(orbits.values())
+    if swaps:
+        typed = {}  # c -> roots[0] * c, shared by the degrees
+        kernels = [_solve_layer(group, conditions, *_degree_blocks(group, d), typed)
+                   for d in range(max_degree + 1)]
+        dims = [sum(len(kept) if vectors is None else len(vectors) for kept, vectors in kernel)
+                for kernel in kernels]
+
+        def built(d: int) -> list:
+            layer, kernels[d] = _layer(group.variables, kernels[d]), None
+            return layer
+        return GradedBasis(group, mult, max_degree, built, dims)
 
     def layer(d: int) -> list:
         monos = list(monomial_index(group.variables, d))
-        blocks = group.monomial_blocks(monos) if swaps else [range(len(monos))]
-        return _solve_layer(group, conditions, monos, blocks)
-    if swaps:
-        return GradedBasis(group, mult, max_degree, [layer(d) for d in range(max_degree + 1)])
+        return _layer(group.variables,
+                      _solve_layer(group, conditions, monos, [range(len(monos))], {}))
     dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
     for k in range(group.rank):
         out = [0] * (max_degree + 1)
@@ -313,9 +326,23 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     return GradedBasis(group, mult, max_degree, layer, dims)
 
 
-def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
+@lru_cache(maxsize=1024)
+def _degree_blocks(group: ReflectionGroup, d: int):
+    """(monomials, blocks): the degree-d exponents in `monomial_index` order
+    and their diagonal-character blocks (`monomial_blocks`), built once per
+    group and degree.  Shared between calls: read them, never mutate them."""
+    monos = list(monomial_index(group.variables, d))
+    return monos, group.monomial_blocks(monos)
+
+
+_TYPED_CAP = 4096  # typed entries kept between degrees
+
+
+def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, typed):
     """Kernel of the degree-d constraint rows, solved on each block of
-    columns separately, as polynomials sorted by leading exponent.
+    columns separately, as one (kept, vectors) pair per block: the kept
+    monomials, and the `nullspace` vectors over their columns, or None for
+    a block without rows, whose kernel is the standard basis.
 
     Each row is divided by the root of its first entry, which leaves
     integers up to sign.  Only I2(k) has swap rows, and its root table is
@@ -326,9 +353,13 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
     2jb, which is 0 or k = N/2 mod 2k.  Any other offset raises an
     ArithmeticError.  Repeated rows are dropped while integers; the rest
     take the group's coefficient type, roots[0] * c, formed once per int c
-    in a call.  The row space, hence the kernel, is unchanged."""
+    in `typed` (c -> roots[0] * c), shared by the degrees of a basis and
+    emptied past _TYPED_CAP: at high multiplicity the ints rarely recur
+    between degrees.  The row space, hence the kernel, is unchanged."""
+    if len(typed) > _TYPED_CAP:
+        typed.clear()
     roots = group.roots
-    n, layer, typed = len(roots), [], {}  # typed: c -> roots[0] * c
+    n, kernels = len(roots), []
     for block in blocks:
         kept, rows, first = [], {}, {}
         for col in block:
@@ -344,12 +375,20 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks):
             matrix = [SparseRow((i, typed.get(c) or typed.setdefault(c, roots[0] * c))
                                 for i, c in row)
                       for row in dict.fromkeys(tuple(rows[key]) for key in sorted(rows))]
-            kernel = [{kept[i]: c for i, c in enumerate(vec) if c}
-                      for vec in nullspace(matrix, len(kept))]
+            kernels.append((kept, nullspace(matrix, len(kept))))
         else:
-            kernel = [{e: _ONE} for e in kept]
-        for terms in kernel:  # already clean: no Polynomial.__init__ pass
-            p = Polynomial(group.variables)
+            kernels.append((kept, None))
+    return kernels
+
+
+def _layer(variables, kernels) -> list:
+    """The polynomials of a degree's block kernels (`_solve_layer`), sorted
+    by leading exponent in graded-lex order."""
+    layer = []
+    for kept, vectors in kernels:
+        for terms in ([{e: _ONE} for e in kept] if vectors is None else
+                      ({kept[i]: c for i, c in vec.items()} for vec in vectors)):
+            p = Polynomial(variables)  # already clean: no Polynomial.__init__ pass
             p.terms = terms
             layer.append(p)
     layer.sort(key=lambda p: min(p.terms))

@@ -56,18 +56,19 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
                 raise ValueError("element outside span")
             for j, c in image.items():
                 rows.setdefault(j, SparseRow())[col] = sign * c
-        layers.append([(_combination(vec[: len(A)], A, variables),
-                        _combination(vec[len(A) :], B, variables))
+        layers.append([(_combination(vec, A, variables),
+                        _combination(vec, B, variables, len(A)))
                        for vec in nullspace(list(rows.values()), len(A) + len(B))])
     return FiberProductAlgebra(variables, layers)
 
 
-def _combination(coefficients, polys, variables) -> Polynomial:
-    """The sum of c * p over the nonzero coefficients c and their polynomials."""
+def _combination(vec: dict, polys, variables, offset: int = 0) -> Polynomial:
+    """The sum of c * polys[j - offset] over the entries j: c of the sparse
+    kernel vector `vec` (`nullspace`) that fall in the columns of `polys`."""
     out = Polynomial.zero(variables)
-    for coef, p in zip(coefficients, polys):
-        if coef:
-            out = out + p * coef
+    for j, c in vec.items():
+        if offset <= j < offset + len(polys):
+            out = out + polys[j - offset] * c
     return out
 
 

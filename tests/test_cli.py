@@ -139,6 +139,16 @@ def test_elliptic_sheafdims_command():
     assert "h1: 6" in out
 
 
+@pytest.mark.parametrize("qorder", ["78", "79", "80"])
+def test_elldim_accepts_every_q_order_at_the_smallest_degrees(qorder):
+    # at q-order 79 and 80 the Jacobi theta reaches z^(25/2), past the
+    # window of +-4(m + n + 2) = 12 that elldim once checked it against
+    code, out, err = call("elliptic", "elldim", "--mult", "0", "--n", "1",
+                          "--qorder", qorder, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["dimension"] == 2  # (n + 1) + max(0, n - m - 1)
+
+
 def test_missing_action_flags_are_parse_errors():
     for argv in (
         ("exp", "member", "--mult", "1"),

@@ -18,14 +18,14 @@ def test_identity_has_trivial_kernel():
 
 def test_zero_matrix_kernel_is_standard_basis():
     basis = nullspace([[0, 0], [0, 0]])
-    assert basis == [[1, 0], [0, 1]]
+    assert basis == [{0: 1}, {1: 1}]
 
 
 def test_rank_one_matrix():
     basis = nullspace([[1, 1], [2, 2]])
     assert len(basis) == 1
     v = basis[0]
-    assert v[0] + v[1] == 0 and any(v)
+    assert v[0] + v[1] == 0 and any(v.values())
 
 
 def test_rank_nullity_randomized():
@@ -36,7 +36,7 @@ def test_rank_nullity_randomized():
         assert rank(m) + len(nullspace(m)) == ncols
         for v in nullspace(m):
             for row in m:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+                assert sum(row[j] * c for j, c in v.items()) == 0
 
 
 def test_rank_nullity_cyclotomic():
@@ -51,8 +51,8 @@ def test_rank_nullity_cyclotomic():
         for v in nullspace(m):
             for row in m:
                 acc = Cyclotomic.from_rational(3, 0)
-                for a, b in zip(row, v):
-                    acc = acc + a * b
+                for j, c in v.items():
+                    acc = acc + row[j] * c
                 assert not acc
 
 
@@ -172,6 +172,18 @@ def _encoded(rows, zeros_typed=True):
     return [[encode_coeff(c) if c or zeros_typed else 0 for c in row] for row in rows]
 
 
+def _encoded_kernel(vectors):
+    """Kernel vectors, sparse (`nullspace`) or dense (`dense_nullspace`), as
+    their nonzero entries in column order: column, type and JSON encoding.
+    A sparse vector must hold its columns in increasing order."""
+    out = []
+    for v in vectors:
+        items = v.items() if isinstance(v, dict) else enumerate(v)
+        out.append([(j, type(c).__name__, encode_coeff(c)) for j, c in items if c])
+        assert [j for j, _, _ in out[-1]] == sorted(j for j, _, _ in out[-1])
+    return out
+
+
 @settings(max_examples=150, deadline=None)
 @given(_sparse_case())
 def test_zero_skipping_elimination_matches_the_dense_one(case):
@@ -182,7 +194,7 @@ def test_zero_skipping_elimination_matches_the_dense_one(case):
     densified = [_densified(row, len(probe)) for row in red]
     assert _encoded(densified, False) == _encoded(dense_red, False)
     assert rank(matrix) == len(dense_pivots)
-    assert _encoded(nullspace(matrix)) == _encoded(dense_nullspace(matrix))
+    assert _encoded_kernel(nullspace(matrix)) == _encoded_kernel(dense_nullspace(matrix))
     span, dense = IncrementalSpan(), DenseSpan()
     for row in [probe] + matrix + [probe]:
         assert span.contains(row) == (not any(dense.reduce(row)))
@@ -255,7 +267,7 @@ def _densified(row, ncols):
 @settings(max_examples=150, deadline=None)
 @given(_sparse_rows())
 def test_sparse_rows_match_their_dense_forms(case):
-    _, ncols, rows = case
+    n, ncols, rows = case
     dense_rows = [_densified(row, ncols) for row in rows]
     span, dense = IncrementalSpan(), DenseSpan()
     for row, vec in zip(rows + rows[:2], dense_rows + dense_rows[:2]):
@@ -264,7 +276,14 @@ def test_sparse_rows_match_their_dense_forms(case):
         assert span.contains(row)
     assert span.pivots == dense.pivots
     _assert_rref_matches(span, dense, ncols)
-    assert _encoded(nullspace(rows, ncols)) == _encoded(dense_nullspace(dense_rows))
+    kernel = nullspace(rows, ncols)
+    assert _encoded_kernel(kernel) == _encoded_kernel(dense_nullspace(dense_rows))
+    # the pinned entry types: the Fraction 1 in the free slot, the last
+    # column; the other entries in the rows' field
+    for vec in kernel:
+        *rest, free = vec
+        assert vec[free].__class__ is Fraction and vec[free] == 1 and free == max(vec)
+        assert all(vec[j].__class__ is (Fraction if n is None else Cyclotomic) for j in rest)
     assert [_densified(row, ncols) for row in rows] == dense_rows  # inputs untouched
 
 

@@ -1,3 +1,7 @@
+import os
+import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -41,7 +45,7 @@ from quasinv.quasi import (
     module_certificate,
     quasi_basis,
 )
-from quasinv.serialize import encode_polynomial
+from quasinv.serialize import encode_coeff, encode_polynomial
 from quasinv.tower import x1_algebra
 from span_matrix import rank, span_membership
 
@@ -114,7 +118,7 @@ def quasi_basis_unblocked(group, mult, max_degree):
                     rows.setdefault(key, SparseRow())[len(kept)] = group.roots[u] * c
                 kept.append(e)
         kernel = nullspace(list(rows.values()), len(kept))
-        layer = [Polynomial(group.variables, {kept[i]: c for i, c in enumerate(vec) if c})
+        layer = [Polynomial(group.variables, {kept[i]: c for i, c in vec.items()})
                  for vec in kernel]
         layers.append(sorted(layer, key=lambda p: min(p.terms)))
     return GradedBasis(group, mult, max_degree, layers)
@@ -192,9 +196,9 @@ def test_dihedral_solves_take_one_swap_per_rotation_orbit(spec, monkeypatch):
     swaps, sizes = [], []
     solve = quasi._solve_layer
 
-    def counted_solve(group, conditions, monos, blocks):
+    def counted_solve(group, conditions, monos, blocks, typed):
         swaps.append(len(conditions[1]))
-        return solve(group, conditions, monos, blocks)
+        return solve(group, conditions, monos, blocks, typed)
 
     def recording(matrix, ncols=None):
         sizes.append(len(matrix))
@@ -257,9 +261,9 @@ def quasi_basis_by_division(group, mult, max_degree):
             if rows:
                 kernel = nullspace([rows[k] for k in sorted(rows)])
             else:
-                kernel = [[Fraction(int(i == j)) for j in range(len(block))] for i in range(len(block))]
+                kernel = [{i: Fraction(1)} for i in range(len(block))]
             for vec in kernel:
-                terms = {monos[block[i]]: c for i, c in enumerate(vec) if c}
+                terms = {monos[block[i]]: c for i, c in vec.items()}
                 layer.append(Polynomial(group.variables, terms))
         layer.sort(key=lambda p: min(p.terms))
         layers.append(layer)
@@ -416,9 +420,9 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     built = []
     solve = quasi._solve_layer
 
-    def counted_solve(group, conditions, monos, blocks):
+    def counted_solve(group, conditions, monos, blocks, typed):
         built.append(sum(monos[0]))
-        return solve(group, conditions, monos, blocks)
+        return solve(group, conditions, monos, blocks, typed)
 
     monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
     cert = freeness_certificate(W, mult, 44)
@@ -429,6 +433,121 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     eager = GradedBasis(W, mult, 44, basis.layers)
     assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
         _typed_outcome(cert)
+
+
+# -- swap layers kept as kernels, polynomials formed on first read ----------------------
+
+
+def _typed_terms(layer):
+    """Each polynomial of a layer as its terms in their own order: exponent,
+    coefficient type and JSON encoding."""
+    return [[(e, type(c).__name__, encode_coeff(c)) for e, c in p.terms.items()] for p in layer]
+
+
+def _eagerly_solved_layers(group, mult, D):
+    """Every layer of a full eager solve, the reference for the layers read
+    on demand: `_solve_layer` on every degree, with every swap's rows and
+    the blocks computed afresh (the kernel, hence the layer, is the same)."""
+    conditions = _hyperplane_conditions(group, mult)
+    layers = []
+    for d in range(D + 1):
+        monos = monomials_of_degree(group.variables, d)
+        kernels = _solve_layer(group, conditions, monos, group.monomial_blocks(monos), {})
+        layers.append(quasi._layer(group.variables, kernels))
+    return layers
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(12)"])
+def test_swap_layers_read_in_any_order_equal_the_eager_solve(spec, monkeypatch):
+    W = parse_group(spec)
+    D = 3 * W.invariant_degrees[-1]
+    for mult in (Multiplicity.constant(W, 1), _mixed_multiplicity(W)):
+        reference = [_typed_terms(layer) for layer in _eagerly_solved_layers(W, mult, D)]
+        built = []
+        form = quasi._layer
+
+        def counted_layer(variables, kernels):
+            built.append(kernels)
+            return form(variables, kernels)
+
+        monkeypatch.setattr(quasi, "_layer", counted_layer)
+        basis = quasi_basis(W, mult, D)
+        assert built == []  # no polynomial is formed before a read
+        order = list(range(D + 1))
+        random.Random(spec).shuffle(order)
+        for d in order[: len(order) // 2]:
+            assert _typed_terms(basis.layer(d)) == reference[d]
+            assert basis.layer(d) is basis.layer(d)
+        assert len(built) == len(order) // 2  # a layer is formed once
+        assert [_typed_terms(layer) for layer in basis.layers] == reference
+        assert len(built) == D + 1
+        monkeypatch.undo()
+
+
+def test_typed_entries_shared_between_degrees_stay_bounded(monkeypatch):
+    # the ints of the rows are typed once per basis; past its cap the map is
+    # emptied before the next degree, and the layers never depend on it
+    W, D = parse_group("I2(6)"), 24
+    mult = _mixed_multiplicity(W)
+    reference = [_typed_terms(layer) for layer in _eagerly_solved_layers(W, mult, D)]
+    sizes = []  # (shared entries, entries of the degree alone) after each degree
+    solve = quasi._solve_layer
+
+    def sized_solve(group, conditions, monos, blocks, typed):
+        alone = {}
+        solve(group, conditions, monos, blocks, alone)
+        out = solve(group, conditions, monos, blocks, typed)
+        sizes.append((len(typed), len(alone)))
+        return out
+
+    monkeypatch.setattr(quasi, "_solve_layer", sized_solve)
+    for cap in (0, 10**6):
+        monkeypatch.setattr(quasi, "_TYPED_CAP", cap)
+        sizes.clear()
+        assert [_typed_terms(layer) for layer in quasi_basis(W, mult, D).layers] == reference
+        shared = [s for s, _ in sizes]
+        if cap:
+            assert shared == sorted(shared) and shared[-1] > max(a for _, a in sizes)
+        else:
+            assert all(s == a for s, a in sizes)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(12)"])
+def test_swap_dims_are_the_sizes_of_the_layers(spec):
+    W = parse_group(spec)
+    D = 2 * W.invariant_degrees[-1] + 8
+    mults = [Multiplicity.constant(W, m) for m in (0, 1, 2)] + [_mixed_multiplicity(W)]
+    for mult in mults:
+        basis = quasi_basis(W, mult, D)
+        dims = basis.dims()  # read before any layer is formed
+        assert dims == [len(basis.layer(d)) for d in range(D + 1)]
+        assert dims == quasi_basis(W, mult, D).dims()
+
+
+_FRESH_ENCODING = """
+import sys
+from quasinv.groups import Multiplicity, parse_group
+from quasinv.quasi import quasi_basis
+from quasinv.serialize import encode_coeff
+W = parse_group(sys.argv[1])
+basis = quasi_basis(W, Multiplicity.constant(W, int(sys.argv[2])), int(sys.argv[3]))
+print(repr([[[(e, type(c).__name__, encode_coeff(c)) for e, c in p.terms.items()]
+             for p in layer] for layer in basis.layers]))
+"""
+
+
+def test_swap_bases_of_one_group_match_fresh_processes():
+    # the blocks of each degree are built once per group and shared by every
+    # basis of it, so a basis read after another must not see them changed
+    W, D = parse_group("I2(6)"), 18
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
+                      os.environ.get("PYTHONPATH")])))
+    for m in (2, 0, 1):
+        basis = quasi_basis(W, Multiplicity.constant(W, m), D)
+        fresh = subprocess.run([sys.executable, "-c", _FRESH_ENCODING, W.spec, str(m), str(D)],
+                               env=env, capture_output=True, text=True, check=True)
+        assert repr([_typed_terms(layer) for layer in basis.layers]) == fresh.stdout.strip()
 
 
 def test_hilbert_rank_one():
@@ -553,7 +672,7 @@ def test_a_block_across_characters_is_refused():
     W = parse_group("I2(3)")
     conditions = _hyperplane_conditions(W, Multiplicity.constant(W, 1))
     with pytest.raises(ArithmeticError, match="not rational up to sign"):
-        _solve_layer(W, conditions, [(0, 1), (1, 0)], [range(2)])
+        _solve_layer(W, conditions, [(0, 1), (1, 0)], [range(2)], {})
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"])
@@ -937,7 +1056,8 @@ def _intersect_spans(A, B):
     span = IncrementalSpan()
     basis = []
     for k in (nullspace(cols) if cols else []):
-        v = [sum((c * a[j] for c, a in zip(k, A) if c), Fraction(0)) for j in range(n)]
+        v = [sum((c * A[i][j] for i, c in k.items() if i < len(A)), Fraction(0))
+             for j in range(n)]
         if span.add(v):
             basis.append(v)
     assert len(basis) == len(A) + len(B) - dimsum

@@ -258,6 +258,11 @@ def _combination(vec, polys, variables):
     return out
 
 
+def _dense_kernel(matrix, ncols):
+    """The `nullspace` vectors as dense lists, zeros as int 0."""
+    return [[vec.get(j, 0) for j in range(ncols)] for vec in nullspace(matrix, ncols)]
+
+
 def _fiber_product_by_coordinates(variables, layers_a, layers_b, layers_c, f, g, max_degree):
     """The equalizer written in coordinates of the quotient basis: each image
     is solved for in the basis of C, and the layer is the kernel of
@@ -272,7 +277,7 @@ def _fiber_product_by_coordinates(variables, layers_a, layers_b, layers_c, f, g,
                   for ci in range(len(C))]
         layers.append([(_combination(vec[: len(A)], A, variables),
                         _combination(vec[len(A):], B, variables))
-                       for vec in nullspace(matrix, len(A) + len(B))])
+                       for vec in _dense_kernel(matrix, len(A) + len(B))])
     return layers
 
 
@@ -332,7 +337,7 @@ def test_h_t_invariants_match_the_coordinate_solve(m):
                   for a, b in layer]
         n = len(layer)
         rows = [[coords[j][i] - (i == j) for j in range(n)] for i in range(n)]
-        for vec in (nullspace(rows, n) if n else []):
+        for vec in (_dense_kernel(rows, n) if n else []):
             pairs.append((d, *(_combination(vec, side, variables) for side in zip(*layer))))
     assert ([(d, encode_polynomial(a), encode_polynomial(b)) for d, a, b in pairs]
             == [(d, encode_polynomial(a), encode_polynomial(b))
