@@ -53,7 +53,7 @@ for m in range(4):
     print(f"  m={m}: h0={r['h0']}, h1={r['h1']}, split={r['w_split']}")
 print()
 
-g = ell_g_generator(1, None, 10)
+g = ell_g_generator(1, 10)
 print("anti-invariant module generator at m=1:")
 print("  simplification holds:", g["simplification_holds"])
 print("  vanishing order along theta exactly 3:",

@@ -10,10 +10,12 @@ ride on the w = z^(1/2) bookkeeping of ZQSeries.
 
 from __future__ import annotations
 
+from math import comb
+
 from quasinv.errors import DomainError, InconclusiveError
 from quasinv.laurent import LaurentElement, exact_div
 from quasinv.linalg import nullspace
-from quasinv.series import PowerSeries, ZQSeries
+from quasinv.series import PowerSeries, ZQSeries, _q_levels
 
 DEFAULT_Q_ORDER = 12
 DEFAULT_WINDOW = (-12, 12)
@@ -42,7 +44,7 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
     if lo > -2 or hi < 2:
         raise DomainError("window must contain [-2, 2]")
     if form == "product":
-        series = _times_triple_product(ZQSeries({(0, 0): 1, (2, 0): -1}, q_order))
+        series = _theta_power(0, 2, 1, q_order)
     elif form == "sum":
         acc: dict = {}
         n = 0
@@ -61,13 +63,19 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
     return series
 
 
-def _times_triple_product(series: ZQSeries) -> ZQSeries:
-    """series * prod_(0<n<N) (1 - q^n z)(1 - q^n / z), N its q-order."""
-    N = series.q_order
-    for n in range(1, N):
-        series = series * ZQSeries({(0, 0): 1, (2, n): -1}, N)
-        series = series * ZQSeries({(0, 0): 1, (-2, n): -1}, N)
-    return series
+def _theta_power(a: int, b: int, k: int, N: int) -> ZQSeries:
+    """(w^a - w^b)^k prod_(0<n<N) (1 - q^n z)^k (1 - q^n / z)^k below q^N,
+    w = z^(1/2), each power written out by the binomial theorem: (0, 2) gives
+    the product theta, (1, -1) the Jacobi theta.  The factors run from
+    n = N - 1 down, the sparsest first, and the prefactor comes last."""
+    if k < 0:
+        raise ValueError("negative power of a theta series")
+    binomials = [(-1) ** j * comb(k, j) for j in range(k + 1)]
+    series = ZQSeries.one(N)
+    for n in range(N - 1, 0, -1):
+        for w in (2, -2):
+            series = series * ZQSeries({(w * j, n * j): c for j, c in enumerate(binomials)}, N)
+    return series * ZQSeries({(a * (k - j) + b * j, 0): c for j, c in enumerate(binomials)}, N)
 
 
 def _euler_product(q_order: int) -> PowerSeries:
@@ -81,7 +89,7 @@ def _euler_product(q_order: int) -> PowerSeries:
 def jacobi_theta(z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ZQSeries:
     """(z^(1/2) - z^(-1/2)) prod_(n>0) (1 - q^n z)(1 - q^n / z); an odd
     function of z supported on half-integer powers."""
-    series = _times_triple_product(ZQSeries({(1, 0): 1, (-1, 0): -1}, q_order))
+    series = _theta_power(1, -1, 1, q_order)
     _check_window(series, z_window)
     return series
 
@@ -238,18 +246,22 @@ def invariant_anti_split(space: SectionSpace):
 
 def zq_exact_divide(f: ZQSeries, g: ZQSeries):
     """Quotient f / g as a ZQSeries, or None when g does not divide f within
-    the certified range.  Requires the q^0 slice of g to be nonzero; the
-    division proceeds q-level by q-level with exact Laurent division."""
+    the certified range.  Requires a nonzero q^0 level of g; each series'
+    terms are grouped by q-level once, and the quotient is solved level by
+    level with exact Laurent division."""
     N = min(f.q_order, g.q_order)
-    g0 = LaurentElement(g.q_slice(0))
+    f_levels = dict(_q_levels(f.coeffs, N))
+    g_levels = dict(_q_levels(g.coeffs, g.q_order))
+    g0 = LaurentElement(dict(g_levels.get(0, ())))
     if not g0:
         raise DomainError("divisor must have a nonzero q^0 part")
-    g_slices = [LaurentElement(g.q_slice(s)) for s in range(N)]
+    pieces = []  # the levels of g, formed as the division reaches them
     out_slices = []
     for s in range(N):
-        acc = LaurentElement(f.q_slice(s))
+        pieces.append(LaurentElement(dict(g_levels.get(s, ()))))
+        acc = LaurentElement(dict(f_levels.get(s, ())))
         for s2 in range(s):
-            piece = g_slices[s - s2]
+            piece = pieces[s - s2]
             if piece and out_slices[s2]:
                 acc = acc - piece * out_slices[s2]
         try:
@@ -265,13 +277,12 @@ def zq_exact_divide(f: ZQSeries, g: ZQSeries):
 
 def theta_divisibility(f: ZQSeries, k: int) -> dict:
     """Whether f is divisible by the k-th power of the odd theta function,
-    decided by the exact level-by-level division through the q-order of f;
-    a positive verdict returns the quotient and the q-order of the
-    certificate."""
+    decided by exact level-by-level division by that power formed at the
+    q-order of f (no z-window); a positive verdict returns the quotient and
+    the q-order of the certificate.  A negative k raises ValueError."""
     if f.q_order < 1:
         return {"verdict": "inconclusive", "reason": "empty certified q-range"}
-    th = theta("product", _wide_window(f, k), f.q_order)
-    quotient = zq_exact_divide(f, th**k)
+    quotient = zq_exact_divide(f, _theta_power(0, 2, k, f.q_order))
     if quotient is None:
         return {"verdict": False, "power": k}
     return {
@@ -280,12 +291,6 @@ def theta_divisibility(f: ZQSeries, k: int) -> dict:
         "quotient": quotient,
         "q_certified": quotient.q_order,
     }
-
-
-def _wide_window(f: ZQSeries, k: int):
-    lo, hi = f.z_window()
-    spread = max(4, abs(int(lo)) + abs(int(hi)) + 2 * k + 4)
-    return (-spread, spread)
 
 
 # -- graded section modules of the tower ------------------------------------------------
@@ -303,9 +308,7 @@ def ell_graded_dimension(m: int, n: int, q_order: int = DEFAULT_Q_ORDER) -> dict
     space = section_basis(n, q_order)
     inv, anti = invariant_anti_split(space)
     direct_inv = len(inv)
-    # below q^N the theta reaches z^(k + 1/2) only for k(k + 1)/2 < N, so
-    # within |z| < N
-    jac2m = jacobi_theta((-q_order, q_order), q_order) ** (2 * m)
+    jac2m = _theta_power(1, -1, 2 * m, q_order)
     direct_anti = 0
     if n - m >= 1:
         lower = section_basis(n - m, q_order)
@@ -363,17 +366,12 @@ def ell_sheaf_dims(m: int) -> dict:
     }
 
 
-def ell_g_generator(m: int, z_window=None, q_order: int = DEFAULT_Q_ORDER) -> dict:
+def ell_g_generator(m: int, q_order: int = DEFAULT_Q_ORDER) -> dict:
     """The anti-invariant module generator (Theta(z) - Theta(1/z)) *
     jacobi^(2m), its simplification (1 + 1/z) Theta(z) jacobi^(2m), and its
-    exact vanishing order along Theta."""
-    if z_window is None:
-        z_window = (-(4 * m + 8), 4 * m + 8)
-    lo, hi = z_window
-    if hi < 2 * m + 2 or lo > -(2 * m + 2):
-        raise DomainError("window too small for the generator support")
-    th = theta("product", z_window, q_order)
-    jac2m = jacobi_theta(z_window, q_order) ** (2 * m)
+    exact vanishing order along Theta, each on its full z-support."""
+    th = _theta_power(0, 2, 1, q_order)
+    jac2m = _theta_power(1, -1, 2 * m, q_order)
     g = (th - th.involution()) * jac2m
     simplified = (ZQSeries.one(q_order) + ZQSeries({(-2, 0): 1}, q_order)) * th * jac2m
     anti = g.involution() + g

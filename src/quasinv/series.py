@@ -6,12 +6,12 @@ in, so a series with integer coefficients stays integral; it carries the
 K-theory of the fake spaces (in t), the exponential map into completed
 power series (in x) and pure q-series such as the Euler product (in q).
 
-A ZQSeries is exact: its support in z is finite and fully stored (bounded by
-the recorded window), while in q only exponents below `q_order` are retained.
-Operations propagate the largest q-order on which the result is exact.  Its
-coefficients are ints where integral, as every theta and Jacobi coefficient
-is, so products run on integer arithmetic; a Fraction appears only where a
-division or a rational factor brings one in.
+A ZQSeries is exact: its support in z is finite and fully stored (`z_window`
+reads its bounds off the terms), while in q only exponents below `q_order`
+are retained.  Operations propagate the largest q-order on which the result
+is exact.  Its coefficients are ints where integral, as every theta and
+Jacobi coefficient is, so products run on integer arithmetic; a Fraction
+appears only where a division or a rational factor brings one in.
 
 z-exponents are stored as integers in w = z^(1/2), as for LaurentElement.
 Both types compare equal only at equal certified orders, never to a scalar.

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from quasinv.elliptic import (
+    _theta_power,
     check_functional_equation,
     ell_g_generator,
     ell_graded_dimension,
@@ -165,7 +166,7 @@ def test_sheaf_dims(m):
 
 @pytest.mark.parametrize("m", range(3))
 def test_generator_of_anti_module(m):
-    report = ell_g_generator(m, None, 10)
+    report = ell_g_generator(m, 10)
     assert report["simplification_holds"]
     assert report["anti_invariant"]
     assert report["vanishing_order_lower"]
@@ -181,9 +182,55 @@ def test_section_dimension_n6():
     assert section_basis(6, N).dim() == 12
 
 
-def test_generator_window_too_small():
-    with pytest.raises(DomainError):
-        ell_g_generator(2, (-3, 3), 10)
+@pytest.mark.parametrize("m, q_order", [(0, 50), (3, 40)])
+def test_generator_holds_at_high_q_order(m, q_order):
+    # the generator's z-support grows with the q-order, past any window
+    # fixed by m alone
+    report = ell_g_generator(m, q_order)
+    assert report["simplification_holds"]
+    assert report["anti_invariant"]
+    assert report["vanishing_order_lower"]
+    assert report["vanishing_order_exact"]
+    assert report["q_certified"] == q_order
+
+
+@pytest.mark.parametrize("q_order", [12, 20, 40])
+def test_one_is_not_divisible_by_theta(q_order):
+    # the theta power's z-support grows with the q-order, not with the
+    # support of the dividend
+    assert theta_divisibility(ZQSeries.one(q_order), 1) == {"verdict": False, "power": 1}
+
+
+def _times_triple_product(series: ZQSeries) -> ZQSeries:
+    """series * prod_(0<n<N) (1 - q^n z)(1 - q^n / z), N its q-order: the
+    factor by factor reference for the theta powers."""
+    N = series.q_order
+    for n in range(1, N):
+        series = series * ZQSeries({(0, 0): 1, (2, n): -1}, N)
+        series = series * ZQSeries({(0, 0): 1, (-2, n): -1}, N)
+    return series
+
+
+@pytest.mark.parametrize("a, b", [(0, 2), (1, -1)])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
+@pytest.mark.parametrize("q_order", [1, 2, 5, 12])
+def test_theta_power_matches_repeated_products(a, b, k, q_order):
+    base = _times_triple_product(ZQSeries({(a, 0): 1, (b, 0): -1}, q_order))
+    expected = ZQSeries.one(q_order)
+    for _ in range(k):
+        expected = expected * base
+    power = _theta_power(a, b, k, q_order)
+    assert power == expected
+    assert all(type(c) is int for c in power.coeffs.values())
+
+
+def test_negative_theta_power_rejected(jac):
+    with pytest.raises(ValueError):
+        _theta_power(1, -1, -1, N)
+    with pytest.raises(ValueError):
+        ell_graded_dimension(-1, 3, N)
+    with pytest.raises(ValueError):
+        theta_divisibility(jac * jac, -1)
 
 
 def test_theta_divisibility_inconclusive_at_empty_range():
