@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from quasinv import __version__
-from quasinv.errors import DomainError, InconclusiveError, ParseError, ReconstructionError
+from quasinv.errors import DomainError, InconclusiveError, ParseError
 from quasinv.serialize import (
     encode_hilbert,
     encode_laurent,
@@ -42,6 +42,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
+        # argparse repeats an unrecognized argument or an invalid choice
+        # whole; like every refusal, quote at most 20 characters of it
+        message = re.sub(r"\S{21,}", lambda m: m.group()[:20], message)
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
@@ -107,6 +110,8 @@ def parse_multiplicity(group, text: str) -> Multiplicity:
             orbit = int(orbit_str)
         except ValueError:
             raise ParseError(f"bad orbit id {orbit_str[:20]!r}")
+        if orbit in values:
+            raise ParseError(f"orbit id {orbit_str[:20]!r} given twice")
         if "+" in val:
             try:
                 values[orbit] = tuple(int(v) for v in val.split("+"))
@@ -899,10 +904,10 @@ def run(argv) -> int:
     args._argv = list(argv)
     try:
         return args.fn(args)
-    except (ParseError,) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ReconstructionError, InconclusiveError) as exc:
+    except InconclusiveError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return 3
     except DomainError as exc:

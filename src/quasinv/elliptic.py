@@ -18,7 +18,7 @@ from quasinv.linalg import nullspace
 from quasinv.series import PowerSeries, ZQSeries, _q_levels
 
 DEFAULT_Q_ORDER = 12
-DEFAULT_WINDOW = (-12, 12)
+DEFAULT_WINDOW = (-13, 13)
 
 
 def _check_window(series: ZQSeries, z_window) -> None:
@@ -158,29 +158,19 @@ class SectionSpace:
 
     def coordinates(self, f: ZQSeries):
         """q-series coordinates (tuples of coefficients) in the basis if f
-        lies in the span over the truncated q-ring, else None."""
+        lies in the span over the truncated q-ring, else None.  They are
+        the q-columns of f at the basepoints; the basis elements have
+        disjoint z-supports, so their combination with those columns is
+        formed once, term by term below the common q-order N, and f is a
+        member exactly when its terms below q^N are that combination's."""
         N = min([f.q_order] + [el.q_order for el in self.basis])
         coords = [tuple(f.coeffs.get((2 * b, s), 0) for s in range(N)) for b in self.basepoints]
-        residual = f.truncate_q(N)
-        for col, el in zip(coords, self.basis):
-            col_series = ZQSeries({(0, s): c for s, c in enumerate(col)}, N)
-            if col_series:
-                residual = residual - el * col_series
-        if any(s < N for (_, s) in residual.coeffs):
+        combination = {(w, e + s): c * a
+                       for col, el in zip(coords, self.basis) for (w, e), c in el.coeffs.items()
+                       for s, a in enumerate(col[:max(0, N - e)]) if a}
+        if combination != {key: c for key, c in f.coeffs.items() if key[1] < N}:
             return None
         return coords
-
-    def constant_coordinates(self, f: ZQSeries):
-        """Coordinates when they are plain rationals, else None."""
-        coords = self.coordinates(f)
-        if coords is None:
-            return None
-        out = []
-        for col in coords:
-            if any(col[1:]):
-                return None
-            out.append(col[0])
-        return out
 
     def element_from(self, coords: dict) -> ZQSeries:
         """Combination with rational coefficients, from the sparse
@@ -231,11 +221,10 @@ def invariant_anti_split(space: SectionSpace):
     d = space.dim()
     action = []
     for el in space.basis:
-        img = el.involution()
-        coords = space.constant_coordinates(img)
-        if coords is None:
+        coords = space.coordinates(el.involution())
+        if coords is None or any(c for col in coords for c in col[1:]):
             raise ArithmeticError("section space not stable under the involution")
-        action.append(coords)
+        action.append([col[0] for col in coords])
     inv_rows = [[action[j][i] - (1 if i == j else 0) for j in range(d)] for i in range(d)]
     anti_rows = [[action[j][i] + (1 if i == j else 0) for j in range(d)] for i in range(d)]
     return nullspace(inv_rows), nullspace(anti_rows)

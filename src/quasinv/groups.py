@@ -428,7 +428,8 @@ class Multiplicity:
 
     Coxeter orbits (n_H = 2) take a single value, a non-negative integer or
     (in rank one only) a half-integer.  Orbits with n_H > 2 take a vector of
-    n_H - 1 non-negative integers.
+    n_H - 1 non-negative integers.  Every orbit needs a value, and a key
+    that names no orbit raises a ValueError.
     """
 
     def __init__(self, group: ReflectionGroup, values: dict):
@@ -437,6 +438,9 @@ class Multiplicity:
         orbit_nh = {}
         for h in group.hyperplanes:
             orbit_nh[h.orbit_id] = h.stabilizer_order
+        for orbit_id in values:
+            if orbit_id not in orbit_nh:
+                raise ValueError(f"the group has no orbit {str(orbit_id)[:20]!r}")
         for orbit_id, n_h in orbit_nh.items():
             if orbit_id not in values:
                 raise ValueError(f"missing multiplicity for orbit {orbit_id}")

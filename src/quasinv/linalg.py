@@ -12,11 +12,11 @@ Comp. 22 (1968)); a = 1 against a pivot-1 row, so one loop serves both fields
 and rows in Q stay integer.  Vectors are reduced in insertion order and a
 row's pivot is its first nonzero column after reduction, so spans are
 reproducible.  Fractions and Cyclotomics appear only where entries enter
-and on output, in the span's field: `reduce` divides out the scale a vector
-accumulated, and `rref` and `nullspace` divide by the pivot entry.  `rref`
-gives its rows and `nullspace` its kernel vectors as `{column: entry}`
-over their nonzero entries.  The reduced row echelon form is unique, so
-`rref` and `nullspace` depend only on the row space and the column order.
+and on output, in the span's field: `rref` and `nullspace` divide by the
+pivot entry.  `rref` gives its rows and `nullspace` its kernel vectors as
+`{column: entry}` over their nonzero entries.  The reduced row echelon
+form is unique, so `rref` and `nullspace` depend only on the row space and
+the column order.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def nullspace(matrix, ncols=None):
 
 def _clear(v: dict, n: int = 0):
     """Bring the entries of v in Q to ints in place by scaling v with their
-    least common denominator; return it and the order of the Cyclotomic
-    entries, 0 for none, which must agree with each other and a nonzero n."""
+    least common denominator; return the order of the Cyclotomic entries,
+    0 for none, which must agree with each other and a nonzero n."""
     den = 1
     for j, c in v.items():
         if c.__class__ is not int:
@@ -95,7 +95,7 @@ def _clear(v: dict, n: int = 0):
     if den != 1:
         for j, c in v.items():
             v[j] = c.numerator * (den // c.denominator) if c.__class__ is Fraction else c * den
-    return den, n
+    return n
 
 
 def normalize_row(v: dict, p) -> None:
@@ -150,9 +150,7 @@ class IncrementalSpan:
     """Row span maintained by fraction-free incremental elimination.  A
     stored row is zero at the pivots of the rows stored before it, so
     reducing a vector visits only the rows whose pivots it reaches, in
-    insertion order, and touches only their nonzero entries.  Each visit
-    multiplies the vector by its lead a; `reduce` divides the product of
-    the leads and the entry denominators back out."""
+    insertion order, and touches only their nonzero entries."""
 
     def __init__(self):
         self._rows = []  # {column: entry}, primitive or pivot entry 1
@@ -160,11 +158,11 @@ class IncrementalSpan:
         self._where = {}  # pivot column -> row index
         self._one = None  # the 1 of Q(zeta_n) once a Cyclotomic has entered
 
-    def _reduce(self, vector):
-        """(v, scale): `vector` times the positive int `scale`, reduced."""
+    def _reduce(self, vector) -> dict:
+        """`vector` times a nonzero scalar, reduced against the stored rows."""
         items = vector.items() if isinstance(vector, dict) else enumerate(vector)
         v = {j: c for j, c in items if c}
-        scale, n = _clear(v, 0 if self._one is None else self._one.n)
+        n = _clear(v, 0 if self._one is None else self._one.n)
         if n and self._one is None:
             self._one = Cyclotomic.zeta(n, 0)
         rows, pivots, where = self._rows, self.pivots, self._where
@@ -173,18 +171,12 @@ class IncrementalSpan:
         while queue:
             i = heappop(queue)
             if pivots[i] in v:  # a row pushed twice is visited once
-                scale *= _eliminate(v, rows[i], pivots[i], where, queue)
-        return v, scale
-
-    def reduce(self, vector) -> dict:
-        """`vector` reduced against the stored rows, as `{column: entry}`
-        with entries in the span's field."""
-        v, scale = self._reduce(vector)
-        return {j: self._value(c, scale) for j, c in v.items()}
+                _eliminate(v, rows[i], pivots[i], where, queue)
+        return v
 
     def add(self, vector) -> bool:
         """Insert a dense or sparse row; True when it enlarged the span."""
-        v = self._reduce(vector)[0]
+        v = self._reduce(vector)
         if not v:
             return False
         p = min(v.keys())
@@ -198,7 +190,7 @@ class IncrementalSpan:
         return len(self._rows)
 
     def contains(self, vector) -> bool:
-        return not self._reduce(vector)[0]
+        return not self._reduce(vector)
 
     def _value(self, c, den):
         """c / den in the span's field, den an int; a rational c over

@@ -129,11 +129,6 @@ class Polynomial(RingOps):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_component(self, d: int) -> "Polynomial":
-        out = Polynomial(self.vars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) == d}
-        return out
-
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), Fraction(0))
 

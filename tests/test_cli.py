@@ -149,6 +149,16 @@ def test_elldim_accepts_every_q_order_at_the_smallest_degrees(qorder):
     assert json.loads(out)["payload"]["dimension"] == 2  # (n + 1) + max(0, n - m - 1)
 
 
+@pytest.mark.parametrize("form", ["product", "sum"])
+@pytest.mark.parametrize("qorder", ["79", "80"])
+def test_theta_default_window_holds_every_q_order(qorder, form):
+    # both forms reach z^13 at q-order 79 and 80, past the window [-12, 12]
+    # that was once the default
+    code, out, err = call("elliptic", "theta", "--form", form, "--qorder", qorder, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"]["window"] == [-13, 13]
+
+
 def test_missing_action_flags_are_parse_errors():
     for argv in (
         ("exp", "member", "--mult", "1"),
@@ -307,6 +317,9 @@ LONG_DIGITS = "9" * 4000
     *(("hilbert", "--group", group, "--mult", mult) for group, mult in (
         ("A1", LONG), ("A1", "0:" + LONG), ("A1", "0:1," + LONG), ("A1", LONG + ":1"),
         ("Z/3", "0:1+" + LONG), ("A1", LONG_DIGITS))),
+    # argparse's own refusals: an unrecognized argument and an invalid choice
+    ("x1", "--group", "A1", "--mult", LONG_DIGITS),
+    ("exp", LONG),
 ], ids=lambda argv: " ".join(a[:12] for a in argv))
 @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
 def test_refusals_repeat_at_most_20_input_characters(argv, json_flag):
@@ -396,14 +409,25 @@ def test_malformed_expressions_are_refused():
 
 
 def test_malformed_multiplicities_are_parse_errors():
-    for argv in (
-        ("basis", "--group", "I2(3)", "--mult", "0:a+b"),
-        ("basis", "--group", "Z/3", "--mult", "0:1"),
-        ("basis", "--group", "A1 x Z/3", "--mult", "0:1,1:2+1"),
+    # a repeated orbit id once answered for its later value, and an id that
+    # names no orbit was dropped
+    for argv, message in (
+        (("basis", "--group", "I2(3)", "--mult", "0:a+b"), ""),
+        (("basis", "--group", "Z/3", "--mult", "0:1"), ""),
+        (("basis", "--group", "A1 x Z/3", "--mult", "0:1,1:2+1"), ""),
+        (("basis", "--group", "A1", "--mult", "0:1,0:2", "--max-deg", "6", "--json"),
+         "orbit id '0' given twice"),
+        (("basis", "--group", "A1", "--mult", "0:1,7:3"), "the group has no orbit '7'"),
+        (("hilbert", "--group", "I2(4)", "--mult", "0:1,1:2,2:5"), "the group has no orbit '2'"),
+        (("basis", "--group", "A1", "--mult", f"0:1,{'9' * 50}:1"),
+         f"the group has no orbit '{'9' * 20}'"),
+        (("basis", "--group", "A1", "--mult", f"{'9' * 50}:1,{'9' * 50}:2"),
+         f"orbit id '{'9' * 20}' given twice"),
     ):
         code, out, err = call(*argv)
         assert code == 1, argv
         assert out == "" and "Traceback" not in err and err.strip(), argv
+        assert message in err and err.count("\n") == 1, argv
 
 
 def test_out_of_range_inputs_exit_with_a_message():
@@ -456,7 +480,8 @@ SPECS = ("A1", "A1^2", "A1 x A1", "I2(3)", "I2(4)", "Z/3", "Z/4", "A1 x Z/3",
          "", "E8", "I2(2)", "Z/1", "A1^0", "A1 x I2(3)", "I2(33)", "Z/" + "9" * 5000,
          "A1^" + "9" * 5000)
 MULTS = ("0", "1", "2", "1/2", "-1", "0:1", "0:2,1:1", "0:1+2", "0:a+b", "1:1", "x", "", "33",
-         "1e5000", "9" * 5000, "1e99999999", "0e99999999", "1e-99999999")
+         "1e5000", "9" * 5000, "1e99999999", "0e99999999", "1e-99999999", "0:1,0:2", "0:1,7:3",
+         "0:1,1:1,2:1")
 POLYNOMIALS = ("x^5", "x", "z1^3*z2", "3*x^2 - 1/2*x + 4", "z1 - z2", "x^", "(", "",
                "3^30000000*x", "3^10000*x", "9" * 5000 + "*x", f"x^{MAX_DEGREE + 1}", "1/0*x",
                "x - -x", "x^(2)", "x*", "+")

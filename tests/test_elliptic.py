@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,67 @@ def test_sections_contain_doubled_jacobi(jac):
     jz2 = square_z(jac)
     assert space.coordinates(jz2) is not None
     assert jz2.involution() == jz2 * -1  # anti-invariant
+
+
+def _residual_coordinates(space, f):
+    """`SectionSpace.coordinates` by subtraction: the basis elements times
+    the q-columns of f at the basepoints are taken from f one at a time,
+    and f is a member when nothing is left below the common q-order."""
+    N = min([f.q_order] + [el.q_order for el in space.basis])
+    coords = [tuple(f.coeffs.get((2 * b, s), 0) for s in range(N)) for b in space.basepoints]
+    residual = f.truncate_q(N)
+    for col, el in zip(coords, space.basis):
+        col_series = ZQSeries({(0, s): c for s, c in enumerate(col)}, N)
+        if col_series:
+            residual = residual - el * col_series
+    if any(s < N for (_, s) in residual.coeffs):
+        return None
+    return coords
+
+
+@pytest.mark.parametrize("q_order", [1, 2, 12, 40])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_coordinates_match_the_residual_reference(n, q_order):
+    space = section_basis(n, q_order)
+    rng = random.Random(100 * n + q_order)
+    columns, combinations = [], []
+    for _ in range(4):  # rational combinations with q-polynomial coefficients
+        cols = [{s: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                 for s in rng.sample(range(q_order), min(q_order, 3))} for _ in space.basis]
+        f = ZQSeries.zero(q_order)
+        for col, el in zip(cols, space.basis):
+            f = f + el * ZQSeries({(0, s): c for s, c in col.items()}, q_order)
+        columns.append([tuple(col.get(s, 0) for s in range(q_order)) for col in cols])
+        combinations.append(f)
+    for f, cols in zip(combinations, columns):
+        assert space.coordinates(f) == cols
+    j2 = _theta_power(1, -1, 2, q_order)
+    members = [g for el in space.basis for g in (el, el.involution())] + combinations
+    if n == 1:
+        members += [j2, negate_z(j2)]
+    basepoint_ws = {2 * b for b in space.basepoints}
+    non_members = [_theta_power(1, -1, 1, q_order)]  # half-integer z-exponents
+    for f in members:
+        assert space.coordinates(f) is not None
+        key = rng.choice(sorted(f.coeffs))
+        removed = ZQSeries({k: c for k, c in f.coeffs.items() if k != key}, q_order)
+        changed = ZQSeries({**f.coeffs, key: f.coeffs[key] + 1}, q_order)
+        others = sorted(k for k in f.coeffs if k[0] not in basepoint_ws)
+        if others:  # the coordinates read the same columns; the rest differs
+            wrong = rng.choice(others)
+            non_members.append(ZQSeries({**f.coeffs, wrong: 2 * f.coeffs[wrong]}, q_order))
+        for g in (removed, changed):
+            assert space.coordinates(g) == _residual_coordinates(space, g)
+    for f in non_members:
+        assert space.coordinates(f) is None
+    # members of a longer space, and series shorter than the space, are
+    # compared below the common q-order
+    longer = section_basis(n, q_order + 2).basis
+    for f in members + non_members + longer + [_theta_power(0, 2, 1, q_order), j2, negate_z(j2)]:
+        assert space.coordinates(f) == _residual_coordinates(space, f)
+        shorter = f.truncate_q(q_order // 2)
+        assert space.coordinates(shorter) == _residual_coordinates(space, shorter)
+    assert all(space.coordinates(f) is not None for f in longer)
 
 
 def test_invariant_anti_split_dimensions():

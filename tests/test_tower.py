@@ -294,7 +294,8 @@ def _ganea_fiber_product_by_coordinates(q_m):
         out = Polynomial.zero(variables)
         for d in sorted({sum(e) for e in p.terms}):
             basis = [coordinate_vector(r, d) for r in reps[d] + ideal[d]]
-            coords = dense_coordinates(basis, coordinate_vector(p.homogeneous_component(d), d))
+            component = Polynomial(variables, {e: c for e, c in p.terms.items() if sum(e) == d})
+            coords = dense_coordinates(basis, coordinate_vector(component, d))
             out = out + _combination(coords[: len(reps[d])], reps[d], variables)
         return out
 
@@ -308,13 +309,16 @@ def _encoded_pairs(layers):
             for layer in layers]
 
 
-@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("m", range(6))
 def test_ganea_step_matches_the_coordinate_solve(m):
-    q_m = quasi_basis(A1, Multiplicity.constant(A1, m), 14)
-    step = ganea_step(q_m)
-    reference = _ganea_fiber_product_by_coordinates(q_m)
-    assert _encoded_pairs(step["fiber_product"].layers) == _encoded_pairs(reference)
-    assert step["certified"]
+    for D in (14, 33):
+        q_m = quasi_basis(A1, Multiplicity.constant(A1, m), D)
+        step = ganea_step(q_m)
+        reference = _ganea_fiber_product_by_coordinates(q_m)
+        assert _encoded_pairs(step["fiber_product"].layers) == _encoded_pairs(reference), D
+        assert step["certified"], D
+        assert ([[encode_polynomial(a) for a in layer] for layer in step["next_basis"].layers]
+                == [[encode_polynomial(a) for a, _ in layer] for layer in reference]), D
 
 
 @pytest.mark.parametrize("m", range(4))
