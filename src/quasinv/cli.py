@@ -557,6 +557,8 @@ def cmd_fake(args) -> int:
                     raise ParseError(f"bad assignment chunk {chunk[:20]!r}")
                 except argparse.ArgumentTypeError as exc:
                     raise ParseError(f"prime in --assign {exc}")
+                if p in assignments:
+                    raise ParseError(f"prime {p_str[:20]!r} given twice")
                 try:
                     assignments[p] = _int_in(-MAX_NB, MAX_NB)(n_str)
                 except argparse.ArgumentTypeError as exc:

@@ -52,27 +52,30 @@ _ONE = Fraction(1)
 
 
 class GradedBasis:
-    """Degreewise bases of a graded subspace of the polynomial ring: the layers,
-    or a function d -> layer with their `dims`, each layer built on first read.
-    It holds no spans: membership in Q_m is decided by its congruences."""
+    """Degreewise bases of a graded subspace of the polynomial ring through
+    `max_degree`: `build(d)` forms the degree-d layer on its first read, and
+    `dims` holds the layer lengths up front; `layer` refuses a degree outside
+    0..max_degree.  No spans: membership in Q_m is decided by congruences."""
 
-    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, layers, dims=None):
+    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, build, dims):
         self.group = group
         self.multiplicity = multiplicity
         self.max_degree = max_degree
-        self._build = layers if dims else None
-        self._layers = [None] * (max_degree + 1) if dims else list(layers)
-        self._dims = dims or [len(layer) for layer in layers]
+        self._build = build
+        self._layers = [None] * (max_degree + 1)
+        self._dims = dims
 
     def layer(self, d: int) -> list:
         """The degree-d layer, a list of Polynomial, built on first read."""
+        if not 0 <= d <= self.max_degree:
+            raise ValueError(f"degree {d} outside 0..{self.max_degree}")
         if self._layers[d] is None:
             self._layers[d] = self._build(d)
         return self._layers[d]
 
     @property
     def layers(self) -> list:
-        return [self.layer(d) for d in range(len(self._layers))]
+        return [self.layer(d) for d in range(self.max_degree + 1)]
 
     def dims(self):
         return list(self._dims)

@@ -1,11 +1,12 @@
 """Graded fiber products and the algebra-level fibre-cofibre tower.
 
-The tower step rebuilds Q_(m+1) from Q_m as the fiber product
-Q_m x_(Q_m/(x^2)) k and certifies the result against the congruence solver;
-it is defined for the rank-one group only, where flatness of Q_m over the
-invariants makes the plain fiber product the right object.  All tower
-modules work in polynomial x-degree; comparisons against presentations with
-doubled (cohomological) degrees rescale explicitly.
+A fiber product is the list of its layers, each a list of pairs (a, b) of
+polynomials of one degree.  The tower step rebuilds Q_(m+1) from Q_m as the
+fiber product Q_m x_(Q_m/(x^2)) k and certifies the result against the
+congruence solver; it is defined for the rank-one group only, where flatness
+of Q_m over the invariants makes the plain fiber product the right object.
+All tower modules work in polynomial x-degree; comparisons against
+presentations with doubled (cohomological) degrees rescale explicitly.
 """
 
 from __future__ import annotations
@@ -21,21 +22,10 @@ from quasinv.quasi import (_ONE, GradedBasis, _hyperplane_conditions, _primitive
                            _satisfies, module_certificate, quasi_basis)
 
 
-class FiberProductAlgebra:
-    """Degreewise basis of {(a, b) : f(a) = g(b) in C} with componentwise
-    product."""
-
-    def __init__(self, variables, layers):
-        self.variables = variables
-        self.layers = layers  # layers[d] = list of (Polynomial, Polynomial)
-
-    def dims(self):
-        return [len(layer) for layer in self.layers]
-
-
-def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
-                        max_degree: int) -> FiberProductAlgebra:
-    """Equalizer of two degree-preserving maps into a common graded quotient.
+def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g) -> list:
+    """Equalizer of two degree-preserving maps into a common graded quotient,
+    as its layers: `layers[d]` lists the degree-d pairs (a, b), through the
+    degrees of `layers_a`.
 
     `f` and `g` are callables on polynomials.  In each degree the equalizer
     is the kernel of [F | -G] on rows indexed by the monomials of the images;
@@ -43,8 +33,7 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
     were not well formed and raises a ValueError.
     """
     layers = []
-    for d in range(max_degree + 1):
-        A = layers_a[d]
+    for d, A in enumerate(layers_a):
         B = layers_b[d]
         index = monomial_index(tuple(variables), d)
         span_c = span_of([_row(c, index) for c in layers_c[d]], len(index))
@@ -59,7 +48,7 @@ def fiber_product_basis(variables, layers_a, layers_b, layers_c, f, g,
         layers.append([(_combination(vec, A, variables),
                         _combination(vec, B, variables, len(A)))
                        for vec in nullspace(list(rows.values()), len(A) + len(B))])
-    return FiberProductAlgebra(variables, layers)
+    return layers
 
 
 def _combination(vec: dict, polys, variables, offset: int = 0) -> Polynomial:
@@ -103,7 +92,8 @@ def ganea_step(q_m: GradedBasis) -> dict:
     through the same degree `q_m.max_degree`.  Returns the projected graded
     basis, certifies that it equals the congruence-solver basis of
     multiplicity m+1 (returned as "expected_basis", the input of the next
-    step), and reports the total dimension of the fiber algebra Q_m/(x^2).
+    step), and reports the total dimension of the fiber algebra Q_m/(x^2)
+    and the fiber product's layers ("fiber_product").
     Every layer of the rank-one Q_m is at most one monomial, so the ideal
     x^2 Q_m fills degree d when degree d - 2 has a layer and is zero there
     otherwise, and the equalizer has at most one pair per degree, with a
@@ -131,10 +121,10 @@ def ganea_step(q_m: GradedBasis) -> dict:
         quot_reps,
         project,
         lambda b: b,
-        max_degree,
     )
-    next_layers = [[a for a, _ in layer] for layer in fp.layers]
-    projected = GradedBasis(group, None, max_degree, next_layers)
+    next_layers = [[a for a, _ in layer] for layer in fp]
+    projected = GradedBasis(group, None, max_degree, next_layers.__getitem__,
+                            [len(layer) for layer in fp])
     expected = quasi_basis(group, Multiplicity.constant(group, q_m_mult(q_m) + 1), max_degree)
     certified = _same_spans(projected, expected)
     return {
@@ -206,14 +196,13 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
         truncated_line_layers(variables, cut, max_degree),
         lambda p: truncate_poly(p, cut),
         lambda p: truncate_poly(p, cut),
-        max_degree,
     )
     group = parse_group("A1")
     s = group.reflection(group.hyperplanes[0])
     q_m = quasi_basis(group, Multiplicity.constant(group, m), max_degree)
     inv_dims = []
     iso_pairs = []
-    for d, layer in enumerate(fp.layers):
+    for d, layer in enumerate(fp):
         # sigma - 1 on the pairs, (p, q) -> (s(q) - p, s(p) - q), one row per
         # side and monomial
         rows: dict = {}
@@ -227,7 +216,7 @@ def h_t_invariants(m: int, max_degree: int) -> dict:
                       for vec in kernel]
     matches = inv_dims == q_m.dims()
     return {
-        "fiber_dims": fp.dims(),
+        "fiber_dims": [len(layer) for layer in fp],
         "invariant_dims": inv_dims,
         "quasi_dims": q_m.dims(),
         "matches_quasi_invariants": matches,

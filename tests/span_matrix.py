@@ -1,10 +1,12 @@
 """Whole-matrix reduced row echelon form and rank of dense rows, and span
 membership in graded layers, read off `IncrementalSpan`s; only tests need
 them, the library works on spans and decides membership in Q_m by its
-congruences."""
+congruences.  `layers_basis` wraps layers formed in a test as a
+`GradedBasis`."""
 
 from quasinv.linalg import span_of
 from quasinv.poly import monomial_index
+from quasinv.quasi import GradedBasis
 
 
 def rref(matrix):
@@ -39,3 +41,10 @@ def span_membership(layers):
                 return False
         return True
     return contains
+
+
+def layers_basis(group, multiplicity, layers) -> GradedBasis:
+    """The `GradedBasis` through degree len(layers) - 1 whose degree-d layer
+    is `layers[d]`, every layer formed already."""
+    return GradedBasis(group, multiplicity, len(layers) - 1, layers.__getitem__,
+                       [len(layer) for layer in layers])

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -24,6 +25,8 @@ from quasinv.cli import (
     MAX_SERIES_ORDER,
     MAX_STEPS,
     MAX_WINDOW,
+    REPLAY_SUITES,
+    build_parser,
     run,
 )
 
@@ -165,6 +168,9 @@ def test_missing_action_flags_are_parse_errors():
         ("fake", "ktheory", "--mult", "1"),
         ("fake", "nb", "--assign", "junk"),
         ("fake", "ktheory", "--series", "a,b", "--mult", "1"),
+        # a prime given twice once answered for its later gluing degree
+        ("fake", "nb", "--assign", "3:2,3:5"),
+        ("fake", "nb", "--assign", "3:5,3:2"),
     ):
         code, _, err = call(*argv)
         assert code == 1, argv
@@ -304,6 +310,7 @@ LONG_DIGITS = "9" * 4000
     ("fake-cohomology", "--nb", "-" + LONG_DIGITS, "--mult", "1"),
     ("fake", "nb", "--assign", "3:" + LONG_DIGITS),
     ("fake", "nb", "--assign", LONG),
+    ("fake", "nb", "--assign", "3:1," + "0" * 4000 + "3:2"),
     ("fake", "ktheory", "--series", LONG),
     ("fake", "ktheory", "--series", "0,0,3,1", "--elem", LONG),
     ("exp", "basis", "--mult", "1", "--window", LONG),
@@ -500,26 +507,37 @@ nbs = small | st.sampled_from((str(MAX_NB + 1), str(-MAX_NB - 1), "9" * 150))
 large_degrees = st.sampled_from(("40", "48", str(MAX_DEGREE)))
 
 
-def _command(*head, max_deg=False, **options):
-    """argvs of one subcommand: each option present or left out, and a
-    small --max-deg always present when the command takes one (its default
-    degree bounds are larger)."""
+# the argv prefixes the grammar draws: (subcommand,), (subcommand, action)
+# and (subcommand, option), and (option,) before any subcommand
+DRAWN = set()
+
+
+def _command(*head, max_deg=False, flags=(), **options):
+    """argvs of one subcommand: each option and each flag present or left
+    out, and a small --max-deg always present when the command takes one
+    (its default degree bounds are larger)."""
     present = [st.one_of(st.just(()), value.map(lambda v, k=k: (f"--{k}", v)))
                for k, value in options.items()]
+    present += [st.sampled_from(((), (f"--{k}",))) for k in flags]
+    named = [f"--{k}" for k in (*options, *flags)]
     if max_deg:
         present.append(small.map(lambda v: ("--max-deg", v)))
+        named.append("--max-deg")
+    DRAWN.update({head[:i] for i in range(1, len(head) + 1)}, ((head[0], o) for o in named))
     return st.tuples(*present).map(lambda parts: head + sum(parts, ()))
 
 
 def _actions(head, actions, **options):
-    return st.sampled_from(actions).flatmap(lambda a: _command(*head, a, **options))
+    return st.one_of(*(_command(*head, a, **options) for a in actions))
 
 
 ARGVS = st.one_of(
+    _command("--version"),
     _command("group", spec=specs),
     _actions((), ("basis", "hilbert", "freeness", "x1"), max_deg=True, group=specs, mult=mults),
     _actions((), ("basis", "hilbert", "freeness", "x1"), group=st.just("A1^6"), mult=mults,
              **{"max-deg": large_degrees}),
+    _command("basis", max_deg=True, flags=("check-closure",), group=specs, mult=mults),
     _command("filtration", max_deg=True, group=specs, mult=mults, **{"mult-high": mults}),
     _command("tower", max_deg=True, steps=st.integers(-3, 3).map(str)),
     _command("fake-cohomology", max_deg=True, nb=nbs, mult=small),
@@ -530,10 +548,12 @@ ARGVS = st.one_of(
     _command("chern", mult=small, order=small, elem=st.sampled_from(CHARACTERS)),
     _actions(("fake",), ("ktheory", "distinguish", "nb"), series=st.sampled_from(SERIES),
              elem=st.sampled_from(SERIES), mult=small, order=small, nb=nbs, prime=small,
-             assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x", MANY_DIGIT_ASSIGN))),
+             assign=st.sampled_from(("3:2,5:3", "2:1", "4:1", "3:0", "x", "3:2,3:5",
+                                     MANY_DIGIT_ASSIGN))),
     _actions(("elliptic",), ("theta", "sections", "elldim", "sheafdims"),
              form=st.sampled_from(("sum", "product")), qorder=small, window=windows,
              n=small, mult=small),
+    _command("replay", suite=st.sampled_from(REPLAY_SUITES + ("all", "none"))),
 )
 
 
@@ -545,6 +565,20 @@ def test_every_argv_exits_with_a_code(argv, as_json):
     code, _, err = call(*argv, *(("--json",) if as_json else ()))
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert len(err) < 1000, (argv, code, err[:200])
+
+
+def test_the_fuzz_grammar_draws_every_part_of_the_parser():
+    # a subcommand, action or option the grammar leaves out ships unfuzzed;
+    # the fuzz test appends --json to any argv, and -h prints argparse's help
+    parser = build_parser()
+    parts = {(o,) for a in parser._actions for o in a.option_strings}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        parts.add((name,))
+        for a in p._actions:
+            parts.update((name, part) for part in a.option_strings or a.choices or [a.dest])
+    missing = {part for part in parts if part[-1] not in ("-h", "--help", "--json")} - DRAWN
+    assert not missing, sorted(missing)
 
 
 # -- per-command imports ---------------------------------------------------------

@@ -29,7 +29,6 @@ from quasinv.poly import (
     multiply_terms,
 )
 from quasinv.quasi import (
-    GradedBasis,
     _constraint_entries,
     _hyperplane_conditions,
     _independent,
@@ -46,8 +45,8 @@ from quasinv.quasi import (
     quasi_basis,
 )
 from quasinv.serialize import encode_coeff, encode_polynomial
-from quasinv.tower import x1_algebra
-from span_matrix import rank, span_membership
+from quasinv.tower import ganea_step, x1_algebra, x1_layers
+from span_matrix import layers_basis, rank, span_membership
 
 
 A1 = parse_group("A1")
@@ -121,7 +120,7 @@ def quasi_basis_unblocked(group, mult, max_degree):
         layer = [Polynomial(group.variables, {kept[i]: c for i, c in vec.items()})
                  for vec in kernel]
         layers.append(sorted(layer, key=lambda p: min(p.terms)))
-    return GradedBasis(group, mult, max_degree, layers)
+    return layers_basis(group, mult, layers)
 
 
 def _blocked_cases():
@@ -267,7 +266,7 @@ def quasi_basis_by_division(group, mult, max_degree):
                 layer.append(Polynomial(group.variables, terms))
         layer.sort(key=lambda p: min(p.terms))
         layers.append(layer)
-    return GradedBasis(group, mult, max_degree, layers)
+    return layers_basis(group, mult, layers)
 
 
 def _mixed_multiplicity(group):
@@ -430,7 +429,7 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     assert sorted(built) == list(range(13))
     monkeypatch.undo()
     basis = quasi_basis(W, mult, 44)
-    eager = GradedBasis(W, mult, 44, basis.layers)
+    eager = layers_basis(W, mult, basis.layers)
     assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
         _typed_outcome(cert)
 
@@ -522,6 +521,39 @@ def test_swap_dims_are_the_sizes_of_the_layers(spec):
         dims = basis.dims()  # read before any layer is formed
         assert dims == [len(basis.layer(d)) for d in range(D + 1)]
         assert dims == quasi_basis(W, mult, D).dims()
+
+
+def _constant_basis(spec, m, D):
+    W = parse_group(spec)
+    return quasi_basis(W, Multiplicity.constant(W, m), D)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _constant_basis("A1", 1, 10),
+    lambda: _constant_basis("I2(3)", 1, 6),
+    lambda: x1_layers(parse_group("A1^2"), 6),
+    lambda: ganea_step(_constant_basis("A1", 0, 9))["next_basis"],
+], ids=["deletions", "swaps", "x1", "tower-step"])
+def test_degrees_outside_the_range_are_refused(make):
+    # a negative degree was once read as a Python index: layer(-1) of a lazy
+    # basis cached its layer in the top degree's slot, and the tower step's
+    # basis answered with its top layer; layer(max_degree + 1) raised a bare
+    # IndexError
+    basis = make()
+    basis.layer(2)
+    cached = list(basis._layers)
+    for d in (-1, basis.max_degree + 1):
+        with pytest.raises(ValueError, match=f"degree {d} outside 0..{basis.max_degree}$"):
+            basis.layer(d)
+    assert basis._layers == cached
+    assert basis.layers == make().layers
+
+
+def test_a_refused_negative_degree_leaves_the_top_layer():
+    basis = _constant_basis("A1", 1, 10)
+    with pytest.raises(ValueError):
+        basis.layer(-1)
+    assert basis.layer(10) == [X**10]
 
 
 _FRESH_ENCODING = """
@@ -706,7 +738,7 @@ def test_module_certificate_takes_layer_vectors_across_characters():
     layers = [[Polynomial.monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
               for d in range(9)]
     layers[1] = [x1 + x2, x1 - x2]
-    cert = module_certificate(W, GradedBasis(W, None, 8, layers))
+    cert = module_certificate(W, layers_basis(W, None, layers))
     assert cert.status == "free"
     assert cert.generator_degrees() == [0, 1, 1, 2]
 
@@ -886,7 +918,7 @@ def test_generators_found_after_the_proof_match_every_product():
 
     layers = [[Polynomial.monomial(W.variables, e)
                for e in monomials_of_degree(W.variables, d) if member(*e)] for d in range(21)]
-    basis = GradedBasis(W, None, 20, layers)
+    basis = layers_basis(W, None, layers)
     cert = module_certificate(W, basis)
     assert (cert.status, cert.failure_degree) == ("not-free", 13)
     assert cert.generator_degrees() == [0, 3, 3, 6, 11, 13]
