@@ -51,7 +51,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_in(low, high: int):
-    """argparse type: an integer in [low, high], or at most high for low None."""
+    """argparse type: an integer in [low, high], or at most high for low None;
+    the bounds are kept on it as `bounds`."""
 
     def check(text: str) -> int:
         try:
@@ -64,6 +65,7 @@ def _int_in(low, high: int):
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {str(value)[:20]}")
         return value
 
+    check.bounds = (low, high)
     return check
 
 

@@ -16,7 +16,10 @@ and on output, in the span's field: `rref` and `nullspace` divide by the
 pivot entry.  `rref` gives its rows and `nullspace` its kernel vectors as
 `{column: entry}` over their nonzero entries.  The reduced row echelon
 form is unique, so `rref` and `nullspace` depend only on the row space and
-the column order.
+the column order.  `nullspace` eliminates forward when called and
+back-substitutes on the first read of its vectors (`Kernel`), so a caller
+that reads only the kernel's dimension, `len`, pays for the forward pass
+alone.
 """
 
 from __future__ import annotations
@@ -54,28 +57,63 @@ def span_of(vectors, ncols: int) -> "IncrementalSpan":
     return span
 
 
-def nullspace(matrix, ncols=None):
+def nullspace(matrix, ncols=None) -> "Kernel":
     """Basis of the exact kernel of dense or sparse rows (`ncols` needed for
-    sparse rows or none): one vector per free column, in increasing order,
-    as `{column: entry}` over its nonzero entries in increasing column
-    order, with the Fraction 1 in the free slot and the other entries in the
-    span's field.  No rows over n columns give the standard basis."""
+    sparse rows or none), as a `Kernel`: the rows are eliminated forward
+    now, and the vectors formed on first read.  One vector per free column,
+    in increasing order, as `{column: entry}` over its nonzero entries in
+    increasing column order, with the Fraction 1 in the free slot and the
+    other entries in the span's field.  No rows over n columns give the
+    standard basis."""
     if ncols is None:
         if not matrix:
             raise ValueError("cannot infer column count from an empty matrix; pass rows")
         ncols = len(matrix[0])
-    span = span_of(matrix, ncols)
-    span.back_substitute()
-    where = span._where
-    basis = {fc: {} for fc in range(ncols) if fc not in where}
-    for pc in sorted(where):  # a row's entries lie right of its pivot
-        row = span._rows[where[pc]]
-        for j, c in row.items():
-            if j != pc:
-                basis[j][pc] = span._value(-c, row[pc])
-    for fc, vec in basis.items():
-        vec[fc] = _ONE
-    return list(basis.values())
+    return Kernel(span_of(matrix, ncols), ncols)
+
+
+class Kernel:
+    """The kernel vectors of a forward-eliminated span, as a sequence.  Its
+    length, ncols minus the rank, is read off the span; the first iteration
+    or index back-substitutes and forms the vectors, once.  A span of full
+    rank has no vector to form and is not kept: most of the blocks a
+    dihedral solve never reads are such spans.  It compares equal to the
+    list of its vectors."""
+
+    __slots__ = ("_span", "_ncols", "_vectors")
+
+    def __init__(self, span: "IncrementalSpan", ncols: int):
+        self._span, self._ncols, self._vectors = span, ncols, None
+        if span.dim() == ncols:
+            self._span, self._vectors = None, []
+
+    def __len__(self) -> int:
+        return len(self._vectors) if self._span is None else self._ncols - self._span.dim()
+
+    def _formed(self) -> list:
+        if self._vectors is None:
+            span = self._span
+            span.back_substitute()
+            where = span._where
+            basis = {fc: {} for fc in range(self._ncols) if fc not in where}
+            for pc in sorted(where):  # a row's entries lie right of its pivot
+                row = span._rows[where[pc]]
+                for j, c in row.items():
+                    if j != pc:
+                        basis[j][pc] = span._value(-c, row[pc])
+            for fc, vec in basis.items():
+                vec[fc] = _ONE
+            self._vectors, self._span = list(basis.values()), None
+        return self._vectors
+
+    def __iter__(self):
+        return iter(self._formed())
+
+    def __getitem__(self, i):
+        return self._formed()[i]
+
+    def __eq__(self, other) -> bool:
+        return self._formed() == other
 
 
 def _clear(v: dict, n: int = 0):

@@ -24,8 +24,9 @@ disagree.  On a diagonal-character block the root is one per row up
 to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
 the surviving monomials: `quasi_basis` counts them and solves a layer when read.
-With swap rows (I2(k)) it solves every degree and forms a layer's
-polynomials from the kernels when read.
+With swap rows (I2(k)) it eliminates every degree forward and reads the dims
+off the ranks; a layer is back-substituted and its polynomials formed when
+read.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -289,9 +290,10 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     their count.  Each deletion tests one exponent (`_survives`), so the
     dims are the convolution over k of the 0/1 sequences "x_k^a survives":
     they are counted so, and a layer is solved on first read.  With swap
-    rows (I2(k)) every degree is solved up front and kept as its kernels,
-    whose sizes are the dims; a layer's polynomials are formed on first
-    read, and its kernels then dropped.
+    rows (I2(k)) every degree's rows are eliminated forward up front and
+    kept as its `nullspace` kernels, whose lengths (columns minus rank) are
+    the dims; a layer's kernels are back-substituted and its polynomials
+    formed on first read, and its kernels then dropped.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
@@ -422,9 +424,12 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     echelon order.  By induction S_d is spanned by the products f^J g of
     positive-degree invariant monomials f^J with lower-degree generators g
     (the f^J span the invariants: Chevalley-Shephard-Todd), so only those
-    products enter, and the picks depend only on S_d.  If the free module
-    on the generators found so far ever outgrows the actual dimensions, a
-    relation exists and the module is not free.
+    products enter, and the picks depend only on S_d.  The layer is read
+    only while the products leave S_d short of dim L_d: a degree that they
+    fill holds no generator, so a basis that forms its layers on first read
+    never forms it.  If the free module on the generators found so far ever
+    outgrows the actual dimensions, a relation exists and the module is not
+    free.
 
     Once the generators number |W| they are proved independent over the
     invariant ring R, once (`_independent`).  Then S_d has dimension
@@ -460,7 +465,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
                 if span.dim() >= dims[d]:
                     break
                 span.add(multiply_terms(fj, g, index))
-        for p in basis.layer(d):
+        for p in basis.layer(d) if span.dim() < dims[d] else ():
             if span.dim() < dims[d] and span.add(_row(p, index)):
                 generators.append((d, p))
                 generator_terms.append((d, _primitive(p)))

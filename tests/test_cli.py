@@ -512,16 +512,41 @@ large_degrees = st.sampled_from(("40", "48", str(MAX_DEGREE)))
 DRAWN = set()
 
 
+def _bound_values():
+    """(subcommand, option) -> the values at and just past the bounds of each
+    option that `cli._int_in` types, read off the parser: low - 1, low, high
+    and high + 1, or high and high + 1 for an option bounded above only."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for name, p in sub.choices.items():
+        for a in p._actions:
+            if hasattr(a.type, "bounds"):
+                low, high = a.type.bounds
+                values = (high, high + 1) if low is None else (low - 1, low, high, high + 1)
+                out[name, a.option_strings[0]] = st.sampled_from([str(v) for v in values])
+    return out
+
+
+BOUNDS = _bound_values()
+
+
+def _bounded(head, option, values):
+    """`values`, and the bounds of the option if `_int_in` types it (`BOUNDS`)."""
+    bounds = BOUNDS.get((head[0], f"--{option}"))
+    return values if bounds is None else values | bounds
+
+
 def _command(*head, max_deg=False, flags=(), **options):
     """argvs of one subcommand: each option and each flag present or left
     out, and a small --max-deg always present when the command takes one
-    (its default degree bounds are larger)."""
-    present = [st.one_of(st.just(()), value.map(lambda v, k=k: (f"--{k}", v)))
+    (its default degree bounds are larger); an option that `_int_in` types
+    also draws its bounds."""
+    present = [st.one_of(st.just(()), _bounded(head, k, value).map(lambda v, k=k: (f"--{k}", v)))
                for k, value in options.items()]
     present += [st.sampled_from(((), (f"--{k}",))) for k in flags]
     named = [f"--{k}" for k in (*options, *flags)]
     if max_deg:
-        present.append(small.map(lambda v: ("--max-deg", v)))
+        present.append(_bounded(head, "max-deg", small).map(lambda v: ("--max-deg", v)))
         named.append("--max-deg")
     DRAWN.update({head[:i] for i in range(1, len(head) + 1)}, ((head[0], o) for o in named))
     return st.tuples(*present).map(lambda parts: head + sum(parts, ()))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,49 @@ def test_sparse_rows_match_their_dense_forms(case):
         assert vec[free].__class__ is Fraction and vec[free] == 1 and free == max(vec)
         assert all(vec[j].__class__ is (Fraction if n is None else Cyclotomic) for j in rest)
     assert [_densified(row, ncols) for row in rows] == dense_rows  # inputs untouched
+
+
+# -- the kernel's vectors formed on first read -------------------------------------
+
+
+def test_the_kernel_is_back_substituted_on_first_read(monkeypatch):
+    calls = []
+    back_substitute = IncrementalSpan.back_substitute
+    monkeypatch.setattr(IncrementalSpan, "back_substitute",
+                        lambda span: calls.append(span) or back_substitute(span))
+    rows = [SparseRow({0: 1, 2: 1}), SparseRow({1: 1, 2: -1})]
+    for read in (list, lambda kernel: [kernel[0], kernel[1]]):
+        calls.clear()
+        kernel = nullspace(rows, 4)
+        assert len(kernel) == 2 and kernel and not calls
+        assert read(kernel) == [{0: -1, 1: 1, 2: 1}, {3: 1}] and len(calls) == 1
+        assert list(kernel) == kernel and kernel[1] == {3: 1} and len(calls) == 1
+    # a span of full rank has no vector to form
+    full = nullspace([[1, 0], [0, 1]])
+    assert not full and full == [] and list(full) == [] and len(calls) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    _sparse_case().map(lambda case: (case[0], len(case[1]), case[0])),
+    _sparse_rows().map(lambda case: (case[2], case[1],
+                                     [_densified(row, case[1]) for row in case[2]]))))
+def test_the_kernel_length_needs_no_back_substitution(case):
+    # the Q and Q(zeta_n) rows above: the length is read off the forward
+    # elimination, and the vectors formed on first read, by one
+    # back-substitution unless the rank is full, are the dense ones
+    rows, ncols, dense_rows = case
+    calls = []
+    back_substitute = IncrementalSpan.back_substitute
+    with mock.patch.object(IncrementalSpan, "back_substitute",
+                           lambda span: calls.append(span) or back_substitute(span)):
+        kernel = nullspace(rows, ncols)
+        length = len(kernel)
+        assert not calls
+        vectors = list(kernel)
+        assert len(calls) == (1 if length else 0)
+    assert length == len(vectors)
+    assert _encoded_kernel(vectors) == _encoded_kernel(dense_nullspace(dense_rows))
 
 
 def test_sparse_row_iterates_over_its_entries():

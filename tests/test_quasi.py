@@ -29,6 +29,7 @@ from quasinv.poly import (
     multiply_terms,
 )
 from quasinv.quasi import (
+    GradedBasis,
     _constraint_entries,
     _hyperplane_conditions,
     _independent,
@@ -426,12 +427,39 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
     cert = freeness_certificate(W, mult, 44)
     assert cert.status == "free" and max(cert.generator_degrees()) == 12
-    assert sorted(built) == list(range(13))
+    assert sorted(built) == [0, 3, 6, 9, 12]  # the degrees the products leave short
     monkeypatch.undo()
     basis = quasi_basis(W, mult, 44)
     eager = layers_basis(W, mult, basis.layers)
     assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
         _typed_outcome(cert)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "A1^3"])
+def test_certificate_forms_only_the_layers_the_products_leave_short(spec, monkeypatch):
+    # a degree that the invariant products fill holds no generator, so its
+    # layer is never formed; a short degree gains at least one generator
+    W = parse_group(spec)
+    D = 4 * sum(W.invariant_degrees)
+    layer = GradedBasis.layer
+    for mult in (Multiplicity.constant(W, 1), _mixed_multiplicity(W)):
+        built = []
+
+        def counted_layer(basis, d):
+            if basis._layers[d] is None:
+                built.append(d)
+            return layer(basis, d)
+
+        monkeypatch.setattr(GradedBasis, "layer", counted_layer)
+        cert = freeness_certificate(W, mult, D)
+        monkeypatch.undo()
+        basis = quasi_basis(W, mult, D)
+        assert cert.status == "free"
+        assert built == sorted(set(cert.generator_degrees()))
+        assert len(built) < sum(1 for dim in basis.dims()[:built[-1] + 1] if dim)
+        eager = layers_basis(W, mult, basis.layers)
+        assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
+            _typed_outcome(cert)
 
 
 # -- swap layers kept as kernels, polynomials formed on first read ----------------------

@@ -202,8 +202,9 @@ def test_x1_certificate_builds_no_layer_above_its_failure_degree(monkeypatch):
     W = parse_group("A1^4")
     basis, cert = x1_algebra(W, 32)
     assert cert.status == "not-free" and cert.failure_degree == 5
-    assert len(built) == 5  # degrees 1-5; degree 0 is the constant
-    assert coinvariant_dimension(basis) == W.order and len(built) == 5
+    # degrees 3-5: the invariants fill degree 2, degree 1 is empty and 0 the constant
+    assert len(built) == 3
+    assert coinvariant_dimension(basis) == W.order and len(built) == 3
     eager = layers_basis(W, None, basis.layers)
     assert len(built) == 32
     assert _encoded_certificate(module_certificate(W, eager)) == _encoded_certificate(cert)
