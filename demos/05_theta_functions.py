@@ -34,10 +34,10 @@ for n in (1, 2, 3):
     print(f"bundle power {n}: section space dimension {space.dim()}")
 j2 = jac * jac
 print("square of the half-power theta is a degree-1 section:",
-      check_functional_equation(j2, 1)["holds"])
-print("and is divisible by the odd theta exactly once:",
-      theta_divisibility(j2, 1)["verdict"], "/",
-      theta_divisibility(j2, 2)["verdict"])
+      check_functional_equation(j2, 1))
+print("and is divisible by the odd theta exactly twice (theta^2 / theta^3):",
+      theta_divisibility(j2, 2)["verdict"], "/",
+      theta_divisibility(j2, 3)["verdict"])
 print()
 
 # Graded dimensions of the invariant-plus-divisible-anti-invariant modules.

@@ -503,7 +503,7 @@ def cmd_exp(args) -> int:
     if args.elem is None:
         raise ParseError("exp member needs --elem")
     f = parse_laurent(args.elem)
-    ring = dem.exp_basis(args.mult, (lo, hi))
+    ring = dem.ExpQuasiRing(args.mult, (lo, hi))
     in_q = dem.is_exp_quasi_invariant(args.mult, f)
     in_lattice = ring.contains(f)
     payload = {

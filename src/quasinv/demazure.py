@@ -64,22 +64,22 @@ def lambda_op(f: LaurentElement) -> LaurentElement:
 
 
 def is_exp_quasi_invariant(m: int, f: LaurentElement) -> bool:
-    """Whether lambda_op(f) is divisible by (1 - z)^(2m) after clearing
-    z-denominators, i.e. vanishes to order >= 2m at z = 1."""
+    """Whether f - s f vanishes to order at least 2m + 1 at z = 1.  This is
+    the divided-difference test ord lambda_op(f) >= 2m: f - s f =
+    (1 - z)(1 + z) lambda_op(f), and 1 + z is a unit at z = 1."""
     if m < 0:
         raise DomainError("multiplicity must be non-negative")
     if not f.has_integer_z_exponents():
         raise DomainError("exponential quasi-invariance is tested on the character ring")
-    lam = lambda_op(f)
-    if not lam:
-        return True
-    return order_at_one(lam) >= 2 * m
+    return order_at_one(f - f.involution()) > 2 * m
 
 
 class ExpQuasiRing:
-    """The multiplicity-m ring of exponential quasi-invariants, enumerated on
-    a window of z-exponents: delta^j for j < m together with delta^m z^k for
-    k in the window, delta = z - 2 + 1/z."""
+    """The multiplicity-m ring of exponential quasi-invariants
+    R_m = Z + Z delta + ... + Z delta^(m-1) + delta^m Z[z, 1/z], delta =
+    z - 2 + 1/z, enumerated on a window of z-exponents: delta^j for j < m
+    together with delta^m z^k for k in the window.  Membership needs no
+    enumeration: R_m = Z + delta R_(m-1) and R_0 = Z[z, 1/z]."""
 
     def __init__(self, m: int, window):
         lo, hi = window
@@ -96,36 +96,19 @@ class ExpQuasiRing:
         self.labels = [f"delta^{j}" for j in range(m)] + [f"delta^{m} z^{k}" for k in window]
 
     def contains(self, f: LaurentElement) -> bool:
-        """Membership in the integral span Z + Z delta + ... + Z delta^(m-1)
-        + delta^m Z[z, 1/z], decided on reduced coefficients."""
-        if not f.has_integer_z_exponents():
+        """Membership by R_m = Z + delta R_(m-1): an integral character f
+        is peeled m times, f <- (f - f(1)) / delta, failing at the first
+        inexact division.  z delta = (z - 1)^2 is monic with constant term
+        1, so by Gauss's lemma an exact quotient of an integral f is integral."""
+        if not (f.has_integer_z_exponents() and f.is_integral()):
             return False
-        m = self.m
-        even = (f + f.involution()) * Fraction(1, 2)
-        # expand the symmetric part in powers of delta, each kept (leading
-        # z-coefficient of delta^k is 1, so peeling from the top is exact)
-        powers = [LaurentElement.one()]
-        for _ in range(max(even.max_w_exp() // 2, m)):
-            powers.append(powers[-1] * LaurentElement.delta())
-        coeffs = {}
-        rest = even
-        while rest:
-            k = rest.max_w_exp() // 2
-            if k < 0:
-                return False  # symmetric part cannot have negative top degree
-            c = rest.z_coefficient(k)
-            coeffs[k] = c
-            rest = rest - powers[k] * c
-        if any(c.denominator != 1 for j, c in coeffs.items() if j < m):
-            return False
-        tail = f - sum((powers[j] * c for j, c in coeffs.items() if j < m), LaurentElement.zero())
-        if not tail:
-            return True
-        try:
-            quot = exact_div(tail, powers[m])
-        except ArithmeticError:
-            return False
-        return quot.is_integral()
+        delta = LaurentElement.delta()
+        for _ in range(self.m):
+            try:
+                f = exact_div(f - sum(f.terms.values()), delta)
+            except ArithmeticError:
+                return False
+        return True
 
 
 def exp_basis(m: int, window) -> ExpQuasiRing:

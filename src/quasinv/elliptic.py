@@ -94,13 +94,13 @@ def jacobi_theta(z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) -> ZQS
     return series
 
 
-def check_functional_equation(f: ZQSeries, n: int) -> dict:
-    """Certificate for f(qz) q^n z^(2n) = f(z) on the exactly decidable cells.
+def check_functional_equation(f: ZQSeries, n: int) -> bool:
+    """Whether f(qz) q^n z^(2n) = f(z) holds on the exactly decidable cells.
 
     The substitution sends the cell (z-exp a, q-exp b) to
     (a + 2n, a + b + n), so the substituted side is determined at a cell
     (A, B) precisely when the pre-image q-level B - A + n lies below the
-    truncation order N.  A discrepancy counts as a violation only on such
+    truncation order N.  A discrepancy refutes the equation only on such
     decidable cells; everything above them would need discarded terms.
     Negative q-exponents on the substituted side are decidable cells and
     refute the equation (the right-hand side is a power series in q).
@@ -110,26 +110,11 @@ def check_functional_equation(f: ZQSeries, n: int) -> dict:
     N = f.q_order
     if N <= 0:
         raise InconclusiveError("no decidable cells for the substitution")
-    lo_w, _ = f.w_window()
-    q_full = N + min(0, lo_w // 2 - n)  # uniform order across the support
     diff: dict = {}  # substituted side minus f
     for (w, s), c in f.coeffs.items():
         for key, v in (((w + 4 * n, s + w // 2 + n), c), ((w, s), -c)):
             diff[key] = diff.get(key, 0) + v
-    diff = {key: v for key, v in diff.items() if v}
-    violations = [
-        (w, s) for (w, s) in diff if s - w // 2 + n < N and s < N
-    ]
-    holds = not violations
-    return {
-        "holds": holds,
-        "degree": n,
-        "q_certified": max(q_full, 0),
-        "q_order": N,
-        "violations": sorted(violations, key=lambda t: (t[1], t[0]))[:4],
-        "undecided_cells": len(diff) - len(violations),
-        "z_window": f.z_window(),
-    }
+    return not any(v and s - w // 2 + n < N and s < N for (w, s), v in diff.items())
 
 
 # -- section spaces ----------------------------------------------------------------
@@ -204,7 +189,7 @@ def section_basis(n: int, q_order: int = DEFAULT_Q_ORDER) -> SectionSpace:
                 coeffs[(2 * k, e)] = 1
                 e += sign * k + n
         series = ZQSeries(coeffs, q_order)
-        if not check_functional_equation(series, n)["holds"]:
+        if not check_functional_equation(series, n):
             raise ArithmeticError("basis element fails its functional equation")
         basis.append(series)
         basepoints.append(base)

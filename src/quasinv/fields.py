@@ -28,34 +28,19 @@ def _phi_cache_get(n: int) -> tuple[int, ...]:
     dividing x^n - 1 by the product of Phi_d over proper divisors d of n."""
     phi = _PHI_CACHE.get(n)
     if phi is None:
-        num = [0] * (n + 1)
-        num[0], num[n] = -1, 1
+        # Fraction coefficients: poly_divmod divides with `/`
+        num = [Fraction(-1)] + [_ZERO] * (n - 1) + [Fraction(1)]
         for d in range(1, n):
             if n % d == 0:
-                num = _int_poly_divexact(num, _phi_cache_get(d))
-        phi = tuple(num)
+                num, rem = poly_divmod(num, _phi_cache_get(d))
+                if any(rem):
+                    raise ArithmeticError("inexact polynomial division")
+        phi = tuple(int(c) for c in num)
         _PHI_CACHE[n] = phi
     return phi
 
 
 _PHI_CACHE: dict[int, tuple[int, ...]] = {}
-
-
-def _int_poly_divexact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; division of integer polynomials stays integral here
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 def _reduction_rows(n: int, count: int) -> list[tuple[int, ...]]:

@@ -106,6 +106,29 @@ def test_exp_member_and_non_member():
     assert code == 2
 
 
+def test_exp_member_at_the_cap_tests_the_element_alone(monkeypatch):
+    from quasinv import demazure
+
+    calls = {"exp_basis": 0, "is_exp_quasi_invariant": 0}
+
+    def counted(name):
+        original = getattr(demazure, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(demazure, name, wrapper)
+
+    counted("exp_basis")
+    counted("is_exp_quasi_invariant")
+    code, out, _ = call("exp", "member", "--mult", str(MAX_MULT),
+                        f"--window=-{MAX_WINDOW}:{MAX_WINDOW}",
+                        "--elem", "z^40 - 2 + z^-40 + 3*z^-39", "--json")
+    assert code == 2
+    assert json.loads(out)["payload"]["in_integral_span"] is False
+    assert calls == {"exp_basis": 0, "is_exp_quasi_invariant": 1}
+
+
 def test_group_json_deterministic():
     code1, out1, _ = call("group", "--spec", "I2(3)", "--json")
     code2, out2, _ = call("group", "--spec", "I2(3)", "--json")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasinv.demazure import (
     ExpQuasiRing,
@@ -15,7 +17,7 @@ from quasinv.demazure import (
 )
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.laurent import LaurentElement
+from quasinv.laurent import LaurentElement, exact_div, order_at_one
 from quasinv.poly import Polynomial
 from quasinv.series import PowerSeries
 
@@ -125,6 +127,78 @@ def test_integral_span_membership():
     assert ring2.contains(DELTA)  # the free summand Z*delta sits below the ideal
     assert not ring2.contains(DELTA * Z)  # odd parts need the full delta^2 factor
     assert ring2.contains(DELTA + 5)
+
+
+def _reference_is_exp_quasi_invariant(m, f):
+    """The divided-difference test: lambda_op(f) is divisible by (1 - z)^(2m)
+    after clearing z-denominators, i.e. vanishes to order >= 2m at z = 1."""
+    lam = lambda_op(f)
+    if not lam:
+        return True
+    return order_at_one(lam) >= 2 * m
+
+
+def _reference_contains(m, f):
+    """Membership in Z + Z delta + ... + Z delta^(m-1) + delta^m Z[z, 1/z]
+    by expanding the symmetric part of f in powers of delta and dividing
+    the rest by delta^m."""
+    if not f.has_integer_z_exponents():
+        return False
+    even = (f + f.involution()) * Fraction(1, 2)
+    # expand the symmetric part in powers of delta, each kept (leading
+    # z-coefficient of delta^k is 1, so peeling from the top is exact)
+    powers = [LaurentElement.one()]
+    for _ in range(max(even.max_w_exp() // 2, m)):
+        powers.append(powers[-1] * LaurentElement.delta())
+    coeffs = {}
+    rest = even
+    while rest:
+        k = rest.max_w_exp() // 2
+        if k < 0:
+            return False  # symmetric part cannot have negative top degree
+        c = rest.z_coefficient(k)
+        coeffs[k] = c
+        rest = rest - powers[k] * c
+    if any(c.denominator != 1 for j, c in coeffs.items() if j < m):
+        return False
+    tail = f - sum((powers[j] * c for j, c in coeffs.items() if j < m), LaurentElement.zero())
+    if not tail:
+        return True
+    try:
+        quot = exact_div(tail, powers[m])
+    except ArithmeticError:
+        return False
+    return quot.is_integral()
+
+
+@st.composite
+def _perturbed_member(draw):
+    """(m, f, perturbed): f = sum c_j delta^j + delta^m g with integer c_j
+    and integral g, perturbed by one non-integral coefficient or by an
+    added z^k."""
+    m = draw(st.integers(0, 6))
+    cs = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+    g = draw(st.dictionaries(st.integers(-4, 4), st.integers(-4, 4), max_size=4))
+    f = sum((DELTA**j * c for j, c in enumerate(cs)), LaurentElement.zero())
+    f = f + DELTA**m * LaurentElement({2 * k: c for k, c in g.items()})
+    perturbation = draw(st.sampled_from((None, "fraction", "monomial")))
+    k = draw(st.integers(-8, 8))
+    if perturbation == "fraction":
+        f = f + LaurentElement.z_power(k, Fraction(1, draw(st.integers(2, 5))))
+    elif perturbation == "monomial":
+        f = f + LaurentElement.z_power(k)
+    return m, f, perturbation is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perturbed_member())
+def test_membership_and_quasi_invariance_agree_with_the_references(case):
+    m, f, perturbed = case
+    in_ring = ExpQuasiRing(m, (-1, 1)).contains(f)
+    assert in_ring == _reference_contains(m, f)
+    assert is_exp_quasi_invariant(m, f) == _reference_is_exp_quasi_invariant(m, f)
+    if not perturbed:
+        assert in_ring and is_exp_quasi_invariant(m, f)
 
 
 def test_chern_character_of_standard_character():
