@@ -9,6 +9,7 @@ into the completed polynomial quasi-invariants.
 
 from fractions import Fraction
 
+from quasinv import laurent
 from quasinv.demazure import (
     chern_character,
     delta_classical,
@@ -18,7 +19,6 @@ from quasinv.demazure import (
     lambda_op,
 )
 from quasinv.groups import Multiplicity, parse_group
-from quasinv.laurent import LaurentElement
 from quasinv.poly import Polynomial
 
 A1 = parse_group("A1")
@@ -35,11 +35,12 @@ for k in (4, 5, 7):
     print(f"  x^{k} ->", delta_m(A1, H, m1, x**k))
 print()
 
-z = LaurentElement.z_power(1)
-zi = LaurentElement.z_power(-1)
-delta = LaurentElement.delta()  # z - 2 + 1/z, vanishing to order 2 at z = 1
-print("exponential operator on z:", lambda_op(z))
-print("z + 1/z is invariant:", lambda_op(z + zi) == LaurentElement.zero())
+z = laurent.z_power(1)
+zi = laurent.z_power(-1)
+delta = laurent.delta()  # z - 2 + 1/z, vanishing to order 2 at z = 1
+terms = lambda_op(z).coeffs  # -1/z, keyed by (exponent of w = z^(1/2), q-exponent)
+print("exponential operator on z:", " + ".join(f"{c}*z^{w // 2}" for (w, _), c in terms.items()))
+print("z + 1/z is invariant:", not lambda_op(z + zi))
 print("delta passes at multiplicity 1:", is_exp_quasi_invariant(1, delta))
 print("z fails at multiplicity 1:", is_exp_quasi_invariant(1, z))
 print()

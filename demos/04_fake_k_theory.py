@@ -7,6 +7,7 @@ subrings of Z[[t]], and reducing mod p and mod the cubic filtration layer
 distinguishes the members whenever p misses N.
 """
 
+from quasinv import laurent
 from quasinv.demazure import exp_basis
 from quasinv.fake_ktheory import (
     bg_series,
@@ -16,7 +17,6 @@ from quasinv.fake_ktheory import (
     n_b,
     qmb,
 )
-from quasinv.laurent import LaurentElement
 from quasinv.series import PowerSeries
 
 print("quadratic residue signs:")
@@ -34,8 +34,8 @@ print("standard generator series:", bg)
 ring1 = qmb(bg, 1, 12)
 print("defining recursion re-verified:", ring1.recursion_verified)
 
-z = LaurentElement.z_power(1)
-delta = LaurentElement.delta()
+z = laurent.z_power(1)
+delta = laurent.delta()
 print("image of delta is a member:",
       ring1.membership(laurent_to_t_series(delta, 12)))
 print("image of z alone is not:   ",

@@ -11,13 +11,21 @@ recorded in reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, ReflectionGroup
-from quasinv.laurent import LaurentElement, exact_div, order_at_one
+from quasinv.laurent import (
+    character,
+    delta,
+    exact_div,
+    is_integer_character,
+    order_at_one,
+    z_power,
+)
 from quasinv.poly import Polynomial, exact_quotient_by_power
 from quasinv.quasi import is_quasi_invariant
-from quasinv.series import PowerSeries
+from quasinv.series import PowerSeries, ZQSeries
 
 NORMALIZATION_CONSTANT = 2  # value of delta_m on x^(2m+1) in rank one
 
@@ -50,36 +58,31 @@ def delta_m(group: ReflectionGroup, h, mult: Multiplicity, p: Polynomial) -> Pol
 # -- exponential side (rank one) ------------------------------------------------------
 
 
-_ONE_MINUS_Z2 = LaurentElement({0: 1, 4: -1})  # 1 - z^2 in w-units
-
-
-def lambda_op(f: LaurentElement) -> LaurentElement:
+def lambda_op(f: ZQSeries) -> ZQSeries:
     """The exponential divided difference (f - s f)/(1 - z^2) on the
     character ring of the rank-one torus; always an exact Laurent quotient
     and a twisted derivation: L(fg) = L(f) g + s(f) L(g)."""
-    diff = f - f.involution()
-    if not diff:
-        return LaurentElement.zero()
-    return exact_div(diff, _ONE_MINUS_Z2)
+    return character(exact_div((f - f.involution()).q_slice(0), {0: 1, 4: -1}))
 
 
-def is_exp_quasi_invariant(m: int, f: LaurentElement) -> bool:
+def is_exp_quasi_invariant(m: int, f: ZQSeries) -> bool:
     """Whether f - s f vanishes to order at least 2m + 1 at z = 1.  This is
     the divided-difference test ord lambda_op(f) >= 2m: f - s f =
     (1 - z)(1 + z) lambda_op(f), and 1 + z is a unit at z = 1."""
     if m < 0:
         raise DomainError("multiplicity must be non-negative")
-    if not f.has_integer_z_exponents():
+    if not is_integer_character(f):
         raise DomainError("exponential quasi-invariance is tested on the character ring")
-    return order_at_one(f - f.involution()) > 2 * m
+    return order_at_one((f - f.involution()).q_slice(0)) > 2 * m
 
 
 class ExpQuasiRing:
     """The multiplicity-m ring of exponential quasi-invariants
     R_m = Z + Z delta + ... + Z delta^(m-1) + delta^m Z[z, 1/z], delta =
     z - 2 + 1/z, enumerated on a window of z-exponents: delta^j for j < m
-    together with delta^m z^k for k in the window.  Membership needs no
-    enumeration: R_m = Z + delta R_(m-1) and R_0 = Z[z, 1/z]."""
+    together with delta^m z^k for k in the window, formed on first read.
+    Membership needs no enumeration: R_m = Z + delta R_(m-1) and
+    R_0 = Z[z, 1/z]."""
 
     def __init__(self, m: int, window):
         lo, hi = window
@@ -89,23 +92,35 @@ class ExpQuasiRing:
             )
         self.m = m
         self.window = (lo, hi)
-        delta, window = LaurentElement.delta(), range(lo, hi + 1)
-        dm = delta**m
-        self.elements = [delta**j for j in range(m)] + [dm * LaurentElement.z_power(k)
-                                                         for k in window]
-        self.labels = [f"delta^{j}" for j in range(m)] + [f"delta^{m} z^{k}" for k in window]
 
-    def contains(self, f: LaurentElement) -> bool:
+    @property
+    def labels(self) -> list:
+        m, (lo, hi) = self.m, self.window
+        return [f"delta^{j}" for j in range(m)] + [f"delta^{m} z^{k}" for k in range(lo, hi + 1)]
+
+    @cached_property
+    def elements(self) -> list:
+        """delta^j for j < m, then delta^m z^k: one running product of
+        delta, shifted by z^k at the end."""
+        power, powers, d = z_power(0), [], delta()
+        for _ in range(self.m):
+            powers.append(power)
+            power = power * d
+        lo, hi = self.window
+        return powers + [power.mul_monomial(k, 0) for k in range(lo, hi + 1)]
+
+    def contains(self, f: ZQSeries) -> bool:
         """Membership by R_m = Z + delta R_(m-1): an integral character f
         is peeled m times, f <- (f - f(1)) / delta, failing at the first
         inexact division.  z delta = (z - 1)^2 is monic with constant term
         1, so by Gauss's lemma an exact quotient of an integral f is integral."""
-        if not (f.has_integer_z_exponents() and f.is_integral()):
+        if not (is_integer_character(f) and all(c.denominator == 1 for c in f.coeffs.values())):
             return False
-        delta = LaurentElement.delta()
+        level, d = f.q_slice(0), delta().q_slice(0)
         for _ in range(self.m):
+            level[0] = level.get(0, 0) - sum(level.values())
             try:
-                f = exact_div(f - sum(f.terms.values()), delta)
+                level = exact_div(level, d)
             except ArithmeticError:
                 return False
         return True
@@ -124,10 +139,10 @@ def exp_basis(m: int, window) -> ExpQuasiRing:
 # -- exponentiation into completed series ------------------------------------------------
 
 
-def character_exponential(f: LaurentElement, order: int) -> PowerSeries:
+def character_exponential(f: ZQSeries, order: int) -> PowerSeries:
     """Substitute z = exp(x) into a Laurent polynomial with integer
     z-exponents, truncated at the given x-order."""
-    if not f.has_integer_z_exponents():
+    if not is_integer_character(f):
         raise DomainError("exponentiation is defined on integer characters")
     coeffs = []
     fact = Fraction(1)
@@ -135,14 +150,14 @@ def character_exponential(f: LaurentElement, order: int) -> PowerSeries:
         if n:
             fact *= n
         total = Fraction(0)
-        for e, c in f.terms.items():
-            k = e // 2
+        for (w, _), c in f.coeffs.items():
+            k = w // 2
             total += c * (k**n)
         coeffs.append(total / fact)
     return PowerSeries(coeffs, order, "x")
 
 
-def chern_character(f: LaurentElement, m: int, order: int):
+def chern_character(f: ZQSeries, m: int, order: int):
     """Exponentiate a multiplicity-m exponential quasi-invariant and report
     the completed-ring shape of the image: the even part is unconstrained
     while the odd part must vanish to order at least 2m+1."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import comb
 
 from quasinv.errors import DomainError, InconclusiveError
-from quasinv.laurent import LaurentElement, exact_div
+from quasinv.laurent import exact_div
 from quasinv.linalg import nullspace
 from quasinv.series import PowerSeries, ZQSeries, _q_levels
 
@@ -225,28 +225,22 @@ def zq_exact_divide(f: ZQSeries, g: ZQSeries):
     level with exact Laurent division."""
     N = min(f.q_order, g.q_order)
     f_levels = dict(_q_levels(f.coeffs, N))
-    g_levels = dict(_q_levels(g.coeffs, g.q_order))
-    g0 = LaurentElement(dict(g_levels.get(0, ())))
+    g_levels = {s: dict(row) for s, row in _q_levels(g.coeffs, N)}
+    g0 = g_levels.get(0)
     if not g0:
         raise DomainError("divisor must have a nonzero q^0 part")
-    pieces = []  # the levels of g, formed as the division reaches them
-    out_slices = []
+    out_levels = []
     for s in range(N):
-        pieces.append(LaurentElement(dict(g_levels.get(s, ()))))
-        acc = LaurentElement(dict(f_levels.get(s, ())))
-        for s2 in range(s):
-            piece = pieces[s - s2]
-            if piece and out_slices[s2]:
-                acc = acc - piece * out_slices[s2]
+        acc = dict(f_levels.get(s, ()))
+        for s2, out in enumerate(out_levels):
+            for w1, c1 in g_levels.get(s - s2, {}).items():
+                for w2, c2 in out.items():
+                    acc[w1 + w2] = acc.get(w1 + w2, 0) - c1 * c2
         try:
-            out_slices.append(exact_div(acc, g0))
+            out_levels.append(exact_div(acc, g0))
         except ArithmeticError:
             return None
-    coeffs = {}
-    for s, sl in enumerate(out_slices):
-        for w, c in sl.terms.items():
-            coeffs[(w, s)] = c
-    return ZQSeries(coeffs, N)
+    return ZQSeries({(w, s): c for s, out in enumerate(out_levels) for w, c in out.items()}, N)
 
 
 def theta_divisibility(f: ZQSeries, k: int) -> dict:

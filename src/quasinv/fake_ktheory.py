@@ -13,8 +13,8 @@ from __future__ import annotations
 from math import gcd
 
 from quasinv.errors import DomainError
-from quasinv.laurent import LaurentElement
-from quasinv.series import PowerSeries
+from quasinv.laurent import delta, is_integer_character
+from quasinv.series import PowerSeries, ZQSeries
 
 MEMBER = "member"
 NON_MEMBER = "non-member"
@@ -190,24 +190,24 @@ def bg_series(order: int) -> PowerSeries:
     if order < 3:
         raise DomainError("need order >= 3 to see the quadratic leading term")
     series = PowerSeries([0, 0, 1], order) * PowerSeries([1, 1], order).inverse()
-    check = laurent_to_t_series(LaurentElement.delta(), order)
+    check = laurent_to_t_series(delta(), order)
     if series != check:
         raise ArithmeticError("generator series disagrees with z - 2 + 1/z at z = 1 + t")
     return series
 
 
-def laurent_to_t_series(f: LaurentElement, order: int) -> PowerSeries:
+def laurent_to_t_series(f: ZQSeries, order: int) -> PowerSeries:
     """Substitute z = 1 + t into an integral Laurent polynomial with integer
     z-exponents."""
-    if not f.has_integer_z_exponents():
+    if not is_integer_character(f):
         raise DomainError("substitution needs integer z-exponents")
-    if not f.is_integral():
+    if any(c.denominator != 1 for c in f.coeffs.values()):
         raise DomainError("substitution is defined on integer coefficients")
     unit = PowerSeries([1, 1], order)
     unit_inv = unit.inverse()
     out = PowerSeries([], order)
-    for e, c in sorted(f.terms.items()):
-        k = e // 2
+    for (w, _), c in sorted(f.coeffs.items()):
+        k = w // 2
         base = unit if k >= 0 else unit_inv
-        out = out + (base ** abs(k)) * int(c)
+        out = out + (base ** abs(k)) * c
     return out

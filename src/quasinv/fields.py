@@ -11,7 +11,7 @@ computation is fixed up front; mixing cyclotomic elements of different
 orders is rejected.
 
 `RingOps` derives the other operators of the ring-valued types over these
-fields (`Polynomial`, `LaurentElement`, `PowerSeries`, `ZQSeries`).
+fields (`Polynomial`, `PowerSeries`, `ZQSeries`).
 """
 
 from __future__ import annotations

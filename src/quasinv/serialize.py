@@ -36,11 +36,11 @@ def encode_polynomial(p: Polynomial) -> dict:
     }
 
 
-def encode_laurent(f: LaurentElement) -> dict:
+def encode_laurent(f: ZQSeries) -> dict:
     return {
         "half_exponent_unit": "w = z^(1/2)",
         "terms": [
-            {"w_exp": e, "coeff": encode_rational(c)} for e, c in sorted(f.terms.items())
+            {"w_exp": w, "coeff": encode_rational(c)} for (w, _), c in sorted(f.coeffs.items())
         ],
     }
 

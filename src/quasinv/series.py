@@ -13,8 +13,9 @@ is exact.  Its coefficients are ints where integral, as every theta and
 Jacobi coefficient is, so products run on integer arithmetic; a Fraction
 appears only where a division or a rational factor brings one in.
 
-z-exponents are stored as integers in w = z^(1/2), as for LaurentElement.
-Both types compare equal only at equal certified orders, never to a scalar.
+z-exponents are stored as integers in w = z^(1/2).  A character of the
+rank-one torus is a ZQSeries at q-order 1 (`quasinv.laurent`).  Both types
+compare equal only at equal certified orders, never to a scalar.
 """
 
 from __future__ import annotations

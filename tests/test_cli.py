@@ -108,25 +108,53 @@ def test_exp_member_and_non_member():
 
 def test_exp_member_at_the_cap_tests_the_element_alone(monkeypatch):
     from quasinv import demazure
+    from quasinv.fields import RingOps
+    from quasinv.series import ZQSeries
 
-    calls = {"exp_basis": 0, "is_exp_quasi_invariant": 0}
+    calls = {"exp_basis": 0, "is_exp_quasi_invariant": 0,
+             "__pow__": 0, "__mul__": 0, "mul_monomial": 0}
 
-    def counted(name):
-        original = getattr(demazure, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(demazure, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("exp_basis")
-    counted("is_exp_quasi_invariant")
+    counted(demazure, "exp_basis")
+    counted(demazure, "is_exp_quasi_invariant")
+    # the products that would form an element of the ring
+    counted(RingOps, "__pow__")
+    counted(ZQSeries, "__mul__")
+    counted(ZQSeries, "mul_monomial")
     code, out, _ = call("exp", "member", "--mult", str(MAX_MULT),
                         f"--window=-{MAX_WINDOW}:{MAX_WINDOW}",
                         "--elem", "z^40 - 2 + z^-40 + 3*z^-39", "--json")
     assert code == 2
     assert json.loads(out)["payload"]["in_integral_span"] is False
-    assert calls == {"exp_basis": 0, "is_exp_quasi_invariant": 1}
+    assert calls == {"exp_basis": 0, "is_exp_quasi_invariant": 1,
+                     "__pow__": 0, "__mul__": 0, "mul_monomial": 0}
+
+
+def _refuses(*args):
+    raise ArithmeticError("graded dimension disagrees with the direct count")
+
+
+@pytest.mark.parametrize("suite, module, name, stub, label", [
+    ("exponential-ring", "demazure", "is_exp_quasi_invariant", lambda m, f: False,
+     "m=0 all enumerated elements pass"),
+    ("elliptic-sections", "elliptic", "ell_graded_dimension", _refuses,
+     "graded dimension formula matches direct linear algebra"),
+], ids=["exponential-ring", "elliptic-sections"])
+def test_a_failed_self_check_is_a_replay_fail(monkeypatch, suite, module, name, stub, label):
+    import importlib
+
+    monkeypatch.setattr(importlib.import_module(f"quasinv.{module}"), name, stub)
+    code, out, _ = call("replay", "--suite", suite)
+    assert code == 2
+    assert f"[FAIL] {suite}: {label}" in out.splitlines()
+    assert out.splitlines()[-1] == "FAILURES present"
 
 
 def test_group_json_deterministic():
@@ -397,7 +425,7 @@ def test_juxtaposed_and_parenthesized_factors_multiply():
 
     from quasinv.cli import parse_laurent, parse_polynomial
     from quasinv.groups import parse_group
-    from quasinv.laurent import LaurentElement
+    from quasinv.laurent import z_power as z
     from quasinv.poly import Polynomial
 
     W = parse_group("A1")
@@ -405,7 +433,6 @@ def test_juxtaposed_and_parenthesized_factors_multiply():
     for text, value in (("x^(2)", x ** 2), ("2 3", 6 * x ** 0), ("2*3*x", 6 * x),
                         ("x x", x ** 2), ("x^2 x", x ** 3)):
         assert parse_polynomial(W, text) == value, text
-    z = LaurentElement.z_power
     for text, value in (("2*3*z", z(1, 6)), ("z z", z(2)), ("z^2 z", z(3)),
                         ("2 3", z(0, 6)), ("z^(-3)", z(-3)), ("z^(2)", z(2))):
         assert parse_laurent(text) == value, text
@@ -418,7 +445,7 @@ def test_juxtaposed_and_parenthesized_factors_multiply():
     assert parse_laurent("z - 2 + z^-1") == z(1) - 2 + z(-1)
     assert parse_laurent("z^2 - 2 + z^-2") == z(2) - 2 + z(-2)
     assert parse_laurent("3*z^-1") == z(-1, 3)
-    assert parse_laurent("") == LaurentElement.zero() and not parse_polynomial(W, " ")
+    assert not parse_laurent("") and not parse_polynomial(W, " ")
 
 
 def test_malformed_expressions_are_refused():

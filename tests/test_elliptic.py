@@ -207,7 +207,14 @@ def test_zq_exact_divide_reconstructs(tp, jac):
     quotient = zq_exact_divide(j4, jac * jac)
     assert quotient is not None
     assert quotient * (jac * jac) == j4.truncate_q(quotient.q_order)
+    assert all(type(c) is int for c in quotient.coeffs.values())
     assert zq_exact_divide(ZQSeries.one(N), tp) is None
+    # a non-unit q^0 level brings in Fractions, never floats; the q^2
+    # level of the running remainder cancels to a zero entry
+    square = ZQSeries({(0, 0): 1, (2, 1): 2, (4, 2): 1}, 3)  # (1 + q z)^2
+    quotient = zq_exact_divide(square, ZQSeries({(0, 0): 3, (2, 1): 3}, 3))
+    assert quotient == ZQSeries({(0, 0): Fraction(1, 3), (2, 1): Fraction(1, 3)}, 3)
+    assert all(type(c) is Fraction for c in quotient.coeffs.values())
 
 
 @pytest.mark.parametrize("m", range(4))

@@ -340,12 +340,11 @@ def test_rational_fast_paths_return_the_operand_and_build_nothing(monkeypatch):
     assert zero == 0 and not zero != Fraction(0) and not zero
 
 
-# -- the operators RingOps derives, on each of its four types ------------------
+# -- the operators RingOps derives, on each of its three types -----------------
 
 
 def _ring_samples(kind, rng):
     """(element, constant) makers of one RingOps type, on small random data."""
-    from quasinv.laurent import LaurentElement
     from quasinv.poly import Polynomial
     from quasinv.series import PowerSeries, ZQSeries
 
@@ -356,8 +355,6 @@ def _ring_samples(kind, rng):
         "Polynomial": (lambda: Polynomial(("x", "y"), {(rng.randint(0, 2), rng.randint(0, 2)): c()
                                                        for _ in range(3)}),
                        lambda q: Polynomial.constant(("x", "y"), q)),
-        "LaurentElement": (lambda: LaurentElement({rng.randint(-4, 4): c() for _ in range(3)}),
-                           lambda q: LaurentElement({0: q})),
         "PowerSeries": (lambda: PowerSeries([c() for _ in range(5)], 5),
                         lambda q: PowerSeries([q], 5)),
         "ZQSeries": (lambda: ZQSeries({(rng.randint(-3, 3), rng.randint(0, 3)): c()
@@ -366,7 +363,7 @@ def _ring_samples(kind, rng):
     }[kind]
 
 
-@pytest.mark.parametrize("kind", ["Polynomial", "LaurentElement", "PowerSeries", "ZQSeries"])
+@pytest.mark.parametrize("kind", ["Polynomial", "PowerSeries", "ZQSeries"])
 def test_derived_ring_operators(kind):
     rng = random.Random(kind)
     element, constant = _ring_samples(kind, rng)
@@ -389,8 +386,10 @@ def test_derived_ring_operators(kind):
 # -- one rule for a value equal to a scalar -----------------------------------
 
 
-@pytest.mark.parametrize("kind", ["Polynomial", "LaurentElement"])
+@pytest.mark.parametrize("kind", ["Polynomial"])
 def test_a_constant_equals_its_scalar_and_hashes_as_it(kind):
+    from quasinv.poly import Polynomial
+
     _, constant = _ring_samples(kind, random.Random(kind))
     for q in (0, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
         c = constant(q)
@@ -399,16 +398,9 @@ def test_a_constant_equals_its_scalar_and_hashes_as_it(kind):
         assert q in {c} and c in {q}
         assert c != q + 1
         assert c * 2 + constant(1) * 2 == 2 * q + 2
-    x = _variable(kind)
+    x = Polynomial.variable(("x", "y"), "x")
     for q in (0, 1, Fraction(1, 2)):
         assert x + q != q and x * q != q + 1 and x != q
-
-
-def _variable(kind):
-    from quasinv.laurent import LaurentElement
-    from quasinv.poly import Polynomial
-
-    return Polynomial.variable(("x", "y"), "x") if kind == "Polynomial" else LaurentElement.z_power(1)
 
 
 def test_a_rational_cyclotomic_hashes_as_the_rational_it_equals():

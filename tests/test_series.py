@@ -5,37 +5,52 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divisibility import divisibility_order
-from quasinv.laurent import LaurentElement, exact_div, order_at_one
+from quasinv.laurent import character, delta, exact_div, order_at_one, z_power
 from quasinv.poly import INFINITE_ORDER, Polynomial
 from quasinv.series import PowerSeries, ZQSeries
 from zq_substitutions import negate_z, shift_q, square_z
 
 
 def test_laurent_involution_is_ring_automorphism():
-    f = LaurentElement({3: Fraction(2), -1: Fraction(1)})
-    g = LaurentElement({0: Fraction(1), 2: Fraction(-1)})
+    f = character({3: Fraction(2), -1: Fraction(1)})
+    g = character({0: Fraction(1), 2: Fraction(-1)})
     assert (f * g).involution() == f.involution() * g.involution()
     assert f.involution().involution() == f
 
 
 def test_laurent_exact_division():
-    f = LaurentElement.delta()  # z - 2 + 1/z = (1 - z)^2 / z
-    one_minus_z = LaurentElement({0: 1, 2: -1})
+    f = delta().q_slice(0)  # z - 2 + 1/z = (1 - z)^2 / z
+    one_minus_z = {0: 1, 2: -1}
     q = exact_div(f, one_minus_z)
-    assert q * one_minus_z == f
+    assert character(q) * character(one_minus_z) == delta()
     with pytest.raises(ArithmeticError):
-        exact_div(LaurentElement.z_power(1) + 1, one_minus_z * one_minus_z)
+        exact_div({2: 1, 0: 1}, (character(one_minus_z) ** 2).q_slice(0))
+
+
+def test_exact_div_of_int_levels_stays_exact():
+    q = exact_div({0: 1}, {0: 3})
+    assert q == {0: Fraction(1, 3)} and type(q[0]) is Fraction
+    # a level formed by subtraction may hold zero entries, on either side
+    q = exact_div({4: 1, 2: 0, 0: -1}, {2: 1, 0: -1, -2: 0})
+    assert q == {2: 1, 0: 1} and all(type(c) is Fraction for c in q.values())
+    q = exact_div({0: 0, 2: 4, 4: 6}, {0: 2, 2: 0})
+    assert q == {2: 2, 4: 3} and all(type(c) is Fraction for c in q.values())
+    assert exact_div({0: 0, 2: 0}, {0: 5}) == {}
+    with pytest.raises(ZeroDivisionError):
+        exact_div({0: 1}, {0: 0})
+    assert order_at_one({2: 1, 0: -2, -2: 1, 4: 0}) == 2
+    assert order_at_one({4: 0, 0: 0}) == INFINITE_ORDER
 
 
 def test_order_at_one():
-    one_minus_z = LaurentElement({0: 1, 2: -1})
+    one_minus_z = {0: 1, 2: -1}
     assert order_at_one(one_minus_z) == 1
-    assert order_at_one(LaurentElement.delta()) == 2
-    assert order_at_one(LaurentElement.delta() ** 3) == 6
-    assert order_at_one(LaurentElement.z_power(-2)) == 0
+    assert order_at_one(delta().q_slice(0)) == 2
+    assert order_at_one((delta() ** 3).q_slice(0)) == 6
+    assert order_at_one(z_power(-2).q_slice(0)) == 0
     # zero has the sentinel of divisibility_order
     x = Polynomial.variable(("x",), "x")
-    assert order_at_one(LaurentElement()) == INFINITE_ORDER
+    assert order_at_one({}) == INFINITE_ORDER
     assert divisibility_order(Polynomial.zero(("x",)), x) == INFINITE_ORDER
 
 
