@@ -77,6 +77,7 @@ MAX_SERIES_ORDER = 64
 MAX_MULT = 32
 MAX_N = 20
 MAX_PRIME = 10**9  # trial division stops below 31,623
+MAX_PRIMES = 64  # primes in --assign: 32 times the longest list in the README, demos and tests
 MAX_NB = 10**9  # N_B**MAX_MULT stays far below the int-to-str digit limit
 MAX_WINDOW = 40  # 4 * 10, the widest --window in the tests, demos, README and replay
 # per coefficient of --apply and --elem, whose exponents stop at MAX_DEGREE and
@@ -551,6 +552,8 @@ def cmd_fake(args) -> int:
     if args.action == "nb":
         assignments = {}
         if args.assign:
+            if args.assign.count(",") >= MAX_PRIMES:
+                raise ParseError(f"--assign {args.assign[:20]!r} lists more than {MAX_PRIMES} primes")
             for chunk in args.assign.split(","):
                 try:
                     p_str, n_str = chunk.split(":")

@@ -268,46 +268,41 @@ def ell_graded_dimension(m: int, n: int, q_order: int = DEFAULT_Q_ORDER) -> dict
     """Degree-n dimension of the invariant sections plus the anti-invariant
     sections divisible by the 2m-th power of the Jacobi theta function.
 
-    The closed form (n+1) + max(0, n-m-1) is checked against explicit linear
-    algebra; a mismatch raises, since it would mean a computation bug rather
-    than an inconclusive truncation.
+    The divisible anti-invariant submodule M is bounded by exact linear
+    algebra.  From below: the products g * jac^(2m) of the anti-invariant
+    sections g of degree n-m, each verified as an anti-invariant section
+    (multiplying by a nonzero series is injective).  From above: the kernel
+    of the 2m moment rows sum_e c_e e^j, j < 2m, on the q^0 levels
+    sum_e c_e z^e of the anti-invariant sections; M is saturated (jac^(2m)
+    has a nonzero q^0 level), so its rank is the dimension of its q^0
+    image, whose levels the q^0 level z^-m (z - 1)^(2m) of jac^(2m) divides.
+    Bounds that differ, or a total other than the closed form
+    (n+1) + max(0, n-m-1), raise: a computation bug, not a truncation.
     """
-    formula = (n + 1) + max(0, n - m - 1)
     space = section_basis(n, q_order)
     inv, anti = invariant_anti_split(space)
-    direct_inv = len(inv)
-    jac2m = _theta_power(1, -1, 2 * m, q_order)
-    direct_anti = 0
+    lower_bound = 0
     if n - m >= 1:
+        jac2m = _theta_power(1, -1, 2 * m, q_order)
         lower = section_basis(n - m, q_order)
-        _, anti_lower = invariant_anti_split(lower)
-        for vec in anti_lower:
-            g = lower.element_from(vec)
-            prod = g * jac2m
-            if space.coordinates(prod) is None:
-                raise ArithmeticError("theta-multiple left the section space")
-            if prod.involution() + prod:
-                raise ArithmeticError("theta-multiple lost anti-invariance")
-            # multiplication by a fixed nonzero series is injective, so the
-            # verified multiples stay independent
-            direct_anti += 1
-    if direct_anti == 0 and m:
-        # the formula claims no divisible anti sections here: refute
-        # divisibility on every anti basis vector (jacobi^2m and Theta^2m
-        # divisibility agree up to the unit z^-m)
-        for vec in anti:
-            candidate = space.element_from(vec)
-            if zq_exact_divide(candidate, jac2m) is not None:
-                raise ArithmeticError("divisible anti-invariant where none should exist")
-    direct = direct_inv + direct_anti
-    if direct != formula:
-        raise ArithmeticError(
-            f"direct computation {direct} disagrees with closed form {formula}"
-        )
+        for vec in invariant_anti_split(lower)[1]:
+            prod = lower.element_from(vec) * jac2m
+            if space.coordinates(prod) is None or prod.involution() + prod:
+                raise ArithmeticError("theta-multiple is not an anti-invariant section")
+            lower_bound += 1
+    # on the exponents w = 2e, row j is scaled by 2^j and keeps its kernel
+    levels = [space.element_from(vec).q_slice(0) for vec in anti]
+    moments = [[sum(c * w**j for w, c in level.items()) for level in levels]
+               for j in range(2 * m)]
+    upper_bound = len(nullspace(moments, len(levels)))
+    formula = (n + 1) + max(0, n - m - 1)
+    if lower_bound != upper_bound or len(inv) + lower_bound != formula:
+        raise ArithmeticError(f"anti-invariant lower bound {lower_bound}, upper bound "
+                              f"{upper_bound}; invariant part {len(inv)}, closed form {formula}")
     return {
         "dimension": formula,
-        "invariant_part": direct_inv,
-        "anti_part_divisible": direct_anti,
+        "invariant_part": len(inv),
+        "anti_part_divisible": lower_bound,
         "q_certified": q_order,
     }
 

@@ -100,8 +100,7 @@ class FakeKRing:
         if self.m == 0:
             return MEMBER
         D = min(self.order, f.order) - 1  # largest certified exponent
-        r = list(f.coeffs[: D + 1])
-        r[0] = 0  # the integer constant is always absorbable
+        r = [0, *f.coeffs[1 : D + 1]]  # the integer constant is always absorbable
         verdict = MEMBER
         for j in range(1, self.m):
             if 2 * j > D:

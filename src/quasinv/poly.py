@@ -57,10 +57,6 @@ class Polynomial(RingOps):
         exp[i] = 1
         return Polynomial(variables, {tuple(exp): 1})
 
-    @staticmethod
-    def monomial(variables, exp, c=1) -> "Polynomial":
-        return Polynomial(variables, {tuple(exp): c})
-
     def _one(self) -> "Polynomial":
         return Polynomial.constant(self.vars, 1)
 

@@ -180,6 +180,11 @@ def brute_is_quasi_invariant(group, mult, p: Polynomial) -> bool:
     return True
 
 
+def monomial(variables, exp) -> Polynomial:
+    """The monomial x^exp in the given variables."""
+    return Polynomial(variables, {tuple(exp): 1})
+
+
 def brute_quasi_dims(group, mult, max_degree):
     """Graded dimensions of the quasi-invariants by the derivative route."""
     ops = _condition_ops(group, mult)
@@ -189,7 +194,7 @@ def brute_quasi_dims(group, mult, max_degree):
         rows = []
         row_index: dict = {}
         for col, exp in enumerate(monos):
-            mono = Polynomial.monomial(group.variables, exp)
+            mono = monomial(group.variables, exp)
             for oi, (op, need, v, spanning) in enumerate(ops):
                 q = op(mono)
                 for a in range(need):
@@ -222,7 +227,7 @@ def brute_invariant_dims(group, max_degree):
         index = {m: i for i, m in enumerate(monos)}
         rows = []
         for exp in monos:
-            mono = Polynomial.monomial(group.variables, exp)
+            mono = monomial(group.variables, exp)
             avg = Polynomial.zero(group.variables)
             for i in range(group.order):
                 avg = avg + act(group, i, mono)

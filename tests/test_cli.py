@@ -21,6 +21,7 @@ from quasinv.cli import (
     MAX_N,
     MAX_NB,
     MAX_PRIME,
+    MAX_PRIMES,
     MAX_Q_ORDER,
     MAX_SERIES_ORDER,
     MAX_STEPS,
@@ -298,6 +299,24 @@ def test_fake_nb_past_its_caps_is_refused():
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, assign
     code, out, _ = call("fake", "nb", "--assign", f"5:{MAX_NB - 1},2:1", "--json")
     assert code == 0 and json.loads(out)["payload"]["N_B"] == MAX_NB - 1
+
+
+def test_fake_nb_refuses_more_than_max_primes_before_any_trial_division(monkeypatch):
+    # 2,000 primes near 10^9 were once accepted and trial-divided for 6.8 s
+    from quasinv import fake_ktheory
+    is_prime = fake_ktheory._is_prime
+    tested = []
+    monkeypatch.setattr(fake_ktheory, "_is_prime", lambda p: tested.append(p) or is_prime(p))
+    assign = ",".join(f"{p}:1" for p in filter(is_prime, range(3, 1000)))
+    too_many = ",".join(assign.split(",")[:MAX_PRIMES + 1])
+    for json_flag in ((), ("--json",)):
+        code, out, err = call("fake", "nb", "--assign", too_many, *json_flag)
+        assert code == 1 and out == "" and f"more than {MAX_PRIMES} primes" in err
+        assert repr(too_many[:20]) in err and too_many[:21] not in err
+    assert tested == []
+    code, out, _ = call("fake", "nb", "--assign", ",".join(assign.split(",")[:MAX_PRIMES]), "--json")
+    assert code == 0 and len(json.loads(out)["payload"]["signs"]) == MAX_PRIMES
+    assert len(tested) == MAX_PRIMES
 
 
 def test_windows_are_capped():

@@ -1,8 +1,14 @@
+import io
+import json
 import random
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
+from quasinv import elliptic
+from quasinv.cli import run
 from quasinv.elliptic import (
     _theta_power,
     check_functional_equation,
@@ -17,6 +23,7 @@ from quasinv.elliptic import (
     zq_exact_divide,
 )
 from quasinv.errors import DomainError
+from quasinv.linalg import span_of
 from quasinv.series import ZQSeries
 from span_matrix import rank
 from zq_substitutions import negate_z, shift_q, square_z
@@ -224,6 +231,94 @@ def test_graded_dimension_formula(m, n):
     assert result["dimension"] == (n + 1) + max(0, n - m - 1)
     if m == 0:
         assert result["dimension"] == 2 * n
+
+
+@pytest.mark.parametrize("degree, part, message", [
+    (3, 1, "lower bound 1, upper bound 2"),
+    (4, 1, "lower bound 2, upper bound 1"),
+    (4, 0, "invariant part 4, closed form 7"),
+])
+def test_graded_dimension_raises_when_its_counts_disagree(monkeypatch, degree, part, message):
+    # m = 1, n = 4: five invariant and two divisible anti-invariant sections.
+    # With an anti section of degree 3 dropped, the products fall short of
+    # the q^0 bound; with one of degree 4 dropped, the q^0 bound falls short
+    # of the products, although their total still meets the closed form;
+    # with an invariant section dropped, the bounds meet but the total is short
+    split = elliptic.invariant_anti_split
+
+    def drop_one(space):
+        parts = list(split(space))
+        if space.degree == degree:
+            parts[part] = list(parts[part])[1:]
+        return parts
+
+    monkeypatch.setattr(elliptic, "invariant_anti_split", drop_one)
+    with pytest.raises(ArithmeticError, match=message):
+        ell_graded_dimension(1, 4, N)
+
+
+def _divisible_anti_dimension(m: int, n: int, q_order: int) -> int:
+    """Q-dimension of the anti-invariant sections f of degree n below q^N
+    that jac^(2m) divides there, as the kernel of f = h * jac^(2m) in the
+    q-coefficients of f along the anti-invariant sections A_k and the terms
+    of h; the projection to f is injective, since jac^(2m) has a nonzero
+    q^0 level.  jac^(2m) is z^-m (z - 1)^(2m) U with U a unit whose q^s
+    level has z-exponents within +-s, so the q^s level of a quotient
+    h = f z^m U^-1 / (z - 1)^(2m) has its z-exponents in
+    [lo - s + m, hi + s - m], lo and hi those of the A_k: the window below
+    holds every quotient."""
+    N = q_order
+    space = section_basis(n, N)
+    sections = [space.element_from(vec) for vec in invariant_anti_split(space)[1]]
+    jac = _times_triple_product(ZQSeries({(1, 0): 1, (-1, 0): -1}, N))
+    jac2m = ZQSeries.one(N)
+    for _ in range(2 * m):
+        jac2m = jac2m * jac
+    es = [w // 2 for f in sections for (w, _) in f.coeffs] or [0]
+    window = range(min(es) - N + m, max(es) + N - m + 1)
+    # the quotient's columns first, level by level: eliminating them is
+    # then close to division, and the rows fill in little
+    columns = [(jac2m.mul_monomial(e, t), -1) for t in range(N) for e in window]
+    columns += [(f.mul_monomial(0, t), 1) for f in sections for t in range(N)]
+    rows: dict = {}  # (w, s) -> {column: entry}
+    for col, (series, sign) in enumerate(columns):
+        for cell, c in series.truncate_q(N).coeffs.items():
+            rows.setdefault(cell, {})[col] = sign * c
+    order = sorted(rows, key=lambda cell: (cell[1], cell[0]))
+    return len(columns) - span_of([rows[cell] for cell in order], len(columns)).dim()
+
+
+@pytest.mark.parametrize("q_order", [1, 3, 10])
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(4) for n in range(1, m + 3)])
+def test_graded_dimension_meets_the_truncated_divisible_module(m, n, q_order):
+    # the count returned is the q^0 moment-kernel dimension (it raises
+    # unless the two bounds meet); over every q-coefficient below q^N the
+    # divisible module is free of that rank
+    result = ell_graded_dimension(m, n, q_order)
+    assert _divisible_anti_dimension(m, n, q_order) == q_order * result["anti_part_divisible"]
+
+
+def test_elldim_at_the_cap_forms_no_theta_power(monkeypatch):
+    # no section of degree n - m exists here, so neither jac^64 nor a
+    # division by it is needed: the q^0 moment kernel alone shows that no
+    # anti-invariant section is divisible
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(elliptic, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("_theta_power", "zq_exact_divide"):
+        monkeypatch.setattr(elliptic, name, counted(name))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(["elliptic", "elldim", "--mult", "32", "--n", "20", "--qorder", "80", "--json"])
+    assert code == 0 and json.loads(out.getvalue())["payload"]["dimension"] == 21
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("m", range(6))

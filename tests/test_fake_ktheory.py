@@ -95,6 +95,16 @@ def test_membership_inconclusive_when_order_too_small():
     assert ring.membership(PowerSeries([0, 0, 3], 4)) == INCONCLUSIVE
 
 
+def test_membership_of_an_empty_truncation():
+    # no certified coefficient: inconclusive as at every order below t^(2m),
+    # where clearing the absorbable constant once raised IndexError
+    gen = PowerSeries([0, 0, 3, 1], 12)
+    empty = PowerSeries([], 0)
+    assert qmb(gen, 0, 12).membership(empty) == MEMBER
+    for m in (1, 2, 3):
+        assert qmb(gen, m, 12).membership(empty) == INCONCLUSIVE
+
+
 def test_membership_monotone():
     bg = bg_series(13)
     rng = random.Random(5)

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from dense_reference import coordinate_vector
 from group_algebra import GroupAlgebraElement, idempotent
-from oracles import CWValuedElement, brute_is_quasi_invariant, brute_quasi_dims, cw_valued_basis
+from oracles import (
+    CWValuedElement,
+    brute_is_quasi_invariant,
+    brute_quasi_dims,
+    cw_valued_basis,
+    monomial,
+)
 from quasinv import quasi
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic
@@ -252,7 +258,7 @@ def quasi_basis_by_division(group, mult, max_degree):
             for ci, (alpha, ops) in enumerate(conditions):
                 for oi, (op, need) in enumerate(ops):
                     for local, col in enumerate(block):
-                        cond = op.apply(Polynomial.monomial(group.variables, monos[col]))
+                        cond = op.apply(monomial(group.variables, monos[col]))
                         for k in range(need):
                             cond, rem = divide_by_linear(cond, alpha)
                             for exp, c in rem.terms.items():
@@ -371,7 +377,7 @@ def test_basis_elements_are_members_and_perturbed_elements_are_not(case, data):
     basis = quasi_basis(W, mult, D)
     in_basis = span_membership(basis.layers)
     for d, layer in enumerate(basis.layers):
-        monomials = [Polynomial.monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
+        monomials = [monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
         outside = [x for x in monomials if not in_basis(x)]
         for p in layer:
             assert is_quasi_invariant(W, mult, p)
@@ -763,7 +769,7 @@ def test_module_certificate_takes_layer_vectors_across_characters():
     every degree is spanned."""
     W = parse_group("A1 x A1")
     x1, x2 = (Polynomial.variable(W.variables, v) for v in W.variables)
-    layers = [[Polynomial.monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
+    layers = [[monomial(W.variables, e) for e in monomials_of_degree(W.variables, d)]
               for d in range(9)]
     layers[1] = [x1 + x2, x1 - x2]
     cert = module_certificate(W, layers_basis(W, None, layers))
@@ -944,7 +950,7 @@ def test_generators_found_after_the_proof_match_every_product():
         return ((a % 2 == 0 or a >= 3) and (b % 2 == 0 or b >= 3)
                 or a % 2 and b % 2 == 0 and b >= 10 or b % 2 and a % 2 == 0 and a >= 12)
 
-    layers = [[Polynomial.monomial(W.variables, e)
+    layers = [[monomial(W.variables, e)
                for e in monomials_of_degree(W.variables, d) if member(*e)] for d in range(21)]
     basis = layers_basis(W, None, layers)
     cert = module_certificate(W, basis)

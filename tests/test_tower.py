@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from dense_reference import coordinate_vector, dense_coordinates, dense_rref
-from oracles import cw_valued_basis
+from oracles import cw_valued_basis, monomial
 from quasinv.errors import DomainError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.linalg import IncrementalSpan, nullspace, span_of
@@ -169,7 +169,7 @@ def _dense_x1_layers(W, D):
     polynomial, and the constant in degree 0."""
     layers = [[Polynomial.constant(W.variables, 1)]]
     for d in range(1, D + 1):
-        rows = [coordinate_vector(f * Polynomial.monomial(W.variables, e), d)
+        rows = [coordinate_vector(f * monomial(W.variables, e), d)
                 for f in W.fundamental_invariants if f.degree() <= d
                 for e in monomials_of_degree(W.variables, d - int(f.degree()))]
         monos = monomials_of_degree(W.variables, d)
