@@ -81,7 +81,8 @@ MAX_PRIMES = 64  # primes in --assign: 32 times the longest list in the README, 
 MAX_NB = 10**9  # N_B**MAX_MULT stays far below the int-to-str digit limit
 MAX_WINDOW = 40  # 4 * 10, the widest --window in the tests, demos, README and replay
 # per coefficient of --apply and --elem, whose exponents stop at MAX_DEGREE and
-# MAX_WINDOW: the outputs stay far below the 4,300 int-to-str digits
+# MAX_WINDOW, and of the fake ktheory lists: the outputs stay far below the
+# 4,300 int-to-str digits
 MAX_DIGITS = 1000
 # monomials of degree <= D in rank r, C(D + r, r): 4 * 194,580 (A1^4 through
 # D = 44, the largest in use) rounded up
@@ -588,18 +589,13 @@ def cmd_fake(args) -> int:
     # ktheory membership
     if args.series is None:
         raise ParseError("fake ktheory needs --series")
-    try:
-        coeffs = [int(c) for c in args.series.split(",")]
-    except ValueError:
-        raise ParseError(f"bad series coefficients {args.series[:20]!r}")
+    coeffs = _coefficient_list(args.series, "series")
+    elem = _coefficient_list(args.elem, "element") if args.elem else None
     order = max(args.order, 0)  # the ring refuses orders below 3 as a domain error
     ring = fk.qmb(PowerSeries(coeffs, order), args.mult, order)
     payload = {"ring": repr(ring), "recursion_verified": ring.recursion_verified}
-    if args.elem:
-        try:
-            f = PowerSeries([int(c) for c in args.elem.split(",")], order)
-        except ValueError:
-            raise ParseError(f"bad element coefficients {args.elem[:20]!r}")
+    if elem is not None:
+        f = PowerSeries(elem, order)
         verdict = ring.membership(f)
         payload["element"] = list(f.coeffs)
         payload["membership"] = verdict
@@ -614,6 +610,19 @@ def cmd_fake(args) -> int:
          {"series": args.series, "multiplicity": args.mult, "order": args.order},
          {"recursion": "defining recursion re-verified on the generator powers"})
     return 0 if ring.recursion_verified else 3
+
+
+def _coefficient_list(text: str, what: str) -> list:
+    """The comma-separated integers of `fake ktheory`, each entry refused past
+    MAX_DIGITS digits (sign excluded) before int() reads it."""
+    entries = text.split(",")
+    if any(len(c.strip().lstrip("+-")) > MAX_DIGITS for c in entries):
+        raise ParseError(f"a {what} coefficient in {text[:20]!r} has more than "
+                         f"{MAX_DIGITS} digits")
+    try:
+        return [int(c) for c in entries]
+    except ValueError:
+        raise ParseError(f"bad {what} coefficients {text[:20]!r}")
 
 
 def cmd_elliptic(args) -> int:

@@ -46,17 +46,10 @@ def theta(form: str, z_window=DEFAULT_WINDOW, q_order: int = DEFAULT_Q_ORDER) ->
     if form == "product":
         series = _theta_power(0, 2, 1, q_order)
     elif form == "sum":
-        acc: dict = {}
-        n = 0
-        while n * (n - 1) // 2 < q_order:
-            acc[(2 * n, n * (n - 1) // 2)] = (-1) ** n
-            n += 1
-        n = -1
-        while n * (n - 1) // 2 < q_order:
-            acc[(2 * n, n * (n - 1) // 2)] = (-1) ** n
-            n -= 1
+        # n(n-1)/2 >= q_order past either end of the range, where ZQSeries drops the term
+        terms = {(2 * n, n * (n - 1) // 2): (-1) ** (n % 2) for n in range(-q_order, q_order + 2)}
         inverse = _euler_product(q_order).inverse()
-        series = ZQSeries(acc, q_order) * ZQSeries.from_q_coeffs(inverse.coeffs, q_order)
+        series = ZQSeries(terms, q_order) * ZQSeries.from_q_coeffs(inverse.coeffs, q_order)
     else:
         raise DomainError(f"unknown theta form {form!r}")
     _check_window(series, z_window)

@@ -3,9 +3,11 @@
 The subrings live in Z[[t]] and are built from a generator series
 P = N t^2 + O(t^3) by the recursion R_0 = Z[[t]], R_m = Z + P * R_(m-1),
 whose unrolled form is Z + Z P + ... + Z P^(m-1) + P^m Z[[t]].  Membership
-at a finite truncation is three-valued: integrality of the successive
-leading coefficients can certify or refute agreement with a ring element
-through the truncation order, or the order can be too small to decide.
+at a finite truncation is three-valued and read in one pass over that form:
+a coefficient that no element of it can absorb refutes membership at any
+order; otherwise the series agrees with a ring element through the
+truncation order, a certificate once the order reaches t^(2m), where the
+ideal P^m Z[[t]] begins, and inconclusive below it.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ def n_b(assignments: dict) -> dict:
 
 class FakeKRing:
     """R_m built from a generator series with zero constant and linear term
-    and N = P[2] != 0; membership decided by successive leading-coefficient
-    division through the truncation order."""
+    and N = P[2] != 0; membership decided by one pass of leading-coefficient
+    divisions by N^j through the truncation order, which refutes at the
+    first coefficient the unrolled form cannot absorb."""
 
     def __init__(self, generator: PowerSeries, m: int):
         if m < 0:
@@ -95,39 +98,27 @@ class FakeKRing:
         return self.membership(self._powers[self.m]) == MEMBER
 
     def membership(self, f: PowerSeries) -> str:
-        """Three-valued membership of f through the truncation order."""
+        """Three-valued membership of f through the truncation order, by one
+        pass over the unrolled form: its elements t^(i-2j) P^j, j = min(i//2, m),
+        have their lowest terms N^j t^i at every i except the odd i < 2m, so the
+        coefficient at t^i, final once the pass reaches it, must be 0 at such
+        an i and a multiple of N^j elsewhere."""
         _require_integers(f)
         if self.m == 0:
             return MEMBER
         D = min(self.order, f.order) - 1  # largest certified exponent
         r = [0, *f.coeffs[1 : D + 1]]  # the integer constant is always absorbable
-        verdict = MEMBER
-        for j in range(1, self.m):
-            if 2 * j > D:
-                return INCONCLUSIVE
-            den = self.n_b**j
-            if r[2 * j] % den:
+        for i in range(1, D + 1):
+            if not r[i]:
+                continue
+            j = min(i // 2, self.m)
+            c, rem = divmod(r[i], self.n_b**j)
+            if rem or i % 2 and j < self.m:
                 return NON_MEMBER
-            c = r[2 * j] // den
-            if c:
-                pj = self._powers[j].coeffs
-                for i in range(2 * j, D + 1):
-                    r[i] -= c * pj[i]
-        if D < 2 * self.m:
-            return INCONCLUSIVE
-        den = self.n_b**self.m
-        pm = self._powers[self.m].coeffs
-        for k in range(D + 1 - 2 * self.m):
-            num = r[2 * self.m + k]
-            if num % den:
-                return NON_MEMBER
-            g = num // den
-            if g:
-                for i in range(2 * self.m + k, D + 1):
-                    r[i] -= g * pm[i - k]
-        if any(r):
-            return NON_MEMBER
-        return verdict
+            pj = self._powers[j].coeffs  # subtract c t^(i-2j) P^j from r[i:]
+            for e in range(i, D + 1):
+                r[e] -= c * pj[e - i + 2 * j]
+        return MEMBER if D >= 2 * self.m else INCONCLUSIVE
 
     def __repr__(self):
         return f"<FakeKRing m={self.m}, N_B={self.n_b}, order {self.order}>"

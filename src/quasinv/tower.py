@@ -11,7 +11,6 @@ presentations with doubled (cohomological) degrees rescale explicitly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from quasinv.errors import DomainError
@@ -271,49 +270,33 @@ def coinvariant_dimension(basis: GradedBasis) -> int:
 # -- presentations and fake cohomology --------------------------------------------------
 
 
+def _weighted_monomials(d: int, wu: int) -> list:
+    """The monomials u^a v^b of weighted degree a wu + 2b = d, as pairs (a, b);
+    none for d < 0."""
+    return [(a, (d - a * wu) // 2) for a in range(d // wu + 1) if (d - a * wu) % 2 == 0]
+
+
 def presentation_check(m: int, max_degree: int) -> dict:
     """Compare Q[u, v]/(u^2 - v^(2m+1)) with Q_m under u -> x^(2m+1),
     v -> x^2 (cohomological degrees are twice these x-degrees).
 
     Checks that the quotient's graded dimensions match Q_m and that the
     kernel of the naive evaluation is exactly the principal ideal, degreewise
-    through the bound.
+    through the bound: the evaluation sends every degree-d monomial to x^d,
+    so its kernel there is spanned by their differences, and it is the ideal
+    when it has the dimension of the ideal's degree-d part, u^2 times degree
+    d - 2(2m+1), and all the monomials share one normal form under
+    u^2 -> v^(2m+1).
     """
     group = parse_group("A1")
     dims = quasi_basis(group, Multiplicity.constant(group, m), max_degree).dims()
-    wu, wv = 2 * m + 1, 2
-    dims_ok = True
-    kernel_ok = True
+    wu = 2 * m + 1
+    dims_ok = kernel_ok = True
     for d in range(max_degree + 1):
-        monos = [(a, b) for a in range(d // wu + 1) for b in range(d // wv + 1)
-                 if a * wu + b * wv == d]
-        normal = [(a, b) for a, b in monos if a <= 1]
-        if len(normal) != dims[d]:
-            dims_ok = False
-        # kernel of the naive map: all monomials hit x^d, so it is the
-        # difference lattice; it must match the principal ideal in dimension
-        # and reduce to zero in the normal form u^2 -> v^(2m+1)
-        count = len(monos)
-        ideal_count = len(
-            [
-                (a, b)
-                for a in range((d - 2 * wu) // wu + 1)
-                for b in range((d - 2 * wu) // wv + 1)
-                if a * wu + b * wv == d - 2 * wu
-            ]
-        ) if d >= 2 * wu else 0
-        kernel_dim = max(0, count - 1) if count else 0
-        if kernel_dim != ideal_count and count:
-            kernel_ok = False
-        # normal-form reduction of the canonical kernel generators
-        for i in range(1, count):
-            diff = {monos[0]: Fraction(1), monos[i]: Fraction(-1)}
-            reduced: dict = {}
-            for (a, b), c in diff.items():
-                key = (a % 2, b + (a // 2) * (2 * m + 1))
-                reduced[key] = reduced.get(key, Fraction(0)) + c
-            if any(reduced.values()):
-                kernel_ok = False
+        monos = _weighted_monomials(d, wu)
+        dims_ok &= sum(a <= 1 for a, _ in monos) == dims[d]
+        kernel_ok &= (max(len(monos) - 1, 0) == len(_weighted_monomials(d - 2 * wu, wu))
+                      and len({(a % 2, b + a // 2 * wu) for a, b in monos}) <= 1)
     return {
         "dims_match": dims_ok,
         "kernel_is_principal_ideal": kernel_ok,

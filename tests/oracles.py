@@ -10,7 +10,8 @@ group acts here by substituting the linear forms of the inverse matrices
 character idempotents come from the literal group algebra of
 `group_algebra`.  The half-integer rank-one modules and the Hilbert series
 numerators of Q_m are written down in closed form (`cw_valued_basis`,
-`closed_form_numerator`).
+`closed_form_numerator`).  Membership in the fake K-theory subrings of
+Z[[t]] is a dense triangular solve over Fractions (`fake_k_membership`).
 """
 
 import re
@@ -416,3 +417,40 @@ def cw_valued_basis(k, max_degree: int):
             layer.append(CWValuedElement.from_pair({}, {d: 1}))
         layers.append(layer)
     return layers
+
+
+# -- fake K-theory subrings --------------------------------------------------------------
+# R_m = Z + Z P + ... + Z P^(m-1) + P^m Z[[t]] inside Z[[t]], as a linear system.
+
+
+def fake_k_membership(p_coeffs, m: int, f_coeffs, K: int) -> str:
+    """Membership of f in R_m through t^(K-1), from the system
+    f = sum_(j<m) c_j P^j + P^m g (mod t^K) in the unknowns c_j and g_k whose
+    columns reach below t^K.  Each column's lowest entry (N^j at t^(2j), N^m
+    at t^(2m+k)) sits in its own row, so the dense system is triangular and
+    is solved row by row over Fractions: "non-member" when a determined
+    unknown is not an integer or a row without an unknown of its own fails,
+    "inconclusive" when K <= 2m and nothing fails, "member" otherwise."""
+    if m == 0:
+        return "member"
+    powers = [[1] + [0] * (K - 1)]
+    for _ in range(m):
+        prev = powers[-1]
+        powers.append([sum(prev[a] * p_coeffs[e - a] for a in range(e + 1)) for e in range(K)])
+    columns = [powers[j] for j in range(m) if 2 * j < K]
+    columns += [[0] * k + powers[m][: K - k] for k in range(K - 2 * m)]
+    matrix = [[col[e] for col in columns] for e in range(K)]
+    pivots = {}  # row -> column whose lowest nonzero entry is in that row
+    for c, col in enumerate(columns):
+        pivots[next(e for e, v in enumerate(col) if v)] = c
+    x = [Fraction(0)] * len(columns)
+    for e, row in enumerate(matrix):
+        residual = Fraction(f_coeffs[e]) - sum(v * x[c] for c, v in enumerate(row))
+        if e in pivots:
+            c = pivots[e]
+            x[c] = residual / row[c]
+            if x[c].denominator != 1:
+                return "non-member"
+        elif residual:
+            return "non-member"
+    return "inconclusive" if K <= 2 * m else "member"

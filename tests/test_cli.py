@@ -88,12 +88,16 @@ def test_parse_error_exit_code():
 
 
 def test_inconclusive_exit_code():
-    # order too small to separate the free part from the ideal
-    code, _, _ = call(
-        "fake", "ktheory", "--series", "0,0,3,1", "--mult", "3", "--order", "4",
-        "--elem", "0,0,3",
-    )
+    # order too small to separate the free part from the ideal: 3t^2 + t^3 is
+    # P through t^3, while 3t^2 leaves a t^3 and t a t term that no element
+    # of the unrolled form absorbs, refuted at any order
+    ring = ("fake", "ktheory", "--series", "0,0,3,1")
+    code, _, _ = call(*ring, "--mult", "3", "--order", "4", "--elem", "0,0,3,1")
     assert code == 3
+    code, _, _ = call(*ring, "--mult", "3", "--order", "4", "--elem", "0,0,3")
+    assert code == 2
+    code, out, _ = call(*ring, "--mult", "2", "--order", "3", "--elem", "0,1")
+    assert code == 2 and "membership: non-member" in out
     # order too small to verify the ring's defining recursion
     code, out, _ = call("fake", "ktheory", "--series", "0,0,3,1", "--order", "3", "--mult", "8")
     assert code == 3
@@ -437,6 +441,20 @@ def test_oversized_polynomials_and_characters_are_refused():
                  (*apply, f"{'9' * MAX_DIGITS}/{'7' * MAX_DIGITS}*x^{MAX_DEGREE}")):
         code, out, err = call(*argv)
         assert code in (0, 2) and out and not err, argv
+
+
+def test_fake_ktheory_coefficients_stop_at_max_digits():
+    ring = ("fake", "ktheory", "--mult", "1", "--order", "12")
+    long_entry = "0,0," + "9" * (MAX_DIGITS + 1)
+    for argv in ((*ring, "--series", long_entry),
+                 (*ring, "--series", "0,0,3,1", "--elem", long_entry),
+                 (*ring, "--series", "0,0,-" + "9" * (MAX_DIGITS + 1))):
+        code, out, err = call(*argv)
+        assert code == 1 and out == "" and "Traceback" not in err, argv
+        assert len(err) < 200, argv  # the refused value is quoted cut
+    at_cap = "0,0," + "9" * MAX_DIGITS + ",-" + "9" * MAX_DIGITS
+    code, out, err = call(*ring, "--series", at_cap, "--elem", at_cap)
+    assert code == 0 and "membership: member" in out and not err  # P itself
 
 
 def test_juxtaposed_and_parenthesized_factors_multiply():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import fake_k_membership
 
 from quasinv.demazure import exp_basis
 from quasinv.errors import DomainError
@@ -92,7 +93,11 @@ def test_membership_ideal_elements():
 def test_membership_inconclusive_when_order_too_small():
     gen = PowerSeries([0, 0, 3, 1], 12)
     ring = qmb(gen, 3, 4)  # cannot reach order t^6
-    assert ring.membership(PowerSeries([0, 0, 3], 4)) == INCONCLUSIVE
+    # 3t^2 + t^3 is P through t^3, so only the ideal P^3 Z[[t]] is unseen
+    assert ring.membership(PowerSeries([0, 0, 3, 1], 4)) == INCONCLUSIVE
+    # 3t^2 = P (1 - t/3 + ...) leaves -t^3 that no element absorbs: refuted
+    # at any order, as R_3 lies in R_1
+    assert ring.membership(PowerSeries([0, 0, 3], 4)) == NON_MEMBER
 
 
 def test_membership_of_an_empty_truncation():
@@ -116,6 +121,33 @@ def test_membership_monotone():
             f = (upper.generator ** (m + 1)) * PowerSeries(coeffs, 13) + rng.randint(-3, 3)
             assert upper.membership(f) == MEMBER
             assert lower.membership(f) == MEMBER
+
+
+def test_membership_matches_the_triangular_system():
+    # a seeded grid against the dense Fraction solve of the unrolled form:
+    # random elements, and ring elements with one coefficient nudged
+    rng = random.Random(43)
+    seen = set()
+    for n in (1, -1, 2, 3, 6):
+        for m in range(5):
+            for order in range(3, 15):
+                p = [0, 0, n] + [rng.randint(-3, 3) for _ in range(order - 3)]
+                gen = PowerSeries(p, order)
+                ring = qmb(gen, m, order)
+                for f_order in range(15):
+                    f = [rng.randint(-9, 9) for _ in range(f_order)]
+                    if rng.random() < 0.7:
+                        g = PowerSeries([rng.randint(-2, 2) for _ in range(order)], order)
+                        member = gen**m * g
+                        for j in range(m):
+                            member = member + gen**j * rng.randint(-2, 2)
+                        f = list(member.coeffs[:f_order]) + [0] * (f_order - order)
+                        if f and rng.random() < 0.5:
+                            f[rng.randrange(f_order)] += rng.choice((1, n, n * n))
+                    verdict = ring.membership(PowerSeries(f, f_order))
+                    assert verdict == fake_k_membership(p, m, f, min(order, f_order)), (m, p, f)
+                    seen.add(verdict)
+    assert seen == {MEMBER, NON_MEMBER, INCONCLUSIVE}
 
 
 def test_generator_validation():

@@ -216,6 +216,17 @@ def test_presentation_check(m):
     assert report["ok"]
 
 
+@pytest.mark.parametrize("m", range(4))
+def test_presentation_check_sees_the_wrong_quasi_invariants(monkeypatch, m):
+    # the presentation of Q_m against the dims of Q_(m+1): they part at x^(2m+1)
+    from quasinv import tower
+
+    higher = Multiplicity.constant(A1, m + 1)
+    monkeypatch.setattr(tower, "quasi_basis", lambda group, mult, D: quasi_basis(group, higher, D))
+    report = presentation_check(m, 14)
+    assert not report["dims_match"] and report["kernel_is_principal_ideal"]
+
+
 def test_fake_cohomology_rational_equality():
     result = fake_cohomology_ring(3, 2, 10)
     assert result["equals_quasi_invariants_over_Q"]
