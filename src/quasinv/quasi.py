@@ -24,9 +24,13 @@ disagree.  On a diagonal-character block the root is one per row up
 to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
 the surviving monomials: `quasi_basis` counts them and solves a layer when read.
-With swap rows (I2(k)) it eliminates every degree forward and reads the dims
-off the ranks; a layer is back-substituted and its polynomials formed when
-read.
+With swap rows (I2(k)) it eliminates forward and reads the dims off the
+ranks; a layer is back-substituted and its polynomials formed when read.
+There u = z1 z2 is W-invariant, of trivial diagonal character and prime to
+every alpha_H = z1 - r z2, so u g is in Q_m exactly when g is: a degree-d
+block that holds neither z1^d nor z2^d is u times the same block of degree
+d - 2 and shares its kernel, and only the at most two blocks of a degree
+that hold a pure power are solved.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -290,10 +294,21 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     their count.  Each deletion tests one exponent (`_survives`), so the
     dims are the convolution over k of the 0/1 sequences "x_k^a survives":
     they are counted so, and a layer is solved on first read.  With swap
-    rows (I2(k)) every degree's rows are eliminated forward up front and
-    kept as its `nullspace` kernels, whose lengths (columns minus rank) are
-    the dims; a layer's kernels are back-substituted and its polynomials
-    formed on first read, and its kernels then dropped.
+    rows (I2(k)) the rows are eliminated forward up front and kept as
+    `nullspace` kernels, whose lengths (columns minus rank) are the dims; a
+    layer's kernels are back-substituted and its polynomials formed on first
+    read, and the layer's reference to them then dropped.
+
+    Only the blocks that hold z1^d or z2^d, at most two per degree, are
+    solved.  u = z1 z2 is W-invariant, so of trivial diagonal character,
+    and prime to every alpha_H (r != 0), so u g is in Q_m exactly when g
+    is.  Multiplying by u maps a block's degree-(d - 2) monomials, one to
+    one and in order, onto its degree-d monomials with both exponents
+    >= 1, so a block without a pure power takes the `Kernel` of its
+    character at d - 2 (the reduced basis is unique), with its kept
+    monomials shifted by (1, 1).  A shared kernel is back-substituted on
+    its first read; only the block maps of degrees d - 1 and d - 2 are
+    kept while solving.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
@@ -307,8 +322,21 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     conditions = deletions, list(orbits.values())
     if swaps:
         typed = {}  # c -> roots[0] * c, shared by the degrees
-        kernels = [_solve_layer(group, conditions, *_degree_blocks(group, d), typed)
-                   for d in range(max_degree + 1)]
+        kernels, below = [], ({}, {})  # the block maps of degrees d - 2 and d - 1
+        for d in range(max_degree + 1):
+            monos, blocks, keys = _degree_blocks(group, d)
+            pure = [block[0] == 0 or block[-1] == d for block in blocks]  # z2^d or z1^d
+            solved = iter(_solve_layer(group, conditions, monos,
+                                       [b for b, p in zip(blocks, pure) if p], typed))
+            here = {}  # character -> (kept, kernel)
+            for key, p in zip(keys, pure):
+                if p:
+                    here[key] = next(solved)
+                else:  # u = z1 z2 times the same block of degree d - 2
+                    kept, kernel = below[0][key]
+                    here[key] = ([(a + 1, b + 1) for a, b in kept], kernel)
+            kernels.append(list(here.values()))
+            below = below[1], here
         dims = [sum(len(kept) if vectors is None else len(vectors) for kept, vectors in kernel)
                 for kernel in kernels]
 
@@ -333,11 +361,13 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
 
 @lru_cache(maxsize=1024)
 def _degree_blocks(group: ReflectionGroup, d: int):
-    """(monomials, blocks): the degree-d exponents in `monomial_index` order
-    and their diagonal-character blocks (`monomial_blocks`), built once per
-    group and degree.  Shared between calls: read them, never mutate them."""
+    """(monomials, blocks, keys): the degree-d exponents in `monomial_index`
+    order, their diagonal-character blocks (`monomial_blocks`) and each
+    block's character (`monomial_class_key`), built once per group and
+    degree.  Shared between calls: read them, never mutate them."""
     monos = list(monomial_index(group.variables, d))
-    return monos, group.monomial_blocks(monos)
+    blocks = group.monomial_blocks(monos)
+    return monos, blocks, [group.monomial_class_key(monos[block[0]]) for block in blocks]
 
 
 _TYPED_CAP = 4096  # typed entries kept between degrees
@@ -360,7 +390,14 @@ def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, typed):
     take the group's coefficient type, roots[0] * c, formed once per int c
     in `typed` (c -> roots[0] * c), shared by the degrees of a basis and
     emptied past _TYPED_CAP: at high multiplicity the ints rarely recur
-    between degrees.  The row space, hence the kernel, is unchanged."""
+    between degrees.  The row space, hence the kernel, is unchanged.
+
+    For I2(k) it gets only the blocks of degree d that hold z1^d or z2^d;
+    the others are u = z1 z2 times a block of degree d - 2 (`quasi_basis`).
+    In a swap's eigen-coordinates u = (beta^2 - alpha^2)/(4r), so the odd
+    alpha-coefficients of u h are (h_t - h_(t-2))/(4r): the degree-d rows
+    composed with u are a triangular transform of the degree-(d - 2) rows.
+    Without swap rows a layer comes whole, as one block."""
     if len(typed) > _TYPED_CAP:
         typed.clear()
     roots = group.roots

@@ -8,7 +8,7 @@ from oracles import closed_form_numerator
 from quasinv.errors import ReconstructionError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.quasi import freeness_certificate
+from quasinv.quasi import freeness_certificate, quasi_basis
 from test_acceptance import _max_entry, criterion_2_configurations, larger_battery_configurations
 
 
@@ -109,3 +109,26 @@ def _closed_form_case(draw):
 def test_closed_form_on_random_multiplicities(case):
     group, mult = case
     _assert_closed_form(group, mult, 4 * group.sum_invariant_degrees() + 8)
+
+
+def _closed_form_dims(spec, values, denominator_degrees, max_degree):
+    """The closed-form numerator expanded over the product of (1 - t^d_i)
+    through max_degree, one geometric series at a time."""
+    dims = [0] * (max_degree + 1)
+    for d, c in closed_form_numerator(spec, values).items():
+        if d <= max_degree:
+            dims[d] += c
+    for step in denominator_degrees:
+        for d in range(step, max_degree + 1):
+            dims[d] += dims[d - step]
+    return dims
+
+
+@pytest.mark.parametrize("k, m, max_degree", [(12, 32, 160), (32, 32, 256)])
+def test_dihedral_dims_at_scale_equal_the_closed_form(k, m, max_degree):
+    # the largest requests the CLI's timed checks make; most of their blocks
+    # are inherited from degree d - 2, none is checked against another solve
+    group = parse_group(f"I2({k})")
+    mult = Multiplicity.constant(group, m)
+    expected = _closed_form_dims(group.spec, mult.values.values(), (2, k), max_degree)
+    assert quasi_basis(group, mult, max_degree).dims() == expected

@@ -557,6 +557,84 @@ def test_swap_dims_are_the_sizes_of_the_layers(spec):
         assert dims == quasi_basis(W, mult, D).dims()
 
 
+# -- blocks without a pure power inherited from degree d - 2 ---------------------------
+
+
+def _encoded_blocks(kernels):
+    """A degree's (kept, vectors) blocks with each vector's entries as
+    (column, coefficient type, JSON encoding); None for a block without rows."""
+    return [(list(kept), None if vectors is None else
+             [[(i, type(c).__name__, encode_coeff(c)) for i, c in vec.items()] for vec in vectors])
+            for kept, vectors in kernels]
+
+
+def _has_pure_power(monos, block) -> bool:
+    d = sum(monos[0])
+    return any(monos[c] in ((d, 0), (0, d)) for c in block)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)"])
+def test_inherited_blocks_equal_solved_blocks(spec, monkeypatch):
+    # u = z1 z2 is invariant and prime to every alpha_H, so a block without
+    # z1^d or z2^d is u times the same character's block at d - 2; each
+    # block is compared with its own solve over the rows of every swap
+    W, D = parse_group(spec), 40
+    for mult in (Multiplicity.constant(W, 1), Multiplicity.constant(W, 3),
+                 _mixed_multiplicity(W)):
+        conditions = _hyperplane_conditions(W, mult)
+        formed = []
+        form = quasi._layer
+
+        def recording_layer(variables, kernels):
+            formed.append(_encoded_blocks(kernels))
+            return form(variables, kernels)
+
+        monkeypatch.setattr(quasi, "_layer", recording_layer)
+        quasi_basis(W, mult, D).layers
+        monkeypatch.undo()
+        inherited = 0
+        for d in range(D + 1):
+            monos = monomials_of_degree(W.variables, d)
+            blocks = W.monomial_blocks(monos)
+            assert formed[d] == _encoded_blocks(_solve_layer(W, conditions, monos, blocks, {})), \
+                (spec, mult, d)
+            inherited += sum(not _has_pure_power(monos, block) for block in blocks)
+        assert inherited >= D // 2  # I2(4) inherits the fewest: one block of each even d
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)", "I2(8)", "I2(12)", "I2(32)"])
+def test_dihedral_nullspace_runs_only_on_blocks_with_a_pure_power(spec, monkeypatch):
+    # a degree hands `_solve_layer` only its blocks that hold z1^d or z2^d,
+    # at most two, and no `nullspace` call happens outside them
+    W = parse_group(spec)
+    D = 2 * W.invariant_degrees[-1] + 12
+    solves, calls = [], []
+    solve = quasi._solve_layer
+
+    def counted_solve(group, conditions, monos, blocks, typed):
+        before = len(calls)
+        out = solve(group, conditions, monos, blocks, typed)
+        solves.append((sum(monos[0]), [_has_pure_power(monos, b) for b in blocks],
+                       len(calls) - before))
+        return out
+
+    def recording(matrix, ncols=None):
+        calls.append(ncols)
+        return nullspace(matrix, ncols)
+
+    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    monkeypatch.setattr(quasi, "nullspace", recording)
+    quasi_basis(W, _mixed_multiplicity(W), D).layers
+    assert [d for d, _, _ in solves] == list(range(D + 1))  # one solve per degree
+    assert all(pure and all(pure) and len(pure) <= 2 for _, pure, _ in solves)
+    assert all(n <= len(pure) for _, pure, n in solves)
+    assert 0 < len(calls) == sum(n for _, _, n in solves)
+    all_blocks = sum(len(W.monomial_blocks(monomials_of_degree(W.variables, d)))
+                     for d in range(D + 1))
+    assert len(calls) < all_blocks
+
+
 def _constant_basis(spec, m, D):
     W = parse_group(spec)
     return quasi_basis(W, Multiplicity.constant(W, m), D)
