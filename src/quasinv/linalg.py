@@ -74,28 +74,33 @@ def nullspace(matrix, ncols=None) -> "Kernel":
 
 class Kernel:
     """The kernel vectors of a forward-eliminated span, as a sequence.  Its
-    length, ncols minus the rank, is read off the span; the first iteration
-    or index back-substitutes and forms the vectors, once.  A span of full
-    rank has no vector to form and is not kept: most of the blocks a
-    dihedral solve never reads are such spans.  It compares equal to the
-    list of its vectors."""
+    length, ncols minus the rank, and its free columns are read off the
+    span; the first iteration or index back-substitutes and forms the
+    vectors, once.  A span of full rank has no vector to form and is not
+    kept.  It compares equal to the list of its vectors."""
 
-    __slots__ = ("_span", "_ncols", "_vectors")
+    __slots__ = ("_span", "_vectors", "_free")
 
     def __init__(self, span: "IncrementalSpan", ncols: int):
-        self._span, self._ncols, self._vectors = span, ncols, None
-        if span.dim() == ncols:
-            self._span, self._vectors = None, []
+        self._free = [fc for fc in range(ncols) if fc not in span._where]
+        self._span, self._vectors = (span, None) if self._free else (None, [])
 
     def __len__(self) -> int:
-        return len(self._vectors) if self._span is None else self._ncols - self._span.dim()
+        return len(self._free)
+
+    def free_columns(self) -> list:
+        """The columns outside the span's pivots, increasing: vector i holds
+        the 1 of free column i.  The kernel of the first n columns alone is
+        spanned by the vectors whose free column is below n, since a vector
+        is zero right of its free column.  Forms no vector."""
+        return self._free
 
     def _formed(self) -> list:
         if self._vectors is None:
             span = self._span
+            basis = {fc: {} for fc in self._free}
             span.back_substitute()
             where = span._where
-            basis = {fc: {} for fc in range(self._ncols) if fc not in where}
             for pc in sorted(where):  # a row's entries lie right of its pivot
                 row = span._rows[where[pc]]
                 for j, c in row.items():

@@ -20,17 +20,20 @@ rows of integer binomial sums times a root of unity.  `quasi_basis` solves
 these rows and `_satisfies` evaluates them; every membership question about
 Q_m (`is_quasi_invariant`, `closure_report`, `filtration_check`, the tower's
 certification) goes through the rows, so membership and bases cannot
-disagree.  On a diagonal-character block the root is one per row up
-to sign (`_solve_layer`), so solves and freeness spans run on integer rows.
+disagree.
+
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
-the surviving monomials: `quasi_basis` counts them and solves a layer when read.
-With swap rows (I2(k)) it eliminates forward and reads the dims off the
-ranks; a layer is back-substituted and its polynomials formed when read.
-There u = z1 z2 is W-invariant, of trivial diagonal character and prime to
-every alpha_H = z1 - r z2, so u g is in Q_m exactly when g is: a degree-d
-block that holds neither z1^d nor z2^d is u times the same block of degree
-d - 2 and shares its kernel, and only the at most two blocks of a degree
-that hold a pure power are solved.
+the surviving monomials: `quasi_basis` counts them and lists a layer when
+read.  With swap rows (I2(k)) a block of degree d and diagonal character
+chi holds the monomials z1^a z2^b of level l = |a - b| <= d in one chain
+(chi, d mod 2), since u = z1 z2 is of trivial character.  The frame
+lemma: an invertible row operation, a root of unity times the even unit
+(1 - alpha^2)^(-(d - p)/2) mod alpha^(2m) with p = d mod 2, turns the
+column of z1^a z2^b into a fixed integer column of its level alone,
++-(1 - alpha^2)^(-(l - p)/2) (1 +- alpha)^l, whatever d.  So the block
+(d, chi) is its chain's frame columns of level <= d, the dims are one
+`nullspace` per chain read off its free columns, and a layer is solved
+from the frame rows of its blocks when read.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -293,70 +296,81 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     are no rows, so a layer is its surviving monomials and its dimension
     their count.  Each deletion tests one exponent (`_survives`), so the
     dims are the convolution over k of the 0/1 sequences "x_k^a survives":
-    they are counted so, and a layer is solved on first read.  With swap
-    rows (I2(k)) the rows are eliminated forward up front and kept as
-    `nullspace` kernels, whose lengths (columns minus rank) are the dims; a
-    layer's kernels are back-substituted and its polynomials formed on first
-    read, and the layer's reference to them then dropped.
+    they are counted so, and a layer is listed on first read.
 
-    Only the blocks that hold z1^d or z2^d, at most two per degree, are
-    solved.  u = z1 z2 is W-invariant, so of trivial diagonal character,
-    and prime to every alpha_H (r != 0), so u g is in Q_m exactly when g
-    is.  Multiplying by u maps a block's degree-(d - 2) monomials, one to
-    one and in order, onto its degree-d monomials with both exponents
-    >= 1, so a block without a pure power takes the `Kernel` of its
-    character at d - 2 (the reduced basis is unique), with its kept
-    monomials shifted by (1, 1).  A shared kernel is back-substituted on
-    its first read; only the block maps of degrees d - 1 and d - 2 are
-    kept while solving.
+    With swap rows (I2(k)) the blocks are read off fixed frames.  A block
+    of degree d and character chi holds the z1^a z2^b with a - b = delta,
+    |delta| <= d, delta = d mod 2 and of character chi, since u = z1 z2 has
+    the trivial character; its level is |delta|.  A chain is a character
+    with a parity of d, and the block (d, chi) is exactly its chain's
+    levels <= d.  With beta = 1 a column of a swap's rows reads
+    r^(-b) (1 - alpha^2)^s (1 +- alpha)^l, s = min(a, b) and l its level.
+    Multiplying all of the swap's rows by r^b0 and by the even unit
+    (1 - alpha^2)^(-(d - p)/2) mod alpha^(2m), p the parity, keeps their
+    kernel: odd(e f) = e odd(f) for an even e, a triangular row operation.
+    It leaves the frame column +-(1 - alpha^2)^(-(l - p)/2) (1 +- alpha)^l,
+    an integer series that depends on neither d nor the other columns
+    (`_chain_rows`).  So the dims are one `nullspace` per chain, its
+    columns in level order: the kernel of the first n columns is spanned
+    by the reduced vectors whose free column is below n
+    (`Kernel.free_columns`), so dims[d] counts the free columns of level
+    <= d, over the chains of d's parity.  A layer is solved on its first
+    read, each block as a `nullspace` of its chain's rows over its own
+    columns in monomial order, kept per chain and block size: the blocks
+    of degrees d and d + 2 without a pure power share a kernel.  The
+    reduced basis is unique, so the layer is the solve of the block's own
+    rows (the regression suite compares them).
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
     deletions, swaps = _hyperplane_conditions(group, mult)
+    if not swaps:
+        def layer(d: int) -> list:
+            return _layer(group.variables, [(_solve_layer(deletions, d, group.variables), None)])
+        dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
+        for k in range(group.rank):
+            out = [0] * (max_degree + 1)
+            for a in range(max_degree + 1):
+                if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k):
+                    out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
+            dims = out
+        return GradedBasis(group, mult, max_degree, layer, dims)
     orbits = {}  # one swap per T-orbit: see above
     for k, l, j, top in swaps:
         ratio = [0] * group.rank
         ratio[k], ratio[l] = 1, -1
         g = gcd(len(group.roots), *group.monomial_class_key(ratio))
         orbits.setdefault((k, l, top, j % g), (k, l, j, top))
-    conditions = deletions, list(orbits.values())
-    if swaps:
-        typed = {}  # c -> roots[0] * c, shared by the degrees
-        kernels, below = [], ({}, {})  # the block maps of degrees d - 2 and d - 1
-        for d in range(max_degree + 1):
-            monos, blocks, keys = _degree_blocks(group, d)
-            pure = [block[0] == 0 or block[-1] == d for block in blocks]  # z2^d or z1^d
-            solved = iter(_solve_layer(group, conditions, monos,
-                                       [b for b, p in zip(blocks, pure) if p], typed))
-            here = {}  # character -> (kept, kernel)
-            for key, p in zip(keys, pure):
-                if p:
-                    here[key] = next(solved)
-                else:  # u = z1 z2 times the same block of degree d - 2
-                    kept, kernel = below[0][key]
-                    here[key] = ([(a + 1, b + 1) for a, b in kept], kernel)
-            kernels.append(list(here.values()))
-            below = below[1], here
-        dims = [sum(len(kept) if vectors is None else len(vectors) for kept, vectors in kernel)
-                for kernel in kernels]
+    swaps = list(orbits.values())
+    series = _frame_series(max(top for *_, top in swaps), max_degree)
+    frames, dims = {}, [0] * (max_degree + 1)
+    for chain, deltas in _chains(group, max_degree).items():
+        frames[chain] = _chain_rows(group, swaps, deltas, series)
+        for fc in nullspace(_block_rows(frames[chain], deltas), len(deltas)).free_columns():
+            dims[abs(deltas[fc])] += 1  # a kernel vector of every block of level >= |delta|
+    for d in range(2, max_degree + 1):
+        dims[d] += dims[d - 2]
+    solved = {}  # (character, parity, block size) -> Kernel
 
-        def built(d: int) -> list:
-            layer, kernels[d] = _layer(group.variables, kernels[d]), None
-            return layer
-        return GradedBasis(group, mult, max_degree, built, dims)
+    def built(d: int) -> list:
+        monos, blocks, keys = _degree_blocks(group, d)
+        kernels = []
+        for block, key in zip(blocks, keys):
+            kept = [monos[c] for c in block]
+            at = key, d % 2, len(kept)
+            if at not in solved:
+                rows = _block_rows(frames[key, d % 2], [a - b for a, b in kept])
+                solved[at] = nullspace(rows, len(kept))
+            kernels.append((kept, solved[at]))
+        return _layer(group.variables, kernels)
+    return GradedBasis(group, mult, max_degree, built, dims)
 
-    def layer(d: int) -> list:
-        monos = list(monomial_index(group.variables, d))
-        return _layer(group.variables,
-                      _solve_layer(group, conditions, monos, [range(len(monos))], {}))
-    dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
-    for k in range(group.rank):
-        out = [0] * (max_degree + 1)
-        for a in range(max_degree + 1):
-            if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k):
-                out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
-        dims = out
-    return GradedBasis(group, mult, max_degree, layer, dims)
+
+def _solve_layer(deletions, d: int, variables) -> list:
+    """The degree-d monomials that every deletion keeps: without swap rows
+    (A1^n, Z/l and their products) they are the layer's basis."""
+    return [e for e in monomial_index(variables, d)
+            if all(_survives(n_h, need, e[k]) for k, n_h, need in deletions)]
 
 
 @lru_cache(maxsize=1024)
@@ -370,62 +384,76 @@ def _degree_blocks(group: ReflectionGroup, d: int):
     return monos, blocks, [group.monomial_class_key(monos[block[0]]) for block in blocks]
 
 
-_TYPED_CAP = 4096  # typed entries kept between degrees
+def _chains(group: ReflectionGroup, max_degree: int) -> dict:
+    """(character, parity) -> the deltas a - b of its frame columns in level
+    order, each from the pure power z1^delta or z2^-delta; at one level,
+    delta before -delta."""
+    chains = {}
+    for level in range(max_degree + 1):
+        for delta in (level, -level) if level else (0,):
+            pure = (delta, 0) if delta > 0 else (0, -delta)
+            chains.setdefault((group.monomial_class_key(pure), level % 2), []).append(delta)
+    return chains
 
 
-def _solve_layer(group: ReflectionGroup, conditions, monos, blocks, typed):
-    """Kernel of the degree-d constraint rows, solved on each block of
-    columns separately, as one (kept, vectors) pair per block: the kept
-    monomials, and the `nullspace` vectors over their columns, or None for
-    a block without rows, whose kernel is the standard basis.
+def _frame_series(top: int, max_level: int) -> list:
+    """Per level l <= max_level, the coefficients below alpha^top of
+    g_l = (1 - alpha^2)^(-(l - p)/2) (1 + alpha)^l, p = l mod 2: g_0 = 1,
+    g_1 = 1 + alpha and g_(l+2) = g_l (1 + alpha) / (1 - alpha), whose
+    coefficients are h_t = h_(t-1) + g_t + g_(t-1)."""
+    out = [[1] + [0] * (top - 1), [1, 1] + [0] * (top - 2)][:max_level + 1]
+    for level in range(2, max_level + 1):
+        g, h, before = out[level - 2], [], 0
+        for t in range(top):
+            before += g[t] + (g[t - 1] if t else 0)
+            h.append(before)
+        out.append(h)
+    return out
 
-    Each row is divided by the root of its first entry, which leaves
-    integers up to sign.  Only I2(k) has swap rows, and its root table is
-    that of Q(zeta_2k), N = 2k entries, where the swap's root r = zeta_k^j
-    has the even index 2j.  A row of x_k - r x_l fixes e_k + e_l and a
-    block fixes e_k - e_l mod k, so two columns of a row differ by b in
-    e_l with 2b = 0 mod k, and their indices u = -2j e_l mod 2k differ by
-    2jb, which is 0 or k = N/2 mod 2k.  Any other offset raises an
-    ArithmeticError.  Repeated rows are dropped while integers; the rest
-    take the group's coefficient type, roots[0] * c, formed once per int c
-    in `typed` (c -> roots[0] * c), shared by the degrees of a basis and
-    emptied past _TYPED_CAP: at high multiplicity the ints rarely recur
-    between degrees.  The row space, hence the kernel, is unchanged.
 
-    For I2(k) it gets only the blocks of degree d that hold z1^d or z2^d;
-    the others are u = z1 z2 times a block of degree d - 2 (`quasi_basis`).
-    In a swap's eigen-coordinates u = (beta^2 - alpha^2)/(4r), so the odd
-    alpha-coefficients of u h are (h_t - h_(t-2))/(4r): the degree-d rows
-    composed with u are a triangular transform of the degree-(d - 2) rows.
-    Without swap rows a layer comes whole, as one block."""
-    if len(typed) > _TYPED_CAP:
-        typed.clear()
-    roots = group.roots
-    n, kernels = len(roots), []
-    for block in blocks:
-        kept, rows, first = [], {}, {}
-        for col in block:
-            entries = _constraint_entries(group, conditions, monos[col])
-            if entries is not None:
-                for key, u, c in entries:
-                    u = (u - first.setdefault(key, u)) % n
-                    if 2 * u % n:
-                        raise ArithmeticError("a constraint row is not rational up to sign")
-                    rows.setdefault(key, []).append((len(kept), -c if u else c))
-                kept.append(monos[col])
-        if rows:
-            matrix = [SparseRow((i, typed.get(c) or typed.setdefault(c, roots[0] * c))
-                                for i, c in row)
-                      for row in dict.fromkeys(tuple(rows[key]) for key in sorted(rows))]
-            kernels.append((kept, nullspace(matrix, len(kept))))
-        else:
-            kernels.append((kept, None))
-    return kernels
+def _chain_rows(group: ReflectionGroup, swaps, deltas, series) -> list:
+    """The frame rows of a chain (`quasi_basis`), one per swap and odd t
+    below its 2m, as {delta: entry} over the nonzero entries, each in the
+    group's coefficient type, roots[0] * c: column delta holds c = +-the
+    alpha^t coefficient of g_|delta| (`_frame_series`).  It is negated for
+    delta < 0, whose pure power z2^|delta| reads (1 - alpha)^|delta|, odd
+    in t, and negated again for a root offset N/2.
+
+    Only I2(k) has swap rows, x_k - r x_l with (k, l) = (0, 1) and r the
+    root of index j.  At degree d the column of z1^a z2^b carries
+    r^(-b), b = (d - delta)/2, so relative to the chain's first column
+    delta_0 it carries the root of index j (delta - delta_0)/2 mod N,
+    whatever d.  A row of a chain fixes a - b mod k, so that index is 0 or
+    N/2; any other offset raises an ArithmeticError."""
+    one, n, rows = group.roots[0], len(group.roots), []
+    for *_, j, top in swaps:
+        signs = []
+        for delta in deltas:
+            u = j * ((delta - deltas[0]) // 2) % n
+            if 2 * u % n:
+                raise ArithmeticError("a constraint row is not rational up to sign")
+            signs.append(-1 if (u != 0) != (delta < 0) else 1)
+        for t in range(1, top, 2):
+            row = {delta: one * (s * series[abs(delta)][t]) for delta, s in zip(deltas, signs)
+                   if series[abs(delta)][t]}
+            if row:
+                rows.append(row)
+    return rows
+
+
+def _block_rows(frame, columns) -> list:
+    """The distinct nonzero rows of a chain's frame (`_chain_rows`) over
+    `columns`, a list of its deltas, as `SparseRow`s over their positions.
+    Dropping repeated rows keeps the row space, hence the kernel."""
+    rows = dict.fromkeys(tuple((i, row[delta]) for i, delta in enumerate(columns) if delta in row)
+                         for row in frame)
+    return [SparseRow(row) for row in rows if row]
 
 
 def _layer(variables, kernels) -> list:
-    """The polynomials of a degree's block kernels (`_solve_layer`), sorted
-    by leading exponent in graded-lex order."""
+    """The polynomials of a degree's blocks, each a pair (kept monomials,
+    kernel vectors over their positions, or None for the standard basis),
+    sorted by leading exponent in graded-lex order."""
     layer = []
     for kept, vectors in kernels:
         for terms in ([{e: _ONE} for e in kept] if vectors is None else

@@ -124,10 +124,13 @@ def _closed_form_dims(spec, values, denominator_degrees, max_degree):
     return dims
 
 
-@pytest.mark.parametrize("k, m, max_degree", [(12, 32, 160), (32, 32, 256)])
+@pytest.mark.parametrize("k, m, max_degree", [(12, 32, 160), (32, 32, 256), (4, 32, 256),
+                                               (3, 85, 256)])
 def test_dihedral_dims_at_scale_equal_the_closed_form(k, m, max_degree):
-    # the largest requests the CLI's timed checks make; most of their blocks
-    # are inherited from degree d - 2, none is checked against another solve
+    # the largest requests the CLI's timed checks make, and (3, 85, 256) the
+    # intersection that `filtration` on I2(3) takes at D = 256 (m = 256 // 3);
+    # their dims are read off one frame kernel per chain, none is checked
+    # against another solve
     group = parse_group(f"I2({k})")
     mult = Multiplicity.constant(group, m)
     expected = _closed_form_dims(group.spec, mult.values.values(), (2, k), max_degree)

@@ -315,6 +315,24 @@ def test_the_kernel_length_needs_no_back_substitution(case):
     assert _encoded_kernel(vectors) == _encoded_kernel(dense_nullspace(dense_rows))
 
 
+@settings(max_examples=150, deadline=None)
+@given(_sparse_case())
+def test_free_columns_give_the_kernel_of_every_column_prefix(case):
+    # a kernel vector holds its 1 in its free column and is zero right of
+    # it, so the kernel of the first n columns alone is spanned by the
+    # vectors whose free column is below n
+    matrix = case[0]
+    ncols = len(matrix[0])
+    kernel = nullspace(matrix, ncols)
+    free = kernel.free_columns()
+    vectors = list(kernel)
+    assert kernel.free_columns() == free == sorted(free) and len(free) == len(kernel)
+    assert [max(v) for v in vectors] == free and all(v[fc] == 1 for v, fc in zip(vectors, free))
+    for n in range(1, ncols + 1):  # equal values; the prefix may lack the Cyclotomic entries
+        assert nullspace([row[:n] for row in matrix], n) == \
+            [v for v, fc in zip(vectors, free) if fc < n]
+
+
 def test_sparse_row_iterates_over_its_entries():
     row = SparseRow({4: Fraction(2), 1: Fraction(-1)})
     assert sorted(row) == [-1, 2] and any(row) and not any(SparseRow())

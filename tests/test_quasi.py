@@ -41,7 +41,6 @@ from quasinv.quasi import (
     _independent,
     _odd_alpha_coefficients,
     _row,
-    _solve_layer,
     closure_report,
     filtration_check,
     freeness_certificate,
@@ -108,22 +107,33 @@ def test_dihedral_dims_against_brute_force():
     assert quasi_basis(W, m, 8).dims() == brute_quasi_dims(W, m, 8)
 
 
-def quasi_basis_unblocked(group, mult, max_degree):
-    """`quasi_basis` with one matrix per degree over all monomials, each
-    entry roots[u] * c as `_constraint_entries` gives it, unscaled: the
-    reference for the block decomposition and the integer rows of
-    `_solve_layer`."""
-    conditions = _hyperplane_conditions(group, mult)
-    layers = []
-    for d in range(max_degree + 1):
+def _entry_kernels(group, conditions, monos, blocks):
+    """Each block of columns solved alone over the rows of `conditions` as
+    `_constraint_entries` gives them, each entry roots[u] * c unscaled: a
+    pair (kept monomials, `nullspace` kernel over their positions).  The
+    reference for the blocks `quasi_basis` solves off its frames."""
+    out = []
+    for block in blocks:
         kept, rows = [], {}
-        for e in monomials_of_degree(group.variables, d):
-            entries = _constraint_entries(group, conditions, e)
+        for col in block:
+            entries = _constraint_entries(group, conditions, monos[col])
             if entries is not None:
                 for key, u, c in entries:
                     rows.setdefault(key, SparseRow())[len(kept)] = group.roots[u] * c
-                kept.append(e)
-        kernel = nullspace(list(rows.values()), len(kept))
+                kept.append(monos[col])
+        out.append((kept, nullspace(list(rows.values()), len(kept))))
+    return out
+
+
+def quasi_basis_unblocked(group, mult, max_degree):
+    """`quasi_basis` with one matrix per degree over all monomials and the
+    rows of every swap (`_entry_kernels`): the reference for the block
+    decomposition, the swap-orbit cut and the frame rows."""
+    conditions = _hyperplane_conditions(group, mult)
+    layers = []
+    for d in range(max_degree + 1):
+        monos = monomials_of_degree(group.variables, d)
+        [(kept, kernel)] = _entry_kernels(group, conditions, monos, [range(len(monos))])
         layer = [Polynomial(group.variables, {kept[i]: c for i, c in vec.items()})
                  for vec in kernel]
         layers.append(sorted(layer, key=lambda p: min(p.terms)))
@@ -196,26 +206,29 @@ def test_membership_keeps_the_hyperplanes_a_solve_drops(spec):
                                   "I2(12)"])
 def test_dihedral_solves_take_one_swap_per_rotation_orbit(spec, monkeypatch):
     # the rotations join all hyperplanes of odd k and each of the two orbits
-    # of even k, so a block has at most sum over those swaps of m_H rows
+    # of even k, so every matrix handed to `nullspace`, for the dims or for
+    # a layer, has at most sum over those swaps of m_H rows
     W = parse_group(spec)
     mult = _mixed_multiplicity(W)
     swaps, sizes = [], []
-    solve = quasi._solve_layer
+    chain_rows = quasi._chain_rows
 
-    def counted_solve(group, conditions, monos, blocks, typed):
-        swaps.append(len(conditions[1]))
-        return solve(group, conditions, monos, blocks, typed)
+    def counted_rows(group, kept_swaps, deltas, series):
+        swaps.append(len(kept_swaps))
+        return chain_rows(group, kept_swaps, deltas, series)
 
     def recording(matrix, ncols=None):
         sizes.append(len(matrix))
         return nullspace(matrix, ncols)
 
-    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    monkeypatch.setattr(quasi, "_chain_rows", counted_rows)
     monkeypatch.setattr(quasi, "nullspace", recording)
-    quasi_basis(W, mult, 3 * W.invariant_degrees[-1])
+    basis = quasi_basis(W, mult, 3 * W.invariant_degrees[-1])
+    dims_calls = len(sizes)
+    basis.layers
     orbits = {h.orbit_id: mult.of(h) for h in W.hyperplanes}
     assert set(swaps) == {len(orbits)} and len(orbits) == 2 - W.invariant_degrees[-1] % 2
-    assert sizes and max(sizes) <= sum(orbits.values())
+    assert 0 < dims_calls < len(sizes) and max(sizes) <= sum(orbits.values())
 
 
 def _group_algebra_conditions(group, mult):
@@ -426,9 +439,9 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     built = []
     solve = quasi._solve_layer
 
-    def counted_solve(group, conditions, monos, blocks, typed):
-        built.append(sum(monos[0]))
-        return solve(group, conditions, monos, blocks, typed)
+    def counted_solve(deletions, d, variables):
+        built.append(d)
+        return solve(deletions, d, variables)
 
     monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
     cert = freeness_certificate(W, mult, 44)
@@ -479,13 +492,14 @@ def _typed_terms(layer):
 
 def _eagerly_solved_layers(group, mult, D):
     """Every layer of a full eager solve, the reference for the layers read
-    on demand: `_solve_layer` on every degree, with every swap's rows and
-    the blocks computed afresh (the kernel, hence the layer, is the same)."""
+    on demand: each block of every degree solved over every swap's rows
+    (`_entry_kernels`), with the blocks computed afresh (the kernel, hence
+    the layer, is the same)."""
     conditions = _hyperplane_conditions(group, mult)
     layers = []
     for d in range(D + 1):
         monos = monomials_of_degree(group.variables, d)
-        kernels = _solve_layer(group, conditions, monos, group.monomial_blocks(monos), {})
+        kernels = _entry_kernels(group, conditions, monos, group.monomial_blocks(monos))
         layers.append(quasi._layer(group.variables, kernels))
     return layers
 
@@ -517,34 +531,6 @@ def test_swap_layers_read_in_any_order_equal_the_eager_solve(spec, monkeypatch):
         monkeypatch.undo()
 
 
-def test_typed_entries_shared_between_degrees_stay_bounded(monkeypatch):
-    # the ints of the rows are typed once per basis; past its cap the map is
-    # emptied before the next degree, and the layers never depend on it
-    W, D = parse_group("I2(6)"), 24
-    mult = _mixed_multiplicity(W)
-    reference = [_typed_terms(layer) for layer in _eagerly_solved_layers(W, mult, D)]
-    sizes = []  # (shared entries, entries of the degree alone) after each degree
-    solve = quasi._solve_layer
-
-    def sized_solve(group, conditions, monos, blocks, typed):
-        alone = {}
-        solve(group, conditions, monos, blocks, alone)
-        out = solve(group, conditions, monos, blocks, typed)
-        sizes.append((len(typed), len(alone)))
-        return out
-
-    monkeypatch.setattr(quasi, "_solve_layer", sized_solve)
-    for cap in (0, 10**6):
-        monkeypatch.setattr(quasi, "_TYPED_CAP", cap)
-        sizes.clear()
-        assert [_typed_terms(layer) for layer in quasi_basis(W, mult, D).layers] == reference
-        shared = [s for s, _ in sizes]
-        if cap:
-            assert shared == sorted(shared) and shared[-1] > max(a for _, a in sizes)
-        else:
-            assert all(s == a for s, a in sizes)
-
-
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(12)"])
 def test_swap_dims_are_the_sizes_of_the_layers(spec):
     W = parse_group(spec)
@@ -557,15 +543,15 @@ def test_swap_dims_are_the_sizes_of_the_layers(spec):
         assert dims == quasi_basis(W, mult, D).dims()
 
 
-# -- blocks without a pure power inherited from degree d - 2 ---------------------------
+# -- blocks read off their chain's frame -------------------------------------------------
 
 
 def _encoded_blocks(kernels):
-    """A degree's (kept, vectors) blocks with each vector's entries as
-    (column, coefficient type, JSON encoding); None for a block without rows."""
-    return [(list(kept), None if vectors is None else
-             [[(i, type(c).__name__, encode_coeff(c)) for i, c in vec.items()] for vec in vectors])
-            for kept, vectors in kernels]
+    """A degree's (kept, kernel) blocks as the terms of their polynomials:
+    (exponent, coefficient type, JSON encoding) in the vector's order."""
+    return [[[(kept[i], type(c).__name__, encode_coeff(c)) for i, c in vec.items()]
+             for vec in kernel]
+            for kept, kernel in kernels]
 
 
 def _has_pure_power(monos, block) -> bool:
@@ -576,9 +562,10 @@ def _has_pure_power(monos, block) -> bool:
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
                                   "I2(12)"])
 def test_inherited_blocks_equal_solved_blocks(spec, monkeypatch):
-    # u = z1 z2 is invariant and prime to every alpha_H, so a block without
-    # z1^d or z2^d is u times the same character's block at d - 2; each
-    # block is compared with its own solve over the rows of every swap
+    # a block without z1^d or z2^d holds its chain's levels <= d - 2, the
+    # columns of the same character's block at d - 2, and shares its kernel;
+    # each formed block is compared with its own solve over the rows of
+    # every swap
     W, D = parse_group(spec), 40
     for mult in (Multiplicity.constant(W, 1), Multiplicity.constant(W, 3),
                  _mixed_multiplicity(W)):
@@ -587,52 +574,114 @@ def test_inherited_blocks_equal_solved_blocks(spec, monkeypatch):
         form = quasi._layer
 
         def recording_layer(variables, kernels):
-            formed.append(_encoded_blocks(kernels))
+            formed.append(kernels)
             return form(variables, kernels)
 
         monkeypatch.setattr(quasi, "_layer", recording_layer)
         quasi_basis(W, mult, D).layers
         monkeypatch.undo()
-        inherited = 0
+        inherited, by_character = 0, []
         for d in range(D + 1):
             monos = monomials_of_degree(W.variables, d)
             blocks = W.monomial_blocks(monos)
-            assert formed[d] == _encoded_blocks(_solve_layer(W, conditions, monos, blocks, {})), \
-                (spec, mult, d)
-            inherited += sum(not _has_pure_power(monos, block) for block in blocks)
+            assert _encoded_blocks(formed[d]) == \
+                _encoded_blocks(_entry_kernels(W, conditions, monos, blocks)), (spec, mult, d)
+            by_character.append({W.monomial_class_key(kept[0]): kernel
+                                 for kept, kernel in formed[d]})
+            for block, (kept, kernel) in zip(blocks, formed[d]):
+                assert kept == [monos[c] for c in block]
+                if not _has_pure_power(monos, block):
+                    assert kernel is by_character[d - 2][W.monomial_class_key(kept[0])]
+                    inherited += 1
         assert inherited >= D // 2  # I2(4) inherits the fewest: one block of each even d
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)", "I2(8)", "I2(12)", "I2(32)"])
 def test_dihedral_nullspace_runs_only_on_blocks_with_a_pure_power(spec, monkeypatch):
-    # a degree hands `_solve_layer` only its blocks that hold z1^d or z2^d,
-    # at most two, and no `nullspace` call happens outside them
+    # the dims take one `nullspace` per chain (character, parity of d) and
+    # form no layer; reading every layer then solves exactly the blocks
+    # that hold z1^d or z2^d, the others sharing the kernel of d - 2
     W = parse_group(spec)
     D = 2 * W.invariant_degrees[-1] + 12
-    solves, calls = [], []
-    solve = quasi._solve_layer
-
-    def counted_solve(group, conditions, monos, blocks, typed):
-        before = len(calls)
-        out = solve(group, conditions, monos, blocks, typed)
-        solves.append((sum(monos[0]), [_has_pure_power(monos, b) for b in blocks],
-                       len(calls) - before))
-        return out
+    calls, formed = [], []
+    form = quasi._layer
 
     def recording(matrix, ncols=None):
         calls.append(ncols)
         return nullspace(matrix, ncols)
 
-    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    def recording_layer(variables, kernels):
+        formed.append(len(kernels))
+        return form(variables, kernels)
+
     monkeypatch.setattr(quasi, "nullspace", recording)
-    quasi_basis(W, _mixed_multiplicity(W), D).layers
-    assert [d for d, _, _ in solves] == list(range(D + 1))  # one solve per degree
-    assert all(pure and all(pure) and len(pure) <= 2 for _, pure, _ in solves)
-    assert all(n <= len(pure) for _, pure, n in solves)
-    assert 0 < len(calls) == sum(n for _, _, n in solves)
-    all_blocks = sum(len(W.monomial_blocks(monomials_of_degree(W.variables, d)))
-                     for d in range(D + 1))
-    assert len(calls) < all_blocks
+    monkeypatch.setattr(quasi, "_layer", recording_layer)
+    blocks = []  # (degree, monomials, block)
+    for d in range(D + 1):
+        monos = monomials_of_degree(W.variables, d)
+        blocks += [(d, monos, block) for block in W.monomial_blocks(monos)]
+    chains = {(W.monomial_class_key(monos[block[0]]), d % 2) for d, monos, block in blocks}
+    basis = quasi_basis(W, _mixed_multiplicity(W), D)
+    dims = basis.dims()
+    assert len(calls) == len(chains) and formed == []
+    basis.layers
+    pure = sum(_has_pure_power(monos, block) for _, monos, block in blocks)
+    assert len(formed) == D + 1 and 0 < len(calls) - len(chains) == pure < len(blocks)
+    assert dims == [len(layer) for layer in basis.layers]
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)"])
+def test_frame_columns_are_the_unit_times_the_constraint_columns(spec):
+    # the frame lemma: times the root r^((d - delta_0)/2) and the even unit
+    # (1 - alpha^2)^(-(d - p)/2) mod alpha^(2m), the odd alpha-coefficients
+    # of each column z1^a z2^b of a degree-d block, as `_constraint_entries`
+    # gives them, are its chain's frame column, whatever d
+    W = parse_group(spec)
+    for mult in (Multiplicity.constant(W, 1), Multiplicity.constant(W, 4),
+                 _mixed_multiplicity(W)):
+        _check_frame_columns(W, mult, 24)
+
+
+def _check_frame_columns(W, mult, D):
+    _, swaps = _hyperplane_conditions(W, mult)
+    n = len(W.roots)
+    series = quasi._frame_series(max(top for *_, top in swaps), D)
+    for (_, parity), deltas in quasi._chains(W, D).items():
+        for swap in swaps:
+            _, _, j, top = swap
+            frame = quasi._chain_rows(W, [swap], deltas, series)
+            for d in range(abs(deltas[0]), D + 1, 2):
+                q = (d - parity) // 2  # (1 - x)^(-q) = sum_i comb(q + i - 1, i) x^i
+                unit = [comb(q + i - 1, i) if q else int(i == 0) for i in range(top)]
+                scale = W.roots[j * ((d - deltas[0]) // 2) % n]
+                columns = {}
+                for delta in deltas:
+                    if abs(delta) <= d:
+                        old = {f[0]: W.roots[u] * c for (_, f), u, c in
+                               _constraint_entries(W, ([], [swap]), ((d + delta) // 2,
+                                                                     (d - delta) // 2))}
+                        columns[delta] = {t: scale * sum(unit[i] * old.get(t - 2 * i, 0)
+                                                         for i in range(t // 2 + 1))
+                                          for t in range(1, top, 2)}
+                expected = [{delta: col[t] for delta, col in columns.items() if col[t]}
+                            for t in range(1, top, 2)]
+                got = [{delta: c for delta, c in row.items() if abs(delta) <= d} for row in frame]
+                assert [r for r in got if r] == [r for r in expected if r], (W.spec, d, deltas)
+
+
+def _direct_frame_series(level, top):
+    """The coefficients below alpha^top of (1 - alpha^2)^(-q) (1 + alpha)^level,
+    q = level // 2, by binomial sums."""
+    q = level // 2
+    return [sum((comb(q + i - 1, i) if q else int(i == 0)) * comb(level, t - 2 * i)
+                for i in range(t // 2 + 1)) for t in range(top)]
+
+
+def test_frame_series_are_the_direct_series_products():
+    series = quasi._frame_series(41, 60)
+    assert series == [_direct_frame_series(level, 41) for level in range(61)]
+    assert quasi._frame_series(2, 0) == [[1, 0]]
 
 
 def _constant_basis(spec, m, D):
@@ -810,13 +859,17 @@ def test_dihedral_constraint_rows_are_rational_and_distinct(spec, monkeypatch):
 
 
 def test_a_block_across_characters_is_refused():
-    # z1 and z2 have different rotation characters; in one block the row of
-    # the swap with root index 2 holds root indices 4 and 0 of N = 6, which
-    # are neither 0 nor N/2 apart
+    # z1 and z2 have different rotation characters; in one chain the columns
+    # delta = 1 and -1 of the swap with root index 2 carry root indices 4
+    # and 0 of N = 6 (their z2-exponents at degree 1 are 0 and 1), which are
+    # neither 0 nor N/2 apart
     W = parse_group("I2(3)")
-    conditions = _hyperplane_conditions(W, Multiplicity.constant(W, 1))
+    _, swaps = _hyperplane_conditions(W, Multiplicity.constant(W, 1))
+    assert [j for _, _, j, _ in swaps] == [0, 2, 4]
+    series = quasi._frame_series(2, 1)
+    assert quasi._chain_rows(W, swaps[:1], [1, -1], series) == [{1: 1, -1: -1}]
     with pytest.raises(ArithmeticError, match="not rational up to sign"):
-        _solve_layer(W, conditions, [(0, 1), (1, 0)], [range(2)], {})
+        quasi._chain_rows(W, swaps, [1, -1], series)
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(8)"])
