@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 argument/parse errors (with usage) or a closed
-stdout, 2 domain errors, 3 inconclusive verdicts.  All JSON output is
-deterministic (sorted keys) and self-describing: it echoes the command, the
-inputs and the verification notes for each numeric claim, so outputs can be
-committed as golden files.  The commands read no environment variable:
-the q-truncation of the q-series commands is `--qorder`, or
-`elliptic.DEFAULT_Q_ORDER` without it.
+stdout, 2 domain errors or failed self-checks, 3 inconclusive verdicts.
+All JSON output is deterministic (sorted keys) and self-describing: it
+echoes the command, the inputs and the verification notes for each numeric
+claim, so outputs can be committed as golden files.  The commands read no
+environment variable: the q-truncation of the q-series commands is
+`--qorder`, or `elliptic.DEFAULT_Q_ORDER` without it.
 
 Polynomials (`demazure --apply`) and characters (`exp member`, `chern
 --elem`) are read by one term grammar, `_parse_terms`.  Each subcommand
@@ -608,7 +608,8 @@ def cmd_fake(args) -> int:
         return 0 if verdict == fk.MEMBER else 2
     emit(args, payload,
          {"series": args.series, "multiplicity": args.mult, "order": args.order},
-         {"recursion": "defining recursion re-verified on the generator powers"})
+         {"recursion": "true exactly when the order reaches t^(2m), where the ideal "
+                       "P^m Z[[t]] begins"})
     return 0 if ring.recursion_verified else 3
 
 
@@ -933,6 +934,9 @@ def run(argv) -> int:
         return 3
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # a computation's own check, as replay's [FAIL]
+        print(f"self-check failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,18 +1,20 @@
 """Arithmetic of rank-one fake deloopings and their K-theory subrings.
 
 The subrings live in Z[[t]] and are built from a generator series
-P = N t^2 + O(t^3) by the recursion R_0 = Z[[t]], R_m = Z + P * R_(m-1),
-whose unrolled form is Z + Z P + ... + Z P^(m-1) + P^m Z[[t]].  Membership
-at a finite truncation is three-valued and read in one pass over that form:
-a coefficient that no element of it can absorb refutes membership at any
-order; otherwise the series agrees with a ring element through the
-truncation order, a certificate once the order reaches t^(2m), where the
-ideal P^m Z[[t]] begins, and inconclusive below it.
+P = N t^2 + O(t^3) by the recursion R_0 = Z[[t]], R_m = Z + P * R_(m-1).
+Membership at a finite truncation is three-valued and decided by peeling,
+f <- (f - f(0)) / P, m times: a peel fails on a t term or on a remainder mod
+N in the exact division by P, which refutes membership at any order, since
+a certified coefficient of the quotient depends only on certified
+coefficients of f.  Each peel uses up two orders, so a series that passes
+is a member once the order reaches t^(2m), where the ideal P^m Z[[t]]
+begins, and inconclusive below it.  No power of P is formed.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 
 from quasinv.errors import DomainError
 from quasinv.laurent import delta, is_integer_character
@@ -71,9 +73,7 @@ def n_b(assignments: dict) -> dict:
 
 class FakeKRing:
     """R_m built from a generator series with zero constant and linear term
-    and N = P[2] != 0; membership decided by one pass of leading-coefficient
-    divisions by N^j through the truncation order, which refutes at the
-    first coefficient the unrolled form cannot absorb."""
+    and N = P[2] != 0; membership peels f, and no power of P is formed."""
 
     def __init__(self, generator: PowerSeries, m: int):
         if m < 0:
@@ -82,42 +82,33 @@ class FakeKRing:
         self.generator = generator
         self.m = m
         self.order = generator.order
-        self._powers = [PowerSeries([1], self.order)]
-        for _ in range(m):
-            self._powers.append(self._powers[-1] * generator)
-        self.recursion_verified = self._verify_recursion()
-
-    def _verify_recursion(self) -> bool:
-        # Z + Z P + ... + P^m Z[[t]] = Z + P (Z + Z P + ... + P^(m-1) Z[[t]]):
-        # check on the generating elements up to the truncation
-        if self.m == 0:
-            return True
-        for j in range(1, self.m):
-            if self.membership(self._powers[j]) != MEMBER:
-                return False
-        return self.membership(self._powers[self.m]) == MEMBER
+        # R_m = Z + P R_(m-1) holds by construction, and its generating
+        # elements P, ..., P^m are members exactly when the order passes 2m
+        self.recursion_verified = m == 0 or self.order > 2 * m
 
     def membership(self, f: PowerSeries) -> str:
-        """Three-valued membership of f through the truncation order, by one
-        pass over the unrolled form: its elements t^(i-2j) P^j, j = min(i//2, m),
-        have their lowest terms N^j t^i at every i except the odd i < 2m, so the
-        coefficient at t^i, final once the pass reaches it, must be 0 at such
-        an i and a multiple of N^j elsewhere."""
+        """Three-valued membership of f through the truncation order, by the
+        m peels run together in one pass over i = 1..D.  The t^k coefficient
+        of peel j is fixed by f through t^(k+2j), so step i extends each level
+        j at k = i - 2j from the level above, and refutes at the first
+        remainder mod N or nonzero t term of a level below m.  Only certified
+        coefficients enter, so each refutation holds at every order."""
         _require_integers(f)
         if self.m == 0:
             return MEMBER
         D = min(self.order, f.order) - 1  # largest certified exponent
-        r = [0, *f.coeffs[1 : D + 1]]  # the integer constant is always absorbable
+        p = self.generator.coeffs
+        levels = [[] for _ in range(self.m + 1)]  # levels[j][k]: t^k of peel j
         for i in range(1, D + 1):
-            if not r[i]:
-                continue
-            j = min(i // 2, self.m)
-            c, rem = divmod(r[i], self.n_b**j)
-            if rem or i % 2 and j < self.m:
+            c = f.coeffs[i]  # level 0's t^i, dividend of level 1's t^(i-2)
+            for j in range(1, min(i // 2, self.m) + 1):
+                q = levels[j]  # q[k - l] meets P's t^(2+l) in the division
+                c, rem = divmod(c - sum(map(mul, p[3 : 3 + len(q)], reversed(q))), self.n_b)
+                if rem:
+                    return NON_MEMBER
+                q.append(c)
+            if i % 2 and c and i // 2 < self.m:  # a t term at level i // 2
                 return NON_MEMBER
-            pj = self._powers[j].coeffs  # subtract c t^(i-2j) P^j from r[i:]
-            for e in range(i, D + 1):
-                r[e] -= c * pj[e - i + 2 * j]
         return MEMBER if D >= 2 * self.m else INCONCLUSIVE
 
     def __repr__(self):

@@ -98,10 +98,16 @@ def test_inconclusive_exit_code():
     assert code == 2
     code, out, _ = call(*ring, "--mult", "2", "--order", "3", "--elem", "0,1")
     assert code == 2 and "membership: non-member" in out
-    # order too small to verify the ring's defining recursion
+    # m >= 1 and order <= 2m: the truncation stops short of t^(2m)
     code, out, _ = call("fake", "ktheory", "--series", "0,0,3,1", "--order", "3", "--mult", "8")
     assert code == 3
     assert "recursion_verified: False" in out
+    for order, expected in (("4", 3), ("5", 0)):
+        code, out, _ = call(*ring, "--mult", "2", "--order", order, "--json")
+        assert code == expected
+        assert json.loads(out)["verification"] == {
+            "recursion": "true exactly when the order reaches t^(2m), where the ideal "
+                         "P^m Z[[t]] begins"}
 
 
 def test_exp_member_and_non_member():
@@ -160,6 +166,16 @@ def test_a_failed_self_check_is_a_replay_fail(monkeypatch, suite, module, name, 
     assert code == 2
     assert f"[FAIL] {suite}: {label}" in out.splitlines()
     assert out.splitlines()[-1] == "FAILURES present"
+
+
+def test_a_failed_self_check_in_a_direct_command_exits_2(monkeypatch):
+    # ended in a traceback: run() caught no ArithmeticError
+    from quasinv import elliptic
+
+    monkeypatch.setattr(elliptic, "ell_graded_dimension", _refuses)
+    code, out, err = call("elliptic", "elldim", "--mult", "1", "--n", "2")
+    assert code == 2 and out == ""
+    assert err == "self-check failed: graded dimension disagrees with the direct count\n"
 
 
 def test_group_json_deterministic():

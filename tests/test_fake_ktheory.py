@@ -88,6 +88,19 @@ def test_membership_ideal_elements():
         f = (gen**m) * PowerSeries([0, 1], 14)
         assert ring.membership(f) == MEMBER
         assert ring.recursion_verified
+    # R_m = Z + P R_(m-1) on its generating elements P^j and P^m t^k: each is
+    # a member exactly when the order reaches t^(2m), and never refuted
+    for gen in (gen, bg_series(14), PowerSeries([0, 0, -4, 2, 0, 5, -3], 14)):
+        for m in range(5):
+            for order in sorted({max(o, 3) for o in range(2 * m - 1, 2 * m + 3)}):
+                ring = qmb(gen, m, order)
+                expected = MEMBER if order > 2 * m else INCONCLUSIVE
+                elements = [ring.generator**j for j in range(m + 1)]
+                elements += [ring.generator**m * PowerSeries([0] * k + [1], order)
+                             for k in range(1, order)]
+                for f in elements:
+                    assert ring.membership(f) == expected, (m, order)
+                assert ring.recursion_verified == (m == 0 or order > 2 * m)
 
 
 def test_membership_inconclusive_when_order_too_small():
