@@ -32,7 +32,7 @@ print()
 bg = bg_series(12)
 print("standard generator series:", bg)
 ring1 = qmb(bg, 1, 12)
-print("defining recursion re-verified:", ring1.recursion_verified)
+print("truncation order reaches t^(2m):", ring1.recursion_verified)
 
 z = laurent.z_power(1)
 delta = laurent.delta()

@@ -212,14 +212,6 @@ class ReflectionGroup:
         n = len(self.roots)
         return tuple(sum(map(mul, expo, exp)) % n for expo in self._diagonal)
 
-    def monomial_blocks(self, exponents):
-        """Partition of the exponent list into diagonal-character classes,
-        as index lists ordered by first occurrence."""
-        blocks: dict = {}
-        for idx, exp in enumerate(exponents):
-            blocks.setdefault(self.monomial_class_key(exp), []).append(idx)
-        return list(blocks.values())
-
     def sum_invariant_degrees(self) -> int:
         return sum(self.invariant_degrees)
 

@@ -23,17 +23,17 @@ certification) goes through the rows, so membership and bases cannot
 disagree.
 
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
-the surviving monomials: `quasi_basis` counts them and lists a layer when
-read.  With swap rows (I2(k)) a block of degree d and diagonal character
-chi holds the monomials z1^a z2^b of level l = |a - b| <= d in one chain
-(chi, d mod 2), since u = z1 z2 is of trivial character.  The frame
-lemma: an invertible row operation, a root of unity times the even unit
-(1 - alpha^2)^(-(d - p)/2) mod alpha^(2m) with p = d mod 2, turns the
-column of z1^a z2^b into a fixed integer column of its level alone,
-+-(1 - alpha^2)^(-(l - p)/2) (1 +- alpha)^l, whatever d.  So the block
-(d, chi) is its chain's frame columns of level <= d, the dims are one
-`nullspace` per chain read off its free columns, and a layer is solved
-from the frame rows of its blocks when read.
+the surviving monomials: `quasi_basis` counts them from the exponents that
+survive in each coordinate and lists a layer when read.  With swap rows
+(I2(k)) a block of degree d and diagonal character chi holds the monomials
+z1^a z2^b of level l = |a - b| <= d in one chain (chi, d mod 2), since
+u = z1 z2 is of trivial character.  The frame lemma: an invertible row
+operation, a root of unity times the even unit (1 - alpha^2)^(-(d - p)/2)
+mod alpha^(2m) with p = d mod 2, turns the column of z1^a z2^b into a fixed
+integer column of its level alone, +-(1 - alpha^2)^(-(l - p)/2) (1 +- alpha)^l,
+whatever d.  So the block (d, chi) is its chain's prefix of levels <= d, the
+dims are one `nullspace` per chain read off its free columns, and a layer
+read solves each block over its chain's frame rows.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -44,9 +44,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from math import gcd, prod
-from operator import add
+from operator import add, getitem
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -294,9 +294,9 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
 
     Without hyperplanes x_k - r x_l (A1^n, Z/l and their products) there
     are no rows, so a layer is its surviving monomials and its dimension
-    their count.  Each deletion tests one exponent (`_survives`), so the
-    dims are the convolution over k of the 0/1 sequences "x_k^a survives":
-    they are counted so, and a layer is listed on first read.
+    their count.  Each deletion tests one exponent (`_survives`): the dims
+    convolve the sets {a <= D : x_k^a survives} over k, and a layer read
+    keeps the monomials whose every e_k lies in its set.
 
     With swap rows (I2(k)) the blocks are read off fixed frames.  A block
     of degree d and character chi holds the z1^a z2^b with a - b = delta,
@@ -314,25 +314,28 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     columns in level order: the kernel of the first n columns is spanned
     by the reduced vectors whose free column is below n
     (`Kernel.free_columns`), so dims[d] counts the free columns of level
-    <= d, over the chains of d's parity.  A layer is solved on its first
-    read, each block as a `nullspace` of its chain's rows over its own
-    columns in monomial order, kept per chain and block size: the blocks
-    of degrees d and d + 2 without a pure power share a kernel.  The
-    reduced basis is unique, so the layer is the solve of the block's own
-    rows (the regression suite compares them).
+    <= d, over the chains of d's parity.  A layer read solves each block,
+    its chain's prefix of levels <= d in monomial order (delta ascending),
+    as a `nullspace` of the chain's rows, kept per chain and block size:
+    the blocks of degrees d and d + 2 without a pure power share a kernel.
+    The reduced basis is unique, so the layer is the solve of the block's
+    own rows (the regression suite compares them).
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
     deletions, swaps = _hyperplane_conditions(group, mult)
     if not swaps:
+        survives = [[all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k)
+                     for a in range(max_degree + 1)] for k in range(group.rank)]
+
         def layer(d: int) -> list:
-            return _layer(group.variables, [(_solve_layer(deletions, d, group.variables), None)])
+            kept = [e for e in monomial_index(group.variables, d) if all(map(getitem, survives, e))]
+            return _layer(group.variables, [(kept, None)])
         dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
-        for k in range(group.rank):
+        for keeps in survives:
             out = [0] * (max_degree + 1)
-            for a in range(max_degree + 1):
-                if all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k):
-                    out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
+            for a in compress(range(max_degree + 1), keeps):
+                out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
             dims = out
         return GradedBasis(group, mult, max_degree, layer, dims)
     orbits = {}  # one swap per T-orbit: see above
@@ -343,45 +346,29 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
         orbits.setdefault((k, l, top, j % g), (k, l, j, top))
     swaps = list(orbits.values())
     series = _frame_series(max(top for *_, top in swaps), max_degree)
+    chains = _chains(group, max_degree)
     frames, dims = {}, [0] * (max_degree + 1)
-    for chain, deltas in _chains(group, max_degree).items():
+    for chain, deltas in chains.items():
         frames[chain] = _chain_rows(group, swaps, deltas, series)
         for fc in nullspace(_block_rows(frames[chain], deltas), len(deltas)).free_columns():
             dims[abs(deltas[fc])] += 1  # a kernel vector of every block of level >= |delta|
     for d in range(2, max_degree + 1):
         dims[d] += dims[d - 2]
-    solved = {}  # (character, parity, block size) -> Kernel
+    solved = {}  # (chain, block size) -> Kernel
 
     def built(d: int) -> list:
-        monos, blocks, keys = _degree_blocks(group, d)
         kernels = []
-        for block, key in zip(blocks, keys):
-            kept = [monos[c] for c in block]
-            at = key, d % 2, len(kept)
+        for chain, deltas in chains.items():
+            if chain[1] != d % 2 or abs(deltas[0]) > d:
+                continue
+            columns = sorted(delta for delta in deltas if abs(delta) <= d)  # monomial order
+            at = chain, len(columns)
             if at not in solved:
-                rows = _block_rows(frames[key, d % 2], [a - b for a, b in kept])
-                solved[at] = nullspace(rows, len(kept))
+                solved[at] = nullspace(_block_rows(frames[chain], columns), len(columns))
+            kept = [((d + delta) // 2, (d - delta) // 2) for delta in columns]
             kernels.append((kept, solved[at]))
         return _layer(group.variables, kernels)
     return GradedBasis(group, mult, max_degree, built, dims)
-
-
-def _solve_layer(deletions, d: int, variables) -> list:
-    """The degree-d monomials that every deletion keeps: without swap rows
-    (A1^n, Z/l and their products) they are the layer's basis."""
-    return [e for e in monomial_index(variables, d)
-            if all(_survives(n_h, need, e[k]) for k, n_h, need in deletions)]
-
-
-@lru_cache(maxsize=1024)
-def _degree_blocks(group: ReflectionGroup, d: int):
-    """(monomials, blocks, keys): the degree-d exponents in `monomial_index`
-    order, their diagonal-character blocks (`monomial_blocks`) and each
-    block's character (`monomial_class_key`), built once per group and
-    degree.  Shared between calls: read them, never mutate them."""
-    monos = list(monomial_index(group.variables, d))
-    blocks = group.monomial_blocks(monos)
-    return monos, blocks, [group.monomial_class_key(monos[block[0]]) for block in blocks]
 
 
 def _chains(group: ReflectionGroup, max_degree: int) -> dict:

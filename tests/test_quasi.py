@@ -53,6 +53,7 @@ from quasinv.quasi import (
 from quasinv.serialize import encode_coeff, encode_polynomial
 from quasinv.tower import ganea_step, x1_algebra, x1_layers
 from span_matrix import layers_basis, rank, span_membership
+from test_groups import _character_blocks, monomial_blocks
 
 
 A1 = parse_group("A1")
@@ -266,7 +267,7 @@ def quasi_basis_by_division(group, mult, max_degree):
     for d in range(max_degree + 1):
         monos = monomials_of_degree(group.variables, d)
         layer = []
-        for block in group.monomial_blocks(monos):
+        for block in monomial_blocks(group, monos):
             rows = {}
             for ci, (alpha, ops) in enumerate(conditions):
                 for oi, (op, need) in enumerate(ops):
@@ -437,13 +438,14 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     W = parse_group("A1^4")
     mult = Multiplicity.constant(W, 1)
     built = []
-    solve = quasi._solve_layer
+    layer = GradedBasis.layer
 
-    def counted_solve(deletions, d, variables):
-        built.append(d)
-        return solve(deletions, d, variables)
+    def counted_layer(basis, d):
+        if basis._layers[d] is None:
+            built.append(d)
+        return layer(basis, d)
 
-    monkeypatch.setattr(quasi, "_solve_layer", counted_solve)
+    monkeypatch.setattr(GradedBasis, "layer", counted_layer)
     cert = freeness_certificate(W, mult, 44)
     assert cert.status == "free" and max(cert.generator_degrees()) == 12
     assert sorted(built) == [0, 3, 6, 9, 12]  # the degrees the products leave short
@@ -499,7 +501,7 @@ def _eagerly_solved_layers(group, mult, D):
     layers = []
     for d in range(D + 1):
         monos = monomials_of_degree(group.variables, d)
-        kernels = _entry_kernels(group, conditions, monos, group.monomial_blocks(monos))
+        kernels = _entry_kernels(group, conditions, monos, monomial_blocks(group, monos))
         layers.append(quasi._layer(group.variables, kernels))
     return layers
 
@@ -564,8 +566,8 @@ def _has_pure_power(monos, block) -> bool:
 def test_inherited_blocks_equal_solved_blocks(spec, monkeypatch):
     # a block without z1^d or z2^d holds its chain's levels <= d - 2, the
     # columns of the same character's block at d - 2, and shares its kernel;
-    # each formed block is compared with its own solve over the rows of
-    # every swap
+    # each formed block, matched by its character, is compared with its own
+    # solve over the rows of every swap
     W, D = parse_group(spec), 40
     for mult in (Multiplicity.constant(W, 1), Multiplicity.constant(W, 3),
                  _mixed_multiplicity(W)):
@@ -583,17 +585,65 @@ def test_inherited_blocks_equal_solved_blocks(spec, monkeypatch):
         inherited, by_character = 0, []
         for d in range(D + 1):
             monos = monomials_of_degree(W.variables, d)
-            blocks = W.monomial_blocks(monos)
-            assert _encoded_blocks(formed[d]) == \
-                _encoded_blocks(_entry_kernels(W, conditions, monos, blocks)), (spec, mult, d)
-            by_character.append({W.monomial_class_key(kept[0]): kernel
+            blocks = monomial_blocks(W, monos)
+            by_character.append({W.monomial_class_key(kept[0]): (kept, kernel)
                                  for kept, kernel in formed[d]})
-            for block, (kept, kernel) in zip(blocks, formed[d]):
-                assert kept == [monos[c] for c in block]
+            assert len(by_character[d]) == len(formed[d]) == len(blocks)
+            for block, solved in zip(blocks, _entry_kernels(W, conditions, monos, blocks)):
+                key = W.monomial_class_key(monos[block[0]])
+                kept, kernel = by_character[d][key]
+                assert kept == solved[0] == [monos[c] for c in block]
+                assert _encoded_blocks([(kept, kernel)]) == _encoded_blocks([solved]), \
+                    (spec, mult, d)
                 if not _has_pure_power(monos, block):
-                    assert kernel is by_character[d - 2][W.monomial_class_key(kept[0])]
+                    assert kernel is by_character[d - 2][key][1]
                     inherited += 1
         assert inherited >= D // 2  # I2(4) inherits the fewest: one block of each even d
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)"])
+def test_chain_prefixes_are_the_character_blocks(spec, monkeypatch):
+    # the lemma the layers rest on: the degree-d block of a character holds
+    # the z1^a z2^b of its chain (character, d mod 2) of level |a - b| <= d,
+    # checked against the partition by scalar characters, both as `_chains`
+    # lists the chains and as a layer read forms the blocks
+    W, D = parse_group(spec), 24
+    formed = []
+    form = quasi._layer
+
+    def recording_layer(variables, kernels):
+        formed.append([kept for kept, _ in kernels])
+        return form(variables, kernels)
+
+    monkeypatch.setattr(quasi, "_layer", recording_layer)
+    quasi_basis(W, Multiplicity.constant(W, 1), D).layers
+    monkeypatch.undo()
+    chains = quasi._chains(W, D)
+    for d in range(D + 1):
+        monos = monomials_of_degree(W.variables, d)
+        expected = sorted([monos[c] for c in block] for block in _character_blocks(W, monos))
+        prefixes = ([((d + delta) // 2, (d - delta) // 2) for delta in sorted(deltas)
+                     if abs(delta) <= d] for (_, parity), deltas in chains.items()
+                    if parity == d % 2)
+        assert sorted(prefix for prefix in prefixes if prefix) == expected, (spec, d)
+        assert sorted(formed[d]) == expected, (spec, d)
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)", "A1^3", "Z/3"])
+def test_layers_read_out_of_order_equal_an_in_order_read(spec):
+    # a kernel kept per (chain, block size) is solved at the first degree
+    # read that needs it, so reads from the top down or shuffled must give
+    # the layers of an in-order read
+    W, D = parse_group(spec), 24
+    mult = _mixed_multiplicity(W)
+    in_order = [_typed_terms(layer) for layer in quasi_basis(W, mult, D).layers]
+    shuffled = list(range(D + 1))
+    random.Random(1).shuffle(shuffled)
+    for order in (range(D, -1, -1), shuffled):
+        basis = quasi_basis(W, mult, D)
+        read = {d: _typed_terms(basis.layer(d)) for d in order}
+        assert [read[d] for d in range(D + 1)] == in_order, (spec, list(order))
 
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)", "I2(8)", "I2(12)", "I2(32)"])
@@ -619,7 +669,7 @@ def test_dihedral_nullspace_runs_only_on_blocks_with_a_pure_power(spec, monkeypa
     blocks = []  # (degree, monomials, block)
     for d in range(D + 1):
         monos = monomials_of_degree(W.variables, d)
-        blocks += [(d, monos, block) for block in W.monomial_blocks(monos)]
+        blocks += [(d, monos, block) for block in monomial_blocks(W, monos)]
     chains = {(W.monomial_class_key(monos[block[0]]), d % 2) for d, monos, block in blocks}
     basis = quasi_basis(W, _mixed_multiplicity(W), D)
     dims = basis.dims()
@@ -919,7 +969,7 @@ def module_certificate_by_every_product(group, basis):
     generators, status, failure_degree = [], None, None
     for d in range(D + 1):
         index = monomial_index(group.variables, d)
-        blocks = group.monomial_blocks(list(index))
+        blocks = monomial_blocks(group, list(index))
         col_block = {col: bi for bi, block in enumerate(blocks) for col in block}
         spans = [IncrementalSpan() for _ in blocks]
 
