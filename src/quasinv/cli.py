@@ -265,12 +265,10 @@ def _tabulate(payload, prefix=""):
                 lines.extend(_tabulate(val, prefix + "  "))
             else:
                 lines.append(f"{prefix}{key}: {_fmt(val)}")
-    elif isinstance(payload, list):
+    else:  # a list: `emit` tabulates a dict, and only dicts and lists recurse
         for item in payload:
             lines.extend(_tabulate(item, prefix + "- ") if isinstance(item, (dict, list))
                          else [f"{prefix}- {_fmt(item)}"])
-    else:
-        lines.append(f"{prefix}{_fmt(payload)}")
     return lines
 
 
@@ -281,8 +279,6 @@ def _is_flat(val):
 
 
 def _fmt(val):
-    if isinstance(val, Fraction):
-        return encode_rational(val)
     if isinstance(val, list):
         return "[" + ", ".join(_fmt(v) for v in val) + "]"
     return str(val)

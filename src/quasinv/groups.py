@@ -13,18 +13,18 @@ the kernels of alpha_j = z1 - zeta^j z2.  Linear forms are normalized so the
 first nonzero coordinate coefficient is 1 (scaling-dependent outputs are
 flagged as normalization-dependent at the reporting layer).
 
-The element matrices are the constructor's input and the spec that
-`quasinv group` prints.  In these coordinates every element is a monomial
-matrix whose nonzero entries are roots of unity; construction validates each
-matrix into that form once and refuses any other.  The group keeps the table
-`roots` = (zeta^0, zeta^1, ..., zeta^(N-1)) of its field's roots of unity,
-zeta = -1 over Q, zeta_n in Q(zeta_n) for even n and -zeta_n for odd n, and
-a monomial matrix is the pair of integer tuples (perm, expo) with row k equal
-to roots[expo[k]] in column perm[k].  All group structure is derived from
-these forms: the multiplication table, inverses and identity, the fixed
-hyperplanes of the pseudoreflections, their pointwise stabilizers, the
-hyperplane orbits, and the action x_k o w^(-1) = roots[expo[k]] x_perm[k]
-read off the form of w^(-1).
+In these coordinates every element is a monomial matrix whose nonzero
+entries are roots of unity.  The group keeps the table `roots` = (zeta^0,
+zeta^1, ..., zeta^(N-1)) of its field's roots of unity, zeta = -1 over Q,
+zeta_n in Q(zeta_n) for even n and -zeta_n for odd n, and writes such a
+matrix as its monomial form: the pair of integer tuples (perm, expo) with row
+k equal to roots[expo[k]] in column perm[k].  The forms are the constructor's
+input, and all group structure is derived from them: the multiplication
+table, inverses and identity, the fixed hyperplanes of the pseudoreflections,
+their pointwise stabilizers, the hyperplane orbits, and the action
+x_k o w^(-1) = roots[expo[k]] x_perm[k] read off the form of w^(-1).  The
+element matrices are derived from the forms for output only: `quasinv group`
+prints them, and no computation reads them.
 
 Groups are immutable after construction and safe for shared reads.
 """
@@ -57,37 +57,44 @@ class Hyperplane:
 
 
 class ReflectionGroup:
-    """A finite group generated by pseudoreflections, with its arrangement."""
+    """A finite group generated by pseudoreflections, with its arrangement.
 
-    def __init__(self, spec, rank, field, variables, elements, invariant_degrees,
+    `forms` lists the elements as monomial forms (perm, expo) over the root
+    table of `field`; `elements` holds the matrices derived from them."""
+
+    def __init__(self, spec, rank, field, variables, forms, invariant_degrees,
                  fundamental_invariants):
         self.spec = spec
         self.rank = rank
         self.field = field  # "Q" or ("zeta", n)
         self.variables = tuple(variables)
-        self.elements = tuple(elements)  # matrices as tuples of tuple rows
-        self.order = len(self.elements)
+        self.forms = tuple(forms)  # (perm, expo) of each element, in element order
+        self.order = len(self.forms)
         self.invariant_degrees = tuple(sorted(invariant_degrees))
         self.fundamental_invariants = tuple(fundamental_invariants)
 
         self.roots = _root_table(field)
-        root_index = {r: j for j, r in enumerate(self.roots)}
-        forms = [_monomial_form(m, root_index) for m in elements]
-        self._index = {f: i for i, f in enumerate(forms)}
-        if len(self._index) != len(forms):
+        zero = self.roots[0] - self.roots[0]
+        # the matrices that `quasinv group` prints: row k holds roots[expo[k]]
+        # in column perm[k]
+        self.elements = tuple(
+            tuple(tuple(self.roots[e] if col == p else zero for col in range(rank))
+                  for p, e in zip(perm, expo)) for perm, expo in self.forms)
+        self._index = {f: i for i, f in enumerate(self.forms)}
+        if len(self._index) != self.order:
             raise ValueError("duplicate group elements")
         n = len(self.roots)
         identity_perm = tuple(range(rank))
         self._ident = self._lookup((identity_perm, (0,) * rank), "the identity")
-        self._mul_table = [[self._lookup(_compose(a, b, n), "a product") for b in forms]
-                           for a in forms]
-        self._inv_table = [self._lookup(_invert(f, n), "an inverse") for f in forms]
+        self._mul_table = [[self._lookup(_compose(a, b, n), "a product") for b in self.forms]
+                           for a in self.forms]
+        self._inv_table = [self._lookup(_invert(f, n), "an inverse") for f in self.forms]
         # the action reads the forms of the inverses: x_k o w_i^(-1)
-        self._forms = [forms[j] for j in self._inv_table]
+        self._inverse_forms = [self.forms[j] for j in self._inv_table]
         self._diagonal = _generating_subset(
-            [expo for perm, expo in self._forms if perm == identity_perm], n)
+            [expo for perm, expo in self._inverse_forms if perm == identity_perm], n)
 
-        self.hyperplanes, self._stabilizers = self._build_hyperplanes(forms)
+        self.hyperplanes, self._stabilizers = self._build_hyperplanes()
         self._verify_group_axioms()
 
     # -- group structure -----------------------------------------------------
@@ -122,7 +129,7 @@ class ReflectionGroup:
 
     def _moved(self, i: int, p: Polynomial):
         """(f, j) for each term x^e of p: x^e o w_i^(-1) = roots[j] x^f."""
-        perm, expo = self._forms[i]
+        perm, expo = self._inverse_forms[i]
         n = len(self.roots)
         out = []
         for e in p.terms:
@@ -134,7 +141,7 @@ class ReflectionGroup:
 
     # -- arrangement --------------------------------------------------------------
 
-    def _build_hyperplanes(self, forms):
+    def _build_hyperplanes(self):
         """The fixed hyperplanes of the pseudoreflections, sorted, with their
         pointwise stabilizers and W-orbits.
 
@@ -146,7 +153,7 @@ class ReflectionGroup:
         one = self.roots[0]
         xs = [Polynomial.variable(self.variables, v) for v in self.variables]
         stabs = {}  # alpha -> the identity and the pseudoreflections fixing it
-        for i, (perm, expo) in enumerate(forms):
+        for i, (perm, expo) in enumerate(self.forms):
             moved = [k for k in range(self.rank) if perm[k] != k or expo[k]]
             if len(moved) == 1:
                 alpha = xs[moved[0]] * one
@@ -244,19 +251,6 @@ def _root_table(field):
     return tuple(sign**j * Cyclotomic.zeta(n, j) for j in range(2 * n if n % 2 else n))
 
 
-def _monomial_form(m, root_index):
-    """(perm, expo) with row k of m equal to roots[expo[k]] in column
-    perm[k] and zero elsewhere; ValueError for any other matrix."""
-    perm, expo = [], []
-    for row in m:
-        entries = [(col, c) for col, c in enumerate(row) if c]
-        if len(entries) != 1 or entries[0][1] not in root_index:
-            raise ValueError("group element is not a monomial matrix of roots of unity")
-        perm.append(entries[0][0])
-        expo.append(root_index[entries[0][1]])
-    return tuple(perm), tuple(expo)
-
-
 def _compose(a, b, n):
     """The form of the matrix product AB: row k of A picks row perm_A[k] of B."""
     (pa, ea), (pb, eb) = a, b
@@ -345,25 +339,11 @@ def _spec_number(digits: str, text: str) -> int:
 
 
 def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
-    n_field = 2 * k
-    zero = Cyclotomic.from_rational(n_field, 0)
-    # zeta^j for zeta = zeta_2k^2, a primitive k-th root of unity
-    powers = [Cyclotomic.zeta(n_field, 2 * j) for j in range(k)]
-    elements = []
-    for j in range(k):  # rotations diag(zeta^j, zeta^-j)
-        elements.append(
-            (
-                (powers[j], zero),
-                (zero, powers[(k - j) % k]),
-            )
-        )
-    for j in range(k):  # reflections (z1, z2) -> (zeta^j z2, zeta^-j z1)
-        elements.append(
-            (
-                (zero, powers[j]),
-                (powers[(k - j) % k], zero),
-            )
-        )
+    """I2(k) over Q(zeta_2k), whose root table is zeta_2k^0, ..., zeta_2k^(2k-1):
+    rotation j is diag(zeta^j, zeta^-j) and reflection j is (z1, z2) ->
+    (zeta^j z2, zeta^-j z1), zeta = zeta_2k^2 a primitive k-th root of unity."""
+    n = 2 * k
+    forms = [(perm, (2 * j, -2 * j % n)) for perm in ((0, 1), (1, 0)) for j in range(k)]
     variables = ("z1", "z2")
     z1 = Polynomial.variable(variables, "z1")
     z2 = Polynomial.variable(variables, "z2")
@@ -371,9 +351,9 @@ def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
     return ReflectionGroup(
         spec=spec,
         rank=2,
-        field=("zeta", n_field),
+        field=("zeta", n),
         variables=variables,
-        elements=elements,
+        forms=forms,
         invariant_degrees=[2, k],
         fundamental_invariants=invariants,
     )
@@ -382,30 +362,27 @@ def _build_dihedral(spec: str, k: int) -> ReflectionGroup:
 def _build_product(spec: str, factors) -> ReflectionGroup:
     """Rank-one factors acting diagonally: Z/l with l > 2 by the l-th roots
     of unity in Q(zeta_lcm), the lcm taken over those l, and A1 or Z/2 by
-    +-1 in the same field, which is Q when no l exceeds 2."""
+    +-1 in the same field, which is Q when no l exceeds 2.  A factor's j-th
+    element is zeta_l^j, zeta_l = e^(2 pi i / l), with the elements in
+    lexicographic order of (j_1, ..., j_r)."""
     rank = len(factors)
     lcm = math.lcm(*(ell for _, ell in factors if ell > 2))
     field = ("zeta", lcm) if lcm > 2 else "Q"
-    one = Fraction(1) if field == "Q" else Cyclotomic.from_rational(lcm, 1)
-    zero = one - one
-    scalar_lists = [[one, -one] if ell == 2 else
-                    [Cyclotomic.zeta(lcm, j * lcm // ell) for j in range(ell)]
-                    for _, ell in factors]
-    elements = []
-    for combo in itertools.product(*scalar_lists):
-        elements.append(
-            tuple(
-                tuple(combo[i] if i == j else zero for j in range(rank))
-                for i in range(rank)
-            )
-        )
+    roots = _root_table(field)
+    n = len(roots)
+    # the root index of zeta_l; -1 is roots[n / 2]
+    steps = [n // 2 if ell == 2 else roots.index(Cyclotomic.zeta(lcm, lcm // ell))
+             for _, ell in factors]
+    identity = tuple(range(rank))
+    forms = [(identity, tuple(j * step % n for j, step in zip(combo, steps)))
+             for combo in itertools.product(*(range(ell) for _, ell in factors))]
     variables = _default_variables(rank)
     return ReflectionGroup(
         spec=spec,
         rank=rank,
         field=field,
         variables=variables,
-        elements=elements,
+        forms=forms,
         invariant_degrees=[ell for _, ell in factors],
         fundamental_invariants=[Polynomial.variable(variables, v) ** ell
                                 for v, (_, ell) in zip(variables, factors)],

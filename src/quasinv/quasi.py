@@ -551,8 +551,8 @@ def _independent(group: ReflectionGroup, generators) -> bool:
     and every block is nonsingular.  A g_i across two characters gives no
     proof: False."""
     reps = {}  # permutation pattern -> its first element
-    for i, m in enumerate(group.elements):
-        reps.setdefault(tuple(tuple(map(bool, row)) for row in m), i)
+    for i, (perm, _) in enumerate(group.forms):
+        reps.setdefault(perm, i)
     x0 = range(2, group.rank + 2)
     spans: dict = {}  # character -> span of the rows (w(g_i)(x0))_w
     for g in generators:

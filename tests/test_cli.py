@@ -187,6 +187,25 @@ def test_group_json_deterministic():
     assert payload["payload"]["order"] == 6
 
 
+def test_filtration_with_a_low_multiplicity_not_below_the_high_one_exits_2():
+    code, out, err = call("filtration", "--group", "I2(4)", "--mult", "0:2,1:0",
+                          "--mult-high", "0:1,1:1")
+    assert (code, out, err) == (2, "", "domain error: need componentwise m <= m'\n")
+
+
+def test_basis_closure_check_reports_a_sample_in_text_and_json():
+    argv = ("basis", "--group", "A1", "--mult", "1", "--max-deg", "8", "--check-closure")
+    code, out, _ = call(*argv)
+    assert code == 0
+    assert out.endswith("\nclosure:\n  closed: None\n  sampled: True\n  pairs_checked: 9\n")
+    code, out, _ = call(*argv, "--json")
+    envelope = json.loads(out)
+    assert code == 0
+    assert envelope["payload"]["closure"] == {"closed": None, "sampled": True, "pairs_checked": 9}
+    assert envelope["verification"]["closure"] == \
+        "products of sampled basis elements re-tested for membership"
+
+
 def test_golden_file_regenerates():
     path = os.path.join(HERE, "golden", "hilbert_a1_m2.json")
     code, out, _ = call("hilbert", "--group", "A1", "--mult", "2", "--max-deg", "12", "--json")

@@ -94,7 +94,7 @@ def test_one_spec_gives_one_shared_group():
     assert parse_group("I2(4)") is W
     assert parse_group("I2(5)") is not W
     assert parse_group("A1^2") is not parse_group("A1 x A1")
-    for field in ("elements", "hyperplanes", "fundamental_invariants"):
+    for field in ("forms", "elements", "hyperplanes", "fundamental_invariants"):
         assert type(getattr(W, field)) is tuple, field
 
 
@@ -363,17 +363,6 @@ def test_monomial_blocks_match_scalar_characters(case):
     assert monomial_blocks(group, exponents) == _character_blocks(group, exponents)
 
 
-def test_constructor_refuses_a_non_monomial_element():
-    one, zero = Fraction(1), Fraction(0)
-    shear = ((one, zero), (one, -one))
-    with pytest.raises(ValueError, match="monomial"):
-        ReflectionGroup(
-            spec="shear", rank=2, field="Q", variables=("z1", "z2"),
-            elements=[((one, zero), (zero, one)), shear],
-            invariant_degrees=(1, 2), fundamental_invariants=[],
-        )
-
-
 def test_root_tables():
     assert GROUPS["A1"].roots == (Fraction(1), Fraction(-1))
     assert len(GROUPS["I2(3)"].roots) == 6  # zeta_6 generates in Q(zeta_6)
@@ -410,13 +399,15 @@ def test_derived_structure_matches_matrix_arithmetic(spec):
 def test_signed_permutations_have_reflections_only_where_the_swap_product_is_one():
     # B2 over Q: the swaps with root product -1 are rotations by a quarter turn
     one, zero = Fraction(1), Fraction(0)
-    elements = [((a, zero), (zero, b)) for a in (one, -one) for b in (one, -one)]
-    elements += [((zero, a), (b, zero)) for a in (one, -one) for b in (one, -one)]
+    matrices = [((a, zero), (zero, b)) for a in (one, -one) for b in (one, -one)]
+    matrices += [((zero, a), (b, zero)) for a in (one, -one) for b in (one, -one)]
+    forms = [(perm, (a, b)) for perm in ((0, 1), (1, 0)) for a in (0, 1) for b in (0, 1)]
     x1, x2 = (Polynomial.variable(("x1", "x2"), v) for v in ("x1", "x2"))
     W = ReflectionGroup(
-        spec="B2", rank=2, field="Q", variables=("x1", "x2"), elements=elements,
+        spec="B2", rank=2, field="Q", variables=("x1", "x2"), forms=forms,
         invariant_degrees=(2, 4), fundamental_invariants=[x1**2 + x2**2, x1**2 * x2**2],
     )
+    assert W.elements == tuple(matrices)
     _assert_structure_matches_matrices(W)
     assert len(W.hyperplanes) == 4 and len({h.orbit_id for h in W.hyperplanes}) == 2
 
@@ -435,13 +426,21 @@ def test_orbit_ids_partition_the_arrangement(spec):
 
 
 def test_constructor_refuses_elements_not_closed_under_products():
-    one, zero = Fraction(1), Fraction(0)
+    # diag(1, 1), diag(1, -1) and diag(-1, 1) over Q, without diag(-1, -1)
     with pytest.raises(ValueError, match="not closed"):
         ReflectionGroup(
             spec="open", rank=2, field="Q", variables=("z1", "z2"),
-            elements=[((one, zero), (zero, one)), ((one, zero), (zero, -one)),
-                      ((-one, zero), (zero, one))],
+            forms=[((0, 1), (0, 0)), ((0, 1), (0, 1)), ((0, 1), (1, 0))],
             invariant_degrees=(1, 3), fundamental_invariants=[],
+        )
+
+
+def test_constructor_refuses_duplicate_elements():
+    with pytest.raises(ValueError, match="duplicate"):
+        ReflectionGroup(
+            spec="twice", rank=1, field="Q", variables=("x",),
+            forms=[((0,), (0,)), ((0,), (1,)), ((0,), (1,))],
+            invariant_degrees=(3,), fundamental_invariants=[],
         )
 
 

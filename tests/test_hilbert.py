@@ -1,10 +1,16 @@
+import io
+import json
+import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_answer
 from oracles import closed_form_numerator
+from quasinv.cli import run
 from quasinv.errors import ReconstructionError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
@@ -135,3 +141,22 @@ def test_dihedral_dims_at_scale_equal_the_closed_form(k, m, max_degree):
     mult = Multiplicity.constant(group, m)
     expected = _closed_form_dims(group.spec, mult.values.values(), (2, k), max_degree)
     assert quasi_basis(group, mult, max_degree).dims() == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "I2(4)", "--mult", "0:1,1:2", "--max-deg", "40"),
+    ("--group", "A1 x Z/3", "--mult", "0:1+2,1:3", "--max-deg", "30"),
+    # the numerator of degree 780 is cut at D = 60: only its constant term shows
+    ("--group", "I2(12)", "--mult", "32", "--max-deg", "60"),
+])
+def test_check_answer_accepts_a_hilbert_answer_and_refuses_a_changed_one(argv, monkeypatch):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["hilbert", *argv, "--json"]) == 0
+    envelope = json.loads(out.getvalue())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+    assert check_answer.main() == 0
+    envelope["payload"]["series"]["numerator"][0] += 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+    with redirect_stderr(io.StringIO()):
+        assert check_answer.main() == 1

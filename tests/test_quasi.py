@@ -1240,6 +1240,14 @@ def test_filtration_equal_multiplicities():
     assert all(c == 0 for c in report["codims"])
 
 
+def test_filtration_refuses_a_low_multiplicity_not_below_the_high_one():
+    # m = (2, 0) and m' = (1, 1) on the two orbits of I2(4): neither is below the other
+    W = parse_group("I2(4)")
+    low, high = Multiplicity(W, {0: 2, 1: 0}), Multiplicity(W, {0: 1, 1: 1})
+    with pytest.raises(DomainError, match="need componentwise m <= m'"):
+        filtration_check(W, low, high, 8)
+
+
 def test_filtration_dihedral_strict():
     W = parse_group("I2(3)")
     report = filtration_check(
