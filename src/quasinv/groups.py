@@ -124,15 +124,15 @@ class ReflectionGroup:
         roots = self.roots
         out = Polynomial(self.variables)
         out.terms = {f: roots[j] * c if any(f) else c
-                     for (f, j), c in zip(self._moved(i, p), p.terms.values())}
+                     for (f, j), c in zip(self._moved(i, p.terms), p.terms.values())}
         return out
 
-    def _moved(self, i: int, p: Polynomial):
-        """(f, j) for each term x^e of p: x^e o w_i^(-1) = roots[j] x^f."""
+    def _moved(self, i: int, exponents):
+        """(f, j) for each exponent e: x^e o w_i^(-1) = roots[j] x^f."""
         perm, expo = self._inverse_forms[i]
         n = len(self.roots)
         out = []
-        for e in p.terms:
+        for e in exponents:
             f = [0] * self.rank
             for k, ek in enumerate(e):
                 f[perm[k]] = ek

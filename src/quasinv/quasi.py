@@ -483,12 +483,14 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     outgrows the actual dimensions, a relation exists and the module is not
     free.
 
-    Once the generators number |W| they are proved independent over the
-    invariant ring R, once (`_independent`).  Then S_d has dimension
-    sum_i dim R_(d - deg g_i), and in every later degree where that sum is
-    dim L_d, S_d is L_d by the closure precondition: the degree holds no
-    generator and no relation, and it is certified without a span.  Every
-    other degree, and every degree when the proof fails, is spanned.
+    Each generator is proved independent of the earlier ones over the
+    invariant ring R as it is found: its proof row (`_proof_row`) must
+    enlarge the span of theirs.  While every row does, S_d has dimension
+    sum_i dim R_(d - deg g_i), whatever the number of generators, and in
+    every degree where that sum is dim L_d, S_d is L_d by the closure
+    precondition: the degree holds no generator and no relation, and it is
+    certified without a span.  Every other degree, and every degree once a
+    row adds nothing, is spanned.
 
     A spanned degree has one span over its monomials.  A layer vector
     enters it as a sparse row read off its terms, and f^J g as the integer
@@ -503,12 +505,14 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     inv_monomials = _invariant_monomials(group.fundamental_invariants)
     generators = []
     generator_terms = []  # (degree, term list) per generator
-    independent = None  # the proof, taken once the generators number |W|
+    proof = IncrementalSpan()  # the generators' proof rows; None once one adds nothing
+    reps = {}  # permutation pattern -> its first element
+    for i, (perm, _) in enumerate(group.forms):
+        reps.setdefault(perm, i)
     status = None
     failure_degree = None
     for d in range(D + 1):
-        if independent and len(generators) == group.order and \
-                sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
+        if proof is not None and sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
             continue
         index = monomial_index(group.variables, d)
         span = IncrementalSpan()
@@ -521,13 +525,14 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
             if span.dim() < dims[d] and span.add(_row(p, index)):
                 generators.append((d, p))
                 generator_terms.append((d, _primitive(p)))
+                if proof is not None and not proof.add(
+                        _proof_row(group, reps.values(), generator_terms[-1][1])):
+                    proof = None
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators)
         if free_dim != dims[d]:
             status = "not-free"
             failure_degree = d
             break
-        if independent is None and len(generators) == group.order:
-            independent = _independent(group, [g for _, g in generators])
     series = hilbert_from_basis(dims, group.invariant_degrees)
     shift = gorenstein_shift(series, group.rank)
     if status is None:
@@ -537,34 +542,33 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     )
 
 
-def _independent(group: ReflectionGroup, generators) -> bool:
-    """Whether det(w(g_i)) over the elements w and |W| polynomials g_i is
-    nonzero at x0 = (2, 3, ...), which proves the g_i independent over the
-    invariant ring: a relation sum a_i g_i = 0 gives sum a_i w(g_i) = 0.
+def _proof_row(group: ReflectionGroup, reps, terms) -> SparseRow:
+    """The independence proof row of the generator g with the term list
+    `terms`: s(g_chi)(x0) at x0 = (2, 3, ...) in column (chi, s), for the
+    part g_chi of g in each character chi of the diagonal subgroup T and
+    each element s of `reps`, one per permutation pattern.
 
-    Each g_i lies in one character chi_i of the diagonal subgroup T, so
-    w(g_i) = chi_i(t) s(g_i) for w = s t with t in T, and a Fourier
-    transform over T splits the determinant into one block per character:
-    (s(g_i)(x0)) over its g_i and one element s per permutation pattern
-    (1 x 1 for A1^n, Z/l and their products, 2 x 2 for I2(k)).  It is
-    nonzero exactly when each of the |T| characters holds |W/T| of the g_i
-    and every block is nonsingular.  A g_i across two characters gives no
-    proof: False."""
-    reps = {}  # permutation pattern -> its first element
-    for i, (perm, _) in enumerate(group.forms):
-        reps.setdefault(perm, i)
+    A relation sum_i a_i g_i = 0 over the invariant ring, acted on by
+    w = s t with t in T, gives sum_chi chi(t) sum_i a_i s(g_(i,chi)) = 0 for
+    every t, so sum_i a_i s(g_(i,chi)) = 0 in every column.  Rows that are
+    independent at x0 stay so on a dense open set, where every a_i must
+    vanish: independent rows prove the g_i independent.
+
+    s moves x^e to roots[j] x^f (`_moved`); the values c x0^f are summed per
+    column and root index j and multiplied by roots[j] once per index.  The
+    first element of each pattern has j = 0 on every term in every group
+    that `groups` builds, so its entries of an integer term list are
+    integers."""
     x0 = range(2, group.rank + 2)
-    spans: dict = {}  # character -> span of the rows (w(g_i)(x0))_w
-    for g in generators:
-        keys = {group.monomial_class_key(e) for e in g.terms}
-        if len(keys) != 1:
-            return False
-        row = [sum(c * prod(map(pow, x0, e)) for e, c in group.act(i, g).terms.items())
-               for i in reps.values()]
-        if not spans.setdefault(keys.pop(), IncrementalSpan()).add(row):
-            return False
-    return len(spans) * len(reps) == group.order and \
-        all(span.dim() == len(reps) for span in spans.values())
+    keys = [group.monomial_class_key(e) for e, _ in terms]
+    sums = Counter()  # (character, element, root index) -> sum of c x0^f
+    for s in reps:
+        for (f, j), key, (_, c) in zip(group._moved(s, [e for e, _ in terms]), keys, terms):
+            sums[key, s, j] += c * prod(map(pow, x0, f))
+    row = Counter()
+    for (key, s, j), value in sums.items():
+        row[key, s] += group.roots[j] * value if j else value
+    return SparseRow((column, value) for column, value in row.items() if value)
 
 
 def _row(p: Polynomial, columns) -> SparseRow:
@@ -605,11 +609,41 @@ def _invariant_monomials(fund):
 
 def freeness_certificate(group: ReflectionGroup, mult: Multiplicity,
                          max_degree: int) -> FreenessCertificate:
+    """`module_certificate` of Q_m through `max_degree`, with a "free"
+    verdict checked in every degree, past D.
+
+    Its |W| generators g_i span a free module F = sum_i R g_i in Q_m over
+    the invariant ring R.  Q_m is reflexive: C[V] is free over R, and the
+    conditions that cut Q_m out of it are local at the primes (alpha_H).  So
+    F = Q_m exactly when Q_m / F has no support in codimension one, that is
+    when the Hilbert numerators of F and Q_m over prod_j (1 - t^d_j), both
+    |W| at t = 1, have one derivative there.  For F it is sum_i deg g_i.
+    For Q_m it is that of C[V], |W| N / 2 with N = sum_j (d_j - 1), plus |W|
+    times the codimension-one multiplicity of C[V] / Q_m, sum_H l_H: near a
+    generic point of H only the conditions of H act, and they remove l_H
+    powers of alpha_H, the m_H odd powers alpha_H^(2i + 1) with i < m_H for a
+    stabilizer of order 2, and the sum_i m_(H,i) powers alpha_H^(i + n_H k)
+    with k < m_(H,i) for a cyclic one of order n_H.  A "free" certificate
+    whose degree sum misses |W| (N / 2 + sum_H l_H) fails its self-check:
+    ArithmeticError."""
     basis = quasi_basis(group, mult, max_degree)
     predicted = None
     if group.is_coxeter() and mult.is_integer():
         predicted = group.rank - 2 * mult.coxeter_total()
-    return module_certificate(group, basis, predicted_shift=predicted)
+    cert = module_certificate(group, basis, predicted_shift=predicted)
+    total, target = sum(cert.generator_degrees()), _free_degree_sum(group, mult)
+    if cert.status == "free" and total != target:
+        raise ArithmeticError(f"free generators of degree sum {total}, not "
+                              f"|W| (N/2 + sum l_H) = {target}")
+    return cert
+
+
+def _free_degree_sum(group: ReflectionGroup, mult: Multiplicity) -> int:
+    """|W| (N / 2 + sum_H l_H), the degree sum of a basis of Q_m over the
+    invariant ring (`freeness_certificate`)."""
+    lengths = sum(sum(mult.of(h)) if h.stabilizer_order > 2 else mult.of(h)
+                  for h in group.hyperplanes)
+    return group.order * (sum(group.invariant_degrees) - group.rank + 2 * lengths) // 2
 
 
 # -- filtration ------------------------------------------------------------------------

@@ -1,12 +1,22 @@
-"""Check one `quasinv hilbert --json` answer against the closed form.
+"""Check one `quasinv hilbert --json` or `quasinv freeness --json` answer
+against the closed form.
 
-Reads the JSON envelope on stdin and compares `payload.series.numerator`
-with `oracles.closed_form_numerator` of the echoed group and multiplicity
-values, which shares no code with the engine's solver.  The engine's
-numerator is dims(t) * prod(1 - t^d_i) cut at its `verified_through` degree
-D, so the closed form is cut there too: the two agree exactly when the dims
-through D do.  Exits 0 when they agree and 1 otherwise, with the reason on
-stderr.  The name keeps it out of pytest's collection; run it as
+Reads the JSON envelope on stdin and compares it with
+`oracles.closed_form_numerator` of the echoed group and multiplicity
+values, which shares no code with the engine's solver:
+
+- a `hilbert` answer's `payload.series.numerator`.  The engine's numerator
+  is dims(t) * prod(1 - t^d_i) cut at its `verified_through` degree D, so
+  the closed form is cut there too: the two agree exactly when the dims
+  through D do.
+- a `freeness` answer's sorted `generator_degrees`.  The greedy generators
+  of a free graded module are a basis by graded Nakayama, so their degrees
+  are the numerator's terms: all of them for status "free", those of degree
+  <= the echoed `max_degree` for "inconclusive".  Q_m is free over the
+  invariant ring, so any other status is wrong.
+
+Exits 0 when they agree and 1 otherwise, with the reason on stderr.  The
+name keeps it out of pytest's collection; run it as
 
     quasinv hilbert --group "I2(12)" --mult 32 --max-deg 160 --json | python tests/check_answer.py
 """
@@ -24,29 +34,50 @@ def _trimmed(coeffs):
     return coeffs
 
 
-def expected_numerator(inputs, through: int) -> list:
-    """The closed-form numerator's coefficients of degree <= `through`, for
-    the echoed inputs of a `hilbert` request: a list value is an orbit's
-    vector."""
+def _closed_form(inputs):
+    """The closed-form numerator of the echoed inputs, {degree: coefficient}:
+    a list value is an orbit's vector."""
     mult = inputs["multiplicity"]
     values = [tuple(v) if isinstance(v, list) else v
               for _, v in sorted(mult.items(), key=lambda item: int(item[0]))]
-    num = closed_form_numerator(inputs["group"], values)
+    return closed_form_numerator(inputs["group"], values)
+
+
+def expected_numerator(inputs, through: int) -> list:
+    """The closed-form numerator's coefficients of degree <= `through`, for
+    the echoed inputs of a `hilbert` request."""
+    num = _closed_form(inputs)
     return _trimmed(num.get(d, 0) for d in range(through + 1))
+
+
+def expected_generator_degrees(inputs, status: str) -> list:
+    """The sorted degrees of a basis of Q_m over the invariant ring, for the
+    echoed inputs of a `freeness` request: every one for a "free" status,
+    those of degree <= the echoed `max_degree` for an "inconclusive" one."""
+    if status not in ("free", "inconclusive"):
+        raise ValueError(f"status {status!r}, but Q_m is free over the invariant ring")
+    num = _closed_form(inputs)
+    through = max(num) if status == "free" else inputs["max_degree"]
+    return [d for d in sorted(num) if d <= through for _ in range(num[d])]
 
 
 def main() -> int:
     try:
         envelope = json.load(sys.stdin)
-        series = envelope["payload"]["series"]
-        got = _trimmed(series["numerator"])
-        want = expected_numerator(envelope["inputs"], series["verified_through"])
+        inputs, payload = envelope["inputs"], envelope["payload"]
+        if "generator_degrees" in payload:
+            what, got = "generator degrees", sorted(payload["generator_degrees"])
+            want = expected_generator_degrees(inputs, payload["status"])
+        else:
+            what, got = "numerator", _trimmed(payload["series"]["numerator"])
+            want = expected_numerator(inputs, payload["series"]["verified_through"])
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"check_answer: unreadable hilbert --json: {exc}", file=sys.stderr)
+        print(f"check_answer: unreadable or refused hilbert/freeness --json: {exc}",
+              file=sys.stderr)
         return 1
     if got != want:
-        print(f"check_answer: {envelope['inputs']['group']} numerator {got} "
-              f"differs from the closed form {want}", file=sys.stderr)
+        print(f"check_answer: {inputs['group']} {what} {got} "
+              f"differ from the closed form {want}", file=sys.stderr)
         return 1
     return 0
 

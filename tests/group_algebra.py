@@ -71,7 +71,7 @@ class GroupAlgebraElement:
         roots = group.roots
         out: dict = {}
         for i, c in self.coeffs.items():
-            for (f, j), v in zip(group._moved(i, p), p.terms.values()):
+            for (f, j), v in zip(group._moved(i, p.terms), p.terms.values()):
                 s = out.get(f, 0) + (roots[j] * v if any(f) else v) * c
                 if s:
                     out[f] = s

@@ -3,6 +3,7 @@ import json
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 import check_answer
 from oracles import closed_form_numerator
+from quasinv import quasi
 from quasinv.cli import run
 from quasinv.errors import ReconstructionError
 from quasinv.groups import Multiplicity, parse_group
 from quasinv.hilbert import HilbertSeries, gorenstein_shift, hilbert_from_basis
-from quasinv.quasi import freeness_certificate, quasi_basis
+from quasinv.quasi import _free_degree_sum, freeness_certificate, quasi_basis
 from test_acceptance import _max_entry, criterion_2_configurations, larger_battery_configurations
 
 
@@ -117,6 +119,46 @@ def test_closed_form_on_random_multiplicities(case):
     _assert_closed_form(group, mult, 4 * group.sum_invariant_degrees() + 8)
 
 
+def _every_small_multiplicity(spec):
+    """Every multiplicity of the group with each orbit entry in 0..2."""
+    group = parse_group(spec)
+    orders = {h.orbit_id: h.stabilizer_order for h in group.hyperplanes}
+    for choice in product(*(range(3) if n == 2 else product(range(3), repeat=n - 1)
+                            for n in orders.values())):
+        yield group, Multiplicity(group, dict(zip(orders, choice)))
+
+
+def test_free_degree_sum_is_the_derivative_of_the_closed_form():
+    """|W| (N/2 + sum_H l_H), which a "free" certificate's generator degrees
+    must sum to, is N'(1) of the closed-form numerator N(t)."""
+    grid = [case for spec in _CLOSED_FORM_SPECS for case in _every_small_multiplicity(spec)]
+    for group, mult in criterion_2_configurations() + larger_battery_configurations() + grid:
+        num = closed_form_numerator(group.spec, mult.values.values())
+        assert _free_degree_sum(group, mult) == sum(d * c for d, c in num.items()), group.spec
+
+
+def test_a_free_certificate_off_the_degree_sum_is_refused(monkeypatch):
+    """I2(3) at m = 1 has generator degrees 0, 4, 4, 5, 5, 9, summing to
+    6 (3/2 + 3) = 27; one degree moved up is a failed self-check."""
+    certify = quasi.module_certificate
+
+    def moved(group, basis, predicted_shift=None):
+        cert = certify(group, basis, predicted_shift)
+        d, g = cert.generators[-1]
+        cert.generators[-1] = (d + 1, g)
+        return cert
+
+    W = parse_group("I2(3)")
+    assert sum(freeness_certificate(W, Multiplicity.constant(W, 1), 20).generator_degrees()) == 27
+    monkeypatch.setattr(quasi, "module_certificate", moved)
+    with pytest.raises(ArithmeticError, match="degree sum 28, not .* = 27"):
+        freeness_certificate(W, Multiplicity.constant(W, 1), 20)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        assert run(["freeness", "--group", "I2(3)", "--mult", "1", "--max-deg", "20"]) == 2
+    assert err.getvalue().startswith("self-check failed: free generators of degree sum 28")
+
+
 def _closed_form_dims(spec, values, denominator_degrees, max_degree):
     """The closed-form numerator expanded over the product of (1 - t^d_i)
     through max_degree, one geometric series at a time."""
@@ -160,3 +202,27 @@ def test_check_answer_accepts_a_hilbert_answer_and_refuses_a_changed_one(argv, m
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
     with redirect_stderr(io.StringIO()):
         assert check_answer.main() == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("--group", "I2(4)", "--mult", "0:1,1:2", "--max-deg", "40"), 0),
+    (("--group", "A1 x Z/3", "--mult", "0:1+2,1:3", "--max-deg", "30"), 0),
+    # the generators of degree <= 15 of a numerator of degree 16
+    (("--group", "I2(4)", "--mult", "0:1,1:2", "--max-deg", "15"), 3),
+    # only the constant term of a numerator of degree 780 lies below D = 60
+    (("--group", "I2(12)", "--mult", "32", "--max-deg", "60"), 3),
+])
+def test_check_answer_accepts_a_freeness_answer_and_refuses_a_changed_one(argv, code,
+                                                                          monkeypatch):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["freeness", *argv, "--json"]) == code
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+    assert check_answer.main() == 0
+    for key, change in (("generator_degrees", lambda degrees: degrees[:-1]),
+                        ("status", lambda status: "not-free")):
+        envelope = json.loads(out.getvalue())
+        envelope["payload"][key] = change(envelope["payload"][key])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+        with redirect_stderr(io.StringIO()):
+            assert check_answer.main() == 1

@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from operator import le
 
 import pytest
@@ -38,8 +38,9 @@ from quasinv.quasi import (
     GradedBasis,
     _constraint_entries,
     _hyperplane_conditions,
-    _independent,
     _odd_alpha_coefficients,
+    _primitive,
+    _proof_row,
     _row,
     closure_report,
     filtration_check,
@@ -1066,6 +1067,55 @@ def test_x1_certificates_match_every_product(spec, extra):
 # -- the independence proof of |W| generators --------------------------------------
 
 
+def _pattern_elements(group, last=False):
+    """The first (or last) element of each permutation pattern."""
+    reps = {}
+    for i, (perm, _) in enumerate(group.forms):
+        if last or perm not in reps:
+            reps[perm] = i
+    return list(reps.values())
+
+
+def _independent(group, generators) -> bool:
+    """The proof that `module_certificate` runs one generator at a time,
+    taken at once: every proof row enlarges the span, and the rows fill its
+    |W| columns, one per diagonal character and permutation pattern."""
+    span, reps = IncrementalSpan(), _pattern_elements(group)
+    return all(span.add(_proof_row(group, reps, _primitive(g))) for g in generators) and \
+        span.dim() == group.order
+
+
+def test_proof_rows_equal_the_moved_generators_at_x0():
+    """Each battery generator g lies in one diagonal character, and its
+    proof row, formed from its integer term list, is the value
+    sum_e c s(x^e)(x0) of each element s on g, times the scale of
+    `_primitive`: integers for the first element of each pattern, and for
+    the last, whose roots of unity are not all 1 in I2(k), Cyclotomics.
+    Like every row handed to a span, it iterates over its entries, which
+    is how `perfbench/fieldbench.harvest` reads the rows it samples."""
+    from test_acceptance import _max_entry, criterion_2_configurations, \
+        larger_battery_configurations
+
+    for group, mult in criterion_2_configurations() + larger_battery_configurations():
+        cert = freeness_certificate(group, mult,
+                                    4 * group.sum_invariant_degrees() + 4 * _max_entry(mult))
+        x0 = range(2, group.rank + 2)
+        for _, g in cert.generators:
+            terms = _primitive(g)
+            e0, c0 = terms[0]
+            key = group.monomial_class_key(e0)
+            for reps in (_pattern_elements(group), _pattern_elements(group, last=True)):
+                row = _proof_row(group, reps, terms)
+                assert row.keys() == {(key, i) for i in reps}, group.spec
+                assert list(row) == list(row.values()), group.spec
+                for i in reps:
+                    value = sum(c * prod(map(pow, x0, e))
+                                for e, c in group.act(i, g).terms.items())
+                    assert row[key, i] * g.terms[e0] == c0 * value, group.spec
+            first = _proof_row(group, _pattern_elements(group), terms)
+            assert all(value.__class__ is int for value in first.values()), group.spec
+
+
 def _certificate_generators(spec, m, D):
     W = parse_group(spec)
     cert = freeness_certificate(W, Multiplicity.constant(W, m), D)
@@ -1141,10 +1191,12 @@ def test_generators_found_after_the_proof_match_every_product():
 
 
 def test_no_span_row_above_the_last_generator_degree(monkeypatch):
-    """A1^3 with m = (1, 1, 2) at D = 32: once its eight generators are
-    proved independent, every later degree is certified by the count."""
-    W = parse_group("A1^3")
-    basis = quasi_basis(W, Multiplicity(W, {0: 1, 1: 1, 2: 2}), 32)
+    """Every generator is proved independent as it is found, so a degree
+    that holds none is certified by the count, before the last generator as
+    after it: A1^3 with m = (1, 1, 2) spans no degree above its last
+    generator's, I2(6) with m = (1, 2) spans 8 of 41 degrees, and I2(4) at
+    m = 32 none of degrees 1..128 below its first generator of positive
+    degree.  Every span row is formed in a degree that holds a generator."""
     degrees = []  # the degree of every row formed for a span
 
     def product(left, right, columns=None):
@@ -1158,9 +1210,17 @@ def test_no_span_row_above_the_last_generator_degree(monkeypatch):
 
     monkeypatch.setattr(quasi, "multiply_terms", product)
     monkeypatch.setattr(quasi, "_row", row)
-    cert = module_certificate(W, basis)
-    assert cert.status == "free" and cert.rank == 8
-    assert max(degrees) == max(cert.generator_degrees()) < 32
+    for spec, values, D, status, spanned in [
+        ("A1^3", {0: 1, 1: 1, 2: 2}, 32, "free", {0, 3, 5, 6, 8, 11}),
+        ("I2(6)", {0: 1, 1: 2}, 40, "free", {0, 9, 10, 11, 13, 14, 15, 24}),
+        ("I2(4)", {0: 32, 1: 32}, 256, "inconclusive", {0, 129, 130, 131}),
+    ]:
+        W = parse_group(spec)
+        basis = quasi_basis(W, Multiplicity(W, values), D)
+        degrees.clear()
+        cert = module_certificate(W, basis)
+        assert cert.status == status, spec
+        assert set(degrees) == set(cert.generator_degrees()) == spanned, spec
 
 
 def test_span_is_group_stable():
