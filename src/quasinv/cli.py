@@ -412,7 +412,7 @@ def cmd_filtration(args) -> int:
     emit(args, payload,
          {"group": args.group, "multiplicity_low": _mult_payload(m_low),
           "multiplicity_high": _mult_payload(m_high), "max_degree": D},
-         {"inclusion": "span containment degree by degree",
+         {"inclusion": "congruences of m' contain those of m, hyperplane by hyperplane",
           "intersection": "intersected over componentwise-maximal multiplicities "
                           f"of total weight <= {D}"})
     return 0

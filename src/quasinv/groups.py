@@ -473,16 +473,6 @@ class Multiplicity:
             total += v
         return total
 
-    def componentwise_le(self, other: "Multiplicity") -> bool:
-        for orbit_id, v in self.values.items():
-            w = other.values[orbit_id]
-            if isinstance(v, tuple):
-                if any(a > b for a, b in zip(v, w)):
-                    return False
-            elif v > w:
-                return False
-        return True
-
     def __repr__(self):
         return f"<Multiplicity {self.values}>"
 

@@ -68,17 +68,6 @@ class HilbertSeries:
     def __repr__(self):
         return f"({self.numerator_string()}) / {self.denominator_string()}"
 
-    def __eq__(self, other):
-        if not isinstance(other, HilbertSeries):
-            return NotImplemented
-        return (
-            self.numerator == other.numerator
-            and self.denominator_exponents == other.denominator_exponents
-        )
-
-    def __hash__(self):
-        return hash((self.numerator, self.denominator_exponents))
-
 
 def hilbert_from_basis(dims, invariant_degrees) -> HilbertSeries:
     """Reconstruct the rational generating function of a graded module free

@@ -18,9 +18,10 @@ algebra element formed: a hyperplane x_k = 0 deletes the monomials that the
 residue of their x_k-exponent rules out, and a hyperplane x_k = r x_l gives
 rows of integer binomial sums times a root of unity.  `quasi_basis` solves
 these rows and `_satisfies` evaluates them; every membership question about
-Q_m (`is_quasi_invariant`, `closure_report`, `filtration_check`, the tower's
-certification) goes through the rows, so membership and bases cannot
-disagree.
+Q_m (`is_quasi_invariant`, `closure_report`, the strictness witness of
+`filtration_check`, the tower's certification) goes through the rows, so
+membership and bases cannot disagree.  Inclusion between two Q_m is read
+off their conditions, hyperplane by hyperplane (`filtration_check`).
 
 Without swap rows (A1^n, Z/l and their products) the kernel is spanned by
 the surviving monomials: `quasi_basis` counts them from the exponents that
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd, prod
-from operator import add, getitem
+from operator import add, getitem, le
 
 from quasinv.errors import DomainError
 from quasinv.fields import Cyclotomic, rational_value
@@ -656,26 +657,35 @@ def filtration_check(group: ReflectionGroup, mult_low: Multiplicity,
     multiplicities of total weight <= D cuts the filtration down to the
     invariants through degree D.
 
-    Q_m is the kernel of its constraint rows, and the rows of a hyperplane
-    only grow with its multiplicity (the odd alpha-powers below 2m, the
-    deletions e_k < need).  An intersection of kernels is the kernel of all
-    their rows, so the intersection over every m of total weight <= D is
-    the one Q_m at the componentwise maximum, m_o = D // |orbit o|."""
-    if not mult_low.componentwise_le(mult_high):
+    Q_m is the kernel of its congruences, and the congruences of a
+    hyperplane only grow with its multiplicity: a deletion's need entries
+    (x^e goes when e_k < need) and a swap's odd alpha-powers below 2m.  So
+    Q_(m') <= Q_m in every degree when each deletion of m has one of m' at
+    the same coordinate with need >= it entry by entry, and each swap of m
+    one of m' at the same hyperplane with top >= it.  That comparison of
+    the two `_hyperplane_conditions` decides the pair: "included" is proved,
+    and a pair that fails it is refused.  Q_(m') is read for its dims alone.
+
+    An intersection of kernels is the kernel of all their rows, so the
+    intersection over every m of total weight <= D is the one Q_m at the
+    componentwise maximum, m_o = D // |orbit o|."""
+    deletions, swaps = _hyperplane_conditions(group, mult_low)
+    rows_high = _hyperplane_conditions(group, mult_high)
+    needs = {k: need for k, _, need in rows_high[0]}
+    tops = {(k, l, j): top for k, l, j, top in rows_high[1]}
+    if not (all(all(map(le, need, needs.get(k, [0] * n_h))) for k, n_h, need in deletions)
+            and all(top <= tops.get((k, l, j), 0) for k, l, j, top in swaps)):
         raise DomainError("need componentwise m <= m'")
     low = quasi_basis(group, mult_low, max_degree)
     high = quasi_basis(group, mult_high, max_degree)
     codims = [a - b for a, b in zip(low.dims(), high.dims())]
-    rows_low = _hyperplane_conditions(group, mult_low)
-    included = all(_satisfies(group, rows_low, p) for layer in high.layers for p in layer)
-    rows_high = _hyperplane_conditions(group, mult_high)
     # the first element of Q_m outside Q_(m') in the first degree of positive codim
     witness = next((p for d, c in enumerate(codims) if c > 0
                     for p in low.layer(d) if not _satisfies(group, rows_high, p)), None)
     inv_dims = invariant_ring_dims(group, max_degree)
     inter_dims = _intersection_dims(group, max_degree)
     return {
-        "included": included,
+        "included": True,
         "codims": codims,
         "strict_witness": witness,
         "intersection_equals_invariants": inter_dims == inv_dims,

@@ -1,5 +1,5 @@
-"""Check one `quasinv hilbert --json` or `quasinv freeness --json` answer
-against the closed form.
+"""Check one `quasinv hilbert --json`, `quasinv freeness --json` or
+`quasinv filtration --json` answer against the closed form.
 
 Reads the JSON envelope on stdin and compares it with
 `oracles.closed_form_numerator` of the echoed group and multiplicity
@@ -14,6 +14,11 @@ values, which shares no code with the engine's solver:
   are the numerator's terms: all of them for status "free", those of degree
   <= the echoed `max_degree` for "inconclusive".  Q_m is free over the
   invariant ring, so any other status is wrong.
+- a `filtration` answer's `included`, which must be true, and its
+  `codims`: the expansion through the echoed `max_degree` of the closed-form
+  numerator at `multiplicity_low` minus the one at `multiplicity_high`, over
+  the product of (1 - t^d_i) with the degrees d_i read off the spec
+  (`oracles.closed_form_degrees`).
 
 Exits 0 when they agree and 1 otherwise, with the reason on stderr.  The
 name keeps it out of pytest's collection; run it as
@@ -24,7 +29,7 @@ name keeps it out of pytest's collection; run it as
 import json
 import sys
 
-from oracles import closed_form_numerator
+from oracles import closed_form_degrees, closed_form_numerator
 
 
 def _trimmed(coeffs):
@@ -34,19 +39,18 @@ def _trimmed(coeffs):
     return coeffs
 
 
-def _closed_form(inputs):
-    """The closed-form numerator of the echoed inputs, {degree: coefficient}:
-    a list value is an orbit's vector."""
-    mult = inputs["multiplicity"]
+def _closed_form(spec: str, mult):
+    """The closed-form numerator of an echoed group and multiplicity,
+    {degree: coefficient}: a list value is an orbit's vector."""
     values = [tuple(v) if isinstance(v, list) else v
               for _, v in sorted(mult.items(), key=lambda item: int(item[0]))]
-    return closed_form_numerator(inputs["group"], values)
+    return closed_form_numerator(spec, values)
 
 
 def expected_numerator(inputs, through: int) -> list:
     """The closed-form numerator's coefficients of degree <= `through`, for
     the echoed inputs of a `hilbert` request."""
-    num = _closed_form(inputs)
+    num = _closed_form(inputs["group"], inputs["multiplicity"])
     return _trimmed(num.get(d, 0) for d in range(through + 1))
 
 
@@ -56,23 +60,39 @@ def expected_generator_degrees(inputs, status: str) -> list:
     those of degree <= the echoed `max_degree` for an "inconclusive" one."""
     if status not in ("free", "inconclusive"):
         raise ValueError(f"status {status!r}, but Q_m is free over the invariant ring")
-    num = _closed_form(inputs)
+    num = _closed_form(inputs["group"], inputs["multiplicity"])
     through = max(num) if status == "free" else inputs["max_degree"]
     return [d for d in sorted(num) if d <= through for _ in range(num[d])]
+
+
+def expected_codims(inputs) -> list:
+    """dim Q_m - dim Q_(m') in degrees 0..max_degree, for the echoed inputs
+    of a `filtration` request."""
+    through, spec = inputs["max_degree"], inputs["group"]
+    low = _closed_form(spec, inputs["multiplicity_low"])
+    high = _closed_form(spec, inputs["multiplicity_high"])
+    out = [low[d] - high[d] for d in range(through + 1)]
+    for d in closed_form_degrees(spec):
+        for i in range(d, through + 1):  # times 1 / (1 - t^d)
+            out[i] += out[i - d]
+    return out
 
 
 def main() -> int:
     try:
         envelope = json.load(sys.stdin)
         inputs, payload = envelope["inputs"], envelope["payload"]
-        if "generator_degrees" in payload:
+        if "codims" in payload:
+            what, got = "inclusion and codims", (payload["included"], payload["codims"])
+            want = (True, expected_codims(inputs))
+        elif "generator_degrees" in payload:
             what, got = "generator degrees", sorted(payload["generator_degrees"])
             want = expected_generator_degrees(inputs, payload["status"])
         else:
             what, got = "numerator", _trimmed(payload["series"]["numerator"])
             want = expected_numerator(inputs, payload["series"]["verified_through"])
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"check_answer: unreadable or refused hilbert/freeness --json: {exc}",
+        print(f"check_answer: unreadable or refused hilbert/freeness/filtration --json: {exc}",
               file=sys.stderr)
         return 1
     if got != want:

@@ -323,6 +323,23 @@ def pointwise_stabilizer(group, alpha):
     ]
 
 
+def _factor_orders(spec: str) -> list:
+    """The orders l of the rank-one factors Z/l of a product spec, A1 as l = 2."""
+    orders = []
+    for token in re.split(r"\s*x\s*", spec.strip()):
+        power = re.fullmatch(r"A1\^(\d+)", token)
+        orders += [2] * int(power.group(1)) if power else [2 if token == "A1" else int(token[2:])]
+    return orders
+
+
+def closed_form_degrees(spec: str) -> list:
+    """The degrees of the fundamental invariants, from the group spec alone:
+    (2, k) for I2(k), and the factor orders l of a product of rank-one
+    factors, whose invariants are generated by the x_i^l."""
+    dihedral = re.fullmatch(r"I2\((\d+)\)", spec.strip())
+    return [2, int(dihedral.group(1))] if dihedral else _factor_orders(spec)
+
+
 def closed_form_numerator(spec: str, values) -> Counter:
     """The numerator of the Hilbert series of Q_m over the product of
     (1 - t^d_i), as {degree: coefficient}, in closed form from the group
@@ -349,12 +366,8 @@ def closed_form_numerator(spec: str, values) -> Counter:
             for m in values:
                 num[k // 2 + k * m] += 1
         return num
-    orders = []
-    for token in re.split(r"\s*x\s*", spec.strip()):
-        power = re.fullmatch(r"A1\^(\d+)", token)
-        orders += [2] * int(power.group(1)) if power else [2 if token == "A1" else int(token[2:])]
     shapes = [len(v) + 1 if isinstance(v, tuple) else 2 for v in values]
-    if sorted(orders) != sorted(shapes):
+    if sorted(_factor_orders(spec)) != sorted(shapes):
         raise ValueError(f"values {values} do not fit the factors of {spec}")
     num = Counter({0: 1})
     for v in values:

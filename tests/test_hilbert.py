@@ -72,6 +72,11 @@ def test_gorenstein_shift_fails_on_non_palindromic():
     assert gorenstein_shift(series, 1) is None
 
 
+def test_series_certified_to_different_orders_are_not_equal():
+    # a truncated object never compares equal across certified orders
+    assert HilbertSeries([1], [2], 8) != HilbertSeries([1], [2], 9)
+
+
 def test_shift_needs_one_degree_per_dimension():
     series = HilbertSeries([1], [2], verified_through=8)
     with pytest.raises(ValueError):
@@ -221,6 +226,25 @@ def test_check_answer_accepts_a_freeness_answer_and_refuses_a_changed_one(argv, 
     assert check_answer.main() == 0
     for key, change in (("generator_degrees", lambda degrees: degrees[:-1]),
                         ("status", lambda status: "not-free")):
+        envelope = json.loads(out.getvalue())
+        envelope["payload"][key] = change(envelope["payload"][key])
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))
+        with redirect_stderr(io.StringIO()):
+            assert check_answer.main() == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "I2(4)", "--mult", "0:1,1:0", "--mult-high", "0:1,1:2", "--max-deg", "40"),
+    ("--group", "A1 x Z/3", "--mult", "0:0+1,1:0", "--mult-high", "0:1+1,1:1", "--max-deg", "20"),
+])
+def test_check_answer_accepts_a_filtration_answer_and_refuses_a_changed_one(argv, monkeypatch):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run(["filtration", *argv, "--json"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+    assert check_answer.main() == 0
+    for key, change in (("codims", lambda codims: codims[:-1] + [codims[-1] + 1]),
+                        ("included", lambda included: False)):
         envelope = json.loads(out.getvalue())
         envelope["payload"][key] = change(envelope["payload"][key])
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(envelope)))

@@ -5,8 +5,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb, prod
-from operator import le
+from operator import add, le
 
 import pytest
 from hypothesis import given, settings
@@ -1338,6 +1339,116 @@ def test_filtration_on_non_coxeter_groups(spec, low, high, D):
     witness = report["strict_witness"]
     assert brute_is_quasi_invariant(W, m_low, witness)
     assert not brute_is_quasi_invariant(W, m_high, witness)
+
+
+def test_filtration_compares_half_integer_conditions_before_any_basis():
+    # A1 with m = 1/2: refused against m' = 0, and against m' = 2 the pair
+    # passes the comparison and the basis refuses the half-integer
+    half = Multiplicity(A1, {0: Fraction(1, 2)})
+    with pytest.raises(DomainError, match="need componentwise m <= m'"):
+        filtration_check(A1, half, Multiplicity.constant(A1, 0), 8)
+    with pytest.raises(DomainError, match="quasi_basis needs integer multiplicities"):
+        filtration_check(A1, half, Multiplicity.constant(A1, 2), 8)
+
+
+def _componentwise_le(low: Multiplicity, high: Multiplicity) -> bool:
+    """The reference order: m <= m' on every orbit, entry by entry on the
+    vector of an orbit with n_H > 2."""
+    def entries(v):
+        return v if isinstance(v, tuple) else (v,)
+    return all(all(map(le, entries(v), entries(high.values[o]))) for o, v in low.values.items())
+
+
+def _included_by_elements(group, low: Multiplicity, high: Multiplicity, D: int) -> bool:
+    """The reference inclusion Q_(m') <= Q_m through degree D: every element
+    of every layer of Q_(m') meets the congruences of m."""
+    return all(is_quasi_invariant(group, low, p)
+               for layer in quasi_basis(group, high, D).layers for p in layer)
+
+
+def _orbit_grid(group, top: int, nonzero: int):
+    """The multiplicities with entries in 0..top and at most `nonzero`
+    nonzero entries over all orbits."""
+    orbits = sorted({(h.orbit_id, h.stabilizer_order) for h in group.hyperplanes})
+    width = sum(n_h - 1 for _, n_h in orbits)
+    out = []
+    for flat in product(range(top + 1), repeat=width):
+        if sum(map(bool, flat)) > nonzero:
+            continue
+        values, at = {}, 0
+        for o, n_h in orbits:
+            values[o] = flat[at] if n_h == 2 else flat[at:at + n_h - 1]
+            at += n_h - 1
+        out.append(Multiplicity(group, values))
+    return out
+
+
+@pytest.mark.parametrize("spec, top, nonzero, D", [
+    ("A1", 2, 1, 8), ("I2(3)", 2, 1, 8), ("I2(4)", 2, 2, 8), ("Z/3", 2, 2, 8),
+    ("A1 x Z/3", 1, 3, 6), ("Z/3 x Z/4", 1, 2, 6),
+])
+def test_filtration_reads_the_inclusion_off_the_congruences(spec, top, nonzero, D,
+                                                             monkeypatch):
+    # on every pair of the grid the refusal agrees with the reference order;
+    # an accepted pair passes the element-by-element reference through D, and
+    # no layer of Q_(m') is read
+    W = parse_group(spec)
+    grid = _orbit_grid(W, top, nonzero)
+    read = []
+    layer = GradedBasis.layer
+
+    def counted_layer(basis, d):
+        read.append(basis.multiplicity)
+        return layer(basis, d)
+
+    monkeypatch.setattr(GradedBasis, "layer", counted_layer)
+    accepted = 0
+    for low, high in product(grid, repeat=2):
+        read.clear()
+        if not _componentwise_le(low, high):
+            with pytest.raises(DomainError, match="need componentwise m <= m'"):
+                filtration_check(W, low, high, D)
+            continue
+        assert filtration_check(W, low, high, D)["included"]
+        assert high not in read
+        assert _included_by_elements(W, low, high, D)
+        accepted += 1
+    assert 0 < accepted < len(grid) ** 2
+
+
+def _raised(group, low: Multiplicity, step: Multiplicity) -> Multiplicity:
+    """low + step, orbit by orbit and entry by entry."""
+    return Multiplicity(group, {o: tuple(map(add, v, step.values[o])) if isinstance(v, tuple)
+                                else v + step.values[o] for o, v in low.values.items()})
+
+
+_DEEPER_SPECS = (("A1", 3), ("I2(3)", 2), ("I2(4)", 2), ("Z/3", 2), ("A1 x Z/3", 1))
+
+
+@st.composite
+def _filtration_case(draw):
+    """(group, m, m' >= m, D, D' > D) on a small group."""
+    spec, top = draw(st.sampled_from(_DEEPER_SPECS))
+    group = _group(spec)
+    low = draw(_multiplicity(group, top))
+    high = _raised(group, low, draw(_multiplicity(group, top)))
+    D = draw(st.integers(1, 8))
+    return group, low, high, D, D + draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_filtration_case())
+def test_a_deeper_filtration_never_contradicts_a_shallower_one(case):
+    # `intersection_equals_invariants` carries its bound and is left out
+    W, low, high, D, deeper = case
+    shallow = filtration_check(W, low, high, D)
+    deep = filtration_check(W, low, high, deeper)
+    assert shallow["included"] == deep["included"]
+    assert deep["codims"][:D + 1] == shallow["codims"]
+    witness = deep["strict_witness"]
+    if witness is not None and witness.degree() > D:
+        witness = None
+    assert shallow["strict_witness"] == witness
 
 
 def _maximal_weight_vectors(sizes, D: int):
