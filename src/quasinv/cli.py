@@ -266,9 +266,11 @@ def _tabulate(payload, prefix=""):
             else:
                 lines.append(f"{prefix}{key}: {_fmt(val)}")
     else:  # a list: `emit` tabulates a dict, and only dicts and lists recurse
-        for item in payload:
-            lines.extend(_tabulate(item, prefix + "- ") if isinstance(item, (dict, list))
-                         else [f"{prefix}- {_fmt(item)}"])
+        for item in payload:  # one "- " per item, its other lines indented under it
+            sub = (_tabulate(item, prefix + "  ") if isinstance(item, (dict, list)) and item
+                   else [f"{prefix}  {_fmt(item)}"])
+            lines.extend(f"{prefix}- {line[len(prefix) + 2:]}" if i == 0 else line
+                         for i, line in enumerate(sub))
     return lines
 
 

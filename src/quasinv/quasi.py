@@ -33,8 +33,8 @@ operation, a root of unity times the even unit (1 - alpha^2)^(-(d - p)/2)
 mod alpha^(2m) with p = d mod 2, turns the column of z1^a z2^b into a fixed
 integer column of its level alone, +-(1 - alpha^2)^(-(l - p)/2) (1 +- alpha)^l,
 whatever d.  So the block (d, chi) is its chain's prefix of levels <= d, the
-dims are one `nullspace` per chain read off its free columns, and a layer
-read solves each block over its chain's frame rows.
+dims are one `nullspace` per pair of conjugate chains read off its free
+columns, and a layer read solves each block over its chain's frame rows.
 
 For groups with stabilizers of order > 2 the solution space need not be
 closed under multiplication; closure is reported when checked, never assumed.
@@ -42,6 +42,7 @@ closed under multiplication; closure is reported when checked, never assumed.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -64,23 +65,42 @@ class GradedBasis:
     """Degreewise bases of a graded subspace of the polynomial ring through
     `max_degree`: `build(d)` forms the degree-d layer on its first read, and
     `dims` holds the layer lengths up front; `layer` refuses a degree outside
-    0..max_degree.  No spans: membership in Q_m is decided by congruences."""
+    0..max_degree.  No spans: membership in Q_m is decided by congruences.
 
-    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, build, dims):
+    A basis that splits by the character of the diagonal subgroup T passes
+    `blocks(d)`, the dims of the degree-d blocks by character key, and its
+    `build(d, key)` forms one block; any other basis is one block per
+    degree, of key None."""
+
+    def __init__(self, group: ReflectionGroup, multiplicity, max_degree: int, build, dims,
+                 blocks=None):
         self.group = group
         self.multiplicity = multiplicity
         self.max_degree = max_degree
         self._build = build
         self._layers = [None] * (max_degree + 1)
+        self._block_layers = {}  # (degree, key) -> the block's polynomials
         self._dims = dims
+        self._blocks = blocks
 
-    def layer(self, d: int) -> list:
-        """The degree-d layer, a list of Polynomial, built on first read."""
+    def layer(self, d: int, key=None) -> list:
+        """The degree-d layer, or its block of character `key`, a list of
+        Polynomial sorted by leading exponent, built on first read."""
         if not 0 <= d <= self.max_degree:
             raise ValueError(f"degree {d} outside 0..{self.max_degree}")
+        if key is not None:
+            if (d, key) not in self._block_layers:
+                self._block_layers[d, key] = self._build(d, key)
+            return self._block_layers[d, key]
         if self._layers[d] is None:
             self._layers[d] = self._build(d)
         return self._layers[d]
+
+    def blocks(self, d: int) -> dict:
+        """The dims of the degree-d layer's nonzero blocks by character key."""
+        if self._blocks:
+            return self._blocks(d)
+        return {None: self._dims[d]} if self._dims[d] else {}
 
     @property
     def layers(self) -> list:
@@ -297,7 +317,9 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     are no rows, so a layer is its surviving monomials and its dimension
     their count.  Each deletion tests one exponent (`_survives`): the dims
     convolve the sets {a <= D : x_k^a survives} over k, and a layer read
-    keeps the monomials whose every e_k lies in its set.
+    keeps the monomials whose every e_k lies in its set.  A degree's blocks
+    group those monomials by character (`monomial_class_key`), in one scan
+    on first use.
 
     With swap rows (I2(k)) the blocks are read off fixed frames.  A block
     of degree d and character chi holds the z1^a z2^b with a - b = delta,
@@ -315,12 +337,19 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     columns in level order: the kernel of the first n columns is spanned
     by the reduced vectors whose free column is below n
     (`Kernel.free_columns`), so dims[d] counts the free columns of level
-    <= d, over the chains of d's parity.  A layer read solves each block,
+    <= d, over the chains of d's parity, and the block (d, chi) those of
+    its chain.  Conjugate chains share one solve: the chain of chi-bar whose
+    deltas are the negatives of chi's has, in `_chain_rows`, the offset
+    u' = -u = u (u is 0 or N/2) and the sign flipped with delta, so its frame
+    is -1 times chi's under delta -> -delta, with the same free columns; its
+    own frame is built only when one of its blocks is read.  A read solves
+    each block,
     its chain's prefix of levels <= d in monomial order (delta ascending),
     as a `nullspace` of the chain's rows, kept per chain and block size:
     the blocks of degrees d and d + 2 without a pure power share a kernel.
     The reduced basis is unique, so the layer is the solve of the block's
-    own rows (the regression suite compares them).
+    own rows (the regression suite compares them).  A block read
+    (`GradedBasis.layer(d, key)`) solves that chain alone.
     """
     if not mult.is_integer():
         raise DomainError("quasi_basis needs integer multiplicities")
@@ -329,8 +358,17 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
         survives = [[all(_survives(n_h, need, a) for j, n_h, need in deletions if j == k)
                      for a in range(max_degree + 1)] for k in range(group.rank)]
 
-        def layer(d: int) -> list:
-            kept = [e for e in monomial_index(group.variables, d) if all(map(getitem, survives, e))]
+        @lru_cache(maxsize=None)
+        def block_monomials(d: int) -> dict:  # {character: surviving monomials}, on first use
+            grouped = {}
+            for e in monomial_index(group.variables, d):
+                if all(map(getitem, survives, e)):
+                    grouped.setdefault(group.monomial_class_key(e), []).append(e)
+            return grouped
+
+        def layer(d: int, key=None) -> list:
+            kept = ([e for e in monomial_index(group.variables, d) if all(map(getitem, survives, e))]
+                    if key is None else block_monomials(d)[key])
             return _layer(group.variables, [(kept, None)])
         dims = [1] + [0] * max_degree  # through k = 0: the monomials of no variable
         for keeps in survives:
@@ -338,7 +376,8 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
             for a in compress(range(max_degree + 1), keeps):
                 out[a:] = map(add, out[a:], dims)  # out[d] += dims[d - a], d >= a
             dims = out
-        return GradedBasis(group, mult, max_degree, layer, dims)
+        return GradedBasis(group, mult, max_degree, layer, dims,
+                           lambda d: {key: len(kept) for key, kept in block_monomials(d).items()})
     orbits = {}  # one swap per T-orbit: see above
     for k, l, j, top in swaps:
         ratio = [0] * group.rank
@@ -348,28 +387,43 @@ def quasi_basis(group: ReflectionGroup, mult: Multiplicity, max_degree: int) -> 
     swaps = list(orbits.values())
     series = _frame_series(max(top for *_, top in swaps), max_degree)
     chains = _chains(group, max_degree)
-    frames, dims = {}, [0] * (max_degree + 1)
+
+    @lru_cache(maxsize=None)
+    def frame(chain) -> list:  # built on first use
+        return _chain_rows(group, swaps, chains[chain], series)
+    levels, by_deltas, dims = {}, {}, [0] * (max_degree + 1)
     for chain, deltas in chains.items():
-        frames[chain] = _chain_rows(group, swaps, deltas, series)
-        for fc in nullspace(_block_rows(frames[chain], deltas), len(deltas)).free_columns():
-            dims[abs(deltas[fc])] += 1  # a kernel vector of every block of level >= |delta|
+        twin = by_deltas.get(tuple(-delta for delta in deltas))
+        if twin is None:
+            kernel = nullspace(_block_rows(frame(chain), deltas), len(deltas))
+            levels[chain] = [abs(deltas[fc]) for fc in kernel.free_columns()]
+        else:  # the conjugate of an earlier chain: its free columns (see above)
+            levels[chain] = levels[twin]
+        by_deltas[tuple(deltas)] = chain
+        for level in levels[chain]:
+            dims[level] += 1  # a kernel vector of every block of level >= level
     for d in range(2, max_degree + 1):
         dims[d] += dims[d - 2]
     solved = {}  # (chain, block size) -> Kernel
 
-    def built(d: int) -> list:
+    def built(d: int, key=None) -> list:
         kernels = []
         for chain, deltas in chains.items():
-            if chain[1] != d % 2 or abs(deltas[0]) > d:
+            if chain[1] != d % 2 or abs(deltas[0]) > d or key not in (None, chain[0]):
                 continue
             columns = sorted(delta for delta in deltas if abs(delta) <= d)  # monomial order
             at = chain, len(columns)
             if at not in solved:
-                solved[at] = nullspace(_block_rows(frames[chain], columns), len(columns))
+                solved[at] = nullspace(_block_rows(frame(chain), columns), len(columns))
             kept = [((d + delta) // 2, (d - delta) // 2) for delta in columns]
             kernels.append((kept, solved[at]))
         return _layer(group.variables, kernels)
-    return GradedBasis(group, mult, max_degree, built, dims)
+
+    def blocks(d: int) -> dict:
+        counts = ((chain[0], bisect_right(free, d)) for chain, free in levels.items()
+                  if chain[1] == d % 2)
+        return {key: n for key, n in counts if n}
+    return GradedBasis(group, mult, max_degree, built, dims, blocks)
 
 
 def _chains(group: ReflectionGroup, max_degree: int) -> dict:
@@ -477,27 +531,32 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     echelon order.  By induction S_d is spanned by the products f^J g of
     positive-degree invariant monomials f^J with lower-degree generators g
     (the f^J span the invariants: Chevalley-Shephard-Todd), so only those
-    products enter, and the picks depend only on S_d.  The layer is read
-    only while the products leave S_d short of dim L_d: a degree that they
-    fill holds no generator, so a basis that forms its layers on first read
-    never forms it.  If the free module on the generators found so far ever
-    outgrows the actual dimensions, a relation exists and the module is not
-    free.
+    products enter, and the picks depend only on S_d.  If the free module
+    on the generators found so far ever outgrows the actual dimensions, a
+    relation exists and the module is not free.
 
     Each generator is proved independent of the earlier ones over the
     invariant ring R as it is found: its proof row (`_proof_row`) must
-    enlarge the span of theirs.  While every row does, S_d has dimension
-    sum_i dim R_(d - deg g_i), whatever the number of generators, and in
-    every degree where that sum is dim L_d, S_d is L_d by the closure
-    precondition: the degree holds no generator and no relation, and it is
-    certified without a span.  Every other degree, and every degree once a
-    row adds nothing, is spanned.
+    enlarge the span of theirs.  The work is per block of a character chi
+    of the diagonal subgroup T (`GradedBasis.blocks`): the fundamental
+    invariants have the trivial T-character, so f^J g lies in the character
+    of g, and L_d and S_d split by character.  While every proof row holds,
+    S_(d,chi) has dimension s_chi, the sum of dim R_(d - deg g_i) over the
+    generators g_i of character chi, whatever their number; where s_chi =
+    dim L_(d,chi), S_(d,chi) is L_(d,chi) by the closure precondition, so
+    the block holds no generator and no relation and is neither spanned nor
+    read (a basis that forms its layers on first read never forms it), and
+    a degree whose blocks all do is certified without a span.  A layer
+    vector of chi reduces only against rows of chi, so the picks of the
+    short blocks, merged in layer order, are those of one span of the whole
+    degree.  Once a row adds nothing, every block is spanned.  A basis that
+    does not split is one block per degree.
 
-    A spanned degree has one span over its monomials.  A layer vector
-    enters it as a sparse row read off its terms, and f^J g as the integer
-    row that `multiply_terms` forms from the term lists of f^J and g, each
-    scaled once to coprime integers (`_primitive`), with no product
-    polynomial; products stop once the span has the layer's dimension, and
+    A spanned block has one span over the degree's monomials.  A layer
+    vector enters it as a sparse row read off its terms, and f^J g as the
+    integer row that `multiply_terms` forms from the term lists of f^J and
+    g, each scaled once to coprime integers (`_primitive`), with no product
+    polynomial; products stop once the span has the block's dimension, and
     the generators reported are the layer's own.
     """
     D = basis.max_degree
@@ -505,7 +564,7 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
     inv_dims = invariant_ring_dims(group, D)
     inv_monomials = _invariant_monomials(group.fundamental_invariants)
     generators = []
-    generator_terms = []  # (degree, term list) per generator
+    generator_terms = {}  # block key -> (degree, term list) per generator of that character
     proof = IncrementalSpan()  # the generators' proof rows; None once one adds nothing
     reps = {}  # permutation pattern -> its first element
     for i, (perm, _) in enumerate(group.forms):
@@ -516,19 +575,26 @@ def module_certificate(group: ReflectionGroup, basis: GradedBasis,
         if proof is not None and sum(inv_dims[d - gd] for gd, _ in generators) == dims[d]:
             continue
         index = monomial_index(group.variables, d)
-        span = IncrementalSpan()
-        for gd, g in generator_terms:
-            for fj in inv_monomials(d - gd):
-                if span.dim() >= dims[d]:
-                    break
-                span.add(multiply_terms(fj, g, index))
-        for p in basis.layer(d) if span.dim() < dims[d] else ():
-            if span.dim() < dims[d] and span.add(_row(p, index)):
-                generators.append((d, p))
-                generator_terms.append((d, _primitive(p)))
-                if proof is not None and not proof.add(
-                        _proof_row(group, reps.values(), generator_terms[-1][1])):
-                    proof = None
+        picks = []
+        for key, dim in basis.blocks(d).items():
+            terms = generator_terms.get(key, ())
+            if proof is not None and sum(inv_dims[d - gd] for gd, _ in terms) == dim:
+                continue
+            span = IncrementalSpan()
+            for gd, g in terms:
+                for fj in inv_monomials(d - gd):
+                    if span.dim() >= dim:
+                        break
+                    span.add(multiply_terms(fj, g, index))
+            for p in basis.layer(d, key) if span.dim() < dim else ():
+                if span.dim() < dim and span.add(_row(p, index)):
+                    picks.append((min(p.terms), key, p))
+        for _, key, p in sorted(picks, key=lambda pick: pick[0]):  # the layer's order
+            generators.append((d, p))
+            generator_terms.setdefault(key, []).append((d, _primitive(p)))
+            if proof is not None and not proof.add(
+                    _proof_row(group, reps.values(), generator_terms[key][-1][1])):
+                proof = None
         free_dim = sum(inv_dims[d - gd] for gd, _ in generators)
         if free_dim != dims[d]:
             status = "not-free"

@@ -206,6 +206,29 @@ def test_basis_closure_check_reports_a_sample_in_text_and_json():
         "products of sampled basis elements re-tested for membership"
 
 
+def test_text_output_marks_each_list_item_once():
+    # a dict inside a list is one item: its first key gets the "- " and the
+    # rest are indented under it, so a polynomial's terms read as one bullet
+    # each, as many as its --json payload holds; an empty layer stays an item
+    argv = ("filtration", "--group", "I2(3)", "--mult", "1", "--mult-high", "2",
+            "--max-deg", "10")
+    code, out, _ = call(*argv)
+    terms = json.loads(call(*argv, "--json")[1])["payload"]["strict_witness"]["terms"]
+    assert code == 0 and len(terms) == 2
+    lines = out.splitlines()
+    top = lines.index("  terms:")
+    assert lines[top + 1:top + 8] == [
+        "    - exp: [0, 4]", "      coeff:", "        zeta_order: 6",
+        "        coords: [1/2, 0]", "    - exp: [3, 1]", "      coeff: 1",
+        "intersection_equals_invariants: False"]
+    assert sum(line.lstrip().startswith("- ") for line in lines) == len(terms)
+    code, out, _ = call("basis", "--group", "A1", "--mult", "1", "--max-deg", "2")
+    assert code == 0 and out.splitlines()[1:] == [
+        "layers:", "  - - vars: [x]", "      terms:", "        - exp: [0]",
+        "          coeff: 1", "  - []", "  - - vars: [x]", "      terms:",
+        "        - exp: [2]", "          coeff: 1"]
+
+
 def test_golden_file_regenerates():
     path = os.path.join(HERE, "golden", "hilbert_a1_m2.json")
     code, out, _ = call("hilbert", "--group", "A1", "--mult", "2", "--max-deg", "12", "--json")

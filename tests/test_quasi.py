@@ -436,21 +436,36 @@ def _typed_outcome(cert):
             cert.hilbert.verified_through)
 
 
+def _record_first_reads(monkeypatch, read: list) -> None:
+    """Patch `GradedBasis.layer` to append (degree, key) to `read` at the
+    first read of each layer (key None) and each character block."""
+    layer = GradedBasis.layer
+
+    def counted_layer(basis, d, key=None):
+        if (basis._layers[d] if key is None else basis._block_layers.get((d, key))) is None:
+            read.append((d, key))
+        return layer(basis, d, key)
+
+    monkeypatch.setattr(GradedBasis, "layer", counted_layer)
+
+
+def _generator_blocks(W, cert) -> list:
+    """The (degree, character) block of each generator: its terms share one
+    character of the diagonal subgroup."""
+    return [(d, W.monomial_class_key(min(g.terms))) for d, g in cert.generators]
+
+
 def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
     W = parse_group("A1^4")
     mult = Multiplicity.constant(W, 1)
     built = []
-    layer = GradedBasis.layer
-
-    def counted_layer(basis, d):
-        if basis._layers[d] is None:
-            built.append(d)
-        return layer(basis, d)
-
-    monkeypatch.setattr(GradedBasis, "layer", counted_layer)
+    _record_first_reads(monkeypatch, built)
     cert = freeness_certificate(W, mult, 44)
     assert cert.status == "free" and max(cert.generator_degrees()) == 12
-    assert sorted(built) == [0, 3, 6, 9, 12]  # the degrees the products leave short
+    # the blocks the products leave short: each of the 16 characters of
+    # (Z/2)^4 holds one generator, and no other block of degrees 0-12 is formed
+    assert sorted(built) == sorted(_generator_blocks(W, cert))
+    assert {d for d, _ in built} == {0, 3, 6, 9, 12} and len(built) == 16
     monkeypatch.undo()
     basis = quasi_basis(W, mult, 44)
     eager = layers_basis(W, mult, basis.layers)
@@ -460,26 +475,22 @@ def test_certificate_builds_only_the_layers_it_spans(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)", "A1^3"])
 def test_certificate_forms_only_the_layers_the_products_leave_short(spec, monkeypatch):
-    # a degree that the invariant products fill holds no generator, so its
-    # layer is never formed; a short degree gains at least one generator
+    # a character block that the invariant products fill holds no
+    # generator, so it is never formed; a short block gains at least one
+    # generator.  The eager basis, one block per degree, gives the same
+    # certificate
     W = parse_group(spec)
     D = 4 * sum(W.invariant_degrees)
-    layer = GradedBasis.layer
     for mult in (Multiplicity.constant(W, 1), _mixed_multiplicity(W)):
         built = []
-
-        def counted_layer(basis, d):
-            if basis._layers[d] is None:
-                built.append(d)
-            return layer(basis, d)
-
-        monkeypatch.setattr(GradedBasis, "layer", counted_layer)
+        _record_first_reads(monkeypatch, built)
         cert = freeness_certificate(W, mult, D)
         monkeypatch.undo()
         basis = quasi_basis(W, mult, D)
         assert cert.status == "free"
-        assert built == sorted(set(cert.generator_degrees()))
-        assert len(built) < sum(1 for dim in basis.dims()[:built[-1] + 1] if dim)
+        assert sorted(built) == sorted(set(_generator_blocks(W, cert)))
+        top = max(d for d, _ in built)
+        assert len(built) < sum(len(basis.blocks(d)) for d in range(top + 1))
         eager = layers_basis(W, mult, basis.layers)
         assert _typed_outcome(module_certificate(W, eager, cert.predicted_shift)) == \
             _typed_outcome(cert)
@@ -650,8 +661,9 @@ def test_layers_read_out_of_order_equal_an_in_order_read(spec):
 
 @pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(6)", "I2(8)", "I2(12)", "I2(32)"])
 def test_dihedral_nullspace_runs_only_on_blocks_with_a_pure_power(spec, monkeypatch):
-    # the dims take one `nullspace` per chain (character, parity of d) and
-    # form no layer; reading every layer then solves exactly the blocks
+    # the dims take one `nullspace` per conjugate class of chains
+    # (character, parity of d), the chain of z1^a z2^b with that of z1^b z2^a,
+    # and form no layer; reading every layer then solves exactly the blocks
     # that hold z1^d or z2^d, the others sharing the kernel of d - 2
     W = parse_group(spec)
     D = 2 * W.invariant_degrees[-1] + 12
@@ -673,12 +685,15 @@ def test_dihedral_nullspace_runs_only_on_blocks_with_a_pure_power(spec, monkeypa
         monos = monomials_of_degree(W.variables, d)
         blocks += [(d, monos, block) for block in monomial_blocks(W, monos)]
     chains = {(W.monomial_class_key(monos[block[0]]), d % 2) for d, monos, block in blocks}
+    classes = {frozenset((W.monomial_class_key(e), d % 2) for e in (monos[block[0]],
+                                                                   monos[block[0]][::-1]))
+               for d, monos, block in blocks}
     basis = quasi_basis(W, _mixed_multiplicity(W), D)
     dims = basis.dims()
-    assert len(calls) == len(chains) and formed == []
+    assert len(calls) == len(classes) < len(chains) and formed == []
     basis.layers
     pure = sum(_has_pure_power(monos, block) for _, monos, block in blocks)
-    assert len(formed) == D + 1 and 0 < len(calls) - len(chains) == pure < len(blocks)
+    assert len(formed) == D + 1 and 0 < len(calls) - len(classes) == pure < len(blocks)
     assert dims == [len(layer) for layer in basis.layers]
 
 
@@ -734,6 +749,59 @@ def test_frame_series_are_the_direct_series_products():
     series = quasi._frame_series(41, 60)
     assert series == [_direct_frame_series(level, 41) for level in range(61)]
     assert quasi._frame_series(2, 0) == [[1, 0]]
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)", "I2(32)"])
+def test_conjugate_chains_are_mirrored_frames_with_equal_free_columns(spec):
+    # the lemma that lets the dims solve one chain per conjugate pair: the
+    # chain of the mirrored monomials z1^b z2^a, when it is another chain,
+    # has the negated deltas, and its frame over every swap is -1 times the
+    # first frame under delta -> -delta, so the two kernels have the same
+    # free columns
+    W, D = parse_group(spec), 40
+    for mult in (Multiplicity.constant(W, 2), _mixed_multiplicity(W)):
+        _, swaps = _hyperplane_conditions(W, mult)
+        series = quasi._frame_series(max(top for *_, top in swaps), D)
+        chains = quasi._chains(W, D)
+        pairs = 0
+        for chain, deltas in chains.items():
+            pure = (deltas[0], 0) if deltas[0] > 0 else (0, -deltas[0])
+            twin = (W.monomial_class_key(pure[::-1]), chain[1])
+            if twin == chain:
+                continue
+            assert chains[twin] == [-delta for delta in deltas]
+            frame = quasi._chain_rows(W, swaps, deltas, series)
+            twin_frame = quasi._chain_rows(W, swaps, chains[twin], series)
+            assert frame == [{-delta: -c for delta, c in row.items()} for row in twin_frame]
+            assert nullspace(quasi._block_rows(frame, deltas), len(deltas)).free_columns() == \
+                nullspace(quasi._block_rows(twin_frame, chains[twin]),
+                          len(deltas)).free_columns()
+            pairs += 1
+        assert pairs >= 2  # each pair is met from both sides
+
+
+@pytest.mark.parametrize("spec", ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "I2(7)", "I2(8)",
+                                  "I2(12)", "I2(32)", "A1^3", "Z/3 x Z/4", "A1 x Z/3"])
+def test_block_dims_are_the_layer_grouped_by_character(spec):
+    # the blocks the certificate reads: a degree's block dims sum to its dim
+    # and count the layer's elements of each character of the diagonal
+    # subgroup, and a block read, on a basis that forms no layer, gives
+    # those elements
+    W, D = parse_group(spec), 18
+    for mult in (Multiplicity.constant(W, 1), _mixed_multiplicity(W)):
+        basis, split = quasi_basis(W, mult, D), quasi_basis(W, mult, D)
+        for d, dim in enumerate(basis.dims()):
+            grouped = {}
+            for p in basis.layer(d):
+                [key] = {W.monomial_class_key(e) for e in p.terms}
+                grouped.setdefault(key, []).append(p)
+            blocks = split.blocks(d)
+            assert sum(blocks.values()) == dim, (spec, d)
+            assert blocks == {key: len(layer) for key, layer in grouped.items()}, (spec, d)
+            assert {key: _typed_terms(split.layer(d, key)) for key in blocks} == \
+                {key: _typed_terms(layer) for key, layer in grouped.items()}, (spec, d)
+        assert split._layers == [None] * (D + 1)
 
 
 def _constant_basis(spec, m, D):
